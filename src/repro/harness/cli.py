@@ -60,6 +60,28 @@ def _add_resilience_args(sub_parser: argparse.ArgumentParser) -> None:
                                  "stream")
 
 
+def _add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
+    sub_parser.add_argument("--no-cache", action="store_true",
+                            help="disable the persistent caches: the figure "
+                                 "cache, and the validation certificates "
+                                 "(every compiled plan re-runs full shadow "
+                                 "validation)")
+    sub_parser.add_argument("--cache-dir", default=None,
+                            help="persistent cache directory (default: "
+                                 "$REPRO_CACHE_DIR or .repro_cache)")
+
+
+def _certificates(args):
+    """Install the validation-certificate root a ``suite``/``run``
+    invocation persists to (none under ``--no-cache``).  Only the root:
+    the store opens on the first compiled plan that needs validating."""
+    from ..common.cache import resolve_cache_root
+    from ..sycl.plan import using_certificate_store
+
+    return using_certificate_store(
+        None if args.no_cache else resolve_cache_root(args.cache_dir))
+
+
 def _build_resilience(args):
     """(retry policy, fault plan) from the parsed resilience flags."""
     from ..resilience import FaultPlan, RetryPolicy
@@ -93,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="pin one executor path for kernels that "
                           "implement it (default: auto)")
     run.add_argument("--quiet", action="store_true")
+    _add_cache_args(run)
     _add_trace_args(run)
     _add_resilience_args(run)
 
@@ -105,11 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--workers", type=int, default=None,
                          help="worker-pool size for the figure sweeps "
                               "(default: serial)")
-    figures.add_argument("--no-cache", action="store_true",
-                         help="disable the persistent figure cache")
-    figures.add_argument("--cache-dir", default=None,
-                         help="figure-cache directory (default: "
-                              "$REPRO_CACHE_DIR or .repro_cache)")
+    _add_cache_args(figures)
     _add_trace_args(figures)
 
     suite = sub.add_parser("suite",
@@ -137,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--resume", action="store_true",
                        help="skip cells already completed in the journal "
                             "and merge their results into the report")
+    _add_cache_args(suite)
     _add_trace_args(suite)
     _add_resilience_args(suite)
 
@@ -319,10 +339,11 @@ def run_benchmark(config: str, size: int, device_key: str, passes: int,
 def _cmd_run(args) -> int:
     db = ResultDB()
     policy, plan = _build_resilience(args)
-    run_benchmark(args.benchmark, args.size, args.device, args.passes,
-                  Variant(args.variant), args.scale, db, mode=args.mode,
-                  retry=policy, cell_timeout=args.cell_timeout,
-                  fault_plan=plan)
+    with _certificates(args):
+        run_benchmark(args.benchmark, args.size, args.device, args.passes,
+                      Variant(args.variant), args.scale, db, mode=args.mode,
+                      retry=policy, cell_timeout=args.cell_timeout,
+                      fault_plan=plan)
     if not args.quiet:
         print(db.render())
     return 0
@@ -387,11 +408,12 @@ def _cmd_suite(args) -> int:
         journal = ".repro_sweep.journal"
     degrade = args.on_error == "degrade"
     try:
-        results = run_suite_functional(
-            args.device, Variant(args.variant), workers=args.workers,
-            mode=mode, retry=policy, cell_timeout=args.cell_timeout,
-            fault_plan=plan, degrade=degrade, journal=journal,
-            resume=args.resume)
+        with _certificates(args):
+            results = run_suite_functional(
+                args.device, Variant(args.variant), workers=args.workers,
+                mode=mode, retry=policy, cell_timeout=args.cell_timeout,
+                fault_plan=plan, degrade=degrade, journal=journal,
+                resume=args.resume)
     except CellExecutionError as exc:
         print(f"suite aborted: {exc}")
         if journal is not None:

@@ -19,15 +19,15 @@ which is what makes the cold-vs-warm bit-identical guarantee testable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
+# code_fingerprint is re-exported: the journal and FigureCache key by it
+from ..common.cache import (atomic_write, code_fingerprint, content_key,
+                            resolve_cache_root)
 from ..common.errors import InvalidParameterError
 from ..resilience.faults import cache_read_corrupted as _cache_read_corrupted
 
@@ -152,24 +152,6 @@ class ResultDB:
 # Persistent figure-cell cache
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def code_fingerprint() -> str:
-    """Digest of every ``repro`` source file (path + bytes).
-
-    Any code change — model constants, kernel bodies, figure assembly —
-    produces a new fingerprint and therefore a cold cache.  Stale
-    figures can never be served after an edit.
-    """
-    pkg_root = Path(__file__).resolve().parent.parent  # src/repro
-    digest = hashlib.sha256()
-    for path in sorted(pkg_root.rglob("*.py")):
-        digest.update(str(path.relative_to(pkg_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()[:16]
-
-
 _CODEC_SCHEMA = 1
 
 
@@ -212,9 +194,7 @@ class FigureCache:
 
     def __init__(self, root: str | os.PathLike | None = None, *,
                  enabled: bool = True, fingerprint: str | None = None):
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        self.root = Path(root)
+        self.root = resolve_cache_root(root)
         self.enabled = enabled
         self._fingerprint = fingerprint
         self.hits = 0
@@ -227,11 +207,8 @@ class FigureCache:
         return self._fingerprint
 
     def key_for(self, **parts) -> str:
-        payload = json.dumps(
-            {"schema": _CODEC_SCHEMA, "code": self.fingerprint,
-             "parts": _encode(dict(sorted(parts.items())))},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:32]
+        return content_key({"schema": _CODEC_SCHEMA, "code": self.fingerprint,
+                            "parts": _encode(dict(sorted(parts.items())))})
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -268,25 +245,9 @@ class FigureCache:
     def put(self, value, **parts) -> None:
         if not self.enabled:
             return
-        key = self.key_for(**parts)
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = json.dumps({"schema": _CODEC_SCHEMA, "parts": repr(parts),
                               "value": _encode(value)}, sort_keys=True)
-        # each writer stages through its own temp file: a shared
-        # ``<key>.tmp`` would let one racing writer's os.replace strand
-        # the other's (FileNotFoundError on the second replace)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{key}-",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(self.key_for(**parts)), payload.encode())
 
     def clear(self) -> None:
         if self.root.is_dir():

@@ -56,6 +56,7 @@ Plan reuse is observable through the cache counters:
 from __future__ import annotations
 
 import inspect
+import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -94,6 +95,8 @@ __all__ = [
     "plan_pool_stats",
     "plans_disabled",
     "plans_enabled",
+    "certificate_store",
+    "using_certificate_store",
 ]
 
 
@@ -133,17 +136,70 @@ def plans_disabled():
         _ENABLED = previous
 
 
+# ---------------------------------------------------------------------------
+# Validation certificates (off unless installed)
+# ---------------------------------------------------------------------------
+
+#: what :func:`using_certificate_store` installed: ``None`` (persist
+#: nothing), a cache root not yet opened, or an open store
+_CERTIFICATES = None
+_CERT_LOCK = threading.Lock()
+
+
+def certificate_store():
+    """The installed :class:`~repro.sycl.certificates.CertificateStore`,
+    or ``None`` (every compiled plan validates in full).
+
+    An installed cache root is opened here, on the first compiled launch
+    that needs validating, so processes that never validate a compiled
+    plan never load :mod:`repro.sycl.certificates`.
+    """
+    global _CERTIFICATES
+    installed = _CERTIFICATES
+    if not isinstance(installed, (str, os.PathLike)):
+        return installed
+    with _CERT_LOCK:
+        if isinstance(_CERTIFICATES, (str, os.PathLike)):
+            from .certificates import CertificateStore
+
+            _CERTIFICATES = CertificateStore(_CERTIFICATES)
+        return _CERTIFICATES
+
+
+@contextmanager
+def using_certificate_store(store):
+    """Install validation certificates process-wide for a block.
+
+    ``store`` is a :class:`~repro.sycl.certificates.CertificateStore`, a
+    cache root to open one under (``<root>/certificates``) when a plan
+    first needs it, or ``None`` for no store.  The previous setting is
+    restored after the block.  Library callers that install nothing
+    persist nothing.
+    """
+    global _CERTIFICATES
+    previous, _CERTIFICATES = _CERTIFICATES, store
+    try:
+        yield store
+    finally:
+        _CERTIFICATES = previous
+
+
 def plan_cache_info() -> dict:
     """Counters of the process-wide plan cache (mirrors
     :func:`~repro.sycl.executor.execution_cache_info`)."""
     with _LOCK:
         tiers: dict = {}
+        validated_by: dict = {}
         for plan in _CACHE.values():
             entry = tiers.setdefault(plan.path,
                                      {"count": 0, "fallbacks": {}})
             entry["count"] += 1
             if plan.fallback_reason is not None:
                 entry["fallbacks"][plan.kernel.name] = plan.fallback_reason
+            ck = plan.compiled
+            if ck is not None:
+                how = ck.validated_by or "unvalidated"
+                validated_by[how] = validated_by.get(how, 0) + 1
         return {
             "hits": _HITS,
             "misses": _MISSES,
@@ -159,6 +215,10 @@ def plan_cache_info() -> dict:
             # demotion message) — a demoted compiled plan shows up
             # under its interpreter tier with the reason it fell.
             "tiers": tiers,
+            # how the live compiled plans were proven: "shadow" (this
+            # process compared bitwise), "certificate" (a persisted
+            # proof) or "unvalidated" (no launch yet)
+            "validated_by": validated_by,
         }
 
 
@@ -410,6 +470,9 @@ class LaunchPlan:
                               if self.compiled is not None else None),
             "compiled_validated": (self.compiled.validated
                                    if self.compiled is not None else None),
+            # "shadow" / "certificate" once validated, else None
+            "validated_by": (self.compiled.validated_by
+                             if self.compiled is not None else None),
             "grid": self.grid,
             "is_generator": self.is_generator,
             "arity": self.arity,
@@ -545,7 +608,23 @@ class LaunchPlan:
         represent demote *before* any buffer is touched.  Data-dependent
         numpy errors on a validated plan (e.g. an out-of-bounds indirect
         store) propagate, exactly as the interpreter's would mid-loop.
+
+        With a certificate store installed
+        (:mod:`repro.sycl.certificates`), an intact certificate for this
+        launch's key stands in for the shadow run, and a shadow run that
+        matches writes one.
         """
+        store = payload = None
+        if not ck.validated:
+            store = certificate_store()
+            if store is not None:
+                from .certificates import certificate_payload
+
+                payload = certificate_payload(self.kernel, ck.form,
+                                              self.run_fn, ck.fn,
+                                              self.nd_range, args)
+                if payload is not None and store.lookup(payload):
+                    ck.validated_by = "certificate"
         if ck.validated:
             try:
                 bound = ck.bind(args)
@@ -563,6 +642,20 @@ class LaunchPlan:
                 stats.barrier_phases = phases * self.num_groups
                 stats.gen_advances = phases + 1
             return
+        if tracer is None:
+            matched = self._shadow_validate(ck, args, stats, None)
+        else:
+            with tracer.span("vectorize.validate", "vectorize",
+                             kernel=self.kernel.name, form=ck.form):
+                matched = self._shadow_validate(ck, args, stats, tracer)
+        if matched and payload is not None:
+            store.record(payload)
+
+    def _shadow_validate(self, ck, args: tuple, stats: ExecutionStats,
+                         tracer) -> bool:
+        """The batched program on buffer copies, the interpreter on the
+        real buffers, then a bitwise comparison; promotes on a match and
+        demotes otherwise.  Returns whether the plan was promoted."""
         try:
             shadow_args = ck.shadow_run(args)
         except Exception as exc:  # noqa: BLE001 — any failure demotes
@@ -570,15 +663,16 @@ class LaunchPlan:
             stats.path = self.path
             _run_path(self.kernel, self.nd_range, args, self.path,
                       stats, tracer)
-            return
+            return False
         # authoritative interpreter run on the real buffers
         _run_path(self.kernel, self.nd_range, args, ck.fallback_path,
                   stats, tracer)
         if ck.buffers_match(shadow_args, args):
-            ck.validated = True  # stats.path stays "compiled"
-        else:
-            self._demote("batched result diverged from the interpreter")
-            stats.path = self.path
+            ck.validated_by = "shadow"  # stats.path stays "compiled"
+            return True
+        self._demote("batched result diverged from the interpreter")
+        stats.path = self.path
+        return False
 
     def _demote(self, reason: str) -> None:
         """Permanently fall this plan back to its interpreter form."""

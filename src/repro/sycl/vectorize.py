@@ -70,7 +70,21 @@ exception silently and permanently demotes the plan to the interpreter
 path it was validated against.  Every fallback — static or runtime —
 increments the ``vectorize.fallback`` counter and, when tracing is on,
 emits a ``vectorize.fallback`` span, so tier coverage is observable in
-``repro profile``.
+``repro profile``.  With tracing on, each shadow validation runs inside
+a ``vectorize.validate`` span.
+
+A proof can outlive its process.  When a certificate store is installed
+(:func:`repro.sycl.plan.using_certificate_store`; the ``suite`` and
+``run`` subcommands install one unless given ``--no-cache``), a
+bitwise match writes a certificate keyed by the code fingerprint, numpy
+version, host (Python, machine, numpy's CPU features), both code
+objects, the launch shape and the argument signature.  A later process
+whose first launch finds an intact certificate for the same key skips
+the shadow run and executes the batched program directly
+(``validated_by == "certificate"``); a missing, stale or damaged
+certificate means full shadow validation, exactly as without a store.
+Demotions are never persisted.  The ``vectorize.certificate.{hits,
+misses,writes,rejects}`` counters show what the store did.
 """
 
 from __future__ import annotations
@@ -913,15 +927,17 @@ _SCALAR_ARGS = (int, float, complex, bool, str, bytes, np.generic)
 class CompiledKernel:
     """One kernel's batched program, bound to one launch shape.
 
-    ``validated`` starts False: the plan's first compiled launch runs
-    :meth:`shadow_run` on buffer copies and promotes only on a bitwise
-    match with the interpreter (see :mod:`repro.sycl.plan`).
+    ``validated_by`` starts ``None`` (``validated`` False): the plan's
+    first compiled launch runs :meth:`shadow_run` on buffer copies and
+    promotes only on a bitwise match with the interpreter (see
+    :mod:`repro.sycl.plan`), unless an installed certificate store
+    holds the proof from an earlier process.
     ``fallback_path`` is the interpreter form the program was compiled
     from — the path validation compares against and demotion returns to.
     """
 
     __slots__ = ("kernel_name", "form", "fn", "is_generator", "nd_range",
-                 "n", "proxy", "fallback_path", "validated",
+                 "n", "proxy", "fallback_path", "validated_by",
                  "group_linear", "num_groups")
 
     def __init__(self, kernel_name: str, form: str, fn, is_generator: bool,
@@ -943,7 +959,15 @@ class CompiledKernel:
         self.n = lanes["n"]
         self.group_linear = lanes["group_linear"]
         self.fallback_path = form
-        self.validated = False
+        #: how the program was proven: ``"shadow"`` (this process ran
+        #: the bitwise comparison) or ``"certificate"`` (a persisted
+        #: proof, see :mod:`repro.sycl.certificates`); ``None`` before
+        self.validated_by = None
+
+    @property
+    def validated(self) -> bool:
+        """Whether the batched program may run on the real buffers."""
+        return self.validated_by is not None
 
     def __repr__(self) -> str:
         return (f"CompiledKernel({self.kernel_name!r}, form={self.form!r}, "

@@ -195,6 +195,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
     from ..sycl.plan import plan_cache_info, plan_pool_stats
 
     plan_lookups = plan_compiles + plan_hits
+    plan_info = plan_cache_info()
     plan_cache = {
         "compiles": plan_compiles,
         "hits": plan_hits,
@@ -203,7 +204,10 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         "pools": plan_pool_stats(),
         # execution-tier split of the live plans, with the demotion
         # reason for every kernel that fell off the compiled tier
-        "tiers": plan_cache_info()["tiers"],
+        "tiers": plan_info["tiers"],
+        # how the compiled plans were validated (shadow run or a
+        # persisted certificate)
+        "validated_by": plan_info["validated_by"],
     }
 
     # -- run identity & device context -----------------------------------
@@ -409,6 +413,10 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
         for path, entry in sorted(tiers.items()):
             for kname, reason in sorted(entry["fallbacks"].items()):
                 lines.append(f"  - `{kname}` -> {path}: {reason}")
+    validated_by = pc.get("validated_by") or {}
+    if validated_by:
+        lines.append("- compiled plans validated by: " + ", ".join(
+            f"{how}={count}" for how, count in sorted(validated_by.items())))
     lines.append("")
 
     if not deterministic:

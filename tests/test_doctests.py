@@ -11,21 +11,25 @@ import doctest
 
 import pytest
 
+import repro.common.cache
 import repro.harness.runner
 import repro.resilience.faults
 import repro.resilience.retry
 import repro.service.jobs
 import repro.service.tenants
+import repro.sycl.certificates
 import repro.sycl.plan
 import repro.sycl.queue
 
 
 @pytest.mark.parametrize("module", [
+    repro.common.cache,
     repro.harness.runner,
     repro.resilience.faults,
     repro.resilience.retry,
     repro.service.jobs,
     repro.service.tenants,
+    repro.sycl.certificates,
     repro.sycl.plan,
     repro.sycl.queue,
 ], ids=lambda m: m.__name__)
