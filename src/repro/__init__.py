@@ -14,29 +14,12 @@ Quickstart::
     figure2(optimized=True)           # SYCL-vs-CUDA speedups (Fig. 2)
 """
 
-from . import (
-    altis,
-    common,
-    cuda,
-    dpct,
-    fpga,
-    harness,
-    perfmodel,
-    resilience,
-    sycl,
-)
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "altis",
-    "common",
-    "cuda",
-    "dpct",
-    "fpga",
-    "harness",
-    "perfmodel",
-    "resilience",
-    "sycl",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("altis", "common", "cuda", "dpct", "fpga", "harness", "perfmodel",
+          "resilience", "sycl", "trace"),
+})
+__all__.append("__version__")

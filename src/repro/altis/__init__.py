@@ -3,60 +3,25 @@ Table 1 (the evaluation targets), plus the Level-0 microbenchmarks and
 Level-1 algorithms the suite ships around them — all implemented
 against the functional SYCL runtime with analytical performance models."""
 
-from . import level0, level1
-from .base import SIZES, AltisApp, FpgaSetup, Variant, Workload
-from .level0 import LEVEL0_BENCHMARKS, run_level0
-from .level1 import LEVEL1_BENCHMARKS
-from .cfd import Cfd
-from .dwt2d import Dwt2D
-from .fdtd2d import FdTd2D
-from .kmeans import KMeans
-from .lavamd import LavaMD
-from .mandelbrot import Mandelbrot
-from .nw import NW
-from .particlefilter import ParticleFilter
-from .raytracing import Raytracing
-from .registry import (
-    APP_FACTORIES,
-    COMMON_INFRASTRUCTURE,
-    FIG2_CONFIGS,
-    FIG4_CONFIGS,
-    FIG5_CONFIGS,
-    all_apps,
-    make_app,
-    suite_source_models,
-)
-from .srad import Srad
-from .where import Where
+from .._exports import lazy_exports
 
-__all__ = [
-    "level0",
-    "level1",
-    "LEVEL0_BENCHMARKS",
-    "LEVEL1_BENCHMARKS",
-    "run_level0",
-    "SIZES",
-    "AltisApp",
-    "FpgaSetup",
-    "Variant",
-    "Workload",
-    "Cfd",
-    "Dwt2D",
-    "FdTd2D",
-    "KMeans",
-    "LavaMD",
-    "Mandelbrot",
-    "NW",
-    "ParticleFilter",
-    "Raytracing",
-    "Srad",
-    "Where",
-    "APP_FACTORIES",
-    "FIG2_CONFIGS",
-    "FIG4_CONFIGS",
-    "FIG5_CONFIGS",
-    "COMMON_INFRASTRUCTURE",
-    "all_apps",
-    "make_app",
-    "suite_source_models",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("level0", "level1"),
+    "level0": ("LEVEL0_BENCHMARKS", "run_level0"),
+    "level1": ("LEVEL1_BENCHMARKS",),
+    "base": ("SIZES", "AltisApp", "FpgaSetup", "Variant", "Workload"),
+    "cfd": ("Cfd",),
+    "dwt2d": ("Dwt2D",),
+    "fdtd2d": ("FdTd2D",),
+    "kmeans": ("KMeans",),
+    "lavamd": ("LavaMD",),
+    "mandelbrot": ("Mandelbrot",),
+    "nw": ("NW",),
+    "particlefilter": ("ParticleFilter",),
+    "raytracing": ("Raytracing",),
+    "srad": ("Srad",),
+    "where": ("Where",),
+    "registry": ("APP_FACTORIES", "FIG2_CONFIGS", "FIG4_CONFIGS",
+                 "FIG5_CONFIGS", "COMMON_INFRASTRUCTURE", "all_apps",
+                 "make_app", "suite_source_models"),
+})

@@ -229,11 +229,25 @@ class AltisApp(abc.ABC):
 
     def verify(self, result: dict[str, np.ndarray], expected: dict[str, np.ndarray],
                rtol: float = 1e-4, atol: float = 1e-5) -> None:
-        """Assert result arrays match the reference."""
+        """Assert result arrays match the reference.
+
+        A pass is decided with the predicate ``np.testing.assert_allclose``
+        evaluates (equal shapes, numeric dtypes, ``np.isclose`` with
+        ``equal_nan``).  Only a failing output reaches ``assert_allclose``
+        itself, so a passing run never imports ``numpy.testing`` (which
+        pulls in ``unittest`` and ``email``) and a failing one raises the
+        same message as always.
+        """
         for key, exp in expected.items():
-            got = result[key]
+            got, exp = np.asarray(result[key]), np.asarray(exp)
+            if (got.shape == exp.shape
+                    and np.issubdtype(got.dtype, np.number)
+                    and np.issubdtype(exp.dtype, np.number)
+                    and np.isclose(got, exp, rtol=rtol, atol=atol,
+                                   equal_nan=True).all()):
+                continue
             np.testing.assert_allclose(
-                np.asarray(got), np.asarray(exp), rtol=rtol, atol=atol,
+                got, exp, rtol=rtol, atol=atol,
                 err_msg=f"{self.name}: output {key!r} diverges from reference",
             )
 

@@ -1,72 +1,17 @@
 """Shared primitives: vector types, RNGs, errors, and utilities."""
 
-from . import errors, rng, utils, vectypes
-from .errors import (
-    CalibrationError,
-    CudaError,
-    DataflowDeadlockError,
-    DeviceNotFoundError,
-    FeatureNotSupportedError,
-    FitError,
-    FpgaToolError,
-    InvalidParameterError,
-    KernelLaunchError,
-    MigrationError,
-    PipeError,
-    ReproError,
-    SyclError,
-    TimingViolationError,
-)
-from .rng import LcgPark, Philox4x32, Xorwow, make_rng
-from .utils import ceil_div, geomean, human_bytes, human_time
-from .vectypes import (
-    Vec,
-    as_vec_array,
-    float2,
-    float3,
-    float4,
-    float8,
-    vec_cross,
-    vec_dot,
-    vec_length,
-    vec_normalize,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "errors",
-    "rng",
-    "utils",
-    "vectypes",
-    "ReproError",
-    "SyclError",
-    "CudaError",
-    "MigrationError",
-    "FpgaToolError",
-    "FitError",
-    "TimingViolationError",
-    "InvalidParameterError",
-    "FeatureNotSupportedError",
-    "KernelLaunchError",
-    "DeviceNotFoundError",
-    "PipeError",
-    "DataflowDeadlockError",
-    "CalibrationError",
-    "Xorwow",
-    "Philox4x32",
-    "LcgPark",
-    "make_rng",
-    "Vec",
-    "float2",
-    "float3",
-    "float4",
-    "float8",
-    "as_vec_array",
-    "vec_dot",
-    "vec_length",
-    "vec_normalize",
-    "vec_cross",
-    "ceil_div",
-    "geomean",
-    "human_bytes",
-    "human_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("errors", "rng", "utils", "vectypes"),
+    "errors": ("ReproError", "SyclError", "CudaError", "MigrationError",
+               "FpgaToolError", "FitError", "TimingViolationError",
+               "InvalidParameterError", "FeatureNotSupportedError",
+               "KernelLaunchError", "DeviceNotFoundError", "PipeError",
+               "DataflowDeadlockError", "CalibrationError"),
+    "rng": ("Xorwow", "Philox4x32", "LcgPark", "make_rng"),
+    "vectypes": ("Vec", "float2", "float3", "float4", "float8",
+                 "as_vec_array", "vec_dot", "vec_length", "vec_normalize",
+                 "vec_cross"),
+    "utils": ("ceil_div", "geomean", "human_bytes", "human_time"),
+})

@@ -1,23 +1,10 @@
 """Mini-CUDA runtime substrate (the original Altis host API)."""
 
-from . import curand
-from .api import (
-    CudaContext,
-    CudaEvent,
-    DevicePtr,
-    Dim3,
-    cudaMemcpyDeviceToDevice,
-    cudaMemcpyDeviceToHost,
-    cudaMemcpyHostToDevice,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "curand",
-    "CudaContext",
-    "CudaEvent",
-    "DevicePtr",
-    "Dim3",
-    "cudaMemcpyHostToDevice",
-    "cudaMemcpyDeviceToHost",
-    "cudaMemcpyDeviceToDevice",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("curand",),
+    "api": ("CudaContext", "CudaEvent", "DevicePtr", "Dim3",
+            "cudaMemcpyHostToDevice", "cudaMemcpyDeviceToHost",
+            "cudaMemcpyDeviceToDevice"),
+})

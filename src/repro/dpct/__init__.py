@@ -2,24 +2,12 @@
 over construct-level source models, reproducing the paper's §3.2
 migration experience."""
 
-from .migrator import CompilationDatabase, MigrationResult, Migrator, intercept_build
-from .report import SuiteMigrationReport, build_report
-from .rules import RULES, Diagnostic, FixKind, Rule, WarningCategory
-from .source_model import CONSTRUCT_KINDS, Construct, SourceModel
+from .._exports import lazy_exports
 
-__all__ = [
-    "CompilationDatabase",
-    "MigrationResult",
-    "Migrator",
-    "intercept_build",
-    "SuiteMigrationReport",
-    "build_report",
-    "RULES",
-    "Rule",
-    "Diagnostic",
-    "FixKind",
-    "WarningCategory",
-    "CONSTRUCT_KINDS",
-    "Construct",
-    "SourceModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "migrator": ("CompilationDatabase", "MigrationResult", "Migrator",
+                 "intercept_build"),
+    "report": ("SuiteMigrationReport", "build_report"),
+    "rules": ("RULES", "Rule", "Diagnostic", "FixKind", "WarningCategory"),
+    "source_model": ("CONSTRUCT_KINDS", "Construct", "SourceModel"),
+})

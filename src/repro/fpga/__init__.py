@@ -1,32 +1,13 @@
 """FPGA synthesis model: resource estimation, fitting, timing closure,
 compute-unit replication helpers, and Table 3 reporting."""
 
-from .replication import NdRangeReplicator, submit_compute_units
-from .report import Table3Row, render_table3
-from .resources import (
-    DYNAMIC_ACCESSOR_BYTES,
-    M20K_BYTES,
-    Design,
-    KernelDesign,
-    LocalMemorySpec,
-    ResourceEstimate,
-    estimate,
-)
-from .synthesis import SynthesisResult, congestion_score, synthesize
+from .._exports import lazy_exports
 
-__all__ = [
-    "NdRangeReplicator",
-    "submit_compute_units",
-    "Table3Row",
-    "render_table3",
-    "Design",
-    "KernelDesign",
-    "LocalMemorySpec",
-    "ResourceEstimate",
-    "estimate",
-    "M20K_BYTES",
-    "DYNAMIC_ACCESSOR_BYTES",
-    "SynthesisResult",
-    "synthesize",
-    "congestion_score",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "replication": ("NdRangeReplicator", "submit_compute_units"),
+    "report": ("Table3Row", "render_table3"),
+    "resources": ("Design", "KernelDesign", "LocalMemorySpec",
+                  "ResourceEstimate", "estimate", "M20K_BYTES",
+                  "DYNAMIC_ACCESSOR_BYTES"),
+    "synthesis": ("SynthesisResult", "synthesize", "congestion_score"),
+})

@@ -1,76 +1,20 @@
 """Experiment harness: regenerates every table and figure of the paper
 and runs the functional verification sweep."""
 
-from .experiments import (
-    PAPER_FIG1,
-    PAPER_FIG2_BASELINE,
-    PAPER_FIG2_OPTIMIZED,
-    PAPER_FIG4,
-    PAPER_FIG5,
-    PAPER_FIG5_GEOMEANS,
-    PAPER_TABLE3,
-    figure1,
-    figure2,
-    figure4,
-    figure5,
-    figure5_geomeans,
-    migration_report,
-    table2,
-    table3,
-)
-from .reporting import (
-    compare_ratio,
-    render_figure1,
-    render_figure5,
-    render_speedup_grid,
-    render_suite_report,
-    render_table2,
-)
-from .resultdb import FigureCache, Result, ResultDB, SweepJournal, code_fingerprint
-from .runner import (
-    CellOutcome,
-    RunResult,
-    generate_workload,
-    journal_record,
-    pool_map,
-    result_from_record,
-    run_functional,
-    run_suite_functional,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "PAPER_FIG1",
-    "PAPER_FIG2_BASELINE",
-    "PAPER_FIG2_OPTIMIZED",
-    "PAPER_FIG4",
-    "PAPER_FIG5",
-    "PAPER_FIG5_GEOMEANS",
-    "PAPER_TABLE3",
-    "figure1",
-    "figure2",
-    "figure4",
-    "figure5",
-    "figure5_geomeans",
-    "migration_report",
-    "table2",
-    "table3",
-    "compare_ratio",
-    "render_figure1",
-    "render_figure5",
-    "render_speedup_grid",
-    "render_suite_report",
-    "render_table2",
-    "CellOutcome",
-    "RunResult",
-    "run_functional",
-    "run_suite_functional",
-    "journal_record",
-    "result_from_record",
-    "pool_map",
-    "generate_workload",
-    "Result",
-    "ResultDB",
-    "SweepJournal",
-    "FigureCache",
-    "code_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "experiments": ("PAPER_FIG1", "PAPER_FIG2_BASELINE",
+                    "PAPER_FIG2_OPTIMIZED", "PAPER_FIG4", "PAPER_FIG5",
+                    "PAPER_FIG5_GEOMEANS", "PAPER_TABLE3", "figure1",
+                    "figure2", "figure4", "figure5", "figure5_geomeans",
+                    "migration_report", "table2", "table3"),
+    "reporting": ("compare_ratio", "render_figure1", "render_figure5",
+                  "render_speedup_grid", "render_suite_report",
+                  "render_table2"),
+    "runner": ("CellOutcome", "RunResult", "run_functional",
+               "run_suite_functional", "journal_record",
+               "result_from_record", "pool_map", "generate_workload"),
+    "resultdb": ("Result", "ResultDB", "SweepJournal", "FigureCache",
+                 "code_fingerprint"),
+})

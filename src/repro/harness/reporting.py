@@ -6,7 +6,6 @@ from __future__ import annotations
 from ..altis.base import SIZES
 from ..common.utils import geomean
 from ..resilience import FailedCell
-from ..trace.export import launch_table
 
 __all__ = [
     "render_speedup_grid",
@@ -103,6 +102,8 @@ def render_trace_table(events, *, limit: int | None = 40) -> str:
     Chrome trace, and the join Fig. 1 relies on (measured wall cost of a
     launch vs the modeled device/overhead split).
     """
+    from ..trace.export import launch_table  # only traced runs render it
+
     rows = launch_table(events)
     title = f"Per-launch trace table ({len(rows)} launches)"
     lines = [title, "=" * max(70, len(title))]

@@ -26,12 +26,9 @@ and the figure builders use them:
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                as_completed)
 from contextlib import nullcontext as _null_context
 from dataclasses import dataclass, field
 from functools import partial
@@ -102,6 +99,8 @@ def resolve_pool_mode(fn: Callable, mode: str = "auto") -> str:
     if mode != "auto":
         raise InvalidParameterError(
             f"unknown pool mode {mode!r}; expected auto/process/thread")
+    import multiprocessing  # only pooled maps pay for it
+
     target = fn
     while isinstance(target, partial):
         target = target.func
@@ -303,6 +302,10 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
                 break  # abort mode fails fast; earlier cells stay journaled
         _account_outcomes(outcomes)
         return _collect_outcomes(outcomes, capture_errors)
+
+    # the serial path above never loads the pool machinery
+    from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
+                                    as_completed)
 
     workers = min(workers, len(items))
     pool_mode = resolve_pool_mode(fn, mode)

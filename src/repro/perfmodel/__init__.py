@@ -2,48 +2,16 @@
 profiles, GPU/CPU roofline models, the FPGA pipeline model, runtime
 overheads, and implementation-variant traits."""
 
-from .fpga import FpgaKernelTiming, FpgaModel
-from .gpu import CpuModel, GpuModel
-from .overhead import RuntimeKind, RuntimeOverheads, overheads_for
-from .profile import KernelProfile, LaunchPlan
-from .spec import (
-    DEVICE_SPECS,
-    DeviceKind,
-    DeviceSpec,
-    FpgaResources,
-    fpga_peak_fp32_tflops,
-    get_spec,
-    list_specs,
-    roofline_attainable_flops,
-    roofline_point,
-)
-from .timeline import RunDecomposition, model_for, time_launch_plan
-from .traits import TRAITS, ImplVariant, Trait, combine
+from .._exports import lazy_exports
 
-__all__ = [
-    "FpgaKernelTiming",
-    "FpgaModel",
-    "CpuModel",
-    "GpuModel",
-    "RuntimeKind",
-    "RuntimeOverheads",
-    "overheads_for",
-    "KernelProfile",
-    "LaunchPlan",
-    "DEVICE_SPECS",
-    "DeviceKind",
-    "DeviceSpec",
-    "FpgaResources",
-    "fpga_peak_fp32_tflops",
-    "get_spec",
-    "list_specs",
-    "roofline_attainable_flops",
-    "roofline_point",
-    "RunDecomposition",
-    "model_for",
-    "time_launch_plan",
-    "TRAITS",
-    "ImplVariant",
-    "Trait",
-    "combine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fpga": ("FpgaKernelTiming", "FpgaModel"),
+    "gpu": ("CpuModel", "GpuModel"),
+    "overhead": ("RuntimeKind", "RuntimeOverheads", "overheads_for"),
+    "profile": ("KernelProfile", "LaunchPlan"),
+    "spec": ("DEVICE_SPECS", "DeviceKind", "DeviceSpec", "FpgaResources",
+             "fpga_peak_fp32_tflops", "get_spec", "list_specs",
+             "roofline_attainable_flops", "roofline_point"),
+    "timeline": ("RunDecomposition", "model_for", "time_launch_plan"),
+    "traits": ("TRAITS", "ImplVariant", "Trait", "combine"),
+})

@@ -25,35 +25,14 @@ of ``python -m repro suite`` (docs/resilience.md walks through the whole
 subsystem).
 """
 
-from .checkpoint import FailedCell
-from .faults import (
-    Deadline,
-    FaultPlan,
-    FaultRule,
-    cache_read_corrupted,
-    cell_scope,
-    current_cell,
-    current_fault_plan,
-    deterministic_uniform,
-    fault_injection,
-    install_fault_plan,
-    poll,
-)
-from .retry import RetryPolicy, call_with_retry
+from .._exports import lazy_exports
 
-__all__ = [
-    "Deadline",
-    "FailedCell",
-    "FaultPlan",
-    "FaultRule",
-    "RetryPolicy",
-    "cache_read_corrupted",
-    "call_with_retry",
-    "cell_scope",
-    "current_cell",
-    "current_fault_plan",
-    "deterministic_uniform",
-    "fault_injection",
-    "install_fault_plan",
-    "poll",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checkpoint": ("FailedCell",),
+    "faults": ("Deadline", "FaultPlan", "FaultRule", "cache_read_corrupted",
+               "cell_scope", "current_cell", "current_fault_plan",
+               "deterministic_uniform", "fault_injection",
+               "install_fault_plan", "poll"),
+    "retry": ("RetryPolicy", "call_with_retry"),
+})
+__all__.sort()  # the API reference lists this package alphabetically

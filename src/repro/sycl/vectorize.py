@@ -49,7 +49,8 @@ How a kernel becomes a batched program
 * scalar builtins with an exact numpy lowering are rewritten in place:
   ``min``/``max`` → nested ``np.minimum``/``np.maximum``, ``float`` →
   ``np.float64``, ``abs`` stays, and ``math.*`` maps through
-  :data:`_MATH_TO_NP` (``math.sqrt`` → ``np.sqrt`` …).
+  :data:`_MATH_TO_NP` (``math.sqrt`` → ``np.sqrt`` …); an expression
+  over literals only stays Python, so it keeps the interpreter's dtype.
 
 Anything still outside this dialect — ``while`` loops, data-dependent
 trip counts, ``break``/``continue``, remaining scalar builtins
@@ -230,6 +231,31 @@ def _np_call(fn: str, args: list) -> ast.Call:
         func=ast.Attribute(value=ast.Name("__vec_np__", ctx=ast.Load()),
                            attr=fn, ctx=ast.Load()),
         args=args, keywords=[])
+
+
+def _literal_only(e) -> bool:
+    """Whether ``e`` combines literals only (operators, comparisons,
+    conditionals, builtin ``min``/``max``/``abs``): it is the same Python
+    scalar in every lane."""
+    if isinstance(e, ast.Constant):
+        return True
+    if isinstance(e, ast.BinOp):
+        return _literal_only(e.left) and _literal_only(e.right)
+    if isinstance(e, ast.UnaryOp):
+        return _literal_only(e.operand)
+    if isinstance(e, ast.BoolOp):
+        return all(map(_literal_only, e.values))
+    if isinstance(e, ast.Compare):
+        return _literal_only(e.left) and all(map(_literal_only,
+                                                 e.comparators))
+    if isinstance(e, ast.IfExp):
+        return all(map(_literal_only, (e.test, e.body, e.orelse)))
+    if isinstance(e, ast.Call):
+        return (isinstance(e.func, ast.Name) and not e.keywords
+                and (e.func.id == "abs" and len(e.args) == 1
+                     or e.func.id in ("min", "max") and len(e.args) >= 2)
+                and all(map(_literal_only, e.args)))
+    return False
 
 
 class _Rewriter:
@@ -434,7 +460,10 @@ class _Rewriter:
     # -- expressions -------------------------------------------------------
 
     def expr(self, e):
-        if isinstance(e, (ast.Constant, ast.Name)):
+        if isinstance(e, (ast.Constant, ast.Name)) or _literal_only(e):
+            # a literal-only expression stays Python, as the interpreter
+            # evaluates it: lowered (np.minimum, np.where ...) it would
+            # become a numpy scalar, which promotes float32 lanes to float64
             return e
         if isinstance(e, ast.BinOp):
             return ast.BinOp(left=self.expr(e.left), op=e.op,

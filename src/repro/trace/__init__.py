@@ -8,37 +8,16 @@ decomposition, roofline placement, flamegraph export).  See
 docs/observability.md.
 """
 
-from .export import (dumps_chrome_trace, launch_table, to_chrome_trace,
-                     write_chrome_trace)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
-from .profile import (PROFILE_SCHEMA, ProfileRun, build_profile,
-                      collapsed_stacks, profile_functional, render_profile,
-                      write_flamegraph, write_profile)
-from .spans import (Span, Tracer, current_tracer, install_tracer, span,
-                    tracing)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "install_tracer",
-    "span",
-    "tracing",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-    "to_chrome_trace",
-    "dumps_chrome_trace",
-    "write_chrome_trace",
-    "launch_table",
-    "PROFILE_SCHEMA",
-    "ProfileRun",
-    "build_profile",
-    "profile_functional",
-    "render_profile",
-    "collapsed_stacks",
-    "write_flamegraph",
-    "write_profile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "spans": ("Span", "Tracer", "current_tracer", "install_tracer", "span",
+              "tracing"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "registry"),
+    "export": ("to_chrome_trace", "dumps_chrome_trace", "write_chrome_trace",
+               "launch_table"),
+    "profile": ("PROFILE_SCHEMA", "ProfileRun", "build_profile",
+                "profile_functional", "render_profile", "collapsed_stacks",
+                "write_flamegraph", "write_profile"),
+})

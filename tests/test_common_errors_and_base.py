@@ -76,6 +76,38 @@ class TestAppBaseHelpers:
         with pytest.raises(AssertionError):
             app.verify(bad, good)
 
+    def test_verify_passes_equal_and_same_position_nan(self):
+        app = make_app("Mandelbrot")
+        exp = np.array([1.0, np.nan, -np.inf, 3.0])
+        app.verify({"out": exp.copy()}, {"out": exp})
+        app.verify({"out": exp + 1e-9}, {"out": exp})  # inside rtol/atol
+
+    def test_verify_integer_outputs(self):
+        app = make_app("NW")
+        exp = np.arange(12, dtype=np.int32).reshape(3, 4)
+        app.verify({"score": exp.copy()}, {"score": exp})
+        with pytest.raises(AssertionError):
+            app.verify({"score": exp + 1}, {"score": exp})
+
+    @pytest.mark.parametrize("got, exp", [
+        (np.zeros(4), np.zeros(5)),                # shape mismatch
+        (np.zeros((2, 2)), np.zeros(4)),           # same size, other shape
+        (np.array([np.nan, 1.0]), np.array([1.0, np.nan])),  # nan moved
+        (np.array([np.inf]), np.array([-np.inf])),
+        (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.0])),
+    ])
+    def test_verify_failure_text_is_assert_allclose_text(self, got, exp):
+        app = make_app("Mandelbrot")
+        with pytest.raises(AssertionError) as ours:
+            app.verify({"x": got}, {"x": exp}, rtol=1e-4, atol=1e-5)
+        with pytest.raises(AssertionError) as theirs:
+            np.testing.assert_allclose(
+                got, exp, rtol=1e-4, atol=1e-5,
+                err_msg="Mandelbrot: output 'x' diverges from reference")
+        assert str(ours.value) == str(theirs.value)
+        assert "Mandelbrot: output 'x' diverges from reference" \
+            in str(ours.value)
+
     def test_check_size_bounds(self):
         app = make_app("NW")
         for bad in (0, 4, -1):

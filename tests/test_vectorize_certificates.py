@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.resilience import FaultPlan, fault_injection  # noqa: E402
@@ -229,6 +229,11 @@ def _environment_changes(src, n):
 @_SETTINGS
 @given(lines_names=_guard_body(), n=st.integers(min_value=33, max_value=64),
        seed=st.integers(min_value=0, max_value=2**16))
+# literal-only min(): lowered to np.minimum it would be a float64 scalar
+# that promotes the float32 ("dtype") lanes, and the plan would demote
+@example(lines_names=(["v0 = src[i]", "v1 = (v0 + min(0.25, 0.25))",
+                       "out[i] = out[i] + (0.25 + v1)"], ["v0", "v1"]),
+         n=33, seed=0)
 def test_changed_key_component_misses(lines_names, n, seed):
     """Every key change, on every drawn kernel."""
     src_text = _assemble_guard(lines_names[0])
@@ -455,20 +460,30 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     assert not (tmp_path / ".repro_cache").exists()
 
 
-def test_auto_mode_suite_never_loads_the_store(tmp_path):
-    """``suite`` installs only a root; a run that validates no compiled
-    plan never imports the certificate module or writes anything."""
+@pytest.mark.parametrize("argv, unloaded", [
+    (["suite", "--cache-dir", "cache"],
+     ["repro.sycl.certificates", "repro.dpct.migrator",
+      "repro.harness.experiments", "repro.trace.profile",
+      "repro.fpga.replication", "repro.cuda", "multiprocessing",
+      "concurrent.futures.process", "numpy.testing"]),
+    (["figures", "fig2", "--no-cache"],
+     ["repro.sycl.plan", "repro.sycl.vectorize"]),
+], ids=["suite", "figures-fig2"])
+def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded):
+    """A command imports only what it runs.  ``suite`` installs only a
+    root; a run that validates no compiled plan never imports the
+    certificate module or writes anything, and neither command loads
+    the layers (or the pool and ``numpy.testing``) it does not use."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("REPRO_CACHE_DIR", None)
     code = ("import sys\n"
             "from repro.harness.cli import main\n"
-            "main(['suite', '--cache-dir', 'cache'])\n"
-            "print('loaded' if 'repro.sycl.certificates' in sys.modules"
-            " else 'not loaded')\n")
+            f"main({argv!r})\n"
+            f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.splitlines()[-1] == "not loaded"
+    assert proc.stdout.splitlines()[-1] == "[]"
     assert not (tmp_path / "cache").exists()
 
 
