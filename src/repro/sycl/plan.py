@@ -13,7 +13,9 @@ launch of a ``(kernel, nd_range, path-pins, device limit)`` tuple builds
 an immutable :class:`LaunchPlan`:
 
 * the selected execution path and the validated work-group limits;
-* references to the memoized point grid / group lattice of the range;
+* a reference to the memoized group grid of the range (the per-item
+  lattice is looked up by the first per-item launch, so a compiled plan
+  whose certificate hits never builds one);
 * ``inspect``-derived facts — whether the chosen form is a generator,
   and its argument arity (the binding order of ``(index, *args)``);
 * a barrier-phase schedule, recorded by the plan's first strict
@@ -377,8 +379,8 @@ class LaunchPlan:
     """Everything launch-invariant about one ``(kernel, nd_range)`` shape.
 
     Compilation validates the launch (work-group attributes and device
-    limit), selects the execution path, resolves the memoized index
-    lattices, and probes the chosen kernel form with :mod:`inspect` —
+    limit), selects the execution path, resolves the memoized group
+    grid, and probes the chosen kernel form with :mod:`inspect` —
     exactly the work the legacy path repeats per launch.  The compiled
     facts are immutable; the only write-once field is the barrier-phase
     schedule, recorded by the plan's first strict execution.
@@ -392,7 +394,7 @@ class LaunchPlan:
 
     __slots__ = (
         "kernel", "nd_range", "path", "grid", "is_generator", "arity",
-        "run_fn", "group_ids", "lattice", "group_size", "num_groups",
+        "run_fn", "group_ids", "group_size", "num_groups",
         "total_items", "local_mem_reuse", "barrier_schedule", "compiled",
         "fallback_reason", "_tls",
     )
@@ -443,11 +445,9 @@ class LaunchPlan:
         self.group_size = nd_range.group_size()
         self.num_groups = nd_range.num_groups()
         self.total_items = nd_range.total_items()
-        # resolved references into the executor's memoized lattices
+        # resolved reference into the executor's memoized group grid;
+        # the per-item lattice is looked up by ``_items`` on first use
         self.group_ids = _point_grid(nd_range.group_range().dims)
-        self.lattice = (_nd_lattice(nd_range.global_range.dims,
-                                    nd_range.local_range.dims)
-                        if interp_path == "item" else None)
         self.local_mem_reuse = bool(kernel.feature("local_mem_reuse"))
         #: per-group barrier-phase counts, recorded once by the first
         #: strict execution (``None`` until then; ``()`` for paths that
@@ -514,10 +514,12 @@ class LaunchPlan:
         pairs = getattr(self._tls, "items", None)
         if pairs is None:
             groups = self._groups()
+            lattice = _nd_lattice(self.nd_range.global_range.dims,
+                                  self.nd_range.local_range.dims)
             pairs = tuple(
                 (group, tuple(NdItem(glob, lid, group)
                               for glob, lid in coords))
-                for group, (_, coords) in zip(groups, self.lattice))
+                for group, (_, coords) in zip(groups, lattice))
             self._tls.items = pairs
         elif not self.local_mem_reuse:
             for group, _ in pairs:

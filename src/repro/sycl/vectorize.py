@@ -8,18 +8,20 @@ plans because the body dominates.  This module removes the body cost
 for the (large) class of kernels whose per-item code is straight-line
 array arithmetic: it lifts the ``item_fn`` / ``group_fn`` **source**
 into a batched numpy program evaluated once per launch — or once per
-barrier phase — over the index lattice already memoized by the plan
-layer.  The restructuring mirrors how the paper's optimized-SYCL
-variants (and the CRK-HACC / Reguly portability studies) close the gap
-to the hardware: express the kernel over the whole index space instead
-of per-item control flow.
+barrier phase — over per-lane index arrays that numpy index arithmetic
+lays out in the interpreter's iteration order (the interpreter's
+per-item lattice is never built for them).  The restructuring mirrors
+how the paper's optimized-SYCL variants (and the CRK-HACC / Reguly
+portability studies) close the gap to the hardware: express the kernel
+over the whole index space instead of per-item control flow.
 
 How a kernel becomes a batched program
 --------------------------------------
 
-:func:`translate` parses the kernel's source (``inspect.getsource`` +
-``ast``) and rewrites it into a new function ``<name>__batched`` taking
-``(__lanes__, <index>, *args)``:
+:func:`translate` reads the kernel's source from ``linecache``, sliced
+by the line positions of its code objects (no tokenizer pass, see
+:func:`_function_source`), parses it with ``ast`` and rewrites it into a
+new function ``<name>__batched`` taking ``(__lanes__, <index>, *args)``:
 
 * every work-item is a **lane**; the ``<index>`` argument becomes a
   :class:`_BatchItem` / :class:`_BatchGroup` whose accessors return
@@ -93,7 +95,9 @@ from __future__ import annotations
 import ast
 import copy as _copy
 import inspect
+import linecache
 import os
+import re
 import textwrap
 import threading
 import types
@@ -105,7 +109,6 @@ import numpy as np
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
 from .buffer import LocalAccessor
-from .executor import _nd_lattice, _point_grid
 from .kernel import KernelKind, KernelSpec
 from .ndrange import BarrierToken, FenceSpace, NdRange
 
@@ -621,11 +624,61 @@ class _Rewriter:
         self.fail(f"call to {ast.unparse(func)}() is not batchable")
 
 
+#: the first line of an undecorated function
+_DEF_LINE = re.compile(r"\s*(async\s+)?def\s")
+#: code objects carry end line numbers (``co_positions``) from Python 3.11
+_CODE_POSITIONS = hasattr(types.CodeType, "co_positions")
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def _function_source(fn) -> str:
+    """The source of a ``def`` kernel, read without tokenizing.
+
+    ``inspect.getsource`` runs the pure-Python tokenizer to find where
+    the function's block ends; the code objects already know.  The
+    text runs from the ``def`` line (``co_firstlineno``) to the last
+    line that an instruction of the function or of a nested code object
+    covers, then on over following lines indented deeper than the
+    ``def`` (lines without instructions: a trailing docstring, dead code
+    after a ``return``).  Lambdas, decorated, wrapped or non-function
+    callables, unreadable files, a ``co_firstlineno`` that is not a
+    ``def`` line (a file edited since import), and interpreters whose
+    code objects have no ``co_positions`` go to ``inspect.getsource``,
+    which returns the same text or raises the same error.
+    """
+    if (not _CODE_POSITIONS or not isinstance(fn, types.FunctionType)
+            or hasattr(fn, "__wrapped__")
+            or fn.__code__.co_name == "<lambda>"):
+        return inspect.getsource(fn)
+    code = fn.__code__
+    filename = code.co_filename
+    linecache.checkcache(filename)  # as inspect.findsource: reread edits
+    lines = linecache.getlines(filename, fn.__globals__)
+    first = code.co_firstlineno - 1
+    if not 0 <= first < len(lines) or not _DEF_LINE.match(lines[first]):
+        return inspect.getsource(fn)
+    end = first + 1
+    codes = [code]
+    while codes:
+        c = codes.pop()
+        end = max([end] + [e for _, e, _, _ in c.co_positions()
+                           if e is not None])
+        codes.extend(k for k in c.co_consts if isinstance(k, types.CodeType))
+    indent = _indent(lines[first])
+    while end < len(lines) and (not lines[end].strip()
+                                or _indent(lines[end]) > indent):
+        end += 1
+    return "".join(lines[first:end])
+
+
 def _translate(fn) -> tuple:
     if getattr(fn, "__closure__", None):
         raise _Ineligible("kernel closes over free variables")
     try:
-        src = inspect.getsource(fn)
+        src = _function_source(fn)
     except (OSError, TypeError) as exc:
         raise _Ineligible(f"source unavailable ({exc})")
     try:
@@ -701,6 +754,12 @@ class _LaneCtx:
         self.n = n
         self.mask = None
 
+    def gather_index(self, c):
+        """One key component of a masked load, dead lanes set to 0."""
+        if isinstance(c, np.ndarray) and c.shape == (self.n,):
+            return np.where(self.mask, c, 0)
+        return c
+
     def refine(self, cond) -> None:
         cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.n,))
         keep = np.logical_not(cond)
@@ -749,16 +808,12 @@ class _BatchArray:
             and c.shape[0] == self._ctx.n
 
     def __getitem__(self, key):
-        mask = self._ctx.mask
-        if mask is None:
+        ctx = self._ctx
+        if ctx.mask is None:
             return self._arr[key]
-        def fix(c):
-            if isinstance(c, np.ndarray) and c.shape == (self._ctx.n,):
-                return np.where(mask, c, 0)
-            return c
         if isinstance(key, tuple):
-            return self._arr[tuple(fix(c) for c in key)]
-        return self._arr[fix(key)]
+            return self._arr[tuple([ctx.gather_index(c) for c in key])]
+        return self._arr[ctx.gather_index(key)]
 
     def __setitem__(self, key, value) -> None:
         ctx = self._ctx
@@ -819,53 +874,55 @@ class _BatchLocal:
         self._batch[self._key(key)] = value
 
 
-def _linear(mat: np.ndarray, extents) -> np.ndarray:
-    idx = np.zeros(len(mat), dtype=np.intp)
-    for d, e in enumerate(extents):
-        idx = idx * e + mat[:, d]
-    return idx
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
 
 
+def _grid_rows(extents: tuple) -> np.ndarray:
+    """All index points of an extent as ``(ndim, n)`` rows, row-major."""
+    return np.indices(extents, dtype=np.intp).reshape(len(extents), -1)
+
+
+def _frozen_rows(rows: np.ndarray) -> tuple:
+    return tuple(_freeze(r) for r in rows)
+
+
 @lru_cache(maxsize=128)
 def _item_lanes(global_dims: tuple, local_dims: tuple) -> dict:
-    """Per-lane id arrays in exact interpreter iteration order."""
-    glob_rows, loc_rows, grp_rows = [], [], []
-    for gid, coords in _nd_lattice(global_dims, local_dims):
-        for glob, lid in coords:
-            glob_rows.append(glob)
-            loc_rows.append(lid)
-            grp_rows.append(gid)
-    glob = np.array(glob_rows, dtype=np.intp)
-    loc = np.array(loc_rows, dtype=np.intp)
-    grp = np.array(grp_rows, dtype=np.intp)
+    """Per-lane id arrays in exact interpreter iteration order: groups
+    row-major, and within each group its local points row-major."""
     group_extents = tuple(g // l for g, l in zip(global_dims, local_dims))
-    ndim = len(global_dims)
+    grp = _grid_rows(group_extents)
+    loc = _grid_rows(local_dims)
+    per_group, num_groups = loc.shape[1], grp.shape[1]
+    grp = np.repeat(grp, per_group, axis=1)
+    loc = np.tile(loc, (1, num_groups))
+    glob = grp * np.array(local_dims, dtype=np.intp)[:, None] + loc
     return {
-        "n": len(glob_rows),
-        "global": tuple(_freeze(glob[:, d]) for d in range(ndim)),
-        "local": tuple(_freeze(loc[:, d]) for d in range(ndim)),
-        "group": tuple(_freeze(grp[:, d]) for d in range(ndim)),
-        "global_linear": _freeze(_linear(glob, global_dims)),
-        "local_linear": _freeze(_linear(loc, local_dims)),
-        "group_linear": _freeze(_linear(grp, group_extents)),
+        "n": per_group * num_groups,
+        "global": _frozen_rows(glob),
+        "local": _frozen_rows(loc),
+        "group": _frozen_rows(grp),
+        "global_linear": _freeze(np.ravel_multi_index(tuple(glob),
+                                                      global_dims)),
+        "local_linear": _freeze(np.tile(np.arange(per_group, dtype=np.intp),
+                                        num_groups)),
+        "group_linear": _freeze(np.repeat(
+            np.arange(num_groups, dtype=np.intp), per_group)),
     }
 
 
 @lru_cache(maxsize=128)
 def _group_lanes(group_extents: tuple) -> dict:
     """One lane per work-group, row-major (interpreter group order)."""
-    grid = np.array(_point_grid(group_extents), dtype=np.intp)
-    ndim = len(group_extents)
+    grid = _grid_rows(group_extents)
+    n = grid.shape[1]
     return {
-        "n": len(grid),
-        "group": tuple(_freeze(grid[:, d]) for d in range(ndim)),
-        "group_linear": _freeze(_linear(grid, group_extents)),
+        "n": n,
+        "group": _frozen_rows(grid),
+        "group_linear": _freeze(np.arange(n, dtype=np.intp)),
     }
 
 

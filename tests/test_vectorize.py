@@ -12,17 +12,28 @@ The tier's contract has three parts, each exercised here:
   incremented and the output buffers exactly as the interpreter left
   them.
 
-All kernels live in this file (module scope) so ``inspect.getsource``
-sees real source — the translator's one hard environmental requirement.
+All kernels live in this file (module scope) so the translator's
+source read — the file's ``linecache`` lines, sliced by the kernel's
+code positions — sees real source: its one hard environmental
+requirement.  The lane runtime's contracts (interpreter lane order,
+no lattice on a certified plan) are pinned at the end.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+import pkgutil
+import textwrap
+from importlib import import_module
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.altis
 from repro.sycl import (
     KernelKind,
     KernelSpec,
@@ -31,10 +42,25 @@ from repro.sycl import (
     Range,
     compile_batched,
     eligible_form,
+    vectorize,
     vectorize_disabled,
+    vectorize_enabled,
 )
-from repro.sycl.executor import run_nd_range
-from repro.sycl.plan import clear_plan_caches, get_plan, plan_cache_info
+from repro.sycl.certificates import CertificateStore
+from repro.sycl.executor import (
+    _nd_lattice,
+    _point_grid,
+    clear_execution_caches,
+    execution_cache_info,
+    run_nd_range,
+)
+from repro.sycl.plan import (
+    clear_plan_caches,
+    get_plan,
+    plan_cache_info,
+    using_certificate_store,
+)
+from repro.sycl.vectorize import _group_lanes, _item_lanes
 from repro.trace.metrics import registry
 
 
@@ -462,3 +488,198 @@ def test_queue_compiled_default_mode():
     q.parallel_for(_nd(), spec, out, src, n, np.float32(2.0))
     assert np.all(out == 5.0)
     assert q.counters.path_counts.get("compiled", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Lane tables: the interpreter's iteration order, bit for bit
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _launch_shapes(draw):
+    ndim = draw(st.integers(min_value=1, max_value=3))
+    local = tuple(draw(st.lists(st.integers(1, 4), min_size=ndim,
+                                max_size=ndim)))
+    groups = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
+    return tuple(g * l for g, l in zip(groups, local)), local
+
+
+def _row_major(point, dims) -> int:
+    linear = 0
+    for p, d in zip(point, dims):
+        linear = linear * d + p
+    return linear
+
+
+def _assert_lane(arr, expected):
+    assert arr.dtype == np.intp
+    assert arr.flags.writeable is False
+    assert arr.tolist() == list(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_launch_shapes())
+def test_lane_tables_follow_interpreter_order(shape):
+    """The compiled tier's bitwise contract: lane ``k`` is the ``k``-th
+    work-item the interpreter visits (``_nd_lattice`` order), and group
+    lane ``k`` the ``k``-th group it visits (``_point_grid`` order)."""
+    global_dims, local_dims = shape
+    group_dims = tuple(g // l for g, l in zip(global_dims, local_dims))
+    rows = [(gid, glob, lid)
+            for gid, coords in _nd_lattice(global_dims, local_dims)
+            for glob, lid in coords]
+    lanes = _item_lanes(global_dims, local_dims)
+    assert lanes["n"] == len(rows)
+    for d in range(len(global_dims)):
+        _assert_lane(lanes["group"][d], [r[0][d] for r in rows])
+        _assert_lane(lanes["global"][d], [r[1][d] for r in rows])
+        _assert_lane(lanes["local"][d], [r[2][d] for r in rows])
+    for name, col, dims in (("group_linear", 0, group_dims),
+                            ("global_linear", 1, global_dims),
+                            ("local_linear", 2, local_dims)):
+        _assert_lane(lanes[name], [_row_major(r[col], dims) for r in rows])
+
+    grid = _point_grid(group_dims)
+    groups = _group_lanes(group_dims)
+    assert groups["n"] == len(grid)
+    for d in range(len(group_dims)):
+        _assert_lane(groups["group"][d], [p[d] for p in grid])
+    _assert_lane(groups["group_linear"], range(len(grid)))
+
+
+# ---------------------------------------------------------------------------
+# Source read: what inspect.getsource returns, without the tokenizer
+# ---------------------------------------------------------------------------
+
+_lambda_kernel = lambda item, out: out.fill(1.0)  # noqa: E731
+_multiline_lambda_kernel = (
+    lambda item, out:
+        out.fill(2.0))
+
+
+def _identity(fn):
+    return fn
+
+
+@_identity
+def _decorated_item(item, out):
+    out[item.get_global_linear_id()] = 1.0
+
+
+def _dead_tail_item(item, out):
+    # the statement after the return compiles to no instruction, so
+    # only the indentation rule brings it into the source read
+    i = item.get_global_linear_id()
+    out[i] = 1.0
+    return
+    out[i] = 2.0
+
+
+def _defined_functions(module):
+    for obj in vars(module).values():
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            yield from (f for f in vars(obj).values()
+                        if inspect.isfunction(f))
+        elif inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            yield obj
+
+
+def _read(read, fn) -> str:
+    try:
+        return ast.dump(ast.parse(textwrap.dedent(read(fn))))
+    except (OSError, SyntaxError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_source_read_matches_inspect_getsource():
+    modules = [import_module(f"repro.altis.{m.name}")
+               for m in pkgutil.iter_modules(repro.altis.__path__)]
+    modules.append(import_module(__name__))
+    functions = [f for m in modules for f in _defined_functions(m)]
+    assert len(functions) > 100
+    for fn in functions:
+        assert (_read(vectorize._function_source, fn)
+                == _read(inspect.getsource, fn)), fn.__qualname__
+
+
+def _exec_kernel():
+    namespace = {}
+    exec("def kexec(item, out):\n    out[0] = 1.0\n", namespace)
+    return namespace["kexec"]
+
+
+def _closure_kernel():
+    value = 2.0
+
+    def closure_item(item, out):
+        out[0] = value
+    return closure_item
+
+
+@pytest.mark.parametrize("fn, reason", [
+    (_lambda_kernel, "not a plain function definition"),
+    (_multiline_lambda_kernel,
+     "source does not parse standalone (invalid syntax (<unknown>, line 1))"),
+    (_decorated_item, "decorated kernels are not traceable"),
+    (_dead_tail_item, "early return outside a top-level guard"),
+    (_exec_kernel(), "source unavailable (could not get source code)"),
+    (_closure_kernel(), "kernel closes over free variables"),
+], ids=["lambda", "multiline-lambda", "decorated", "dead-tail", "exec",
+        "closure"])
+def test_ineligibility_reasons_survive_the_source_read(fn, reason,
+                                                       monkeypatch):
+    assert vectorize.translate.__wrapped__(fn) == (None, reason)
+    monkeypatch.setattr(vectorize, "_CODE_POSITIONS", False)
+    assert vectorize.translate.__wrapped__(fn) == (None, reason)
+    monkeypatch.setattr(vectorize, "_function_source", inspect.getsource)
+    assert vectorize.translate.__wrapped__(fn) == (None, reason)
+
+
+def test_source_read_without_code_positions_uses_inspect(monkeypatch):
+    # Python 3.10 code objects have no ``co_positions``: the read must
+    # hand every kernel to ``inspect.getsource`` instead of failing
+    assert vectorize._CODE_POSITIONS == hasattr(_scale_item.__code__,
+                                                "co_positions")
+    calls = []
+
+    def getsource(fn):
+        calls.append(fn)
+        return real(fn)
+
+    real = inspect.getsource
+    monkeypatch.setattr(vectorize, "_CODE_POSITIONS", False)
+    monkeypatch.setattr(vectorize.inspect, "getsource", getsource)
+    assert vectorize._function_source(_scale_item) == real(_scale_item)
+    assert calls == [_scale_item]
+    batched, reason = vectorize.translate.__wrapped__(_scale_item)
+    assert batched is not None and reason is None
+
+
+# ---------------------------------------------------------------------------
+# A certified compiled plan never builds the interpreter's lattice
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not vectorize_enabled(),
+                    reason="certificates cover the compiled tier")
+def test_certified_plan_builds_no_lattice(tmp_path):
+    n = 50
+    src = np.linspace(0, 1, n, dtype=np.float32)
+    spec = _spec(_scale_item)
+
+    def launch():
+        clear_plan_caches()
+        clear_execution_caches()
+        out = np.zeros(n, dtype=np.float32)
+        run_nd_range(spec, _nd(), (out, src, n, np.float32(1.5)),
+                     mode="compiled")
+        lattice = execution_cache_info()["nd_lattice"]
+        plan = get_plan(spec, _nd(), mode="compiled")
+        return out, plan.describe()["validated_by"], lattice
+
+    with using_certificate_store(CertificateStore(tmp_path)) as store:
+        first, how, lattice = launch()
+        assert how == "shadow" and store.writes == 1
+        assert lattice.misses == 1  # the shadow-validation interpreter run
+        second, how, lattice = launch()
+        assert how == "certificate" and store.hits == 1
+        assert lattice.hits + lattice.misses == 0
+    assert second.tobytes() == first.tobytes()

@@ -13,8 +13,9 @@ matters — output buffers exactly as the interpreter would have left
 them.
 
 Generated sources are registered in ``linecache`` under synthetic
-``<vectorize-fuzz-N>`` filenames so ``inspect.getsource`` (the
-translator's one environmental requirement) sees real source.
+``<vectorize-fuzz-N>`` filenames so the translator's source read (the
+``linecache`` lines its code positions cover: its one environmental
+requirement) sees real source.
 
 The dialect grammar below deliberately avoids the constructs whose
 scalar and array semantics legitimately diverge (NaN-producing
@@ -177,7 +178,7 @@ _INJECTIONS = st.sampled_from([
 
 def _make_kernel(src_text):
     """Exec generated source under a synthetic linecache filename so
-    the translator's ``inspect.getsource`` works."""
+    the translator can read it back."""
     filename = f"<vectorize-fuzz-{next(_COUNTER)}>"
     linecache.cache[filename] = (
         len(src_text), None, src_text.splitlines(True), filename)
