@@ -91,15 +91,6 @@ def _map_centers_item(item, points, centers, assign, n, k, d):
     assign[i] = best
 
 
-def _map_centers_group(group, points, centers, assign, n, k, d):
-    wg = group.get_local_range(0)
-    start = group.get_group_id(0) * wg
-    if start >= n:
-        return  # fully padded group past the end of the points
-    stop = min(start + wg, n)
-    assign[start:stop] = _assign_points(points[start:stop], centers)
-
-
 def _map_centers_vector(nd_range, points, centers, assign, n, k, d):
     assign[:n] = _assign_points(points[:n], centers)
 
@@ -210,7 +201,6 @@ class KMeans(AltisApp):
             name="mapCenters",
             kind=KernelKind.ND_RANGE,
             item_fn=_map_centers_item,
-            group_fn=_map_centers_group,
             vector_fn=_map_centers_vector,
             attributes=KernelAttributes(reqd_work_group_size=wg,
                                         max_work_group_size=wg),

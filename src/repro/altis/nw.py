@@ -117,68 +117,40 @@ def _block_item(item, score, sim, tile, penalty, diag_idx, nb, n, block):
         score[base_i + tx + 1, base_j + lj + 1] = tile[tx + 1, lj + 1]
 
 
-def _block_group(group, score, sim, tile_acc, penalty, diag_idx, nb, n, block):
-    """Work-group-batched tile processing: one call computes one tile.
-
-    Phase structure matches :func:`_block_item` exactly — one staging
-    barrier plus one barrier per tile anti-diagonal — but the whole
-    group advances as a single generator.  The group form keeps its own
-    list-based tile in ``group._local_mem`` (``tile_acc`` is the item
-    form's LocalAccessor, unused here): an NW tile diagonal is at most
-    ``block`` cells, far below the length where numpy's per-call
-    overhead amortizes, so the wavefront runs on native ints and is
-    written back as one block assignment.
-    """
-    g = group.get_group_id(0)
-    bi = (min(diag_idx, nb - 1) - g) if diag_idx < nb else (nb - 1 - g)
-    bj = diag_idx - bi
-    i0 = bi * block
-    j0 = bj * block
-    tile = group._local_mem.get("tile")
-    if tile is None:
-        tile = group._local_mem["tile"] = [
-            [0] * (block + 1) for _ in range(block + 1)]
-    # stage halo row + column (incl. the corner), all work-items at once
-    tile[0] = score[i0, j0:j0 + block + 1].tolist()
-    col = score[i0:i0 + block + 1, j0].tolist()
-    for r in range(1, block + 1):
-        tile[r][0] = col[r]
-    yield group.barrier(FenceSpace.LOCAL)
-    sim_tile = sim[i0:i0 + block, j0:j0 + block].tolist()
-    for d in range(2 * block - 1):
-        for li in range(max(0, d - block + 1), min(block, d + 1)):
-            lj = d - li
-            above, row = tile[li], tile[li + 1]
-            val = above[lj] + sim_tile[li][lj]
-            up = above[lj + 1] - penalty
-            if up > val:
-                val = up
-            left = row[lj] - penalty
-            if left > val:
-                val = left
-            row[lj + 1] = val
-        yield group.barrier(FenceSpace.LOCAL)
-    score[i0 + 1:i0 + block + 1, j0 + 1:j0 + block + 1] = [
-        row[1:] for row in tile[1:]
-    ]
-
-
 def _block_vector(nd_range, score, sim, tile_acc, penalty, diag_idx, nb, n, block):
-    """Vectorized tile processing for every block on the diagonal."""
-    groups = nd_range.group_range()[0]
-    for g in range(groups):
+    """Every tile of the current block diagonal, one after another.
+
+    A tile row is at most ``block`` cells, far below the length where
+    numpy's per-call overhead amortizes, so each tile is staged from
+    ``score`` into native-int rows, swept row by row (every cell after
+    its upper, left and diagonal neighbours, the same recurrence as the
+    work-item form's anti-diagonal sweep) and written back as one block
+    assignment.  The arithmetic is int32 max/add, so the result is exact.
+    """
+    for g in range(nd_range.group_range()[0]):
         bi = (min(diag_idx, nb - 1) - g) if diag_idx < nb else (nb - 1 - g)
         bj = diag_idx - bi
-        i0, j0 = bi * block, bj * block
-        for d in range(2 * block - 1):
-            li = np.arange(max(0, d - block + 1), min(block, d + 1))
-            lj = d - li
-            ii = i0 + li + 1
-            jj = j0 + lj + 1
-            diag = score[ii - 1, jj - 1] + sim[ii - 1, jj - 1]
-            up = score[ii - 1, jj] - penalty
-            left = score[ii, jj - 1] - penalty
-            score[ii, jj] = np.maximum(diag, np.maximum(up, left))
+        i0 = bi * block
+        j0 = bj * block
+        above = score[i0, j0:j0 + block + 1].tolist()
+        halo = score[i0 + 1:i0 + block + 1, j0].tolist()
+        rows = []
+        for sim_row, left in zip(sim[i0:i0 + block, j0:j0 + block].tolist(),
+                                 halo):
+            row = [left]
+            for lj in range(block):
+                val = above[lj] + sim_row[lj]
+                up = above[lj + 1] - penalty
+                if up > val:
+                    val = up
+                left -= penalty
+                if left > val:
+                    val = left
+                row.append(val)
+                left = val
+            rows.append(row[1:])
+            above = row
+        score[i0 + 1:i0 + block + 1, j0 + 1:j0 + block + 1] = rows
 
 
 class NW(AltisApp):
@@ -227,7 +199,6 @@ class NW(AltisApp):
             name="needle_block",
             kind=KernelKind.ND_RANGE,
             item_fn=_block_item,
-            group_fn=_block_group,
             vector_fn=_block_vector,
             attributes=KernelAttributes(
                 reqd_work_group_size=(1, 1, BLOCK) if fpga else None,

@@ -102,39 +102,6 @@ def _srad1_item(item, img, c_arr, dN_a, dS_a, dW_a, dE_a, q0sqr, rows, cols):
     dN_a[i, j], dS_a[i, j], dW_a[i, j], dE_a[i, j] = dn, ds, dw, de
 
 
-def _tile_extent(group, rows, cols):
-    """Global index bounds of one work-group's tile, clipped to the image."""
-    wg_r = group.get_local_range(0)
-    wg_c = group.get_local_range(1)
-    i0 = group.get_group_id(0) * wg_r
-    j0 = group.get_group_id(1) * wg_c
-    return i0, min(i0 + wg_r, rows), j0, min(j0 + wg_c, cols)
-
-
-def _srad1_group(group, img, c_arr, dN_a, dS_a, dW_a, dE_a, q0sqr, rows, cols):
-    i0, i1, j0, j1 = _tile_extent(group, rows, cols)
-    if i0 >= rows or j0 >= cols:
-        return
-    i = np.arange(i0, i1)[:, None]
-    j = np.arange(j0, j1)[None, :]
-    v = img[i0:i1, j0:j1]
-    dn = img[np.maximum(i - 1, 0), j] - v
-    ds = img[np.minimum(i + 1, rows - 1), j] - v
-    dw = img[i, np.maximum(j - 1, 0)] - v
-    de = img[i, np.minimum(j + 1, cols - 1)] - v
-    g2 = (dn * dn + ds * ds + dw * dw + de * de) / (v * v)
-    l = (dn + ds + dw + de) / v
-    num = 0.5 * g2 - (1.0 / 16.0) * (l * l)
-    den = 1.0 + 0.25 * l
-    qsqr = num / (den * den)
-    c = 1.0 / (1.0 + (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr)))
-    c_arr[i0:i1, j0:j1] = np.clip(c, 0.0, 1.0)
-    dN_a[i0:i1, j0:j1] = dn
-    dS_a[i0:i1, j0:j1] = ds
-    dW_a[i0:i1, j0:j1] = dw
-    dE_a[i0:i1, j0:j1] = de
-
-
 def _srad1_vector(nd_range, img, c_arr, dN_a, dS_a, dW_a, dE_a, q0sqr, rows, cols):
     v = img[:rows, :cols]
     n, s, w, e = _clamped_neighbours(v)
@@ -162,20 +129,6 @@ def _srad2_item(item, img, c_arr, dN_a, dS_a, dW_a, dE_a, lam, rows, cols):
     c_e = c_arr[i, np.minimum(j + 1, cols - 1)]
     d = (c * dN_a[i, j] + c_s * dS_a[i, j] + c * dW_a[i, j] + c_e * dE_a[i, j])
     img[i, j] = img[i, j] + 0.25 * lam * d
-
-
-def _srad2_group(group, img, c_arr, dN_a, dS_a, dW_a, dE_a, lam, rows, cols):
-    i0, i1, j0, j1 = _tile_extent(group, rows, cols)
-    if i0 >= rows or j0 >= cols:
-        return
-    i = np.arange(i0, i1)[:, None]
-    j = np.arange(j0, j1)[None, :]
-    c = c_arr[i0:i1, j0:j1]
-    c_s = c_arr[np.minimum(i + 1, rows - 1), j]
-    c_e = c_arr[i, np.minimum(j + 1, cols - 1)]
-    d = (c * dN_a[i0:i1, j0:j1] + c_s * dS_a[i0:i1, j0:j1]
-         + c * dW_a[i0:i1, j0:j1] + c_e * dE_a[i0:i1, j0:j1])
-    img[i0:i1, j0:j1] = img[i0:i1, j0:j1] + 0.25 * lam * d
 
 
 def _srad2_vector(nd_range, img, c_arr, dN_a, dS_a, dW_a, dE_a, lam, rows, cols):
@@ -231,7 +184,7 @@ class Srad(AltisApp):
                    "bankable": True} for _ in range(5)]
         srad1 = KernelSpec(
             name="srad1", kind=KernelKind.ND_RANGE,
-            item_fn=_srad1_item, group_fn=_srad1_group,
+            item_fn=_srad1_item,
             vector_fn=_srad1_vector,
             attributes=KernelAttributes(
                 reqd_work_group_size=(1, wg, wg) if fpga else None,
@@ -245,7 +198,7 @@ class Srad(AltisApp):
         )
         srad2 = KernelSpec(
             name="srad2", kind=KernelKind.ND_RANGE,
-            item_fn=_srad2_item, group_fn=_srad2_group,
+            item_fn=_srad2_item,
             vector_fn=_srad2_vector,
             attributes=srad1.attributes,
             features={"body_fmas": 6, "body_ops": 12, "global_access_sites": 6,

@@ -9,27 +9,25 @@ schema-versioned record to ``BENCH_executor.json`` so the performance
 trajectory of the executor is tracked across commits:
 
 * **NW blocked wavefront** — the canonical barrier-heavy repeated-launch
-  workload (``2*nb - 1`` launches per alignment).  Measured three ways:
-  the legacy un-planned path, the warm planned path, and an in-benchmark
-  *floor* (raw generator drive of the same wavefront with pooled
-  work-groups — the irreducible kernel-body cost).  The headline number
-  is the **per-launch dispatch overhead ratio**: ``(unplanned - floor)``
-  vs ``(planned - floor)``, per launch.  Wall-clock speedup is recorded
-  honestly alongside (the kernel body dominates wall time, so wall
-  speedup is modest by construction).
-* **SRAD group path** — repeated identically-shaped 2-D launches of the
-  two diffusion kernels, planned vs un-planned, asserting byte-identical
-  images.
-* **Executor tiers** — the same SRAD loop through the per-item
-  interpreter, the group interpreter, and the compiled (batched-numpy)
-  tier of :mod:`repro.sycl.vectorize`, asserting the compiled image is
+  workload (``2*nb - 1`` launches per alignment), run through warm
+  per-item plans (``mode="item"``) and against an in-benchmark *floor*:
+  the same ``item_fn`` generators driven in lockstep over pre-built
+  work-items, with no plan, no validation and no stats — the
+  irreducible kernel-body cost.  The headline number is the
+  **overhead ratio**, best planned time over best floor time (1.0 means
+  launches cost nothing beyond the kernel body), with the per-launch
+  overhead in microseconds alongside.
+* **Executor tiers** — a repeated SRAD diffusion loop through the
+  per-item interpreter and the compiled (batched-numpy) tier of
+  :mod:`repro.sycl.vectorize`, asserting the compiled image is
   byte-identical to the per-item one and recording the compiled-tier
-  speedups plus where every cached plan landed.
+  speedup plus where every cached plan landed.
 * **Figure sweep** — cold vs warm rebuild of a paper figure through a
   fresh :class:`~repro.harness.resultdb.FigureCache`.
 
-Every benchmark verifies its outputs (NW against :func:`nw_reference`;
-SRAD and the figure sweep planned-vs-unplanned byte equality) and raises
+Every benchmark verifies its outputs (NW against :func:`nw_reference`,
+SRAD compiled against per-item, the figure sweep warm against cold,
+byte for byte) and raises
 :class:`~repro.common.errors.ReproError` on mismatch — a benchmark that
 got fast by being wrong must fail loudly.
 
@@ -62,7 +60,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "bench_environment",
     "bench_nw_wavefront",
-    "bench_srad_group",
     "bench_executor_tiers",
     "bench_figure_sweep",
     "run_bench",
@@ -72,7 +69,7 @@ __all__ = [
 
 #: Schema tag carried by every trajectory record.  Bump on any change to
 #: the record's key structure so the CI schema diff flags it.
-BENCH_SCHEMA = "repro-bench/1"
+BENCH_SCHEMA = "repro-bench/2"
 
 
 def _best(fn, best_of: int) -> tuple[float, object]:
@@ -87,23 +84,25 @@ def _best(fn, best_of: int) -> tuple[float, object]:
 
 
 # ---------------------------------------------------------------------------
-# NW blocked wavefront: planned vs un-planned vs raw-generator floor
+# NW blocked wavefront: warm per-item plans vs the raw-generator floor
 # ---------------------------------------------------------------------------
 
 def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
                        trials: int = 3, best_of: int = 7) -> dict:
-    """Steady-state NW wavefront: per-launch dispatch overhead ratio.
+    """Steady-state NW wavefront: planned launch cost over the floor.
 
     Uses a custom block size (``nw_reference`` is block-independent, so
     the scores still verify) to get a launch-dominated shape: small
-    tiles, many launches, little kernel body per launch.
+    tiles, many launches, little kernel body per launch.  The planned
+    leg pins ``mode="item"``: under ``force_item`` or auto selection NW
+    would run its whole-range ``vector_fn``.
     """
     from ..altis.nw import ALPHABET, _similarity, nw_reference
     from ..altis.nw import NW
     from ..sycl import NdRange, Range
     from ..sycl.buffer import LocalAccessor
     from ..sycl.executor import run_nd_range
-    from ..sycl.ndrange import Group
+    from ..sycl.ndrange import Group, NdItem
     from ..sycl.plan import clear_plan_caches, plan_cache_info
 
     if n % block != 0:
@@ -119,82 +118,78 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
     sim = _similarity(seq_a, seq_b, blosum).astype(np.int32)
     expected = nw_reference(seq_a, seq_b, blosum, penalty)
     kern = NW().kernels()["needle_block"]
-    group_fn = kern.group_fn
+    item_fn = kern.item_fn
     tile = LocalAccessor((block + 1, block + 1), np.int32)
 
     base = np.zeros((n + 1, n + 1), dtype=np.int32)
     base[0, :] = -penalty * np.arange(n + 1)
     base[:, 0] = -penalty * np.arange(n + 1)
 
-    def wavefront(use_plan: bool):
+    def wavefront():
         score = base.copy()
         t0 = time.perf_counter()
         for d in range(launches):
             blocks = (d + 1) if d < nb else (2 * nb - 1 - d)
             run_nd_range(kern, NdRange(Range(blocks * block), Range(block)),
                          (score, sim, tile, penalty, d, nb, n, block),
-                         force_item=True, use_plan=use_plan)
+                         mode="item")
         return time.perf_counter() - t0, score
 
-    # The floor: drive the same group generators directly with pooled
-    # work-groups (local tiles retained, the same concession the plan's
-    # ``local_mem_reuse`` pooling gets).  Everything above this cost is
-    # dispatch overhead — the quantity plans exist to eliminate.
+    # The floor: drive the same item generators in lockstep over
+    # pre-built work-items, one fresh tile per group as the executor
+    # gives it.  Everything above this cost is launch overhead.
     pooled = []
     for d in range(launches):
         blocks = (d + 1) if d < nb else (2 * nb - 1 - d)
         nd = NdRange(Range(blocks * block), Range(block))
-        pooled.append([Group((g,), nd) for g in range(blocks)])
+        groups = [Group((g,), nd) for g in range(blocks)]
+        pooled.append([[NdItem((g * block + t,), (t,), group)
+                        for t in range(block)]
+                       for g, group in enumerate(groups)])
+    done = object()
 
     def floor_run():
         score = base.copy()
         t0 = time.perf_counter()
         for d in range(launches):
-            for g in pooled[d]:
-                for _ in group_fn(g, score, sim, tile, penalty, d, nb, n,
-                                  block):
-                    pass
+            for items in pooled[d]:
+                tile._begin_group()
+                live = [item_fn(item, score, sim, tile, penalty, d, nb, n,
+                                block) for item in items]
+                while live:
+                    live = [g for g in live if next(g, done) is not done]
+                tile._end_group()
         return time.perf_counter() - t0, score
 
     clear_plan_caches()
-    wavefront(True)  # compile the per-diagonal plans once
-    unplanned_s, warm_s, floor_s = [], [], []
-    ratios, walls = [], []
+    wavefront()  # compile the per-diagonal plans once
+    warm_s, floor_s, ratios = [], [], []
     for _ in range(trials):
-        unp, s_unp = _best(lambda: wavefront(False), best_of)
-        warm, s_warm = _best(lambda: wavefront(True), best_of)
+        warm, s_warm = _best(wavefront, best_of)
         floor, s_floor = _best(floor_run, best_of)
-        for name, s in (("unplanned", s_unp), ("planned", s_warm),
-                        ("floor", s_floor)):
+        for name, s in (("planned", s_warm), ("floor", s_floor)):
             if s.tobytes() != expected.tobytes():
                 raise ReproError(
                     f"NW bench: {name} wavefront diverged from nw_reference")
-        ovh_un = (unp - floor) / launches * 1e6
-        # clamp: machine noise can push the warm residual to ~zero or
-        # negative; the ratio is then reported against a conservative
-        # denominator rather than exploding
-        ovh_pl = max((warm - floor) / launches * 1e6, ovh_un / 100, 1e-3)
-        unplanned_s.append(round(unp, 6))
         warm_s.append(round(warm, 6))
         floor_s.append(round(floor, 6))
-        ratios.append(round(ovh_un / ovh_pl, 2))
-        walls.append(round(unp / warm, 3))
+        ratios.append(round(warm / floor, 3))
     info = plan_cache_info()
     return {
         "workload": (f"NW blocked wavefront, n={n}, block={block}, "
-                     "force_item=True, verified vs nw_reference"),
+                     "mode=item, verified vs nw_reference"),
         "launches": launches,
         "items": sum(((d + 1) if d < nb else (2 * nb - 1 - d)) * block
                      for d in range(launches)),
         "trials": trials,
         "best_of": best_of,
-        "unplanned_s": unplanned_s,
         "warm_planned_s": warm_s,
         "floor_s": floor_s,
         "overhead_ratio_trials": ratios,
-        "overhead_ratio": max(ratios),
-        "wall_speedup_trials": walls,
-        "wall_speedup": max(walls),
+        # best planned over best floor: each side's least-disturbed trial
+        "overhead_ratio": round(min(warm_s) / min(floor_s), 3),
+        "overhead_us_per_launch": round(
+            (min(warm_s) - min(floor_s)) / launches * 1e6, 2),
         "byte_identical": True,
         "plan_cache": {"compiles": info["compiles"], "hits": info["hits"],
                        "size": info["size"]},
@@ -202,86 +197,17 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
 
 
 # ---------------------------------------------------------------------------
-# SRAD group path: planned vs un-planned, byte-identical images
-# ---------------------------------------------------------------------------
-
-def bench_srad_group(*, scale: float = 0.016, iterations: int = 8,
-                     seed: int = 11, best_of: int = 5) -> dict:
-    """Repeated identically-shaped 2-D launches of the SRAD kernels.
-
-    Every iteration launches ``srad1`` then ``srad2`` on the same
-    nd_range — after the first iteration the plan cache serves every
-    launch warm.  Asserts the planned and un-planned images are
-    byte-identical.
-    """
-    from ..altis.srad import Srad
-    from ..sycl import NdRange, Range
-    from ..sycl.executor import run_nd_range
-    from ..sycl.plan import clear_plan_caches
-
-    app = Srad()
-    wl = app.generate(1, seed=seed, scale=scale)
-    rows, cols = wl.params["rows"], wl.params["cols"]
-    lam = wl.params["lam"]
-    ks = app.kernels()
-    k1, k2 = ks["srad1"], ks["srad2"]
-    wg = 16 if min(rows, cols) >= 16 else 8
-    gr = -(-rows // wg) * wg
-    gc = -(-cols // wg) * wg
-    nd_shape = ((gr, gc), (wg, wg))
-    base = wl["img"].astype(np.float32)
-
-    def diffuse(use_plan: bool):
-        img = base.copy()
-        c_arr = np.zeros_like(img)
-        dN = np.zeros_like(img)
-        dS = np.zeros_like(img)
-        dW = np.zeros_like(img)
-        dE = np.zeros_like(img)
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            mean = img[:rows, :cols].mean()
-            var = img[:rows, :cols].var()
-            q0sqr = var / (mean * mean)
-            nd = NdRange(Range(*nd_shape[0]), Range(*nd_shape[1]))
-            run_nd_range(k1, nd, (img, c_arr, dN, dS, dW, dE, q0sqr,
-                                  rows, cols), mode="group",
-                         use_plan=use_plan)
-            run_nd_range(k2, nd, (img, c_arr, dN, dS, dW, dE, lam,
-                                  rows, cols), mode="group",
-                         use_plan=use_plan)
-        return time.perf_counter() - t0, img
-
-    clear_plan_caches()
-    diffuse(True)  # compile the two plans
-    unp_s, img_unp = _best(lambda: diffuse(False), best_of)
-    warm_s, img_warm = _best(lambda: diffuse(True), best_of)
-    if img_warm.tobytes() != img_unp.tobytes():
-        raise ReproError("SRAD bench: planned image diverged from un-planned")
-    return {
-        "workload": (f"SRAD group path, {rows}x{cols}, "
-                     f"{iterations} iterations (2 launches each)"),
-        "launches": 2 * iterations,
-        "best_of": best_of,
-        "unplanned_s": round(unp_s, 6),
-        "warm_planned_s": round(warm_s, 6),
-        "wall_speedup": round(unp_s / warm_s, 3),
-        "byte_identical": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Execution tiers: compiled (batched numpy) vs group vs per-item on SRAD
+# Execution tiers: compiled (batched numpy) vs per-item on SRAD
 # ---------------------------------------------------------------------------
 
 def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
                          seed: int = 11, best_of: int = 5) -> dict:
-    """Compiled tier vs the group and per-item interpreters on SRAD.
+    """Compiled tier vs the per-item interpreter on SRAD.
 
-    The same diffusion loop as :func:`bench_srad_group`, run three ways:
-    ``mode="item"`` (the per-item interpreter — the reference the
-    compiled tier validates against), ``mode="group"`` (per-work-group
-    numpy), and ``mode="compiled"`` (the batched program from
+    Repeated identically-shaped 2-D launches of the two diffusion
+    kernels, run two ways: ``mode="item"`` (the per-item interpreter —
+    the reference the compiled tier validates against) and
+    ``mode="compiled"`` (the batched program from
     :mod:`repro.sycl.vectorize`, evaluated once per launch over the
     memoized index lattice).  Asserts the compiled image is
     byte-identical to the per-item one, and records where each plan
@@ -336,19 +262,15 @@ def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
     clear_plan_caches()
     # warm every tier's plans; the compiled plans' first launch is their
     # shadow-validation launch, so the timed runs below are all hot
-    for mode in ("item", "group", "compiled"):
+    for mode in ("item", "compiled"):
         diffuse(mode)
     tiers = plan_cache_info()["tiers"]
     item_s, img_item = _best(lambda: diffuse("item"), best_of)
-    group_s, img_group = _best(lambda: diffuse("group"), best_of)
     compiled_s, img_compiled = _best(lambda: diffuse("compiled"), best_of)
     if img_compiled.tobytes() != img_item.tobytes():
         raise ReproError(
             "tier bench: compiled image diverged from the per-item "
             "interpreter")
-    if img_group.tobytes() != img_item.tobytes():
-        raise ReproError(
-            "tier bench: group image diverged from the per-item interpreter")
 
     # NW in compiled mode: the wavefront kernel's LocalAccessor tile is
     # now part of the batchable dialect, so the fallback counter must
@@ -398,10 +320,8 @@ def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
         "launches": 2 * iterations,
         "best_of": best_of,
         "item_s": round(item_s, 6),
-        "group_s": round(group_s, 6),
         "compiled_s": round(compiled_s, 6),
         "compiled_vs_item": round(item_s / compiled_s, 2),
-        "compiled_vs_group": round(group_s / compiled_s, 2),
         "byte_identical": True,
         "tiers": dict(sorted(tiers.items())),
         "nw_compiled_fallbacks": nw_fallbacks,
@@ -500,7 +420,6 @@ def run_bench(out: str | Path | None = None, *, quick: bool = False,
         "timestamp": timestamp,
         "environment": bench_environment(),
         "nw_wavefront": bench_nw_wavefront(trials=trials, best_of=best_of),
-        "srad_group": bench_srad_group(best_of=max(3, best_of - 2)),
         "executor_tiers": bench_executor_tiers(best_of=max(3, best_of - 2)),
         "figure_sweep": bench_figure_sweep(quick=quick),
     }
@@ -512,7 +431,6 @@ def run_bench(out: str | Path | None = None, *, quick: bool = False,
 def render_bench(record: dict) -> str:
     """Human-readable summary of one trajectory record."""
     nw = record["nw_wavefront"]
-    srad = record["srad_group"]
     figs = record["figure_sweep"]
     lines = [
         f"repro bench ({record['schema']}"
@@ -520,14 +438,12 @@ def render_bench(record: dict) -> str:
         "",
         f"NW wavefront   : {nw['launches']} launches/alignment, "
         f"best of {nw['best_of']} x {nw['trials']} trials",
-        f"  dispatch overhead ratio (unplanned/planned): "
-        f"{nw['overhead_ratio']:.2f}x  {nw['overhead_ratio_trials']}",
-        f"  wall speedup (warm plans)                  : "
-        f"{nw['wall_speedup']:.3f}x  {nw['wall_speedup_trials']}",
-        f"  verified vs nw_reference, byte-identical   : "
+        f"  overhead ratio (planned/floor)           : "
+        f"{nw['overhead_ratio']:.3f}x  {nw['overhead_ratio_trials']}",
+        f"  overhead per launch                      : "
+        f"{nw['overhead_us_per_launch']:.2f} us",
+        f"  verified vs nw_reference, byte-identical : "
         f"{nw['byte_identical']}",
-        f"SRAD group path: {srad['launches']} launches, wall speedup "
-        f"{srad['wall_speedup']:.3f}x, byte-identical {srad['byte_identical']}",
         f"figure sweep   : {'+'.join(figs['figures'])} warm rebuild "
         f"{figs['speedup_warm_over_cold']:.2f}x, byte-identical "
         f"{figs['byte_identical']}",
@@ -541,11 +457,9 @@ def render_bench(record: dict) -> str:
             for k, v in sorted(tiers["tiers"].items()))
         extra = [
             f"executor tiers : compiled {tiers['compiled_s']*1e3:.2f} ms vs "
-            f"item {tiers['item_s']*1e3:.2f} ms vs "
-            f"group {tiers['group_s']*1e3:.2f} ms",
+            f"item {tiers['item_s']*1e3:.2f} ms",
             f"  compiled speedup: {tiers['compiled_vs_item']:.2f}x vs item, "
-            f"{tiers['compiled_vs_group']:.2f}x vs group, byte-identical "
-            f"{tiers['byte_identical']}",
+            f"byte-identical {tiers['byte_identical']}",
             f"  plan tiers      : {tier_counts}; NW compiled-mode fallbacks "
             f"{tiers['nw_compiled_fallbacks']}",
         ]

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant", default="sycl_opt",
                      choices=[v.value for v in Variant])
     run.add_argument("--mode", default=None,
-                     choices=["auto", "vector", "group", "item", "compiled"],
+                     choices=["auto", "vector", "item", "compiled"],
                      help="pin one executor path for kernels that "
                           "implement it (default: auto)")
     run.add_argument("--quiet", action="store_true")
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in Variant])
     suite.add_argument("--workers", type=int, default=None)
     suite.add_argument("--mode", default=None,
-                       choices=["auto", "vector", "group", "item", "compiled"],
+                       choices=["auto", "vector", "item", "compiled"],
                        help="pin one executor path for kernels that "
                             "implement it (default: auto)")
     suite.add_argument("--on-error", default="abort",
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--variant", default="sycl_opt",
                          choices=[v.value for v in Variant])
     profile.add_argument("--mode", default=None,
-                         choices=["auto", "vector", "group", "item", "compiled"],
+                         choices=["auto", "vector", "item", "compiled"],
                          help="pin one executor path for kernels that "
                               "implement it (default: auto)")
     profile.add_argument("--scale", type=float, default=None,

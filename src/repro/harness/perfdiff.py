@@ -1,6 +1,6 @@
 """Perf-regression sentinel over the bench trajectory — ``repro perfdiff``.
 
-``repro bench`` (PR 4) appends a schema-versioned ``repro-bench/1``
+``repro bench`` appends a schema-versioned ``repro-bench/2``
 record to ``BENCH_executor.json`` on every run, but until now nothing
 watched the trajectory: a dispatch-overhead regression would land
 silently.  This module compares the **last two** trajectory records
@@ -62,9 +62,9 @@ class Watched:
 #: cache or figure cache breakage) while shrugging off CI noise.
 DEFAULT_TOLERANCES: tuple = (
     Watched(("nw_wavefront", "warm_planned_s")),
-    Watched(("nw_wavefront", "unplanned_s")),
-    Watched(("nw_wavefront", "overhead_ratio"), higher_is_better=True),
-    Watched(("srad_group", "warm_planned_s")),
+    # planned / raw-generator floor: 1.0 is a launch that costs nothing
+    # beyond its kernel body
+    Watched(("nw_wavefront", "overhead_ratio")),
     Watched(("executor_tiers", "compiled_s")),
     Watched(("executor_tiers", "compiled_vs_item"),
             higher_is_better=True, tolerance=2.0),

@@ -448,7 +448,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
                    mode: str | None = None) -> RunResult:
     """Generate -> run -> verify one benchmark configuration.
 
-    ``mode`` pins one executor path (vector/group/item) for every launch
+    ``mode`` pins one executor path (vector/item/compiled) for every launch
     whose kernel implements it — the differential tests' entry point.
 
     >>> result = run_functional("NW", seed=0)

@@ -58,7 +58,7 @@ STATES = ("queued", "running", "done", "degraded", "failed")
 #: states a job never leaves
 TERMINAL_STATES = frozenset({"done", "degraded", "failed"})
 
-_EXECUTOR_MODES = (None, "auto", "vector", "group", "item", "compiled")
+_EXECUTOR_MODES = (None, "auto", "vector", "item", "compiled")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "validate_launch", "execution_cache_info",
                  "clear_execution_caches"),
     "plan": ("LaunchPlan", "get_plan", "compile_plan", "plan_cache_info",
-             "plan_pool_stats", "clear_plan_caches", "set_plan_cache_limit",
-             "plans_disabled"),
+             "plan_pool_stats", "clear_plan_caches", "set_plan_cache_limit"),
     # the compiled (batched-numpy) tier
     "vectorize": ("CompiledKernel", "VectorizeFallback", "compile_batched",
                   "eligible_form", "vectorize_enabled", "vectorize_disabled",

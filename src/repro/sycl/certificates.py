@@ -69,8 +69,7 @@ from ..common.cache import (atomic_write, canonical_json, code_fingerprint,
                             content_key, resolve_cache_root)
 from ..resilience.faults import cache_read_corrupted as _cache_read_corrupted
 from ..trace.metrics import registry as _metrics
-from .buffer import LocalAccessor
-from .vectorize import _SCALAR_ARGS
+from .vectorize import _SCALARS, _arg_signature
 
 __all__ = [
     "CERTIFICATE_SCHEMA",
@@ -82,9 +81,6 @@ __all__ = [
 #: bumped whenever the payload layout or its meaning changes; a file of
 #: another schema is a miss
 CERTIFICATE_SCHEMA = 1
-
-#: exactly the scalar arguments the batched runtime binds (plus None)
-_SCALARS = _SCALAR_ARGS + (type(None),)
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +135,6 @@ def _function_digest(fn) -> str:
     h = hashlib.sha256()
     _code_digest(fn.__code__, fn.__globals__, h)
     return h.hexdigest()[:32]
-
-
-def _arg_signature(arg):
-    if isinstance(arg, np.ndarray):
-        if arg.flags.c_contiguous:
-            layout = "C"
-        elif arg.flags.f_contiguous:
-            layout = "F"
-        else:
-            layout = list(arg.strides)
-        return ["ndarray", str(arg.dtype.descr), list(arg.shape), layout]
-    if isinstance(arg, LocalAccessor):
-        return ["local", str(arg.dtype.descr), list(arg.shape)]
-    if isinstance(arg, _SCALARS):
-        cls = type(arg)
-        return ["scalar", f"{cls.__module__}.{cls.__qualname__}"]
-    return None
 
 
 @lru_cache(maxsize=1)

@@ -100,13 +100,6 @@ class KernelSpec:
         Optional numpy-vectorized whole-range fast path
         ``fn(nd_range, *args)`` (or ``fn(*args)`` for single-task),
         semantically equal to running ``item_fn`` over the full range.
-    group_fn:
-        Optional work-group-vectorized form ``fn(group, *args)`` — numpy
-        over one work-group at a time, between ``item_fn`` and
-        ``vector_fn`` in granularity.  A generator function if the
-        kernel synchronizes (``yield group.barrier(...)`` once per
-        phase); the executor preserves phase-by-phase barrier semantics
-        and prefers this form over ``item_fn`` on decomposed launches.
     features:
         Free-form feature flags consumed by the FPGA resource model and
         the implementation-trait system, e.g. ``uses_local_mem``,
@@ -118,7 +111,6 @@ class KernelSpec:
     kind: str = KernelKind.ND_RANGE
     item_fn: Callable | None = None
     vector_fn: Callable | None = None
-    group_fn: Callable | None = None
     attributes: KernelAttributes = field(default_factory=KernelAttributes)
     loops: list[LoopSpec] = field(default_factory=list)
     features: dict = field(default_factory=dict)
@@ -126,7 +118,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in (KernelKind.ND_RANGE, KernelKind.SINGLE_TASK):
             raise InvalidParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.item_fn is None and self.vector_fn is None and self.group_fn is None:
+        if self.item_fn is None and self.vector_fn is None:
             raise InvalidParameterError(f"kernel {self.name!r} has no implementation")
         self.attributes.validate()
 
@@ -136,10 +128,8 @@ class KernelSpec:
 
     @property
     def uses_barrier(self) -> bool:
-        return any(
-            fn is not None and inspect.isgeneratorfunction(fn)
-            for fn in (self.item_fn, self.group_fn)
-        )
+        return (self.item_fn is not None
+                and inspect.isgeneratorfunction(self.item_fn))
 
     def feature(self, key: str, default=None):
         return self.features.get(key, default)
@@ -149,8 +139,8 @@ class KernelSpec:
 
         Returns ``(form, reason)`` from
         :func:`repro.sycl.vectorize.eligible_form`: ``("item", None)``
-        or ``("group", None)`` when the reference interpreter form lifts
-        into a batched numpy program, else ``(None, reason)`` with the
+        when the ``item_fn`` lifts into a batched numpy program, else
+        ``(None, reason)`` with the
         construct that blocked it.  Declare a ``no_vectorize`` feature
         to opt a kernel out of the tier entirely.
 

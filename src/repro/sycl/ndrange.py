@@ -234,10 +234,6 @@ class Group:
             return self.nd_range.local_range
         return self.nd_range.local_range[i]
 
-    def barrier(self, fence_space: FenceSpace = FenceSpace.GLOBAL_AND_LOCAL) -> BarrierToken:
-        """Token for group-vectorized kernels: ``yield group.barrier(...)``."""
-        return BarrierToken(fence_space)
-
     def __repr__(self) -> str:
         return f"Group(id={self.group_id})"
 

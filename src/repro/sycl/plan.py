@@ -61,7 +61,7 @@ import inspect
 import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext as _null_context
 
 from ..common.errors import KernelLaunchError
 from ..trace.metrics import registry as _metrics
@@ -73,7 +73,6 @@ from .executor import (
     _nd_lattice,
     _note_execution_metrics,
     _point_grid,
-    _run_path,
     _select_path,
     validate_launch,
 )
@@ -95,8 +94,6 @@ __all__ = [
     "clear_plan_caches",
     "set_plan_cache_limit",
     "plan_pool_stats",
-    "plans_disabled",
-    "plans_enabled",
     "certificate_store",
     "using_certificate_store",
 ]
@@ -109,33 +106,10 @@ __all__ = [
 _CACHE: "OrderedDict[tuple, LaunchPlan]" = OrderedDict()
 _LOCK = threading.Lock()
 _MAXSIZE = 256
-_ENABLED = True
 _HITS = 0
 _MISSES = 0
 _COMPILES = 0
 _EVICTIONS = 0
-
-
-def plans_enabled() -> bool:
-    """Whether launches route through the plan cache (see
-    :func:`plans_disabled`)."""
-    return _ENABLED
-
-
-@contextmanager
-def plans_disabled():
-    """Execute a block through the un-planned legacy launch path.
-
-    Process-wide switch, meant for benchmarks and differential tests
-    that compare planned against un-planned execution.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +174,8 @@ def plan_cache_info() -> dict:
                 entry["fallbacks"][plan.kernel.name] = plan.fallback_reason
             ck = plan.compiled
             if ck is not None:
-                how = ck.validated_by or "unvalidated"
-                validated_by[how] = validated_by.get(how, 0) + 1
+                for how in list(ck.proofs.values()) or ["unvalidated"]:
+                    validated_by[how] = validated_by.get(how, 0) + 1
         return {
             "hits": _HITS,
             "misses": _MISSES,
@@ -209,7 +183,7 @@ def plan_cache_info() -> dict:
             "evictions": _EVICTIONS,
             "size": len(_CACHE),
             "maxsize": _MAXSIZE,
-            # per-plan execution tier (compiled / vector / group / item)
+            # per-plan execution tier (compiled / vector / item)
             # so tier regressions are visible without tracing.  Each
             # entry carries a plan count plus, for plans that *missed*
             # the compiled tier while it was requested, the per-kernel
@@ -217,9 +191,10 @@ def plan_cache_info() -> dict:
             # demotion message) — a demoted compiled plan shows up
             # under its interpreter tier with the reason it fell.
             "tiers": tiers,
-            # how the live compiled plans were proven: "shadow" (this
-            # process compared bitwise), "certificate" (a persisted
-            # proof) or "unvalidated" (no launch yet)
+            # how the live compiled plans' argument signatures were
+            # proven: "shadow" (this process compared bitwise),
+            # "certificate" (a persisted proof), or "unvalidated" for a
+            # plan with no proven signature yet
             "validated_by": validated_by,
         }
 
@@ -292,7 +267,7 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
     # KernelSpec copies per launch (``with_attributes``); two specs with
     # the same implementation functions and attributes launch the same.
     return (
-        kernel.item_fn, kernel.group_fn, kernel.vector_fn, kernel.name,
+        kernel.item_fn, kernel.vector_fn, kernel.name,
         kernel.attributes,
         nd_range.global_range.dims, nd_range.local_range.dims,
         force_item, mode, device_max_wg, grid,
@@ -304,19 +279,14 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
 
 def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
              force_item: bool = False, device_max_wg: int | None = None,
-             mode: str | None = None, grid: bool = False
-             ) -> "LaunchPlan | None":
+             mode: str | None = None, grid: bool = False) -> "LaunchPlan":
     """The cached plan for one launch shape, compiling it on first use.
 
-    Returns ``None`` inside a :func:`plans_disabled` block.  Invalid
-    launch configurations raise the same
-    :class:`~repro.common.errors.KernelLaunchError` the legacy path
-    raises — and are never cached, so every launch of a bad shape keeps
-    failing loudly.
+    Invalid launch configurations raise
+    :class:`~repro.common.errors.KernelLaunchError` — and are never
+    cached, so every launch of a bad shape keeps failing loudly.
     """
     global _HITS, _MISSES
-    if not _ENABLED:
-        return None
     mode = _normalize_mode(mode)
     key = _plan_key(kernel, nd_range, force_item, device_max_wg, mode, grid)
     with _LOCK:
@@ -380,16 +350,16 @@ class LaunchPlan:
 
     Compilation validates the launch (work-group attributes and device
     limit), selects the execution path, resolves the memoized group
-    grid, and probes the chosen kernel form with :mod:`inspect` —
-    exactly the work the legacy path repeats per launch.  The compiled
-    facts are immutable; the only write-once field is the barrier-phase
-    schedule, recorded by the plan's first strict execution.
+    grid, and probes the kernel form with :mod:`inspect` — work that
+    would otherwise repeat per launch.  The compiled facts are
+    immutable; the only write-once field is the barrier-phase schedule,
+    recorded by the plan's first strict execution.
 
-    ``execute`` runs one launch through the plan.  Traced launches
-    delegate to the executor's shared path runner so the span tree
-    (``launch`` → kernel-form → ``barrier-phase``) is byte-identical to
-    un-planned execution; untraced warm launches take the specialized
-    fast paths, reusing the plan's thread-local ``Group`` pool.
+    ``execute`` is the one implementation of a launch.  Traced and
+    untraced launches run the same runners over the plan's thread-local
+    ``Group`` pool; a traced launch wraps them in a kernel-form span and
+    drives barrier kernels through the strict phase engine, so every
+    phase is recorded as a ``barrier-phase`` span.
     """
 
     __slots__ = (
@@ -413,19 +383,19 @@ class LaunchPlan:
         #: ``None`` for compiled plans and paths that never tried
         self.fallback_reason = None
         if grid:
-            self.path = _select_grid_path(kernel)
+            _check_grid_kernel(kernel)
+            self.path = "item"
         else:
-            self.path = _select_path(kernel, force_item, mode,
-                                     allow_compiled=True)
+            self.path = _select_path(kernel, force_item, mode)
         if self.path == "compiled":
             self.compiled, _reason = compile_batched(kernel, nd_range)
             if self.compiled is None:  # defensive: eligibility raced
-                self.path = "item" if kernel.item_fn is not None else "group"
+                self.path = "item"
                 self.fallback_reason = _reason
-        elif not grid and _normalize_mode(mode) == "compiled":
-            # compiled mode was requested but the plan landed on an
-            # interpreter tier — record why, so plan_cache_info()'s
-            # tier map can name the miss
+        elif not grid and mode == "compiled":
+            # compiled mode was requested but the plan landed on the
+            # interpreter — record why, so plan_cache_info()'s tier map
+            # can name the miss
             if not vectorize_enabled():
                 self.fallback_reason = "vectorizer disabled"
             else:
@@ -434,13 +404,12 @@ class LaunchPlan:
                     self.fallback_reason = _why
         # the interpreter form behind the plan: for a compiled plan this
         # is the validation reference / demotion target
-        interp_path = (self.compiled.fallback_path
-                       if self.compiled is not None else self.path)
-        self.run_fn = getattr(kernel, f"{interp_path}_fn")
+        self.run_fn = (kernel.vector_fn if self.path == "vector"
+                       else kernel.item_fn)
         self.is_generator = inspect.isgeneratorfunction(self.run_fn)
         code = getattr(self.run_fn, "__code__", None)
         #: positional binding order of the kernel call: the index object
-        #: (nd_range / group / nd_item) plus this many launch arguments
+        #: (nd_range / nd_item) plus this many launch arguments
         self.arity = (code.co_argcount - 1) if code is not None else None
         self.group_size = nd_range.group_size()
         self.num_groups = nd_range.num_groups()
@@ -463,16 +432,14 @@ class LaunchPlan:
 
     def describe(self) -> dict:
         """The compiled launch-invariant facts, as plain data."""
+        ck = self.compiled
         return {
             "kernel": self.kernel.name,
             "path": self.path,
-            "compiled_form": (self.compiled.form
-                              if self.compiled is not None else None),
-            "compiled_validated": (self.compiled.validated
-                                   if self.compiled is not None else None),
+            "compiled_form": ck.form if ck is not None else None,
+            "compiled_validated": ck.validated if ck is not None else None,
             # "shadow" / "certificate" once validated, else None
-            "validated_by": (self.compiled.validated_by
-                             if self.compiled is not None else None),
+            "validated_by": ck.validated_by if ck is not None else None,
             "grid": self.grid,
             "is_generator": self.is_generator,
             "arity": self.arity,
@@ -538,78 +505,65 @@ class LaunchPlan:
         stay per-launch even on a fully warm cache.
         """
         stats = ExecutionStats()
-        stats.path = self.path
         tracer = current_tracer()
-        if self.path == "compiled":
-            return self._execute_compiled(args, stats, tracer)
+        ck = self.compiled
+        if ck is not None:
+            return self._execute_compiled(ck, args, stats, tracer)
+        # _demote writes path before clearing compiled, so a plan read
+        # as demoted here already carries its final path
+        stats.path = path = self.path
+        with (tracer.span(f"{self.kernel.name}:{path}", "kernel-form",
+                          kernel=self.kernel.name, path=path,
+                          **({"grid": True} if self.grid else {}))
+              if tracer is not None else _null_context()):
+            self._run(args, stats, tracer)
         if tracer is not None:
-            # Traced launches keep the exact legacy span structure by
-            # delegating to the shared path runner (fresh groups, the
-            # strict phase engine, per-phase spans).
-            with tracer.span(f"{self.kernel.name}:{self.path}",
-                             "kernel-form", kernel=self.kernel.name,
-                             path=self.path, **({"grid": True} if self.grid
-                                                else {})):
-                if self.grid:
-                    self._run_grid(args, stats, tracer)
-                else:
-                    _run_path(self.kernel, self.nd_range, args, self.path,
-                              stats, tracer)
             _note_execution_metrics(stats)
-            return stats
+        return stats
+
+    def _run(self, args: tuple, stats: ExecutionStats, tracer) -> None:
+        """One launch on the plan's interpreter path."""
         if self.grid:
-            self._run_grid(args, stats, None)
+            self._run_grid(args, stats, tracer)
         elif self.path == "vector":
             self.run_fn(self.nd_range, *args)
             stats.groups = self.num_groups
             stats.items = self.total_items
-        elif self.path == "group":
-            self._run_group(args, stats)
         else:
-            self._run_item(args, stats)
-        return stats
+            self._run_item(args, stats, tracer)
 
-    def _execute_compiled(self, args: tuple, stats: ExecutionStats,
+    def _execute_compiled(self, ck, args: tuple, stats: ExecutionStats,
                           tracer) -> ExecutionStats:
-        ck = self.compiled
-        if ck is None:  # demoted by a concurrent launch (GIL-ordered:
-            # _demote writes path before compiled, so path is final here)
-            stats.path = self.path
-            if tracer is not None:
-                with tracer.span(f"{self.kernel.name}:{self.path}",
-                                 "kernel-form", kernel=self.kernel.name,
-                                 path=self.path):
-                    _run_path(self.kernel, self.nd_range, args, self.path,
-                              stats, tracer)
-                _note_execution_metrics(stats)
-            else:
-                _run_path(self.kernel, self.nd_range, args, self.path,
-                          stats, None)
-            return stats
+        stats.path = "compiled"
+        signature = ck.signature(args)
+        with (tracer.span(f"{self.kernel.name}:compiled", "kernel-form",
+                          kernel=self.kernel.name, path="compiled",
+                          batched_form=ck.form,
+                          validated=signature in ck.proofs)
+              if tracer is not None else _null_context()):
+            self._run_compiled(ck, signature, args, stats, tracer)
         if tracer is not None:
-            with tracer.span(f"{self.kernel.name}:compiled", "kernel-form",
-                             kernel=self.kernel.name, path="compiled",
-                             batched_form=ck.form, validated=ck.validated):
-                self._run_compiled(ck, args, stats, tracer)
             _note_execution_metrics(stats)
-        else:
-            self._run_compiled(ck, args, stats, None)
         return stats
 
-    def _run_compiled(self, ck, args: tuple, stats: ExecutionStats,
-                      tracer) -> None:
+    def _run_compiled(self, ck, signature: tuple, args: tuple,
+                      stats: ExecutionStats, tracer) -> None:
         """One launch of the batched tier.
 
-        First launch (``validated`` False): the batched program runs on
-        buffer *copies* while the interpreter reference form runs on the
-        real buffers; a bitwise match promotes the plan, anything else
-        permanently demotes it — the interpreter result is authoritative
-        either way, so the launch's outputs are byte-identical to the
-        interpreter by construction.  Validated launches run the batched
-        program directly; argument types the batched runtime cannot
-        represent demote *before* any buffer is touched.  Data-dependent
-        numpy errors on a validated plan (e.g. an out-of-bounds indirect
-        store) propagate, exactly as the interpreter's would mid-loop.
+        Validation is per argument signature (dtype, shape and layout of
+        every buffer, type of every scalar): one plan serves CFD's FP32
+        and FP64 launches alike, and each must be proven on its own
+        arguments.  The first launch of a signature runs the batched
+        program on buffer *copies* while the per-item interpreter runs
+        on the real buffers; a bitwise match proves the signature,
+        anything else permanently demotes the plan — the interpreter
+        result is authoritative either way, so the launch's outputs are
+        byte-identical to the interpreter by construction.  Proven
+        launches run the batched program directly; argument types the
+        batched runtime cannot represent demote *before* any buffer is
+        touched.  Data-dependent numpy errors on a proven launch (e.g.
+        an out-of-bounds indirect store) propagate, exactly as the
+        interpreter's would mid-loop.
 
         With a certificate store installed
         (:mod:`repro.sycl.certificates`), an intact certificate for this
@@ -617,7 +571,8 @@ class LaunchPlan:
         matches writes one.
         """
         store = payload = None
-        if not ck.validated:
+        proven = signature in ck.proofs
+        if not proven:
             store = certificate_store()
             if store is not None:
                 from .certificates import certificate_payload
@@ -626,15 +581,15 @@ class LaunchPlan:
                                               self.run_fn, ck.fn,
                                               self.nd_range, args)
                 if payload is not None and store.lookup(payload):
-                    ck.validated_by = "certificate"
-        if ck.validated:
+                    ck.proofs[signature] = "certificate"
+                    proven = True
+        if proven:
             try:
                 bound = ck.bind(args)
             except VectorizeFallback as exc:
                 self._demote(str(exc))
                 stats.path = self.path
-                _run_path(self.kernel, self.nd_range, args, self.path,
-                          stats, tracer)
+                self._run_item(args, stats, tracer)
                 return
             phases = ck.run(bound, tracer)
             stats.groups = self.num_groups
@@ -644,103 +599,47 @@ class LaunchPlan:
                 stats.barrier_phases = phases * self.num_groups
                 stats.gen_advances = phases + 1
             return
-        if tracer is None:
-            matched = self._shadow_validate(ck, args, stats, None)
-        else:
-            with tracer.span("vectorize.validate", "vectorize",
-                             kernel=self.kernel.name, form=ck.form):
-                matched = self._shadow_validate(ck, args, stats, tracer)
+        with (tracer.span("vectorize.validate", "vectorize",
+                          kernel=self.kernel.name, form=ck.form)
+              if tracer is not None else _null_context()):
+            matched = self._shadow_validate(ck, signature, args, stats,
+                                            tracer)
         if matched and payload is not None:
             store.record(payload)
 
-    def _shadow_validate(self, ck, args: tuple, stats: ExecutionStats,
-                         tracer) -> bool:
+    def _shadow_validate(self, ck, signature: tuple, args: tuple,
+                         stats: ExecutionStats, tracer) -> bool:
         """The batched program on buffer copies, the interpreter on the
-        real buffers, then a bitwise comparison; promotes on a match and
-        demotes otherwise.  Returns whether the plan was promoted."""
+        real buffers, then a bitwise comparison; proves ``signature``
+        on a match and demotes otherwise.  Returns whether it matched."""
         try:
             shadow_args = ck.shadow_run(args)
         except Exception as exc:  # noqa: BLE001 — any failure demotes
             self._demote(f"{type(exc).__name__}: {exc}")
             stats.path = self.path
-            _run_path(self.kernel, self.nd_range, args, self.path,
-                      stats, tracer)
+            self._run_item(args, stats, tracer)
             return False
         # authoritative interpreter run on the real buffers
-        _run_path(self.kernel, self.nd_range, args, ck.fallback_path,
-                  stats, tracer)
+        self._run_item(args, stats, tracer)
         if ck.buffers_match(shadow_args, args):
-            ck.validated_by = "shadow"  # stats.path stays "compiled"
+            ck.proofs[signature] = "shadow"  # stats.path stays "compiled"
             return True
         self._demote("batched result diverged from the interpreter")
         stats.path = self.path
         return False
 
     def _demote(self, reason: str) -> None:
-        """Permanently fall this plan back to its interpreter form."""
+        """Permanently fall this plan back to the per-item interpreter."""
         ck = self.compiled
         if ck is None:  # concurrent launch demoted first
             return
         _note_vectorize_fallback(self.kernel.name, reason, "runtime")
         self.fallback_reason = reason
-        self.path = ck.fallback_path
+        self.path = "item"
         self.compiled = None
 
-    def _run_group(self, args: tuple, stats: ExecutionStats) -> None:
-        locals_ = [a for a in args if isinstance(a, LocalAccessor)]
-        fn = self.run_fn
-        if not self.is_generator:
-            for group in self._groups():
-                for acc in locals_:
-                    acc._begin_group()
-                fn(group, *args)
-                for acc in locals_:
-                    acc._end_group()
-            stats.groups = self.num_groups
-            stats.items = self.total_items
-            return
-        if self.barrier_schedule is None:
-            self._first_strict_group(args, stats, locals_)
-            return
-        # Warm path: the first strict execution validated the yielded
-        # tokens, so each group's independent generator is drained at
-        # full speed; counting the yields keeps the stats exact even
-        # for data-dependent phase structures.
-        phases = 0
-        advances = 0
-        for group in self._groups():
-            for acc in locals_:
-                acc._begin_group()
-            n = 0
-            for _ in fn(group, *args):
-                n += 1
-            phases += n
-            advances += n + 1
-            for acc in locals_:
-                acc._end_group()
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        stats.barrier_phases = phases
-        stats.gen_advances = advances
-
-    def _first_strict_group(self, args, stats, locals_) -> None:
-        """First execution: the strict phase engine per group (token and
-        divergence checks), recording the barrier-phase schedule."""
-        schedule = []
-        fn = self.run_fn
-        for group in self._groups():
-            for acc in locals_:
-                acc._begin_group()
-            before = stats.barrier_phases
-            _advance_barrier_phases(self.kernel, (fn(group, *args),), stats)
-            schedule.append(stats.barrier_phases - before)
-            for acc in locals_:
-                acc._end_group()
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        self.barrier_schedule = tuple(schedule)
-
-    def _run_item(self, args: tuple, stats: ExecutionStats) -> None:
+    def _run_item(self, args: tuple, stats: ExecutionStats,
+                  tracer=None) -> None:
         locals_ = [a for a in args if isinstance(a, LocalAccessor)]
         fn = self.run_fn
         stats.groups = self.num_groups
@@ -754,8 +653,8 @@ class LaunchPlan:
                 for acc in locals_:
                     acc._end_group()
             return
-        if self.barrier_schedule is None:
-            self._first_strict_item(args, stats, locals_)
+        if tracer is not None or self.barrier_schedule is None:
+            self._strict_item(args, stats, locals_, tracer)
             return
         # Warm path: a list-based lockstep engine.  Token types were
         # validated by the first strict execution; the all-or-none
@@ -790,7 +689,10 @@ class LaunchPlan:
         stats.barrier_phases = phases
         stats.gen_advances = advances
 
-    def _first_strict_item(self, args, stats, locals_) -> None:
+    def _strict_item(self, args, stats, locals_, tracer) -> None:
+        """The strict phase engine per group (token and divergence
+        checks, per-phase spans when traced); the first such run
+        records the barrier-phase schedule."""
         schedule = []
         fn = self.run_fn
         for group, items in self._items():
@@ -798,11 +700,13 @@ class LaunchPlan:
                 acc._begin_group()
             before = stats.barrier_phases
             _advance_barrier_phases(
-                self.kernel, [fn(item, *args) for item in items], stats)
+                self.kernel, [fn(item, *args) for item in items], stats,
+                tracer=tracer)
             schedule.append(stats.barrier_phases - before)
             for acc in locals_:
                 acc._end_group()
-        self.barrier_schedule = tuple(schedule)
+        if self.barrier_schedule is None:
+            self.barrier_schedule = tuple(schedule)
 
     def _run_grid(self, args: tuple, stats: ExecutionStats, tracer) -> None:
         """Grid-synchronized execution: barriers interlock across the
@@ -815,12 +719,9 @@ class LaunchPlan:
         fn = self.run_fn
         stats.groups = self.num_groups
         stats.items = self.total_items
-        if self.path == "group":
-            gens = [fn(group, *args) for group in self._groups()]
-        else:
-            gens = [fn(item, *args)
-                    for group, items in self._items()
-                    for item in items]
+        gens = [fn(item, *args)
+                for group, items in self._items()
+                for item in items]
         _advance_barrier_phases(self.kernel, gens, stats, grid=True,
                                 tracer=tracer)
         if self.barrier_schedule is None:
@@ -829,16 +730,11 @@ class LaunchPlan:
             acc._end_group()
 
 
-def _select_grid_path(kernel: KernelSpec) -> str:
-    """Path selection for grid-synchronized launches (mirrors the legacy
-    checks in :func:`~repro.sycl.executor.run_grid_synchronized`)."""
-    if (kernel.group_fn is not None
-            and inspect.isgeneratorfunction(kernel.group_fn)):
-        return "group"
+def _check_grid_kernel(kernel: KernelSpec) -> None:
+    """Grid sync runs the generator ``item_fn`` (paper §2.2)."""
     if kernel.item_fn is None:
         raise KernelLaunchError(
             f"kernel {kernel.name!r} needs an item_fn for grid sync")
     if not inspect.isgeneratorfunction(kernel.item_fn):
         raise KernelLaunchError(
             f"kernel {kernel.name!r} never synchronizes; use run_nd_range")
-    return "item"

@@ -73,8 +73,8 @@ class LaunchCounters:
     """Aggregate per-launch counters a queue accumulates across its lifetime.
 
     These make executor/harness speedups measurable rather than asserted:
-    ``path_counts`` records which execution path (vector / group / item /
-    single_task) served each kernel launch, and ``gen_advances`` counts
+    ``path_counts`` records which execution path (vector / item /
+    compiled / single_task) served each kernel launch, and ``gen_advances`` counts
     the generator resumptions the barrier-phase engine performed.
     Reset together with the timeline by :meth:`Queue.reset_timeline`.
     """
@@ -179,7 +179,7 @@ class Queue:
         Timing model; defaults to :class:`SpecTiming`.
     default_mode:
         Execution path applied to every launch whose kernel implements
-        it (``"vector"``/``"group"``/``"item"``); kernels without that
+        it (``"vector"``/``"item"``); kernels without that
         form keep the automatic selection.  This is how the differential
         tests pin one kernel form across a whole ``run_sycl`` pipeline.
         ``"compiled"`` pins the batched-numpy tier
@@ -205,10 +205,10 @@ class Queue:
         if default_mode in ("auto", ""):
             default_mode = None
         if default_mode is not None and default_mode not in (
-                "vector", "group", "item", "compiled"):
+                "vector", "item", "compiled"):
             raise InvalidParameterError(
                 f"unknown default_mode {default_mode!r}; "
-                "expected vector/group/item/compiled/auto")
+                "expected vector/item/compiled/auto")
         self.default_mode = default_mode
         #: modeled device clock, nanoseconds
         self.now_ns: int = 0
@@ -342,11 +342,9 @@ class Queue:
         if kernel.kind != KernelKind.ND_RANGE:
             return None
         if self.default_mode == "compiled":
-            # the compiled tier wraps an interpreter form; either one
-            # qualifies (static fallback handles ineligible kernels)
-            if kernel.item_fn is not None or kernel.group_fn is not None:
-                return "compiled"
-            return None
+            # the compiled tier wraps the item_fn (static fallback
+            # handles ineligible kernels)
+            return "compiled" if kernel.item_fn is not None else None
         if getattr(kernel, f"{self.default_mode}_fn") is not None:
             return self.default_mode
         return None

@@ -1,12 +1,10 @@
 """The compiled execution tier: batched numpy programs from kernel bodies.
 
-The interpreter tiers (:mod:`repro.sycl.executor`) pay a Python-level
-cost per work-item (``item_fn``) or per work-group (``group_fn``); warm
-launch plans remove the *dispatch* cost but not the loop body itself —
-BENCH_executor.json shows SRAD's group path gaining ~1.0x from warm
-plans because the body dominates.  This module removes the body cost
-for the (large) class of kernels whose per-item code is straight-line
-array arithmetic: it lifts the ``item_fn`` / ``group_fn`` **source**
+The per-item interpreter (:mod:`repro.sycl.executor`) pays a
+Python-level cost per work-item; warm launch plans remove the
+*dispatch* cost but not the loop body itself.  This module removes the
+body cost for the (large) class of kernels whose per-item code is
+straight-line array arithmetic: it lifts the ``item_fn`` **source**
 into a batched numpy program evaluated once per launch — or once per
 barrier phase — over per-lane index arrays that numpy index arithmetic
 lays out in the interpreter's iteration order (the interpreter's
@@ -24,8 +22,8 @@ by the line positions of its code objects (no tokenizer pass, see
 new function ``<name>__batched`` taking ``(__lanes__, <index>, *args)``:
 
 * every work-item is a **lane**; the ``<index>`` argument becomes a
-  :class:`_BatchItem` / :class:`_BatchGroup` whose accessors return
-  per-lane ``np.intp`` arrays in exact interpreter iteration order;
+  :class:`_BatchItem` whose accessors return per-lane ``np.intp``
+  arrays in exact interpreter iteration order;
 * ndarray arguments are wrapped in :class:`_BatchArray`, whose
   ``__getitem__`` gathers and ``__setitem__`` scatters under the
   current lane mask;
@@ -63,12 +61,13 @@ statically ineligible with a targeted reason.
 Why this cannot change results
 ------------------------------
 
-Static eligibility is necessary but not trusted: the first launch of a
-compiled plan runs the batched program on **copies** of the buffers
-while the interpreter runs on the real ones, and compares every output
-byte (:meth:`CompiledKernel.shadow_run` in
+Static eligibility is necessary but not trusted: the first launch of
+each argument signature (buffer dtypes, shapes and layouts, scalar
+types) on a compiled plan runs the batched program on **copies** of
+the buffers while the interpreter runs on the real ones, and compares
+every output byte (:meth:`CompiledKernel.shadow_run` in
 :meth:`~repro.sycl.plan.LaunchPlan.execute`).  Only a bitwise match
-promotes the plan to direct batched execution; any mismatch or
+proves that signature for direct batched execution; any mismatch or
 exception silently and permanently demotes the plan to the interpreter
 path it was validated against.  Every fallback — static or runtime —
 increments the ``vectorize.fallback`` counter and, when tracing is on,
@@ -139,7 +138,7 @@ class _Ineligible(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide enable switch (mirrors plan.plans_disabled)
+# Process-wide enable switch
 # ---------------------------------------------------------------------------
 
 #: ``REPRO_VECTORIZE=0`` force-disables the compiled tier for the whole
@@ -193,7 +192,7 @@ def note_fallback(kernel_name: str, reason: str, stage: str) -> None:
 _INDEX_METHODS = frozenset({
     "get_global_id", "get_local_id", "get_group", "get_global_linear_id",
     "get_local_linear_id", "get_global_range", "get_local_range",
-    "get_group_range", "get_group_id", "get_group_linear_id",
+    "get_group_range",
 })
 
 _SCALAR_BUILTINS = frozenset({
@@ -914,18 +913,6 @@ def _item_lanes(global_dims: tuple, local_dims: tuple) -> dict:
     }
 
 
-@lru_cache(maxsize=128)
-def _group_lanes(group_extents: tuple) -> dict:
-    """One lane per work-group, row-major (interpreter group order)."""
-    grid = _grid_rows(group_extents)
-    n = grid.shape[1]
-    return {
-        "n": n,
-        "group": _frozen_rows(grid),
-        "group_linear": _freeze(np.arange(n, dtype=np.intp)),
-    }
-
-
 class _BatchItem:
     """The ``nd_item`` proxy: accessors return per-lane index arrays."""
 
@@ -976,55 +963,49 @@ class _BatchItem:
         return BarrierToken(fence_space)
 
 
-class _BatchGroup:
-    """The ``group`` proxy: one lane per work-group."""
-
-    __slots__ = ("_lanes", "_nd_range")
-
-    def __init__(self, lanes: dict, nd_range: NdRange):
-        self._lanes = lanes
-        self._nd_range = nd_range
-
-    def get_group_id(self, i=None):
-        if i is None:
-            raise VectorizeFallback("get_group_id() without a dimension "
-                                    "is not batchable")
-        return self._lanes["group"][i]
-
-    def get_group_linear_id(self):
-        return self._lanes["group_linear"]
-
-    def get_local_range(self, i=None):
-        rng = self._nd_range.local_range
-        return rng if i is None else rng[i]
-
-    def barrier(self, fence_space: FenceSpace = FenceSpace.GLOBAL_AND_LOCAL
-                ) -> BarrierToken:
-        return BarrierToken(fence_space)
-
-
 # ---------------------------------------------------------------------------
 # The compiled kernel object (held by LaunchPlan)
 # ---------------------------------------------------------------------------
 
 _SCALAR_ARGS = (int, float, complex, bool, str, bytes, np.generic)
+#: what a launch signature records by type (the bound scalars plus None)
+_SCALARS = _SCALAR_ARGS + (type(None),)
+
+
+def _arg_signature(arg) -> tuple | None:
+    """What a batched program's bits depend on in one launch argument:
+    an ndarray's dtype, shape and layout, a local tile's dtype and
+    shape, a scalar's type; ``None`` for anything else."""
+    if isinstance(arg, np.ndarray):
+        if arg.flags.c_contiguous:
+            layout = "C"
+        elif arg.flags.f_contiguous:
+            layout = "F"
+        else:
+            layout = arg.strides
+        return ("ndarray", str(arg.dtype.descr), arg.shape, layout)
+    if isinstance(arg, LocalAccessor):
+        return ("local", str(arg.dtype.descr), tuple(arg.shape))
+    if isinstance(arg, _SCALARS):
+        cls = type(arg)
+        return ("scalar", f"{cls.__module__}.{cls.__qualname__}")
+    return None
 
 
 class CompiledKernel:
     """One kernel's batched program, bound to one launch shape.
 
-    ``validated_by`` starts ``None`` (``validated`` False): the plan's
-    first compiled launch runs :meth:`shadow_run` on buffer copies and
-    promotes only on a bitwise match with the interpreter (see
-    :mod:`repro.sycl.plan`), unless an installed certificate store
-    holds the proof from an earlier process.
-    ``fallback_path`` is the interpreter form the program was compiled
-    from — the path validation compares against and demotion returns to.
+    A program is proven per launch **signature** (:meth:`signature`):
+    ``proofs`` maps each signature to how it was proven, ``"shadow"``
+    (this process compared bitwise, see :mod:`repro.sycl.plan`) or
+    ``"certificate"`` (a persisted proof, see
+    :mod:`repro.sycl.certificates`).  The first launch of an unproven
+    signature runs :meth:`shadow_run` on buffer copies and is proven
+    only on a bitwise match with the per-item interpreter.
     """
 
     __slots__ = ("kernel_name", "form", "fn", "is_generator", "nd_range",
-                 "n", "proxy", "fallback_path", "validated_by",
-                 "group_linear", "num_groups")
+                 "n", "proxy", "proofs", "group_linear", "num_groups")
 
     def __init__(self, kernel_name: str, form: str, fn, is_generator: bool,
                  nd_range: NdRange):
@@ -1033,27 +1014,29 @@ class CompiledKernel:
         self.fn = fn
         self.is_generator = is_generator
         self.nd_range = nd_range
-        if form == "item":
-            lanes = _item_lanes(nd_range.global_range.dims,
-                                nd_range.local_range.dims)
-            self.proxy = _BatchItem(lanes, nd_range)
-            self.num_groups = int(np.prod(nd_range.group_range().dims))
-        else:
-            lanes = _group_lanes(nd_range.group_range().dims)
-            self.proxy = _BatchGroup(lanes, nd_range)
-            self.num_groups = lanes["n"]
+        lanes = _item_lanes(nd_range.global_range.dims,
+                            nd_range.local_range.dims)
+        self.proxy = _BatchItem(lanes, nd_range)
+        self.num_groups = nd_range.num_groups()
         self.n = lanes["n"]
         self.group_linear = lanes["group_linear"]
-        self.fallback_path = form
-        #: how the program was proven: ``"shadow"`` (this process ran
-        #: the bitwise comparison) or ``"certificate"`` (a persisted
-        #: proof, see :mod:`repro.sycl.certificates`); ``None`` before
-        self.validated_by = None
+        self.proofs: dict = {}
+
+    @staticmethod
+    def signature(args: tuple) -> tuple:
+        """The launch signature a proof covers: one
+        :func:`_arg_signature` per argument."""
+        return tuple(_arg_signature(a) for a in args)
+
+    @property
+    def validated_by(self) -> str | None:
+        """How the first proven signature was proven (``None`` before)."""
+        return next(iter(self.proofs.values()), None)
 
     @property
     def validated(self) -> bool:
-        """Whether the batched program may run on the real buffers."""
-        return self.validated_by is not None
+        """Whether any launch signature has been proven."""
+        return bool(self.proofs)
 
     def __repr__(self) -> str:
         return (f"CompiledKernel({self.kernel_name!r}, form={self.form!r}, "
@@ -1140,28 +1123,22 @@ class CompiledKernel:
 
 
 def eligible_form(kernel: KernelSpec) -> tuple:
-    """Whether a kernel's *reference form* is batchable.
+    """Whether a kernel's ``item_fn`` is batchable.
 
-    Returns ``("item" | "group", None)`` or ``(None, reason)``.  Only
-    the strictest available interpreter form is considered (``item_fn``
-    when present, else ``group_fn``): validation and fallback must
-    target one specific interpreter path, and that path must be the
-    same one a vectorize-disabled run would take, so on/off runs stay
-    byte-identical by construction.
+    Returns ``("item", None)`` or ``(None, reason)``.  Validation and
+    fallback target the per-item interpreter, the same path a
+    vectorize-disabled run takes, so on/off runs stay byte-identical by
+    construction.
     """
     if kernel.kind != KernelKind.ND_RANGE:
         return None, "not an nd-range kernel"
     if kernel.feature("no_vectorize"):
         return None, "kernel opted out (no_vectorize feature)"
-    if kernel.item_fn is not None:
-        batched, reason = translate(kernel.item_fn)
-        return ("item", None) if batched is not None \
-            else (None, f"item_fn: {reason}")
-    if kernel.group_fn is not None:
-        batched, reason = translate(kernel.group_fn)
-        return ("group", None) if batched is not None \
-            else (None, f"group_fn: {reason}")
-    return None, "no item_fn or group_fn"
+    if kernel.item_fn is None:
+        return None, "no item_fn"
+    batched, reason = translate(kernel.item_fn)
+    return ("item", None) if batched is not None \
+        else (None, f"item_fn: {reason}")
 
 
 def compile_batched(kernel: KernelSpec, nd_range: NdRange) -> tuple:
@@ -1174,12 +1151,12 @@ def compile_batched(kernel: KernelSpec, nd_range: NdRange) -> tuple:
     form, reason = eligible_form(kernel)
     if form is None:
         return None, reason
-    fn = kernel.item_fn if form == "item" else kernel.group_fn
-    batched, reason = translate(fn)
+    batched, reason = translate(kernel.item_fn)
     if batched is None:
         return None, reason
     return CompiledKernel(kernel.name, form, batched,
-                          inspect.isgeneratorfunction(fn), nd_range), None
+                          inspect.isgeneratorfunction(kernel.item_fn),
+                          nd_range), None
 
 
 def vectorize_cache_info() -> dict:
@@ -1187,11 +1164,9 @@ def vectorize_cache_info() -> dict:
     return {
         "translate": translate.cache_info(),
         "item_lanes": _item_lanes.cache_info(),
-        "group_lanes": _group_lanes.cache_info(),
     }
 
 
 def clear_vectorize_caches() -> None:
     translate.cache_clear()
     _item_lanes.cache_clear()
-    _group_lanes.cache_clear()

@@ -3,10 +3,12 @@
 The hand-listed item-vs-vector tests (test_apps_item_vs_vector.py) pin
 individual kernels; this module closes the gap the issue calls out: for
 *every* configuration in the registry, the full ``run_sycl`` pipeline is
-executed once per executor path — auto (vector-preferring), group, and
-item — through ``Queue(default_mode=...)``, and all paths must agree.
-Kernels that do not implement a pinned form fall back to automatic
-selection, so "where implemented" is decided per kernel, not per app.
+executed once per executor path — auto (vector-preferring), item, and
+compiled — through ``Queue(default_mode=...)``, and all paths must
+agree.  Kernels that do not implement a pinned form fall back to
+automatic selection (and kernels whose ``item_fn`` does not lift fall
+back from compiled to item), so "where implemented" is decided per
+kernel, not per app.
 """
 
 import numpy as np
@@ -60,7 +62,7 @@ def _assert_outputs_agree(config: str, got: dict, want: dict) -> None:
             err_msg=f"{config}: output {key!r} differs between kernel forms")
 
 
-@pytest.mark.parametrize("mode", ["group", "item"])
+@pytest.mark.parametrize("mode", ["item", "compiled"])
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_kernel_forms_agree(config, mode):
     """Every decomposed path must reproduce the auto-selected result."""
@@ -79,8 +81,14 @@ def test_kernel_forms_agree(config, mode):
     launched = {t.event.name for t in alt_queue.timeline
                 if t.event.kind is CommandKind.KERNEL}
     specs = {k.name: k for k in app.kernels(Variant.SYCL_OPT).values()}
+
+    def implements(spec):
+        if mode == "compiled":
+            return spec.compiled_form()[0] is not None
+        return getattr(spec, f"{mode}_fn") is not None
+
     expected = any(
-        getattr(specs[name], f"{mode}_fn") is not None
+        implements(specs[name])
         for name in launched if name in specs
         and not specs[name].is_single_task
     )

@@ -1,10 +1,9 @@
 """Cross-validation: per-work-item kernels (the 'real' SYCL semantics,
 with generator barriers) must agree with the numpy fast paths.
 
-Apps that supply a work-group-vectorized ``group_fn`` (NW, SRAD,
-KMeans) are parametrized over both decomposed paths — ``mode="item"``
-pins the strict per-item execution now that ``force_item`` alone would
-prefer the faster group path."""
+NW, SRAD and KMeans are parametrized over both forms an ``item_fn``
+runs in — ``mode="item"`` (the strict per-item interpreter) and
+``mode="compiled"`` (the batched program shadow-validated against it)."""
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ class TestMandelbrotItemPath:
 
 
 class TestNwItemPath:
-    @pytest.mark.parametrize("mode", ["item", "group"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_blocked_wavefront_with_barriers(self, mode):
         from repro.altis.nw import NW, _similarity
 
@@ -53,14 +52,14 @@ class TestNwItemPath:
                 kern, NdRange(Range(blocks * block), Range(block)),
                 (score, sim, tile, penalty, d, nb, n, block), mode=mode)
             assert stats.path == mode
-            # both decomposed paths honor the same phase structure: per
-            # group, one staging barrier + one per tile anti-diagonal
+            # both forms honor the same phase structure: per group, one
+            # staging barrier + one per tile anti-diagonal
             assert stats.barrier_phases == 2 * block * stats.groups
         np.testing.assert_array_equal(score, app.reference(wl)["score"])
 
 
 class TestKMeansItemPath:
-    @pytest.mark.parametrize("mode", ["item", "group"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_map_centers(self, mode):
         from repro.altis.kmeans import KMeans, _assign_points
 
@@ -80,7 +79,7 @@ class TestKMeansItemPath:
 
 
 class TestSradItemPath:
-    @pytest.mark.parametrize("mode", ["item", "group"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_both_kernels(self, mode):
         from repro.altis.srad import Srad
 

@@ -24,7 +24,7 @@ REPO_BENCH = Path(__file__).resolve().parent.parent / "BENCH_executor.json"
 
 
 def _record(**overrides) -> dict:
-    """A canonical repro-bench/1 record with plausible numbers."""
+    """A canonical repro-bench/2 record with plausible numbers."""
     rec = {
         "schema": BENCH_SCHEMA,
         "quick": True,
@@ -32,16 +32,12 @@ def _record(**overrides) -> dict:
         "environment": bench_environment(),
         "nw_wavefront": {
             "launches": 15,
-            "unplanned_s": [0.020, 0.021],
             "warm_planned_s": [0.010, 0.011],
             "floor_s": [0.008, 0.008],
-            "overhead_ratio": 3.0,
-            "wall_speedup": 1.9,
+            "overhead_ratio": 1.25,
         },
-        "srad_group": {"warm_planned_s": 0.05, "wall_speedup": 1.2},
-        "executor_tiers": {"item_s": 0.10, "group_s": 0.006,
+        "executor_tiers": {"item_s": 0.10,
                            "compiled_s": 0.005, "compiled_vs_item": 20.0,
-                           "compiled_vs_group": 1.2,
                            "apps": {
                                config: {"item_s": 0.08, "compiled_s": 0.004,
                                         "compiled_vs_item": 20.0}
@@ -64,9 +60,7 @@ def _scale_walls(rec: dict, factor: float) -> dict:
     'same machine, everything got slower/faster' shape."""
     out = copy.deepcopy(rec)
     nw = out["nw_wavefront"]
-    nw["unplanned_s"] = [v * factor for v in nw["unplanned_s"]]
     nw["warm_planned_s"] = [v * factor for v in nw["warm_planned_s"]]
-    out["srad_group"]["warm_planned_s"] *= factor
     out["executor_tiers"]["compiled_s"] *= factor
     out["figure_sweep"]["warm_s"] *= factor
     return out
@@ -94,10 +88,10 @@ def test_2x_dispatch_overhead_regression_flagged():
     prev = _record()
     latest = copy.deepcopy(prev)
     # a 2x dispatch-overhead regression: warm planned launches got twice
-    # as expensive and the overhead ratio collapsed accordingly
+    # as expensive over the same raw-generator floor
     latest["nw_wavefront"]["warm_planned_s"] = [
         v * 2.0 for v in prev["nw_wavefront"]["warm_planned_s"]]
-    latest["nw_wavefront"]["overhead_ratio"] = 1.0
+    latest["nw_wavefront"]["overhead_ratio"] = 2.5
     result = compare_records(prev, latest)
     assert result.status == "regression"
     assert result.exit_code == 1

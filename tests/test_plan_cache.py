@@ -18,7 +18,6 @@ from repro.sycl.ndrange import FenceSpace
 from repro.sycl.plan import (
     clear_plan_caches,
     plan_cache_info,
-    plans_disabled,
     set_plan_cache_limit,
 )
 
@@ -42,17 +41,17 @@ def _run_config(config: str):
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_goldens_byte_identical_with_plans(config):
-    """Every registry config: plans on vs plans off, byte-for-byte."""
+    """Every registry config: a run that compiles its plans and a second
+    run through the now-warm cache agree byte-for-byte."""
     clear_plan_caches()
-    planned = _run_config(config)
-    with plans_disabled():
-        legacy = _run_config(config)
-    assert set(planned) == set(legacy)
-    for key in legacy:
-        a, b = np.asarray(planned[key]), np.asarray(legacy[key])
+    cold = _run_config(config)
+    warm = _run_config(config)
+    assert set(cold) == set(warm)
+    for key in cold:
+        a, b = np.asarray(warm[key]), np.asarray(cold[key])
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), (
-            f"{config}: output {key!r} not byte-identical under plans")
+            f"{config}: output {key!r} differs between cold and warm plans")
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +62,8 @@ def _add_item(item, out):
     out[item.get_global_linear_id()] += 1
 
 
-def _add_group(group, out):
-    wg = group.get_local_range(0)
-    start = group.get_group_id(0) * wg
-    out[start:start + wg] += 1
-
-
 def _add_vector(nd_range, out):
     out[:nd_range.total_items()] += 1
-
-
-def _barrier_group(group, out):
-    wg = group.get_local_range(0)
-    start = group.get_group_id(0) * wg
-    out[start:start + wg] += 1
-    yield group.barrier(FenceSpace.LOCAL)
-    out[start:start + wg] *= 2
 
 
 def _barrier_item(item, out):
@@ -94,7 +79,7 @@ def _grid_item(item, out, tot):
 
 
 def _triple():
-    return KernelSpec(name="triple", item_fn=_add_item, group_fn=_add_group,
+    return KernelSpec(name="triple", item_fn=_add_item,
                       vector_fn=_add_vector)
 
 
@@ -104,53 +89,49 @@ def _stats_tuple(stats):
 
 
 class TestStatsParity:
-    @pytest.mark.parametrize("mode", ["vector", "group", "item"])
+    @pytest.mark.parametrize("mode", ["vector", "item"])
     def test_plain_paths(self, mode):
         clear_plan_caches()
         nd = NdRange(Range(16), Range(4))
-        out_p = np.zeros(16)
-        out_l = np.zeros(16)
-        # two planned runs: the warm (cache-hit) launch must report the
-        # same stats as the compile launch and the legacy path
-        run_nd_range(_triple(), nd, (out_p,), mode=mode)
-        warm = run_nd_range(_triple(), nd, (out_p,), mode=mode)
-        legacy = run_nd_range(_triple(), nd, (out_l,), mode=mode,
-                              use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
+        out_c = np.zeros(16)
+        out_w = np.zeros(16)
+        # the warm (cache-hit) launch must report the same stats as the
+        # compile launch
+        cold = run_nd_range(_triple(), nd, (out_c,), mode=mode)
+        warm = run_nd_range(_triple(), nd, (out_w,), mode=mode)
+        assert _stats_tuple(warm) == _stats_tuple(cold)
+        assert out_w.tobytes() == out_c.tobytes()
         assert plan_cache_info()["hits"] >= 1
 
     @pytest.mark.parametrize("kernel", [
-        KernelSpec(name="bg", group_fn=_barrier_group),
         KernelSpec(name="bi", item_fn=_barrier_item),
-    ], ids=["group-generator", "item-generator"])
+    ], ids=["item-generator"])
     def test_barrier_paths(self, kernel):
+        # the cold launch runs the strict phase engine, the warm one the
+        # lockstep fast path: same stats, same bytes
         clear_plan_caches()
         nd = NdRange(Range(12), Range(4))
-        run_nd_range(kernel, nd, (np.zeros(12),), force_item=True)
-        out_p = np.zeros(12)
-        out_l = np.zeros(12)
-        warm = run_nd_range(kernel, nd, (out_p,), force_item=True)
-        legacy = run_nd_range(kernel, nd, (out_l,), force_item=True,
-                              use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
-        assert out_p.tobytes() == out_l.tobytes()
-        np.testing.assert_array_equal(out_p, 2)
+        out_c = np.zeros(12)
+        out_w = np.zeros(12)
+        cold = run_nd_range(kernel, nd, (out_c,), force_item=True)
+        warm = run_nd_range(kernel, nd, (out_w,), force_item=True)
+        assert _stats_tuple(warm) == _stats_tuple(cold)
+        assert out_w.tobytes() == out_c.tobytes()
+        np.testing.assert_array_equal(out_w, 2)
 
     def test_grid_synchronized(self):
         clear_plan_caches()
         k = KernelSpec(name="grid", item_fn=_grid_item)
         nd = NdRange(Range(8), Range(4))
-        tot_p = np.zeros(8)
-        tot_l = np.zeros(8)
-        run_grid_synchronized(k, nd, (np.zeros(8), np.zeros(8)))
-        warm = run_grid_synchronized(k, nd, (np.zeros(8), tot_p))
-        legacy = run_grid_synchronized(k, nd, (np.zeros(8), tot_l),
-                                       use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
+        tot_c = np.zeros(8)
+        tot_w = np.zeros(8)
+        cold = run_grid_synchronized(k, nd, (np.zeros(8), tot_c))
+        warm = run_grid_synchronized(k, nd, (np.zeros(8), tot_w))
+        assert _stats_tuple(warm) == _stats_tuple(cold)
         # the grid barrier interlocks all items: every cell sees the full
         # phase-one sum
-        assert tot_p.tobytes() == tot_l.tobytes()
-        np.testing.assert_array_equal(tot_p, 8)
+        assert tot_w.tobytes() == tot_c.tobytes()
+        np.testing.assert_array_equal(tot_w, 8)
         assert plan_cache_info()["hits"] >= 1
 
 
@@ -185,25 +166,15 @@ class TestCacheBehavior:
             set_plan_cache_limit(previous)
             clear_plan_caches()
 
-    def test_disabled_means_no_cache_traffic(self):
-        clear_plan_caches()
-        nd = NdRange(Range(8), Range(4))
-        with plans_disabled():
-            out = np.zeros(8)
-            run_nd_range(_triple(), nd, (out,))
-            run_nd_range(_triple(), nd, (out,))
-        info = plan_cache_info()
-        assert info["size"] == 0 and info["compiles"] == 0
-
     def test_mode_errors_identical_cold_and_warm(self):
         clear_plan_caches()
         k = KernelSpec(name="vonly", vector_fn=_add_vector)
         nd = NdRange(Range(8), Range(4))
         messages = []
         for _ in range(2):
-            with pytest.raises(KernelLaunchError, match="has no group_fn") \
+            with pytest.raises(KernelLaunchError, match="has no item_fn") \
                     as excinfo:
-                run_nd_range(k, nd, (np.zeros(8),), mode="group")
+                run_nd_range(k, nd, (np.zeros(8),), mode="item")
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -254,8 +225,7 @@ def _pool_launch(seed: int) -> bytes:
     pickle it."""
     out = np.zeros(16)
     nd = NdRange(Range(16), Range(4))
-    k = KernelSpec(name="pool", item_fn=_add_item, group_fn=_add_group,
-                   vector_fn=_add_vector)
+    k = KernelSpec(name="pool", item_fn=_add_item, vector_fn=_add_vector)
     run_nd_range(k, nd, (out,), force_item=True)
     run_nd_range(k, nd, (out,), force_item=True)
     return out.tobytes()

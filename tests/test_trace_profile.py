@@ -163,12 +163,12 @@ def test_profile_plan_stats_match_span_counts():
 
 
 def test_profile_schema_and_run_identity():
-    run = _profile("NW", device_key="a100", mode="group", scale=0.02, seed=3)
+    run = _profile("NW", device_key="a100", mode="item", scale=0.02, seed=3)
     p = run.profile
     assert p["schema"] == PROFILE_SCHEMA
     assert p["run"]["app"] == "NW"
     assert p["run"]["device"] == "a100"
-    assert p["run"]["mode"] == "group"
+    assert p["run"]["mode"] == "item"
     assert p["run"]["seed"] == 3
     assert p["device_spec"]["key"] == "a100"
     # the whole report round-trips through JSON (no inf/NaN/objects)
@@ -273,7 +273,7 @@ def test_build_profile_synthetic_spans():
                      items=64, groups=4, barrier_phases=2,
                      modeled_device_us=100.0, modeled_overhead_us=5.0,
                      flops=1e6, global_bytes=1e3, fp64=False,
-                     path="group"):
+                     path="item"):
             pass
         tr.complete("k1", "modeled", 0.0, 105.0, kind="kernel",
                     device_us=100.0, overhead_us=5.0)

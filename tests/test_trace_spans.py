@@ -120,7 +120,7 @@ def test_metrics_reset():
 
 def test_traced_run_emits_full_hierarchy():
     with tracing() as tracer:
-        run_functional("NW", mode="group")
+        run_functional("NW", mode="item")
         events = tracer.events()
     cats = {ev.cat for ev in events}
     assert {"app", "launch", "kernel-form", "barrier-phase",
@@ -132,7 +132,7 @@ def test_traced_run_emits_full_hierarchy():
     for ev in launches:
         assert ev.parent_id == app_spans[0].id
         assert ev.args["modeled_device_us"] > 0.0
-        assert ev.args["path"] in ("vector", "group", "item")
+        assert ev.args["path"] in ("vector", "item", "compiled")
 
     # kernel-form segments sit under their launch span
     forms = [ev for ev in events if ev.cat == "kernel-form"]
@@ -149,7 +149,7 @@ def test_traced_run_updates_metrics():
     from repro.trace.metrics import registry
 
     with tracing():
-        run_functional("NW", mode="group")
+        run_functional("NW", mode="item")
     snap = registry.snapshot()
     assert snap["executor.launches"]["value"] > 0
     assert snap["queue.launch_wall_us"]["count"] > 0
@@ -232,7 +232,7 @@ def test_export_stringifies_unjsonable_args():
 def test_cli_trace_writes_valid_chrome_trace(tmp_path):
     out = tmp_path / "nw.json"
     status = main(["run", "NW", "--trace", "--trace-out", str(out),
-                   "--mode", "group", "--quiet"])
+                   "--mode", "item", "--quiet"])
     assert status == 0
     assert current_tracer() is None  # CLI restored the disabled state
     doc = json.loads(out.read_text())

@@ -49,7 +49,6 @@ from repro.sycl import (
 from repro.sycl.certificates import CertificateStore
 from repro.sycl.executor import (
     _nd_lattice,
-    _point_grid,
     clear_execution_caches,
     execution_cache_info,
     run_nd_range,
@@ -60,7 +59,7 @@ from repro.sycl.plan import (
     plan_cache_info,
     using_certificate_store,
 )
-from repro.sycl.vectorize import _group_lanes, _item_lanes
+from repro.sycl.vectorize import _item_lanes
 from repro.trace.metrics import registry
 
 
@@ -215,11 +214,6 @@ def _accumulate_item(item, out, n):
     out[0] += 1.0
 
 
-def _group_sum(group, out, src, n):
-    g = group.get_group_linear_id()
-    out[g] = src[g] * 3.0
-
-
 def _spec(fn, name="k", **kw):
     return KernelSpec(name=name, kind=KernelKind.ND_RANGE, item_fn=fn, **kw)
 
@@ -237,8 +231,8 @@ def test_eligible_forms():
                _loop_item, _min_builtin_item, _math_item):
         assert eligible_form(_spec(fn)) == ("item", None)
     form, reason = eligible_form(
-        KernelSpec(name="g", kind=KernelKind.ND_RANGE, group_fn=_group_sum))
-    assert (form, reason) == ("group", None)
+        KernelSpec(name="v", kind=KernelKind.ND_RANGE, vector_fn=_scale_item))
+    assert (form, reason) == (None, "no item_fn")
 
 
 def test_ineligible_reasons_are_precise():
@@ -263,7 +257,7 @@ def test_reference_form_only():
     compiled program must validate against the exact path a
     vectorize-disabled run would take."""
     spec = KernelSpec(name="both", kind=KernelKind.ND_RANGE,
-                      item_fn=_while_item, group_fn=_group_sum)
+                      item_fn=_while_item, vector_fn=_scale_item)
     form, reason = eligible_form(spec)
     assert form is None and reason.startswith("item_fn:")
 
@@ -299,6 +293,42 @@ def test_compiled_matches_interpreter_bitwise(fn):
     plan = get_plan(spec, _nd(64), mode="compiled")
     assert plan.path == "compiled"
     assert plan.compiled is not None and plan.compiled.validated
+
+
+def test_each_argument_signature_is_validated(tmp_path):
+    """One plan, two argument dtypes: the float64 launch must not ride
+    on the float32 launch's proof.  Each signature is shadow-validated
+    on its own arguments and gets its own certificate."""
+    spec = _spec(_scale_item)
+
+    def launch(dtype):
+        out = np.zeros(64, dtype)
+        run_nd_range(spec, _nd(), (out, np.ones(64, dtype), 64, dtype(2.0)),
+                     mode="compiled")
+        return out
+
+    with using_certificate_store(CertificateStore(tmp_path)) as store:
+        for dtype in (np.float32, np.float64, np.float32, np.float64):
+            assert np.all(launch(dtype) == 3.0)
+    info = plan_cache_info()
+    assert info["compiles"] == 1
+    assert info["validated_by"] == {"shadow": 2}
+    assert store.writes == 2
+    ck = get_plan(spec, _nd(), mode="compiled").compiled
+    assert {sig[0][1] for sig in ck.proofs} == {"[('', '<f4')]",
+                                                "[('', '<f8')]"}
+
+
+def test_cfd_fp64_is_validated_on_its_own_arguments():
+    """CFD FP32 and FP64 share one compiled plan; each precision is
+    proven separately in one process."""
+    from repro.harness.runner import run_functional
+
+    assert run_functional("CFD FP32", mode="compiled").verified
+    assert run_functional("CFD FP64", mode="compiled").verified
+    info = plan_cache_info()
+    assert info["compiles"] == 1
+    assert info["validated_by"] == {"shadow": 2}
 
 
 def test_plan_cache_reports_tiers():
@@ -463,21 +493,6 @@ def test_vectorize_disabled_round_trip():
     assert compile_batched(spec, _nd())[0] is not None  # re-enabled
 
 
-def test_group_form_batches():
-    spec = KernelSpec(name="gsum", kind=KernelKind.ND_RANGE,
-                      group_fn=_group_sum)
-    src = np.arange(8, dtype=np.float32)
-    ref = np.zeros(8, dtype=np.float32)
-    run_nd_range(spec, _nd(64, 8), (ref, src, 8), mode="group")
-    out = np.zeros(8, dtype=np.float32)
-    run_nd_range(spec, _nd(64, 8), (out, src, 8), mode="compiled")
-    stats = run_nd_range(spec, _nd(64, 8), (out, src, 8), mode="compiled")
-    assert out.tobytes() == ref.tobytes()
-    assert stats.path == "compiled"
-    ck, reason = compile_batched(spec, _nd(64, 8))
-    assert reason is None and ck.form == "group"
-
-
 def test_queue_compiled_default_mode():
     q = Queue("rtx2080", default_mode="compiled")
     n = 64
@@ -520,8 +535,7 @@ def _assert_lane(arr, expected):
 @given(shape=_launch_shapes())
 def test_lane_tables_follow_interpreter_order(shape):
     """The compiled tier's bitwise contract: lane ``k`` is the ``k``-th
-    work-item the interpreter visits (``_nd_lattice`` order), and group
-    lane ``k`` the ``k``-th group it visits (``_point_grid`` order)."""
+    work-item the interpreter visits (``_nd_lattice`` order)."""
     global_dims, local_dims = shape
     group_dims = tuple(g // l for g, l in zip(global_dims, local_dims))
     rows = [(gid, glob, lid)
@@ -537,13 +551,6 @@ def test_lane_tables_follow_interpreter_order(shape):
                             ("global_linear", 1, global_dims),
                             ("local_linear", 2, local_dims)):
         _assert_lane(lanes[name], [_row_major(r[col], dims) for r in rows])
-
-    grid = _point_grid(group_dims)
-    groups = _group_lanes(group_dims)
-    assert groups["n"] == len(grid)
-    for d in range(len(group_dims)):
-        _assert_lane(groups["group"][d], [p[d] for p in grid])
-    _assert_lane(groups["group_linear"], range(len(grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,9 @@ def _repro(*argv, cwd):
 
 def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     """Cold store, warm store and ``--no-cache`` print the same report;
-    the warm run validates nothing and hits every certificate."""
+    the warm run validates nothing and hits every certificate.  There
+    is one certificate per compiled plan and argument signature: 16
+    plans, plus CFD's one plan proven separately on its FP64 arguments."""
     cache = tmp_path / "cache"
     args = ("suite", "--mode", "compiled", "--cache-dir", str(cache))
     cold = _repro(*args, cwd=tmp_path)
@@ -453,7 +455,7 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
              if e.get("name") == "vectorize.validate"]
     assert spans == []
     metrics = doc["otherData"]["metrics"]
-    assert metrics["vectorize.certificate.hits"]["value"] == written == 16
+    assert metrics["vectorize.certificate.hits"]["value"] == written == 17
     assert metrics.get("vectorize.certificate.misses",
                        {"value": 0})["value"] == 0
     # --no-cache wrote nothing to the default root in the working dir
