@@ -94,7 +94,10 @@ def _kernel_item(item, out, width, height, max_iters):
     zy = np.float32(0.0)
     two = np.float32(2.0)
     four = np.float32(4.0)
-    count = 0
+    # counted in the buffer's int32, so the store never narrows
+    one = np.int32(1)
+    zero = np.int32(0)
+    count = zero
     alive = True
     for _ in range(max_iters):
         nzx = zx * zx - zy * zy + cx
@@ -103,7 +106,7 @@ def _kernel_item(item, out, width, height, max_iters):
         zy = np.where(alive, nzy, zy)
         escaped = zx * zx + zy * zy > four
         alive = np.logical_and(alive, np.logical_not(escaped))
-        count = count + np.where(alive, 1, 0)
+        count = count + np.where(alive, one, zero)
     out[gy, gx] = count
 
 

@@ -206,10 +206,6 @@ class NW(AltisApp):
             ),
             features={
                 "body_fmas": 0, "body_ops": 10, "global_access_sites": 4,
-                # every tile cell (halo + interior) is written before it
-                # is read within one launch, so pooled work-groups may
-                # retain the staged tile across wavefront launches
-                "local_mem_reuse": True,
                 "local_memories": [
                     {"bytes": tile_bytes, "static": static, "ports": 4,
                      "bankable": False},  # §5.2 case 3

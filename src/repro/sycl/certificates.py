@@ -19,7 +19,8 @@ program's code objects (with the launch-invariant globals they read),
 the global and local range, the kernel attributes, and the argument
 signature (ndarray dtype, shape and layout; ``LocalAccessor`` dtype and
 shape; scalar types).  A change to any of them is a different key, so a
-stale certificate is never found.  The host is in the key because the
+stale certificate is never found.  A launch whose buffers may share
+memory is never certified; it is shadow-validated in each process.  The host is in the key because the
 proof is host-dependent: the interpreter calls libm through ``math``
 while the batched program calls numpy's ufuncs, whose SIMD loops numpy
 picks per CPU, so a cache directory shared between hosts must not carry
@@ -69,7 +70,7 @@ from ..common.cache import (atomic_write, canonical_json, code_fingerprint,
                             content_key, resolve_cache_root)
 from ..resilience.faults import cache_read_corrupted as _cache_read_corrupted
 from ..trace.metrics import registry as _metrics
-from .vectorize import _SCALARS, _arg_signature
+from .vectorize import _SCALARS, _arg_signature, _overlaps
 
 __all__ = [
     "CERTIFICATE_SCHEMA",
@@ -158,8 +159,10 @@ def host_identity() -> dict:
 def certificate_payload(kernel, form: str, interp_fn, batched_fn, nd_range,
                         args: tuple) -> dict | None:
     """The key payload of one compiled launch, or ``None`` when an
-    argument has no stable signature (such launches are never
-    certified)."""
+    argument has no stable signature or buffers may share memory (such
+    launches are never certified)."""
+    if _overlaps(args):
+        return None
     signature = []
     for arg in args:
         sig = _arg_signature(arg)

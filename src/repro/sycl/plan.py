@@ -23,9 +23,8 @@ an immutable :class:`LaunchPlan`:
 
 Subsequent launches of the same tuple execute through the plan with
 zero re-inspection; plans also keep a **thread-local pool** of ``Group``
-objects, so the per-group index state (and, for kernels that declare
-the ``local_mem_reuse`` feature, their staged local tiles) is not
-rebuilt on every launch of a steady-state wavefront.
+objects, so the per-group index state is not rebuilt on every launch of
+a steady-state wavefront.
 
 Plans live in a process-wide LRU cache mirroring the executor's lattice
 caches — :func:`plan_cache_info` / :func:`clear_plan_caches` — and are
@@ -192,9 +191,10 @@ def plan_cache_info() -> dict:
             # under its interpreter tier with the reason it fell.
             "tiers": tiers,
             # how the live compiled plans' argument signatures were
-            # proven: "shadow" (this process compared bitwise),
-            # "certificate" (a persisted proof), or "unvalidated" for a
-            # plan with no proven signature yet
+            # proven: "static" (the exactness pass), "shadow" (this
+            # process compared bitwise), "certificate" (a persisted
+            # proof), or "unvalidated" for a plan with no proven
+            # signature yet
             "validated_by": validated_by,
         }
 
@@ -213,19 +213,16 @@ def plan_pool_stats() -> dict:
     Walks the cached plans and reports how many have materialized their
     *calling thread's* pooled ``Group`` objects (pools are thread-local,
     so other workers' pools are invisible here by design), how many
-    pooled groups that is in total, and how many plans opted into
-    ``local_mem_reuse``.  Used by the ``repro profile`` report.
+    pooled groups that is in total.  Used by the ``repro profile``
+    report.
     """
     with _LOCK:
         plans = list(_CACHE.values())
     pooled_plans = 0
     poolable_groups = 0
     materialized_groups = 0
-    local_mem_reuse_plans = 0
     for plan in plans:
         poolable_groups += plan.num_groups
-        if plan.local_mem_reuse:
-            local_mem_reuse_plans += 1
         groups = getattr(plan._tls, "groups", None)
         if groups is not None:
             pooled_plans += 1
@@ -235,7 +232,6 @@ def plan_pool_stats() -> dict:
         "pooled_plans": pooled_plans,
         "poolable_groups": poolable_groups,
         "materialized_groups": materialized_groups,
-        "local_mem_reuse_plans": local_mem_reuse_plans,
     }
 
 
@@ -365,7 +361,7 @@ class LaunchPlan:
     __slots__ = (
         "kernel", "nd_range", "path", "grid", "is_generator", "arity",
         "run_fn", "group_ids", "group_size", "num_groups",
-        "total_items", "local_mem_reuse", "barrier_schedule", "compiled",
+        "total_items", "barrier_schedule", "compiled",
         "fallback_reason", "_tls",
     )
 
@@ -417,7 +413,6 @@ class LaunchPlan:
         # resolved reference into the executor's memoized group grid;
         # the per-item lattice is looked up by ``_items`` on first use
         self.group_ids = _point_grid(nd_range.group_range().dims)
-        self.local_mem_reuse = bool(kernel.feature("local_mem_reuse"))
         #: per-group barrier-phase counts, recorded once by the first
         #: strict execution (``None`` until then; ``()`` for paths that
         #: never synchronize)
@@ -438,7 +433,7 @@ class LaunchPlan:
             "path": self.path,
             "compiled_form": ck.form if ck is not None else None,
             "compiled_validated": ck.validated if ck is not None else None,
-            # "shadow" / "certificate" once validated, else None
+            # "static" / "shadow" / "certificate" once validated, else None
             "validated_by": ck.validated_by if ck is not None else None,
             "grid": self.grid,
             "is_generator": self.is_generator,
@@ -448,7 +443,6 @@ class LaunchPlan:
             "groups": self.num_groups,
             "group_size": self.group_size,
             "items": self.total_items,
-            "local_mem_reuse": self.local_mem_reuse,
             "barrier_schedule": self.barrier_schedule,
             "fallback_reason": self.fallback_reason,
         }
@@ -459,18 +453,16 @@ class LaunchPlan:
         """This thread's pooled ``Group`` objects for the plan's range.
 
         Pools are thread-local, so concurrent ``pool_map`` workers
-        reusing one plan never share mutable group state.  Unless the
-        kernel declares the ``local_mem_reuse`` feature (a promise that
-        every local-memory cell is written before it is read, as NW's
-        tile wavefront does), each launch sees freshly cleared local
-        memory — indistinguishable from a brand-new ``Group``.
+        reusing one plan never share mutable group state.  Each launch
+        sees freshly cleared local memory — indistinguishable from a
+        brand-new ``Group``.
         """
         groups = getattr(self._tls, "groups", None)
         if groups is None:
             groups = tuple(Group(gid, self.nd_range)
                            for gid in self.group_ids)
             self._tls.groups = groups
-        elif not self.local_mem_reuse:
+        else:
             for group in groups:
                 if group._local_mem:
                     group._local_mem.clear()
@@ -488,7 +480,7 @@ class LaunchPlan:
                               for glob, lid in coords))
                 for group, (_, coords) in zip(groups, lattice))
             self._tls.items = pairs
-        elif not self.local_mem_reuse:
+        else:
             for group, _ in pairs:
                 if group._local_mem:
                     group._local_mem.clear()
@@ -565,13 +557,17 @@ class LaunchPlan:
         an out-of-bounds indirect store) propagate, exactly as the
         interpreter's would mid-loop.
 
-        With a certificate store installed
+        A signature the static exactness pass proves
+        (:func:`~repro.sycl.vectorize.prove_exact`) runs the batched
+        program directly from its first launch, with no store lookup and
+        no shadow run.  Otherwise, with a certificate store installed
         (:mod:`repro.sycl.certificates`), an intact certificate for this
         launch's key stands in for the shadow run, and a shadow run that
         matches writes one.
         """
         store = payload = None
-        proven = signature in ck.proofs
+        proven = (signature in ck.proofs
+                  or ck.prove_statically(self.run_fn, args, signature))
         if not proven:
             store = certificate_store()
             if store is not None:

@@ -26,9 +26,10 @@ new function ``<name>__batched`` taking ``(__lanes__, <index>, *args)``:
   arrays in exact interpreter iteration order;
 * ndarray arguments are wrapped in :class:`_BatchArray`, whose
   ``__getitem__`` gathers and ``__setitem__`` scatters under the
-  current lane mask;
+  current lane mask; any other subscript load goes through
+  ``__lanes__.take``, which neutralizes dead lanes' key components too;
 * a top-level ``if cond: return`` guard becomes ``__lanes__.refine``
-  (dead lanes never store);
+  (dead lanes never store; once none is live the body returns);
 * any other ``if`` becomes a pair of masked regions — the condition is
   evaluated **once** into a temp, then the body runs under
   ``__lanes__.where(temp)`` and the else-arm under ``where_not`` —
@@ -61,11 +62,29 @@ statically ineligible with a targeted reason.
 Why this cannot change results
 ------------------------------
 
-Static eligibility is necessary but not trusted: the first launch of
-each argument signature (buffer dtypes, shapes and layouts, scalar
-types) on a compiled plan runs the batched program on **copies** of
-the buffers while the interpreter runs on the real ones, and compares
-every output byte (:meth:`CompiledKernel.shadow_run` in
+Translation alone is not trusted.  A launch **signature** (buffer
+dtypes, shapes and layouts, scalar types, and which buffers may share
+memory) is proven before the batched program runs on real buffers, in
+one of two ways.
+
+:func:`prove_exact` proves it statically when the per-item and the
+batched program cannot differ in any bit: every lane-varying operation
+is correctly rounded or exact (``+ - * /``, ``sqrt``, comparisons,
+``minimum``/``maximum``, ``where``, non-narrowing casts, integer ops,
+indexing), each runs in the same dtype in both programs under NEP 50
+(index ids are weak Python ints per item but ``intp`` arrays batched),
+every lane-varying Python int stays inside ``intp`` by bounds taken
+from the launch shape, nothing raises per item where numpy does not,
+and every written buffer shares no memory with another argument and is
+touched only at one index that is a distinct id per work-item.  The
+pass refuses transcendental calls, ``**``, builtin ``min``/``max`` on
+floats, barrier kernels, ``LocalAccessor`` tiles and any numpy below
+2.0.
+
+Anything else is shadow-validated: the first launch of each signature
+on a compiled plan runs the batched program on **copies** of the
+buffers while the interpreter runs on the real ones, and compares every
+output byte (:meth:`CompiledKernel.shadow_run` in
 :meth:`~repro.sycl.plan.LaunchPlan.execute`).  Only a bitwise match
 proves that signature for direct batched execution; any mismatch or
 exception silently and permanently demotes the plan to the interpreter
@@ -75,7 +94,7 @@ emits a ``vectorize.fallback`` span, so tier coverage is observable in
 ``repro profile``.  With tracing on, each shadow validation runs inside
 a ``vectorize.validate`` span.
 
-A proof can outlive its process.  When a certificate store is installed
+A shadow proof can outlive its process.  When a certificate store is installed
 (:func:`repro.sycl.plan.using_certificate_store`; the ``suite`` and
 ``run`` subcommands install one unless given ``--no-cache``), a
 bitwise match writes a certificate keyed by the code fingerprint, numpy
@@ -85,8 +104,9 @@ whose first launch finds an intact certificate for the same key skips
 the shadow run and executes the batched program directly
 (``validated_by == "certificate"``); a missing, stale or damaged
 certificate means full shadow validation, exactly as without a store.
-Demotions are never persisted.  The ``vectorize.certificate.{hits,
-misses,writes,rejects}`` counters show what the store did.
+Demotions and static proofs are never persisted.  The
+``vectorize.static.proofs`` and ``vectorize.certificate.{hits,misses,
+writes,rejects}`` counters show which path proved what.
 """
 
 from __future__ import annotations
@@ -100,6 +120,7 @@ import re
 import textwrap
 import threading
 import types
+import warnings
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -116,6 +137,7 @@ __all__ = [
     "CompiledKernel",
     "compile_batched",
     "eligible_form",
+    "prove_exact",
     "translate",
     "vectorize_enabled",
     "vectorize_disabled",
@@ -381,7 +403,11 @@ class _Rewriter:
             if self.is_gen:
                 self.fail("guard return in a barrier kernel (lanes would "
                           "diverge at the barrier)")
-            return [ast.Expr(_lanes_call("refine", [self.expr(s.test)]))]
+            # once no lane is live, the rest of the body is skipped, as
+            # the interpreter skips it for every returned item
+            return [ast.If(test=ast.UnaryOp(op=ast.Not(), operand=_lanes_call(
+                "refine", [self.expr(s.test)])), body=[ast.Return()],
+                orelse=[])]
         # Predicated conditional: the condition is evaluated exactly once
         # (body stores may mutate its operands), then each arm runs with
         # the lane mask narrowed — a select-style conditional.
@@ -486,9 +512,14 @@ class _Rewriter:
             return _np_call("where", [self.expr(e.test), self.expr(e.body),
                                       self.expr(e.orelse)])
         if isinstance(e, ast.Subscript):
-            return ast.Subscript(value=self.expr(e.value),
-                                 slice=self.subscript_key(e.slice),
-                                 ctx=ast.Load())
+            key = self.subscript_key(e.slice)
+            if (isinstance(e.value, ast.Name) and e.value.id in self.params
+                    or any(isinstance(k, ast.Slice) for k in ast.walk(key))):
+                return ast.Subscript(value=self.expr(e.value), slice=key,
+                                     ctx=ast.Load())
+            # a gather from anything but an argument buffer (a tuple, a
+            # launch-invariant table) neutralizes dead lanes like one
+            return _lanes_call("take", [self.expr(e.value), key])
         if isinstance(e, ast.Attribute):
             return self.attribute(e)
         if isinstance(e, ast.Call):
@@ -673,7 +704,12 @@ def _function_source(fn) -> str:
     return "".join(lines[first:end])
 
 
-def _translate(fn) -> tuple:
+@lru_cache(maxsize=2)
+def _kernel_def(fn) -> ast.FunctionDef:
+    """The parsed ``def`` of a kernel, the translator's and the
+    exactness pass's input (neither mutates it).  A plan's first launch
+    proves what its compilation just translated, so the last two trees
+    spare a second parse; more would hold ~55 KB per kernel for good."""
     if getattr(fn, "__closure__", None):
         raise _Ineligible("kernel closes over free variables")
     try:
@@ -686,7 +722,11 @@ def _translate(fn) -> tuple:
         raise _Ineligible(f"source does not parse standalone ({exc})")
     if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
         raise _Ineligible("not a plain function definition")
-    fdef = tree.body[0]
+    return tree.body[0]
+
+
+def _translate(fn) -> tuple:
+    fdef = _kernel_def(fn)
     if fdef.decorator_list:
         raise _Ineligible("decorated kernels are not traceable")
     a = fdef.args
@@ -759,11 +799,22 @@ class _LaneCtx:
             return np.where(self.mask, c, 0)
         return c
 
-    def refine(self, cond) -> None:
+    def take(self, base, key):
+        """``base[key]`` with dead lanes' key components set to 0."""
+        if self.mask is None:
+            return base[key]
+        if isinstance(key, tuple):
+            return base[tuple([self.gather_index(c) for c in key])]
+        return base[self.gather_index(key)]
+
+    def refine(self, cond) -> bool:
+        """Retire the lanes ``cond`` holds for; returns whether any
+        lane is still live."""
         cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.n,))
         keep = np.logical_not(cond)
         self.mask = (keep.copy() if self.mask is None
                      else np.logical_and(self.mask, keep))
+        return bool(self.mask.any())
 
     @contextmanager
     def where(self, cond):
@@ -992,16 +1043,24 @@ def _arg_signature(arg) -> tuple | None:
     return None
 
 
+def _overlaps(args: tuple) -> tuple:
+    """The pairs of ndarray argument positions that may share memory."""
+    arrays = [(i, a) for i, a in enumerate(args) if isinstance(a, np.ndarray)]
+    return tuple((i, j) for k, (i, a) in enumerate(arrays)
+                 for j, b in arrays[k + 1:] if np.may_share_memory(a, b))
+
+
 class CompiledKernel:
     """One kernel's batched program, bound to one launch shape.
 
     A program is proven per launch **signature** (:meth:`signature`):
-    ``proofs`` maps each signature to how it was proven, ``"shadow"``
-    (this process compared bitwise, see :mod:`repro.sycl.plan`) or
-    ``"certificate"`` (a persisted proof, see
-    :mod:`repro.sycl.certificates`).  The first launch of an unproven
-    signature runs :meth:`shadow_run` on buffer copies and is proven
-    only on a bitwise match with the per-item interpreter.
+    ``proofs`` maps each signature to how it was proven, ``"static"``
+    (:func:`prove_exact` showed it exact), ``"shadow"`` (this process
+    compared bitwise, see :mod:`repro.sycl.plan`) or ``"certificate"``
+    (a persisted proof, see :mod:`repro.sycl.certificates`).  The first
+    launch of a signature not proven statically runs :meth:`shadow_run`
+    on buffer copies and is proven only on a bitwise match with the
+    per-item interpreter.
     """
 
     __slots__ = ("kernel_name", "form", "fn", "is_generator", "nd_range",
@@ -1025,8 +1084,10 @@ class CompiledKernel:
     @staticmethod
     def signature(args: tuple) -> tuple:
         """The launch signature a proof covers: one
-        :func:`_arg_signature` per argument."""
-        return tuple(_arg_signature(a) for a in args)
+        :func:`_arg_signature` per argument, then the pairs of buffers
+        that may share memory (:func:`_overlaps`), so a launch with
+        aliased buffers is proven on its own."""
+        return tuple(_arg_signature(a) for a in args) + (_overlaps(args),)
 
     @property
     def validated_by(self) -> str | None:
@@ -1097,6 +1158,17 @@ class CompiledKernel:
                 phases += 1
             return phases
 
+    def prove_statically(self, item_fn, args: tuple,
+                         signature: tuple) -> bool:
+        """Prove ``signature`` with :func:`prove_exact` instead of a
+        shadow run; records ``"static"`` and returns whether it did."""
+        if self.is_generator or prove_exact(item_fn, self.nd_range,
+                                            args) is not None:
+            return False
+        self.proofs[signature] = "static"
+        _metrics.counter("vectorize.static.proofs").inc()
+        return True
+
     def execute(self, args: tuple, tracer=None) -> int:
         """Bind and run on the real buffers (validated plans only)."""
         return self.run(self.bind(args), tracer)
@@ -1120,6 +1192,53 @@ class CompiledKernel:
                 if shadow.tobytes() != real.tobytes():
                     return False
         return True
+
+
+# ---------------------------------------------------------------------------
+# Static exactness proofs
+# ---------------------------------------------------------------------------
+
+def _numpy_major() -> int:
+    return int(np.__version__.split(".")[0])
+
+
+def _fp_errors_raise() -> str | None:
+    """Whether a floating-point warning the batched program ignores
+    would raise in the interpreter (``np.seterr``, a warnings filter)."""
+    if any(mode in ("raise", "call") for mode in np.geterr().values()):
+        return "numpy floating-point errors raise (np.seterr)"
+    for action, _msg, category, _module, _line in warnings.filters:
+        if issubclass(RuntimeWarning, category) and action == "error":
+            return "RuntimeWarning is an error (warnings filter)"
+    return None
+
+
+def prove_exact(item_fn, nd_range: NdRange, args: tuple) -> str | None:
+    """Whether one launch signature of ``item_fn`` is exact; ``None``
+    when it is, else the reason it is not proven.
+
+    An exact signature's batched program gives the interpreter's bytes
+    on every launch, so it needs no shadow run: every lane-varying
+    operation is correctly rounded or exact (allow-list), runs in the
+    same dtype in both programs under NEP 50, cannot raise in the
+    interpreter where numpy does not, and every written buffer is only
+    touched at one index that is a distinct id per work-item and shares
+    no memory with another argument.  A plan calls this once per
+    :meth:`CompiledKernel.signature`, which records the overlapping
+    buffers, so the proof covers every launch of that signature.
+    """
+    if _numpy_major() < 2:
+        return f"numpy {np.__version__} < 2.0 promotes differently (NEP 50)"
+    why = _fp_errors_raise()
+    if why is not None:
+        return why
+    from .exactness import analyze
+
+    reason, written = analyze(item_fn, nd_range, args)
+    if reason is None and any(w in pair for pair in _overlaps(args)
+                              for w in written):
+        return "a written buffer overlaps another argument"
+    return reason
 
 
 def eligible_form(kernel: KernelSpec) -> tuple:
@@ -1169,4 +1288,5 @@ def vectorize_cache_info() -> dict:
 
 def clear_vectorize_caches() -> None:
     translate.cache_clear()
+    _kernel_def.cache_clear()
     _item_lanes.cache_clear()

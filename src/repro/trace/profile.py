@@ -402,9 +402,7 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
     pools = pc.get("pools") or {}
     if pools:
         lines.append(f"- live plans: {pools.get('plans', 0)}, poolable "
-                     f"work-groups: {pools.get('poolable_groups', 0)}, "
-                     f"local_mem_reuse plans: "
-                     f"{pools.get('local_mem_reuse_plans', 0)}")
+                     f"work-groups: {pools.get('poolable_groups', 0)}")
     tiers = pc.get("tiers") or {}
     if tiers:
         lines.append("- execution tiers: " + ", ".join(

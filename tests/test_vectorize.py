@@ -295,7 +295,15 @@ def test_compiled_matches_interpreter_bitwise(fn):
     assert plan.compiled is not None and plan.compiled.validated
 
 
-def test_each_argument_signature_is_validated(tmp_path):
+@pytest.fixture
+def refuse_static(monkeypatch):
+    """Refuse every static proof, so exact kernels take the
+    certificate-or-shadow path."""
+    monkeypatch.setattr(vectorize, "prove_exact",
+                        lambda *args, **kwargs: "refused by the test")
+
+
+def test_each_argument_signature_is_validated(tmp_path, refuse_static):
     """One plan, two argument dtypes: the float64 launch must not ride
     on the float32 launch's proof.  Each signature is shadow-validated
     on its own arguments and gets its own certificate."""
@@ -321,14 +329,15 @@ def test_each_argument_signature_is_validated(tmp_path):
 
 def test_cfd_fp64_is_validated_on_its_own_arguments():
     """CFD FP32 and FP64 share one compiled plan; each precision is
-    proven separately in one process."""
+    proven separately in one process (statically: the flux kernel is
+    exact in both)."""
     from repro.harness.runner import run_functional
 
     assert run_functional("CFD FP32", mode="compiled").verified
     assert run_functional("CFD FP64", mode="compiled").verified
     info = plan_cache_info()
     assert info["compiles"] == 1
-    assert info["validated_by"] == {"shadow": 2}
+    assert info["validated_by"] == {"static": 2}
 
 
 def test_plan_cache_reports_tiers():
@@ -667,7 +676,7 @@ def test_source_read_without_code_positions_uses_inspect(monkeypatch):
 
 @pytest.mark.skipif(not vectorize_enabled(),
                     reason="certificates cover the compiled tier")
-def test_certified_plan_builds_no_lattice(tmp_path):
+def test_certified_plan_builds_no_lattice(tmp_path, refuse_static):
     n = 50
     src = np.linspace(0, 1, n, dtype=np.float32)
     spec = _spec(_scale_item)

@@ -14,7 +14,9 @@ interpreter-identical bytes.  Deterministic tests check that a real
 certificate planted for a wrong program, or for a monkeypatched
 ``translate``, is ignored; that demotions are never stored; and that
 cold, warm and ``--no-cache`` runs of ``repro suite --mode compiled``
-print byte-identical reports.
+print byte-identical reports.  Every test here but the CLI one refuses
+static proofs (see :func:`repro.sycl.vectorize.prove_exact`), which
+would otherwise prove most drawn kernels without a certificate.
 """
 
 from __future__ import annotations
@@ -72,11 +74,23 @@ REPO = Path(__file__).resolve().parent.parent
 ND = NdRange(Range(64), Range(16))
 
 
+#: the static exactness pass, kept for the tests that use it as an oracle
+_PROVE_EXACT = vectorize.prove_exact
+
+
 @pytest.fixture(autouse=True)
 def _fresh_plans():
     clear_plan_caches()
     yield
     clear_plan_caches()
+
+
+@pytest.fixture(autouse=True)
+def _no_static_proofs(monkeypatch):
+    """Most drawn kernels are exact; refusing the static pass keeps them
+    on the certificate-or-shadow path these tests cover."""
+    monkeypatch.setattr(vectorize, "prove_exact",
+                        lambda *args, **kwargs: "refused by the test")
 
 
 def _spec(fn, name="kcert"):
@@ -234,11 +248,22 @@ def _environment_changes(src, n):
 @example(lines_names=(["v0 = src[i]", "v1 = (v0 + min(0.25, 0.25))",
                        "out[i] = out[i] + (0.25 + v1)"], ["v0", "v1"]),
          n=33, seed=0)
+# builtin min() of a float32 lane and a float64 scalar returns either
+# dtype per item; the batched np.minimum is always float64
+@example(lines_names=(["v0 = src[i]", "v1 = min(v0, np.minimum(0.25, 0.25))",
+                       "out[i] = out[i] + (0.25 * v1)"], ["v0", "v1"]),
+         n=33, seed=0)
 def test_changed_key_component_misses(lines_names, n, seed):
-    """Every key change, on every drawn kernel."""
+    """Every key change, on every drawn kernel.  A float32 launch of a
+    kernel the static pass shows to diverge in dtype between the per-item
+    and the batched program may demote instead of proving; it still
+    finds no stale certificate and leaves the interpreter's bytes."""
     src_text = _assemble_guard(lines_names[0])
     spec = _spec(_make_kernel(src_text))
     src = np.random.default_rng(seed).random(n)
+    f32 = src.astype(np.float32)
+    why = _PROVE_EXACT(spec.item_fn, ND, (np.zeros(n, np.float32), f32, n))
+    divergent = why is not None and why.startswith("dtype divergence")
     for change, (patch, nd2, src2, n2) in _environment_changes(src, n).items():
         with tempfile.TemporaryDirectory() as root, \
                 using_certificate_store(CertificateStore(root)) as store:
@@ -250,7 +275,10 @@ def test_changed_key_component_misses(lines_names, n, seed):
                     patch(mp)
                 out, how = _compiled(spec, nd2, src2, n2)
             assert store.hits == 0, f"{change}: a stale certificate was found"
-            assert how == "shadow"
+            if change == "dtype" and divergent:
+                assert how in ("shadow", None)  # None: demoted
+            else:
+                assert how == "shadow"
             assert out.tobytes() == ref.tobytes(), \
                 f"{change}: output diverged from the interpreter:\n{src_text}"
 
@@ -288,6 +316,16 @@ def _interp_plant(fn, n=64):
     out = np.zeros(n)
     run_nd_range(_spec(fn, "kplant"), ND, (out, n), mode="item")
     return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 64])
+def test_cross_lane_store_is_never_exact(n):
+    """``_plant_bad``'s ``out[i % 4]`` (several work-items, one cell) is
+    what the batched program's last-writer-wins store cannot reproduce:
+    the static pass must refuse it at every size."""
+    why = _PROVE_EXACT(_plant_bad, ND, (np.zeros(n), n))
+    assert why is not None and "written" in why
+    assert _PROVE_EXACT(_plant_good, ND, (np.zeros(n), n)) is None
 
 
 def test_planted_certificate_for_wrong_program_is_ignored(tmp_path):
@@ -435,8 +473,9 @@ def _repro(*argv, cwd):
 def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     """Cold store, warm store and ``--no-cache`` print the same report;
     the warm run validates nothing and hits every certificate.  There
-    is one certificate per compiled plan and argument signature: 16
-    plans, plus CFD's one plan proven separately on its FP64 arguments."""
+    are 17 compiled argument signatures (16 plans, plus CFD's one plan
+    proven separately on its FP64 arguments): the static pass proves 10
+    in every process and the store certifies the other 7."""
     cache = tmp_path / "cache"
     args = ("suite", "--mode", "compiled", "--cache-dir", str(cache))
     cold = _repro(*args, cwd=tmp_path)
@@ -455,7 +494,9 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
              if e.get("name") == "vectorize.validate"]
     assert spans == []
     metrics = doc["otherData"]["metrics"]
-    assert metrics["vectorize.certificate.hits"]["value"] == written == 17
+    static = metrics["vectorize.static.proofs"]["value"]
+    assert metrics["vectorize.certificate.hits"]["value"] == written == 7
+    assert static == 10 and static + written == 17
     assert metrics.get("vectorize.certificate.misses",
                        {"value": 0})["value"] == 0
     # --no-cache wrote nothing to the default root in the working dir
@@ -464,7 +505,7 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["suite", "--cache-dir", "cache"],
-     ["repro.sycl.certificates", "repro.dpct.migrator",
+     ["repro.sycl.certificates", "repro.sycl.exactness", "repro.dpct.migrator",
       "repro.harness.experiments", "repro.trace.profile",
       "repro.fpga.replication", "repro.cuda", "multiprocessing",
       "concurrent.futures.process", "numpy.testing"]),

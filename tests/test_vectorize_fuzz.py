@@ -42,11 +42,16 @@ from repro.sycl import (  # noqa: E402
     NdRange,
     Range,
     eligible_form,
+    prove_exact,
     vectorize_enabled,
 )
 from repro.sycl.buffer import LocalAccessor  # noqa: E402
 from repro.sycl.executor import run_nd_range  # noqa: E402
-from repro.sycl.plan import clear_plan_caches, plan_cache_info  # noqa: E402
+from repro.sycl.plan import (  # noqa: E402
+    clear_plan_caches,
+    get_plan,
+    plan_cache_info,
+)
 from repro.trace.metrics import registry  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
@@ -290,3 +295,268 @@ def test_fuzz_injected_construct_demotes(lines_names, injection, seed):
     tiers = plan_cache_info()["tiers"]
     assert fragment in tiers["item"]["fallbacks"]["kfuzz_demoted"], \
         f"tier info lost the demotion reason: {tiers}"
+
+
+# ---------------------------------------------------------------------------
+# Static exactness proofs
+# ---------------------------------------------------------------------------
+
+#: leaves of the wider grammar: lanes of several dtypes, weak Python
+#: scalars (zero included, and one whose square times a lane id leaves
+#: int64), strong numpy scalars and the scalar argument
+_WIDE_LEAVES = ["v0", "v0", "i", "i", "s", "0.1", "2", "0", "0.0", "-1.5",
+                "3", "3037000500", "np.float32(0.1)", "np.float64(0.3)",
+                "np.int32(3)", "idx[i]"]
+
+
+@st.composite
+def _wide_expr(draw, depth, extra=()):
+    """An expression from a grammar wider than the translator's safe
+    subset: it reaches every hazard the static pass must refuse."""
+    leaves = st.sampled_from(_WIDE_LEAVES + list(extra))
+    if depth <= 0:
+        return draw(leaves)
+    # mostly exact arithmetic, so that most draws reach the proof; the
+    # hazards (pow, exp, builtin min/max) are rarer
+    kind = draw(st.sampled_from(
+        ["leaf"] * 4 + ["add"] * 5 + ["sub"] * 3 + ["mul"] * 5 + ["div"] * 3
+        + ["sqrt", "npmin", "npmax", "abs", "float", "ifexp", "where",
+           "pow", "exp", "minb", "maxb", "shl"]))
+    sub = _wide_expr(depth - 1, extra)
+    if kind == "leaf":
+        return draw(leaves)
+    ops = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
+    if kind in ops:
+        return f"({draw(sub)} {ops[kind]} {draw(sub)})"
+    if kind == "shl":
+        return f"({draw(sub)} << 31)"
+    if kind in ("sqrt", "exp", "abs", "float"):
+        fn = {"sqrt": "np.sqrt", "exp": "np.exp"}.get(kind, kind)
+        return f"{fn}({draw(sub)})"
+    if kind in ("npmin", "npmax", "minb", "maxb"):
+        fn = {"npmin": "np.minimum", "npmax": "np.maximum", "minb": "min",
+              "maxb": "max"}[kind]
+        return f"{fn}({draw(sub)}, {draw(sub)})"
+    cond = f"{draw(sub)} < {draw(sub)}"
+    if kind == "ifexp":
+        return f"({draw(sub)} if {cond} else {draw(sub)})"
+    return f"np.where({cond}, {draw(sub)}, {draw(sub)})"
+
+
+#: stores, including the racy and data-indexed ones
+_WIDE_STORES = [
+    "out[i] = {e}",
+    "out[i] = out[i] + {e}",
+    "out[i % 4] = {e}",
+    "out[i % 4] = out[i % 4] + {e}",
+    "out[idx[i]] = {e}",
+    "out[idx[i]] = out[idx[i]] + {e}",
+    "out[i] = out[np.minimum(i + 1, n - 1)] + {e}",
+    "out[i] = out[np.maximum(i - 1, 0)] + {e}",
+    "if {e} < 1.0:\n        out[i] = {e}",
+]
+
+
+@st.composite
+def _wide_source(draw):
+    lines = ["v0 = src[i]", f"v1 = {draw(_wide_expr(2))}"]
+    if draw(st.booleans()):
+        lines += ["acc = 0.0", "for q in range(3):",
+                  f"    acc = acc + {draw(_wide_expr(1, ['q', 'acc']))}",
+                  "v1 = v1 + acc"]
+    store = draw(st.sampled_from(_WIDE_STORES))
+    lines.append(store.format(e=draw(_wide_expr(2, ["v1"]))))
+    body = "\n".join("    " + line for line in lines)
+    return ("def kfuzz(item, out, src, idx, n, s):\n"
+            "    i = item.get_global_linear_id()\n"
+            "    if i >= n:\n"
+            "        return\n" + body + "\n")
+
+
+_WIDE_SCALARS = st.sampled_from([0.0, 1.5, 0, 3, np.float32(0.25),
+                                 np.float64(-2.0)])
+
+
+def _outcome(spec, nd, args, mode):
+    """The output bytes of one launch on copies, or the exception type
+    it raised."""
+    copies = tuple(a.copy() if isinstance(a, np.ndarray) else a
+                   for a in args)
+    try:
+        run_nd_range(spec, nd, copies, mode=mode)
+    except Exception as exc:  # noqa: BLE001 — compared, not hidden
+        return type(exc).__name__
+    return copies[0].tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(src_text=_wide_source(), n=st.integers(min_value=33, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**16),
+       dtypes=st.sampled_from([("f4", "f4"), ("f8", "f8"), ("f4", "f8"),
+                               ("f8", "f4"), ("i4", "i4"), ("i8", "i8")]),
+       s=_WIDE_SCALARS)
+def test_fuzz_static_proofs_are_sound(src_text, n, seed, dtypes, s):
+    """Every draw the static pass calls exact runs its batched program
+    directly (no shadow run) and must leave the interpreter's bytes."""
+    fn = _make_kernel(src_text)
+    spec = _spec(fn, "kwide")
+    if eligible_form(spec)[0] is None:
+        return  # outside the dialect: never compiled, nothing to prove
+    rng = np.random.default_rng(seed)
+    out_dt, src_dt = map(np.dtype, dtypes)
+    src = (rng.random(n) * 4 - 1).astype(src_dt) if src_dt.kind == "f" \
+        else rng.integers(-3, 4, n).astype(src_dt)
+    args = (np.zeros(n, out_dt), src,
+            rng.integers(0, n, n).astype(np.int32), n, s)
+    nd = NdRange(Range(64), Range(16))
+    if prove_exact(fn, nd, args) is not None:
+        return
+    clear_plan_caches()
+    hot = _outcome(spec, nd, args, "compiled")
+    plan = get_plan(spec, nd, mode="compiled")
+    assert plan.describe()["validated_by"] == "static", src_text
+    assert hot == _outcome(spec, nd, args, "item"), \
+        f"a statically proven kernel diverged from the interpreter:\n" \
+        f"{src_text}\nargs dtypes {dtypes}, s={s!r}"
+
+
+#: (body after ``v0 = src[i]``, src dtype, reason fragment): each is
+#: one hazard the static pass must refuse
+_HAZARDS = {
+    "weak int x float32": ("out[i] = i * np.float32(0.5)", "f4",
+                           "dtype divergence"),
+    "power": ("out[i] = v0 ** 2", "f8", "`**`"),
+    "exp": ("out[i] = np.exp(v0)", "f8", "np.exp"),
+    "mixed min": ("out[i] = min(v0, np.float64(0.25))", "f4",
+                  "dtype divergence"),
+    "mixed max": ("out[i] = max(v0, np.float64(0.25))", "f4",
+                  "dtype divergence"),
+    "float min": ("out[i] = min(v0, 0.25)", "f8", "NaN"),
+    "python zero division": ("out[i] = v0 + 1.0 / s", "f8", "ZeroDivision"),
+    "cross-lane store": ("out[i % 4] = v0", "f8", "written"),
+    "data-indexed store": ("out[idx[i]] = v0", "f8", "written"),
+    "read of a written buffer": (
+        "out[i] = out[np.minimum(i + 1, n - 1)] + v0", "f8", "written"),
+    "python int into int32": ("iout = idx\n    iout[i] = i * 100000000",
+                              "f8", "OverflowError"),
+    "unbounded python int into int64": ("src[i] = n", "i8", "OverflowError"),
+    "shift out of int64": ("src[i] = (i << 31) << 31", "i8", "leave int64"),
+    "product out of int64 into float": (
+        "out[i] = i * 3037000500 * 3037000500 * 1.0", "f8", "leave int64"),
+    "unbounded python int and a lane id": ("src[i] = i + n", "i8",
+                                           "leave int64"),
+    "python int through a batched select": (
+        "src[i] = (n if s > 0.0 else 0) * 3037000500 * 3037000500", "i8",
+        "leave int64"),
+    "float into int32": ("idx[i] = v0", "f8", "integer buffer"),
+    "bool arithmetic": ("out[i] = (v0 < 1.0) + (v0 > 0.0)", "f8",
+                        "boolean"),
+    "in-place update of an alias": ("w = v0 + 1.0\n    u = w\n    u += 1.0"
+                                    "\n    out[i] = w", "f8", "alias"),
+    "in-place update of an id": ("k = item.get_global_linear_id()\n"
+                                 "    k += 1\n    out[i] = v0 + k", "f8",
+                                 "index table"),
+}
+
+
+def _hazard_kernel(body):
+    return _make_kernel(
+        "def kfuzz(item, out, src, idx, n, s):\n"
+        "    i = item.get_global_linear_id()\n"
+        "    if i >= n:\n"
+        "        return\n"
+        "    v0 = src[i]\n"
+        f"    {body}\n")
+
+
+@pytest.mark.parametrize("hazard", sorted(_HAZARDS))
+def test_static_pass_refuses_hazard(hazard):
+    body, src_dt, fragment = _HAZARDS[hazard]
+    fn = _hazard_kernel(body)
+    args = (np.zeros(40), np.ones(40, src_dt), np.zeros(40, np.int32), 40,
+            1.0)
+    why = prove_exact(fn, NdRange(Range(64), Range(16)), args)
+    assert why is not None and fragment in why, why
+
+
+def test_static_pass_refuses_barriers_tiles_and_old_numpy(monkeypatch):
+    nd = NdRange(Range(32), Range(8))
+    tile_fn = _make_kernel(
+        "def kfuzz(item, out, tile):\n"
+        "    t = item.get_local_id(0)\n"
+        "    tile[t] = 1.0\n"
+        "    out[item.get_global_linear_id()] = tile[t]\n")
+    why = prove_exact(tile_fn, nd, (np.zeros(32), LocalAccessor((8,),
+                                                                np.float64)))
+    assert "LocalAccessor" in why
+    barrier_fn = _make_kernel(
+        "def kfuzz(item, out):\n"
+        "    yield item.barrier()\n"
+        "    out[item.get_global_linear_id()] = 1.0\n")
+    assert "barrier" in prove_exact(barrier_fn, nd, (np.zeros(32),))
+    exact = _hazard_kernel("out[i] = v0 * 2.0 + s")
+    args = (np.zeros(40), np.ones(40), np.zeros(40, np.int32), 40, 1.0)
+    assert prove_exact(exact, NdRange(Range(64), Range(16)), args) is None
+    monkeypatch.setattr(np, "__version__", "1.26.4")
+    assert "numpy 1.26.4 < 2.0" in prove_exact(
+        exact, NdRange(Range(64), Range(16)), args)
+
+
+@pytest.mark.parametrize("body, items, exact", [
+    ("iout[i] = i * i * i", 64, True),
+    ("iout[i] = i * i * i", 2 ** 22, False),
+    ("iout[i] = (i << 31) << 31", 2, True),
+    ("iout[i] = -abs(i - 5) // 3 + i % 5 + (i & 7 | 3)", 64, True),
+    ("out[i] = i / 3", 64, True),
+    ("out[i] = i / 3", 2 ** 54, False),
+    ("out[i] = 1.0 if i < 0.5 else 0.0", 2 ** 54, False),
+    ("out[i] = i", 2 ** 60, False),
+    ("iout[i] = np.minimum(i, np.int32(5))", 64, True),
+    ("iout[i] = np.minimum(i, np.int32(5))", 2 ** 32, False),
+])
+def test_static_pass_bounds_python_int_ids(body, items, exact):
+    """Lane ids are unbounded Python ints per item but wrapping ``intp``
+    batched: a proof needs bounds from the launch shape that keep every
+    Python int inside ``intp`` (and inside 2**53 where it meets a
+    float, or the narrower type it runs in)."""
+    fn = _make_kernel("def kfuzz(item, out, iout):\n"
+                      "    i = item.get_global_linear_id()\n"
+                      f"    {body}\n")
+    why = prove_exact(fn, NdRange(Range(items), Range(1)),
+                      (np.zeros(64), np.zeros(64, np.int64)))
+    assert (why is None) == exact, why
+
+
+def test_aliased_relaunch_of_a_proven_signature_is_not_trusted():
+    """Buffer overlap is part of the launch signature: a second launch
+    of a statically proven plan with aliased buffers is not covered by
+    the first proof, and leaves the interpreter's bytes."""
+    fn = _make_kernel(
+        "def kfuzz(item, out, src):\n"
+        "    i = item.get_global_linear_id()\n"
+        "    out[i] = src[np.maximum(i - 1, 0)] + 1.0\n")
+    spec = _spec(fn, "kalias")
+    nd = NdRange(Range(32), Range(8))
+    clear_plan_caches()
+    run_nd_range(spec, nd, (np.zeros(32), np.zeros(32)), mode="compiled")
+    plan = get_plan(spec, nd, mode="compiled")
+    assert plan.describe()["validated_by"] == "static"
+    buf, expected = np.arange(34.0), np.arange(34.0)
+    run_nd_range(spec, nd, (buf[2:], buf[:32]), mode="compiled")
+    run_nd_range(spec, nd, (expected[2:], expected[:32]), mode="item")
+    assert buf.tobytes() == expected.tobytes()
+    # the aliased signature went to the shadow run, which caught it
+    assert plan.describe()["fallback_reason"] == \
+        "batched result diverged from the interpreter"
+
+
+def test_static_pass_refuses_overlapping_buffers():
+    fn = _make_kernel(
+        "def kfuzz(item, out, src):\n"
+        "    i = item.get_global_linear_id()\n"
+        "    out[i] = src[i] + 1.0\n")
+    nd = NdRange(Range(32), Range(8))
+    buf = np.zeros(33)
+    assert prove_exact(fn, nd, (buf[:32], buf[1:])) is not None
+    assert prove_exact(fn, nd, (np.zeros(32), np.zeros(32))) is None

@@ -39,6 +39,7 @@ API_MODULES = [
     "repro.sycl.executor",
     "repro.sycl.plan",
     "repro.sycl.vectorize",
+    "repro.sycl.exactness",
     "repro.sycl.certificates",
     "repro.harness.runner",
     "repro.harness.resultdb",
