@@ -64,8 +64,9 @@ def _add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--no-cache", action="store_true",
                             help="disable the persistent caches: the figure "
                                  "cache, and the validation certificates "
-                                 "(every compiled plan re-runs full shadow "
-                                 "validation)")
+                                 "(compiled plans the static pass cannot "
+                                 "prove are validated in every process, by "
+                                 "replay or a shadow run)")
     sub_parser.add_argument("--cache-dir", default=None,
                             help="persistent cache directory (default: "
                                  "$REPRO_CACHE_DIR or .repro_cache)")

@@ -1,8 +1,9 @@
-"""Validation certificates: a shadow validation proven once, trusted
+"""Validation certificates: a runtime validation proven once, trusted
 across processes.
 
 A compiled plan's first launch proves its batched program bitwise equal
-to the interpreter (shadow validation, see :mod:`repro.sycl.vectorize`).
+to the interpreter (replay or shadow validation, see
+:mod:`repro.sycl.vectorize`).
 That proof used to die with the process, so every fresh ``repro suite
 --mode compiled`` re-ran the per-item interpreter for every plan.  The
 paper's FPGA flow compiles a design once and reuses the bitstream; this
@@ -13,25 +14,25 @@ directly.
 
 The key is a sha256 over :func:`certificate_payload`: the schema, the
 package :func:`~repro.common.cache.code_fingerprint`, the numpy
-version, the host (:func:`host_identity`), the kernel name and batched
-form, digests of the interpreter function's and the translated
-program's code objects (with the launch-invariant globals they read),
-the global and local range, the kernel attributes, and the argument
-signature (ndarray dtype, shape and layout; ``LocalAccessor`` dtype and
-shape; scalar types).  A change to any of them is a different key, so a
-stale certificate is never found.  A launch whose buffers may share
-memory is never certified; it is shadow-validated in each process.  The host is in the key because the
-proof is host-dependent: the interpreter calls libm through ``math``
-while the batched program calls numpy's ufuncs, whose SIMD loops numpy
-picks per CPU, so a cache directory shared between hosts must not carry
-one host's proof to another.
+version, the host (:func:`host_identity`), the kernel name, digests
+of the interpreter function's and the translated program's code
+objects (with the launch-invariant globals they read), the global and
+local range, the kernel attributes, and the argument signature (ndarray
+dtype, shape and layout; ``LocalAccessor`` dtype and shape; scalar
+types).  A change to any of them is a different key, so a stale
+certificate is never found.  A launch whose buffers may share memory is
+never certified; it is validated in each process.  The host is in the
+key because the proof is host-dependent: the interpreter calls libm
+through ``math`` while the batched program calls numpy's ufuncs, whose
+SIMD loops numpy picks per CPU, so a cache directory shared between
+hosts must not carry one host's proof to another.
 
 The file holds the full payload, and a read compares the whole file
 byte for byte with the document the current launch would write.
 Anything else — a missing, unreadable, corrupt, truncated,
 foreign-schema or mismatched file, or an injected ``cache:corrupt``
 fault on ``certificate:<key>`` — is a miss, and a miss means full
-shadow validation, followed by a rewrite when the program matches.
+validation, followed by a rewrite when the program matches.
 Only bitwise matches are written; a demotion never is.
 
 Library callers persist nothing: the store is process-wide and off
@@ -42,7 +43,7 @@ until someone installs one with
 on the first compiled launch that needs validating).
 
 >>> import tempfile
->>> payload = {"kernel": "k", "form": "item"}
+>>> payload = {"kernel": "k"}
 >>> with tempfile.TemporaryDirectory() as root:
 ...     store = CertificateStore(root)
 ...     first = store.lookup(payload)
@@ -81,7 +82,7 @@ __all__ = [
 
 #: bumped whenever the payload layout or its meaning changes; a file of
 #: another schema is a miss
-CERTIFICATE_SCHEMA = 1
+CERTIFICATE_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def host_identity() -> dict:
     }
 
 
-def certificate_payload(kernel, form: str, interp_fn, batched_fn, nd_range,
+def certificate_payload(kernel, interp_fn, batched_fn, nd_range,
                         args: tuple) -> dict | None:
     """The key payload of one compiled launch, or ``None`` when an
     argument has no stable signature or buffers may share memory (such
@@ -175,7 +176,6 @@ def certificate_payload(kernel, form: str, interp_fn, batched_fn, nd_range,
         "numpy": np.__version__,
         "host": host_identity(),
         "kernel": kernel.name,
-        "form": form,
         "interp_code": _function_digest(interp_fn),
         "batched_code": _function_digest(batched_fn),
         "global_range": list(nd_range.global_range.dims),

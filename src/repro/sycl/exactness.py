@@ -13,14 +13,21 @@ work-items, and anything that could raise per item where numpy does
 not.  A per-item Python int the batched program holds in an array (an
 index id, and arithmetic on ids) is unbounded per item but a wrapping
 ``intp`` batched, so each carries bounds derived from the launch shape
-and is refused once they may leave ``intp``.  Module-level numbers (and tuples of them) count as constants.
-Loaded only when a compiled plan first needs a proof.
+and is refused once they may leave ``intp``.  Module-level numbers (and
+tuples of them) count as constants.  Barrier kernels are proven like
+any other: the race rule keeps every work-item off the slots another
+writes, so no data crosses a barrier.
+
+In launch mode (``sites`` given) scalar arguments count as this launch's
+constants, and a lane-varying ``math.*`` call, ``**`` or ufunc outside
+the allow-list is recorded as a residual site for replay validation
+instead of refused.  Loaded only when a compiled plan first needs a
+proof.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
 import itertools
 import math
 import operator
@@ -30,7 +37,8 @@ import numpy as np
 
 from .buffer import LocalAccessor
 from .ndrange import NdRange
-from .vectorize import _SCALAR_ARGS, _kernel_def, _literal_only, translate
+from .vectorize import (_EXACT_UFUNCS, _MATH_TO_NP, _SCALAR_ARGS,
+                        _kernel_def, _literal_only, _site, translate)
 
 __all__ = ["analyze"]
 
@@ -44,17 +52,6 @@ def _no(reason: str):
     raise _NotExact(reason)
 
 
-#: numpy ufuncs a lane-varying value may pass through: each computes one
-#: correctly rounded (or exact) result per element, so numpy's scalar
-#: loop and its SIMD array loop produce the same bits
-_EXACT_UFUNCS = frozenset({
-    "add", "subtract", "multiply", "divide", "true_divide", "negative",
-    "positive", "absolute", "fabs", "sqrt", "minimum", "maximum", "floor",
-    "ceil", "trunc", "copysign", "floor_divide", "remainder",
-    "logical_and", "logical_or", "logical_xor", "logical_not", "equal",
-    "not_equal", "less", "less_equal", "greater", "greater_equal",
-    "bitwise_and", "bitwise_or", "bitwise_xor",
-})
 #: operations whose result on integer operands is exact at any width
 _VALUE_OPS = frozenset({
     "minimum", "maximum", "logical_and", "logical_or", "logical_xor",
@@ -330,16 +327,35 @@ def _injective(terms: set, gdims: tuple, ldims: tuple) -> bool:
     return True
 
 
+def _replay_form(v: _V) -> str:
+    """How the interpreter holds a residual call's operand, rebuilt by
+    replay validation from the batched program's element: ``"py"`` a
+    Python scalar (``tolist``), ``"np"`` a numpy scalar, ``"0d"`` a 0-d
+    array.  Each must rebuild the per-item value exactly."""
+    s, bd = v.s, v.bd
+    if type(s) is int and bd.kind in "iu" or type(s) in (bool, float) \
+            and bd == _PY_DTYPES[type(s)]:
+        return "py"
+    if isinstance(s, np.generic) and s.dtype == bd:
+        return "np"
+    if isinstance(s, np.ndarray) and s.ndim == 0 and s.dtype == bd:
+        return "0d"
+    _no(f"a residual call's operand is {_dt(s)} per item but {bd} batched")
+
+
 class _Prover:
     """Abstract interpretation of one kernel body, typing every value in
     the per-item program and in the batched program at once (NEP 50
     promotion, evaluated on representatives of each type).  Raises
     :class:`_NotExact` at the first construct it cannot prove."""
 
-    def __init__(self, fn, gdims: tuple, ldims: tuple):
+    def __init__(self, fn, gdims: tuple, ldims: tuple, sites=None):
         self.fn = fn
         self.glb = fn.__globals__
         self.gdims, self.ldims = gdims, ldims
+        #: launch mode: the residual call sites found so far (``None``:
+        #: the signature-wide mode, which refuses them)
+        self.sites = sites
         self.env: dict = {}
         self.access: dict = {}
         self.writes: set = set()
@@ -383,7 +399,7 @@ class _Prover:
         if isinstance(arg, LocalAccessor):
             _no("LocalAccessor tiles are not proven")
         if arg is None or isinstance(arg, _SCALAR_ARGS):
-            return _uni(arg)
+            return _uni(arg, known=self.sites is not None)
         _no(f"argument {name!r} of type {type(arg).__name__}")
 
     # -- statements --------------------------------------------------------
@@ -665,11 +681,17 @@ class _Prover:
         if isinstance(e, ast.Name):
             return self.name(e.id)
         if isinstance(e, ast.BinOp):
-            if isinstance(e.op, ast.Pow):
+            if isinstance(e.op, ast.Pow) and self.sites is None:
                 _no("`**` is not exact (scalar and array powers round "
                     "differently)")
             left = self.values(self.expr(e.left))
             right = self.values(self.expr(e.right))
+            if isinstance(e.op, ast.Pow):
+                if any(type(a.s) is int and type(b.s) is int
+                       for a in left for b in right):
+                    _no("a Python int power is unbounded per item")
+                return self.residual(e, operator.pow, operator.pow,
+                                     [left, right])
             return _join(self.binop(e.op, a, b) for a in left for b in right)
         if isinstance(e, ast.UnaryOp):
             return _join(self.unary(e.op, v)
@@ -772,13 +794,13 @@ class _Prover:
                 b.known and type(b.s) is int and 0 <= b.s < 32):
             _no("shift by a count that is not a small constant")
         s = _evaluate(fn, a.s, b.s)
+        span = _int_span(name, _span(a), _span(b)) if type(s) is int \
+            else None
         if a.same and b.same:
-            return _uni(s, known=a.known and b.known)
+            return _uni(s, known=a.known and b.known, span=span)
         if name == "true_divide" and type(a.s) is int and type(b.s) is int:
             self.float_exact(a, b)  # Python's int / int rounds once
         self.same_loop(name, (a, b))
-        span = _int_span(name, _span(a), _span(b)) if type(s) is int \
-            else None
         return _V(s, _evaluate(fn, a.b, b.b), lane=a.lane or b.lane,
                   span=span)
 
@@ -867,7 +889,7 @@ class _Prover:
                 _no(f"dtype divergence: {what} is {sd} per item but {bd} "
                     "batched")
             out.append(_V(v.s, b, lane=isinstance(b, np.ndarray)
-                          and b.ndim > 0, known=v.known, span=v.span))
+                          and b.ndim > 0, known=v.known, span=_span(v)))
         return out
 
     def if_exp(self, e: ast.IfExp) -> tuple:
@@ -900,6 +922,13 @@ class _Prover:
             return self.index_call(func.attr, e)
         module = self.glb.get(root.id) if root.id not in self.env else None
         modname = getattr(module, "__name__", "")
+        if (self.sites is not None and module is math
+                and func.value is root and func.attr in _MATH_TO_NP
+                and not e.keywords):
+            return self.residual(
+                e, getattr(math, func.attr),
+                getattr(np, _MATH_TO_NP[func.attr]),
+                [self.values(self.expr(a)) for a in e.args])
         if not isinstance(module, types.ModuleType) or modname != "numpy" \
                 or func.value is not root:
             _no(f"{ast.unparse(func)}() is not an allow-listed numpy "
@@ -943,6 +972,9 @@ class _Prover:
             return self.np_cast(fn, args[0])
         if isinstance(fn, np.ufunc) and func.attr in _EXACT_UFUNCS:
             return self.np_ufunc(func.attr, fn, args)
+        if self.sites is not None and isinstance(fn, np.ufunc) \
+                and fn.nout == 1 and fn.nin == len(args):
+            return self.residual(e, fn, fn, args)
         _no(f"np.{func.attr} is not in the exact allow-list (not "
             "correctly rounded, or not elementwise)")
 
@@ -980,6 +1012,37 @@ class _Prover:
             out.append(_V(_evaluate(fn, *[v.s for v in combo]),
                           _evaluate(fn, *[v.b for v in combo]),
                           lane=any(v.lane for v in combo)))
+        return _join(out)
+
+    def residual(self, node, item_fn, batched_fn, args: list) -> tuple:
+        """A call outside the exact allow-list, in launch mode: the
+        per-item program calls ``item_fn``, the batched one
+        ``batched_fn``.  A lane-varying (or, for two callables, any)
+        call is recorded as a residual site, which replay validation
+        checks per live lane on the operands in the interpreter's form
+        (:func:`_replay_form`); it must be elementwise over real scalars
+        and return one dtype in both programs."""
+        out, forms = [], set()
+        for combo in itertools.product(*args):
+            self.operands(*combo)
+            s = _evaluate(item_fn, *[v.s for v in combo])
+            b = _evaluate(batched_fn, *[v.b for v in combo])
+            if item_fn is batched_fn and all(v.same for v in combo):
+                out.append(_uni(s, known=all(v.known for v in combo)))
+                continue
+            if not _scalar(s) or _dtype_of(s) != _dt(b):
+                _no(f"dtype divergence: a residual call returns {_dt(s)} "
+                    f"per item but {_dt(b)} batched")
+            forms.add(tuple(_replay_form(v) for v in combo))
+            out.append(_V(s, b, lane=any(v.lane for v in combo)))
+        if forms:
+            site = _site(node)
+            if site in self.sites:
+                forms.add(self.sites[site][1])
+            if len(forms) > 1:
+                _no("a residual call's operands change form between "
+                    "variants")
+            self.sites[site] = (item_fn, forms.pop())
         return _join(out)
 
     def builtin(self, name: str, args: list) -> tuple:
@@ -1047,19 +1110,25 @@ class _Prover:
         return (_uni(extent, known=True),)
 
 
-def analyze(item_fn, nd_range: NdRange, args: tuple) -> tuple:
+def analyze(item_fn, nd_range: NdRange, args: tuple,
+            sites: dict | None = None) -> tuple:
     """``(None, written buffer positions)`` when this launch signature
-    of ``item_fn`` is exact, else ``(reason, ())``."""
-    if inspect.isgeneratorfunction(item_fn):
-        return "barrier kernels are not proven", ()
+    of ``item_fn`` is exact, else ``(reason, ())``.  With ``sites`` the
+    pass runs in launch mode (see
+    :func:`~repro.sycl.vectorize.prove_exact`) and, on success, records
+    the residual call sites there."""
     if nd_range.total_items() == 0:
         return "empty launch", ()
     if translate(item_fn)[0] is None:
         return "not batchable", ()
+    found = None if sites is None else {}
     prover = _Prover(item_fn, nd_range.global_range.dims,
-                     nd_range.local_range.dims)
+                     nd_range.local_range.dims, found)
     try:
         with np.errstate(all="ignore"):
-            return None, prover.prove(args)
+            written = prover.prove(args)
     except _NotExact as exc:
         return str(exc), ()
+    if sites is not None:
+        sites.update(found)
+    return None, written

@@ -191,10 +191,11 @@ def plan_cache_info() -> dict:
             # under its interpreter tier with the reason it fell.
             "tiers": tiers,
             # how the live compiled plans' argument signatures were
-            # proven: "static" (the exactness pass), "shadow" (this
-            # process compared bitwise), "certificate" (a persisted
-            # proof), or "unvalidated" for a plan with no proven
-            # signature yet
+            # proven: "static" (the exactness pass), "replay" (exact
+            # for one launch apart from residual calls checked per
+            # lane), "shadow" (this process compared bitwise),
+            # "certificate" (a persisted proof), or "unvalidated" for a
+            # plan with no proven signature yet
             "validated_by": validated_by,
         }
 
@@ -431,9 +432,9 @@ class LaunchPlan:
         return {
             "kernel": self.kernel.name,
             "path": self.path,
-            "compiled_form": ck.form if ck is not None else None,
             "compiled_validated": ck.validated if ck is not None else None,
-            # "static" / "shadow" / "certificate" once validated, else None
+            # "static" / "replay" / "shadow" / "certificate" once
+            # validated, else None
             "validated_by": ck.validated_by if ck is not None else None,
             "grid": self.grid,
             "is_generator": self.is_generator,
@@ -530,7 +531,6 @@ class LaunchPlan:
         signature = ck.signature(args)
         with (tracer.span(f"{self.kernel.name}:compiled", "kernel-form",
                           kernel=self.kernel.name, path="compiled",
-                          batched_form=ck.form,
                           validated=signature in ck.proofs)
               if tracer is not None else _null_context()):
             self._run_compiled(ck, signature, args, stats, tracer)
@@ -557,13 +557,18 @@ class LaunchPlan:
         an out-of-bounds indirect store) propagate, exactly as the
         interpreter's would mid-loop.
 
-        A signature the static exactness pass proves
+        The order is static proof, certificate, replay, shadow.  A
+        signature the static exactness pass proves
         (:func:`~repro.sycl.vectorize.prove_exact`) runs the batched
         program directly from its first launch, with no store lookup and
         no shadow run.  Otherwise, with a certificate store installed
         (:mod:`repro.sycl.certificates`), an intact certificate for this
-        launch's key stands in for the shadow run, and a shadow run that
-        matches writes one.
+        launch's key stands in for validation, and a validation that
+        matches writes one.  Validation is a replay
+        (:meth:`~repro.sycl.vectorize.CompiledKernel.replay`) when the
+        launch-mode pass proves this launch exact apart from residual
+        calls, else a shadow run; both vouch for this launch alone, and
+        the memo and the certificate generalize from either alike.
         """
         store = payload = None
         proven = (signature in ck.proofs
@@ -573,9 +578,8 @@ class LaunchPlan:
             if store is not None:
                 from .certificates import certificate_payload
 
-                payload = certificate_payload(self.kernel, ck.form,
-                                              self.run_fn, ck.fn,
-                                              self.nd_range, args)
+                payload = certificate_payload(self.kernel, self.run_fn,
+                                              ck.fn, self.nd_range, args)
                 if payload is not None and store.lookup(payload):
                     ck.proofs[signature] = "certificate"
                     proven = True
@@ -587,21 +591,50 @@ class LaunchPlan:
                 stats.path = self.path
                 self._run_item(args, stats, tracer)
                 return
-            phases = ck.run(bound, tracer)
-            stats.groups = self.num_groups
-            stats.items = self.total_items
-            if ck.is_generator:
-                # one batched phase = one barrier phase in every group
-                stats.barrier_phases = phases * self.num_groups
-                stats.gen_advances = phases + 1
+            self._batched_stats(ck, ck.run(bound, tracer), stats)
             return
         with (tracer.span("vectorize.validate", "vectorize",
-                          kernel=self.kernel.name, form=ck.form)
-              if tracer is not None else _null_context()):
-            matched = self._shadow_validate(ck, signature, args, stats,
-                                            tracer)
+                          kernel=self.kernel.name)
+              if tracer is not None else _null_context()) as span:
+            sites = ck.replay_sites(self.run_fn, args)
+            if span is not None:
+                span.args["how"] = "shadow" if sites is None else "replay"
+            if sites is None:
+                matched = self._shadow_validate(ck, signature, args, stats,
+                                                tracer)
+            else:
+                matched = self._replay_validate(ck, sites, signature, args,
+                                                stats, tracer)
         if matched and payload is not None:
             store.record(payload)
+
+    def _batched_stats(self, ck, phases: int, stats: ExecutionStats) -> None:
+        stats.groups = self.num_groups
+        stats.items = self.total_items
+        if ck.is_generator:
+            # one batched phase = one barrier phase in every group
+            stats.barrier_phases = phases * self.num_groups
+            stats.gen_advances = phases + 1
+
+    def _replay_validate(self, ck, sites: dict, signature: tuple,
+                         args: tuple, stats: ExecutionStats, tracer) -> bool:
+        """The batched program on buffer copies with its residual calls
+        replayed per lane; on a match the outputs are copied back and
+        ``signature`` is proven, on any failure the plan demotes and the
+        interpreter runs on the real buffers.  Returns whether it
+        matched."""
+        _metrics.counter("vectorize.replay.checks").inc()
+        try:
+            phases = ck.replay(args, sites, tracer)
+        except Exception as exc:  # noqa: BLE001 — any failure demotes
+            _metrics.counter("vectorize.replay.mismatches").inc()
+            self._demote(f"{type(exc).__name__}: {exc}")
+            stats.path = self.path
+            self._run_item(args, stats, tracer)
+            return False
+        ck.proofs[signature] = "replay"
+        self._batched_stats(ck, phases, stats)
+        return True
 
     def _shadow_validate(self, ck, signature: tuple, args: tuple,
                          stats: ExecutionStats, tracer) -> bool:

@@ -51,7 +51,10 @@ new function ``<name>__batched`` taking ``(__lanes__, <index>, *args)``:
   ``min``/``max`` → nested ``np.minimum``/``np.maximum``, ``float`` →
   ``np.float64``, ``abs`` stays, and ``math.*`` maps through
   :data:`_MATH_TO_NP` (``math.sqrt`` → ``np.sqrt`` …); an expression
-  over literals only stays Python, so it keeps the interpreter's dtype.
+  over literals only stays Python, so it keeps the interpreter's dtype;
+* a ``math.*`` call, a numpy ufunc outside :data:`_EXACT_UFUNCS` and
+  ``**`` become ``__lanes__.call(site, fn, *args)``, a plain call
+  unless replay validation checks that site (:meth:`_LaneCtx.call`).
 
 Anything still outside this dialect — ``while`` loops, data-dependent
 trip counts, ``break``/``continue``, remaining scalar builtins
@@ -65,7 +68,7 @@ Why this cannot change results
 Translation alone is not trusted.  A launch **signature** (buffer
 dtypes, shapes and layouts, scalar types, and which buffers may share
 memory) is proven before the batched program runs on real buffers, in
-one of two ways.
+one of three ways.
 
 :func:`prove_exact` proves it statically when the per-item and the
 batched program cannot differ in any bit: every lane-varying operation
@@ -76,37 +79,51 @@ indexing), each runs in the same dtype in both programs under NEP 50
 every lane-varying Python int stays inside ``intp`` by bounds taken
 from the launch shape, nothing raises per item where numpy does not,
 and every written buffer shares no memory with another argument and is
-touched only at one index that is a distinct id per work-item.  The
-pass refuses transcendental calls, ``**``, builtin ``min``/``max`` on
-floats, barrier kernels, ``LocalAccessor`` tiles and any numpy below
-2.0.
+touched only at one index that is a distinct id per work-item (which
+also makes a barrier safe: no data crosses it).  The pass refuses
+transcendental calls, ``**``, builtin ``min``/``max`` on floats,
+``LocalAccessor`` tiles and any numpy below 2.0.
+
+Replay validation covers a launch that the same pass, run in launch
+mode (scalar arguments at this launch's values), proves exact apart
+from *residual* calls: ``math.*``, ``**`` and ufuncs outside the
+allow-list, each elementwise and of one dtype in both programs.
+:meth:`CompiledKernel.replay` runs the batched program once on buffer
+**copies**, and every residual call also runs the interpreter's
+callable on each live lane's operands (in the interpreter's form:
+Python scalar, numpy scalar or 0-d array) and compares the bytes.
+Everything else being exact, a full match means every lane held the
+interpreter's values; the changed buffers are then copied back.
 
 Anything else is shadow-validated: the first launch of each signature
 on a compiled plan runs the batched program on **copies** of the
 buffers while the interpreter runs on the real ones, and compares every
 output byte (:meth:`CompiledKernel.shadow_run` in
 :meth:`~repro.sycl.plan.LaunchPlan.execute`).  Only a bitwise match
-proves that signature for direct batched execution; any mismatch or
-exception silently and permanently demotes the plan to the interpreter
-path it was validated against.  Every fallback — static or runtime —
+(replay or shadow) proves that signature for direct batched execution;
+any mismatch or exception silently and permanently demotes the plan to
+the interpreter path it was validated against, and the interpreter
+runs on the real buffers.  Every fallback — static or runtime —
 increments the ``vectorize.fallback`` counter and, when tracing is on,
 emits a ``vectorize.fallback`` span, so tier coverage is observable in
-``repro profile``.  With tracing on, each shadow validation runs inside
-a ``vectorize.validate`` span.
+``repro profile``.  With tracing on, each replay or shadow validation
+runs inside a ``vectorize.validate`` span carrying ``how``.
 
-A shadow proof can outlive its process.  When a certificate store is installed
-(:func:`repro.sycl.plan.using_certificate_store`; the ``suite`` and
-``run`` subcommands install one unless given ``--no-cache``), a
-bitwise match writes a certificate keyed by the code fingerprint, numpy
-version, host (Python, machine, numpy's CPU features), both code
-objects, the launch shape and the argument signature.  A later process
+A replay or shadow proof can outlive its process.  When a certificate
+store is installed (:func:`repro.sycl.plan.using_certificate_store`;
+the ``suite`` and ``run`` subcommands install one unless given
+``--no-cache``), a bitwise match writes a certificate keyed by the code
+fingerprint, numpy version, host (Python, machine, numpy's CPU
+features), both code objects, the launch shape and the argument
+signature.  A later process
 whose first launch finds an intact certificate for the same key skips
-the shadow run and executes the batched program directly
+validation and executes the batched program directly
 (``validated_by == "certificate"``); a missing, stale or damaged
-certificate means full shadow validation, exactly as without a store.
+certificate means full validation, exactly as without a store.
 Demotions and static proofs are never persisted.  The
-``vectorize.static.proofs`` and ``vectorize.certificate.{hits,misses,
-writes,rejects}`` counters show which path proved what.
+``vectorize.static.proofs``, ``vectorize.replay.{checks,mismatches}``
+and ``vectorize.certificate.{hits,misses,writes,rejects}`` counters
+show which path proved what.
 """
 
 from __future__ import annotations
@@ -115,6 +132,7 @@ import ast
 import copy as _copy
 import inspect
 import linecache
+import operator
 import os
 import re
 import textwrap
@@ -157,6 +175,11 @@ class VectorizeFallback(Exception):
 
 class _Ineligible(Exception):
     """Static analysis rejection; the message is the reason."""
+
+
+class _ReplayMismatch(Exception):
+    """A residual call's batched result differs from the interpreter's
+    on some live lane; the replaying launch demotes."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +263,20 @@ _MATH_TO_NP = {
     "fmod": "fmod", "pow": "power",
 }
 
+#: numpy ufuncs a lane-varying value may pass through without replay
+#: validation: each computes one correctly rounded (or exact) result per
+#: element, so numpy's scalar loop and its SIMD array loop produce the
+#: same bits.  Calls of any other ufunc, of ``math.*`` and ``**`` are
+#: *residual* sites (:func:`_residual_call`).
+_EXACT_UFUNCS = frozenset({
+    "add", "subtract", "multiply", "divide", "true_divide", "negative",
+    "positive", "absolute", "fabs", "sqrt", "minimum", "maximum", "floor",
+    "ceil", "trunc", "copysign", "floor_divide", "remainder",
+    "logical_and", "logical_or", "logical_xor", "logical_not", "equal",
+    "not_equal", "less", "less_equal", "greater", "greater_equal",
+    "bitwise_and", "bitwise_or", "bitwise_xor",
+})
+
 _CMP_OK = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
@@ -255,6 +292,19 @@ def _np_call(fn: str, args: list) -> ast.Call:
         func=ast.Attribute(value=ast.Name("__vec_np__", ctx=ast.Load()),
                            attr=fn, ctx=ast.Load()),
         args=args, keywords=[])
+
+
+def _site(node) -> tuple:
+    """A call site's key: its source span in the kernel's ``def``, which
+    the translator and the exactness pass read from the same tree."""
+    return (node.lineno, node.col_offset, node.end_lineno,
+            node.end_col_offset)
+
+
+def _residual_call(node, fn, args: list) -> ast.Call:
+    """``__lanes__.call(site, fn, *args)``: a call the exactness pass may
+    leave to replay validation (:meth:`_LaneCtx.call`)."""
+    return _lanes_call("call", [ast.Constant(_site(node)), fn, *args])
 
 
 def _literal_only(e) -> bool:
@@ -494,8 +544,12 @@ class _Rewriter:
             # become a numpy scalar, which promotes float32 lanes to float64
             return e
         if isinstance(e, ast.BinOp):
-            return ast.BinOp(left=self.expr(e.left), op=e.op,
-                             right=self.expr(e.right))
+            left, right = self.expr(e.left), self.expr(e.right)
+            if isinstance(e.op, ast.Pow):
+                return _residual_call(e, ast.Name("__vec_pow__",
+                                                  ctx=ast.Load()),
+                                      [left, right])
+            return ast.BinOp(left=left, op=e.op, right=right)
         if isinstance(e, ast.UnaryOp):
             if isinstance(e.op, ast.Not):
                 return _np_call("logical_not", [self.expr(e.operand)])
@@ -637,6 +691,12 @@ class _Rewriter:
         if isinstance(target, types.ModuleType):
             modname = getattr(target, "__name__", "")
             if modname == "numpy" or modname.startswith("numpy."):
+                if (func.value is root and not e.keywords
+                        and isinstance(getattr(target, func.attr, None),
+                                       np.ufunc)
+                        and func.attr not in _EXACT_UFUNCS):
+                    return _residual_call(e, func,
+                                          [self.expr(a) for a in e.args])
                 return ast.Call(
                     func=func, args=[self.expr(a) for a in e.args],
                     keywords=[ast.keyword(arg=kw.arg,
@@ -648,8 +708,11 @@ class _Rewriter:
                     self.fail(f"math.{func.attr}() has no numpy lowering")
                 if e.keywords:
                     self.fail(f"keyword arguments to math.{func.attr}()")
-                return _np_call(np_name,
-                                [self.expr(a) for a in e.args])
+                return _residual_call(
+                    e, ast.Attribute(value=ast.Name("__vec_np__",
+                                                    ctx=ast.Load()),
+                                     attr=np_name, ctx=ast.Load()),
+                    [self.expr(a) for a in e.args])
             self.fail(f"call into module {modname!r}")
         self.fail(f"call to {ast.unparse(func)}() is not batchable")
 
@@ -738,6 +801,7 @@ def _translate(fn) -> tuple:
         raise _Ineligible("kernel takes no index argument")
     glb = dict(fn.__globals__)
     glb["__vec_np__"] = np
+    glb["__vec_pow__"] = operator.pow
     is_gen = inspect.isgeneratorfunction(fn)
     rewriter = _Rewriter(params[0], glb, is_gen, set(params))
     body = rewriter.block(fdef.body, top=True, predicated=False)
@@ -784,14 +848,55 @@ class _LaneCtx:
     boolean array is ever materialized for unguarded kernels).
     ``refine`` retires the lanes a top-level guard returned for;
     ``where`` / ``where_not`` narrow the mask for one predicated region
-    and restore it on exit.
+    and restore it on exit.  ``replay`` holds the residual sites a
+    replaying launch checks (:meth:`call`); ``None`` otherwise.
     """
 
-    __slots__ = ("n", "mask")
+    __slots__ = ("n", "mask", "replay")
 
     def __init__(self, n: int):
         self.n = n
         self.mask = None
+        self.replay = None
+
+    def call(self, site: tuple, fn, *args):
+        """``fn(*args)`` for a residual call site (a ufunc outside the
+        exact allow-list, ``math.*`` or ``**``).  On a replaying launch
+        the interpreter's callable also runs on every live lane's
+        operands, and any difference in type or bits raises
+        :class:`_ReplayMismatch`."""
+        out = fn(*args)
+        if self.replay is not None and site in self.replay:
+            self._replay(site, args, out)
+        return out
+
+    def _lanes(self, x, live) -> np.ndarray:
+        """``x`` per live lane (a lane array, or a value every lane
+        shares)."""
+        if not (isinstance(x, np.ndarray) and x.shape == (self.n,)):
+            x = np.broadcast_to(x, (self.n,))
+        return x if live is None else x[live]
+
+    def _replay(self, site: tuple, args: tuple, out) -> None:
+        item_fn, forms = self.replay[site]
+        live = None if self.mask is None else np.flatnonzero(self.mask)
+        cols = []
+        for arg, form in zip(args, forms):
+            col = self._lanes(arg, live)
+            # the operand as the interpreter holds it: a Python scalar,
+            # a numpy scalar (iterating yields them) or a 0-d array
+            cols.append(col.tolist() if form == "py" else
+                        map(np.asarray, col) if form == "0d" else col)
+        got = list(map(item_fn, *cols))
+        if not got:
+            return
+        want = self._lanes(out, live)
+        ref = np.array(got)
+        if (len(set(map(type, got))) != 1 or ref.dtype != want.dtype
+                or ref.tobytes() != want.tobytes()):
+            raise _ReplayMismatch(
+                f"the residual call on kernel line {site[0]} differs from the "
+                "interpreter's")
 
     def gather_index(self, c):
         """One key component of a masked load, dead lanes set to 0."""
@@ -1043,6 +1148,10 @@ def _arg_signature(arg) -> tuple | None:
     return None
 
 
+def _copies(args: tuple) -> tuple:
+    return tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+
+
 def _overlaps(args: tuple) -> tuple:
     """The pairs of ndarray argument positions that may share memory."""
     arrays = [(i, a) for i, a in enumerate(args) if isinstance(a, np.ndarray)]
@@ -1055,21 +1164,22 @@ class CompiledKernel:
 
     A program is proven per launch **signature** (:meth:`signature`):
     ``proofs`` maps each signature to how it was proven, ``"static"``
-    (:func:`prove_exact` showed it exact), ``"shadow"`` (this process
-    compared bitwise, see :mod:`repro.sycl.plan`) or ``"certificate"``
-    (a persisted proof, see :mod:`repro.sycl.certificates`).  The first
-    launch of a signature not proven statically runs :meth:`shadow_run`
-    on buffer copies and is proven only on a bitwise match with the
+    (:func:`prove_exact` showed it exact), ``"replay"`` (exact for this
+    launch apart from residual calls, checked per lane by :meth:`replay`),
+    ``"shadow"`` (this process compared bitwise, see
+    :mod:`repro.sycl.plan`) or ``"certificate"`` (a persisted proof, see
+    :mod:`repro.sycl.certificates`).  The first launch of a signature
+    not proven statically runs :meth:`replay` or :meth:`shadow_run` on
+    buffer copies and is proven only on a bitwise match with the
     per-item interpreter.
     """
 
-    __slots__ = ("kernel_name", "form", "fn", "is_generator", "nd_range",
+    __slots__ = ("kernel_name", "fn", "is_generator", "nd_range",
                  "n", "proxy", "proofs", "group_linear", "num_groups")
 
-    def __init__(self, kernel_name: str, form: str, fn, is_generator: bool,
+    def __init__(self, kernel_name: str, fn, is_generator: bool,
                  nd_range: NdRange):
         self.kernel_name = kernel_name
-        self.form = form
         self.fn = fn
         self.is_generator = is_generator
         self.nd_range = nd_range
@@ -1100,8 +1210,8 @@ class CompiledKernel:
         return bool(self.proofs)
 
     def __repr__(self) -> str:
-        return (f"CompiledKernel({self.kernel_name!r}, form={self.form!r}, "
-                f"lanes={self.n}, validated={self.validated})")
+        return (f"CompiledKernel({self.kernel_name!r}, lanes={self.n}, "
+                f"validated={self.validated})")
 
     def bind(self, args: tuple) -> tuple:
         """Wrap launch arguments for the batched program.
@@ -1162,8 +1272,7 @@ class CompiledKernel:
                          signature: tuple) -> bool:
         """Prove ``signature`` with :func:`prove_exact` instead of a
         shadow run; records ``"static"`` and returns whether it did."""
-        if self.is_generator or prove_exact(item_fn, self.nd_range,
-                                            args) is not None:
+        if prove_exact(item_fn, self.nd_range, args) is not None:
             return False
         self.proofs[signature] = "static"
         _metrics.counter("vectorize.static.proofs").inc()
@@ -1173,14 +1282,41 @@ class CompiledKernel:
         """Bind and run on the real buffers (validated plans only)."""
         return self.run(self.bind(args), tracer)
 
+    def replay_sites(self, item_fn, args: tuple) -> dict | None:
+        """The residual call sites of this launch when the launch-mode
+        pass (:func:`prove_exact` with ``sites``) proves it exact apart
+        from them, else ``None``."""
+        sites: dict = {}
+        if prove_exact(item_fn, self.nd_range, args, sites=sites) is None:
+            return sites
+        return None
+
+    def replay(self, args: tuple, sites: dict, tracer=None) -> int:
+        """Replay validation: run the batched program on *copies* of the
+        buffers with every residual call in ``sites`` replayed per live
+        lane (:meth:`_LaneCtx.call`), then copy the changed buffers back.
+        Raises, with the real buffers untouched, on a mismatch or any
+        failure; returns the barrier-phase count."""
+        copies = _copies(args)
+        ctx, wrapped = self.bind(copies)
+        ctx.replay = sites
+        phases = self.run((ctx, wrapped), tracer)
+        changed = [(real, copy) for real, copy in zip(args, copies)
+                   if isinstance(real, np.ndarray)
+                   and copy.tobytes() != real.tobytes()]
+        if not all(real.flags.writeable for real, _ in changed):
+            raise ValueError("assignment destination is read-only")
+        for real, copy in changed:
+            real[...] = copy
+        return phases
+
     def shadow_run(self, args: tuple) -> tuple:
         """Run the batched program on *copies* of the buffers.
 
         Returns the copies for :meth:`buffers_match`; the real buffers
         are untouched no matter what the program does.
         """
-        copies = tuple(a.copy() if isinstance(a, np.ndarray) else a
-                       for a in args)
+        copies = _copies(args)
         self.execute(copies)
         return copies
 
@@ -1213,7 +1349,8 @@ def _fp_errors_raise() -> str | None:
     return None
 
 
-def prove_exact(item_fn, nd_range: NdRange, args: tuple) -> str | None:
+def prove_exact(item_fn, nd_range: NdRange, args: tuple, *,
+                sites: dict | None = None) -> str | None:
     """Whether one launch signature of ``item_fn`` is exact; ``None``
     when it is, else the reason it is not proven.
 
@@ -1226,6 +1363,15 @@ def prove_exact(item_fn, nd_range: NdRange, args: tuple) -> str | None:
     no memory with another argument.  A plan calls this once per
     :meth:`CompiledKernel.signature`, which records the overlapping
     buffers, so the proof covers every launch of that signature.
+
+    With a ``sites`` dict the pass runs in **launch mode**: scalar
+    arguments count as the constants this launch passes, and a
+    lane-varying call outside the allow-list (another ufunc, ``math.*``,
+    ``**``) that is elementwise and returns one dtype in both programs
+    is recorded in ``sites`` (its :func:`_site` key mapped to the
+    per-item callable and the interpreter's form of each operand)
+    instead of refused.  Such a proof covers this launch only, and only
+    once :meth:`CompiledKernel.replay` has checked every site.
     """
     if _numpy_major() < 2:
         return f"numpy {np.__version__} < 2.0 promotes differently (NEP 50)"
@@ -1234,7 +1380,7 @@ def prove_exact(item_fn, nd_range: NdRange, args: tuple) -> str | None:
         return why
     from .exactness import analyze
 
-    reason, written = analyze(item_fn, nd_range, args)
+    reason, written = analyze(item_fn, nd_range, args, sites)
     if reason is None and any(w in pair for pair in _overlaps(args)
                               for w in written):
         return "a written buffer overlaps another argument"
@@ -1273,7 +1419,7 @@ def compile_batched(kernel: KernelSpec, nd_range: NdRange) -> tuple:
     batched, reason = translate(kernel.item_fn)
     if batched is None:
         return None, reason
-    return CompiledKernel(kernel.name, form, batched,
+    return CompiledKernel(kernel.name, batched,
                           inspect.isgeneratorfunction(kernel.item_fn),
                           nd_range), None
 

@@ -205,8 +205,8 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         # execution-tier split of the live plans, with the demotion
         # reason for every kernel that fell off the compiled tier
         "tiers": plan_info["tiers"],
-        # how the compiled plans were validated (shadow run or a
-        # persisted certificate)
+        # how the compiled plans were validated (static proof, replay,
+        # shadow run or a persisted certificate)
         "validated_by": plan_info["validated_by"],
     }
 

@@ -340,6 +340,22 @@ def test_cfd_fp64_is_validated_on_its_own_arguments():
     assert info["validated_by"] == {"static": 2}
 
 
+def test_lavamd_is_validated_by_replay():
+    """LavaMD's kernel is exact for its launch apart from its ``np.exp``
+    calls: one replay validates it, with no shadow run, and
+    ``plan_cache_info()`` reports it."""
+    from repro.harness.runner import run_functional
+
+    def count(name):
+        return registry.counter(f"vectorize.replay.{name}").value
+
+    before = count("checks"), count("mismatches")
+    assert run_functional("LavaMD", mode="compiled").verified
+    assert plan_cache_info()["validated_by"] == {"replay": 1}
+    assert (count("checks"), count("mismatches")) == (before[0] + 1,
+                                                      before[1])
+
+
 def test_plan_cache_reports_tiers():
     run_nd_range(_spec(_scale_item, name="a"), _nd(),
                  (np.zeros(64, np.float32), np.ones(64, np.float32), 64,

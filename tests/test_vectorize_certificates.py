@@ -337,7 +337,7 @@ def test_planted_certificate_for_wrong_program_is_ignored(tmp_path):
         genuine = _only_certificate(store)
         ck = vectorize.compile_batched(_spec(_plant_bad, "kplant"), ND)[0]
         payload = certificates.certificate_payload(
-            _spec(_plant_bad, "kplant"), "item", _plant_bad, ck.fn, ND,
+            _spec(_plant_bad, "kplant"), _plant_bad, ck.fn, ND,
             (np.zeros(64), 64))
         planted = store.root / f"{CertificateStore.key_for(payload)}.json"
         planted.write_bytes(genuine.read_bytes())
@@ -475,7 +475,8 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     the warm run validates nothing and hits every certificate.  There
     are 17 compiled argument signatures (16 plans, plus CFD's one plan
     proven separately on its FP64 arguments): the static pass proves 10
-    in every process and the store certifies the other 7."""
+    in every process and the store certifies the other 7, which a cold
+    store validates by replay (LavaMD) or shadow run (the rest)."""
     cache = tmp_path / "cache"
     args = ("suite", "--mode", "compiled", "--cache-dir", str(cache))
     cold = _repro(*args, cwd=tmp_path)
@@ -485,10 +486,17 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     traced = _repro(*args, "--trace", "--trace-out", str(trace), cwd=tmp_path)
     uncached = _repro("suite", "--mode", "compiled", "--no-cache",
                       cwd=tmp_path)
+    cold_trace = tmp_path / "cold.json"
+    traced_cold = _repro("suite", "--mode", "compiled", "--cache-dir",
+                         str(tmp_path / "cold_cache"), "--trace",
+                         "--trace-out", str(cold_trace), cwd=tmp_path)
+
+    def counter(metrics, name):
+        return metrics.get(name, {"value": 0})["value"]
 
     assert cold == warm == uncached
     assert b"suite: 13/13 ok" in cold
-    assert traced.startswith(cold)
+    assert traced.startswith(cold) and traced_cold.startswith(cold)
     doc = json.loads(trace.read_text())
     spans = [e for e in doc["traceEvents"]
              if e.get("name") == "vectorize.validate"]
@@ -497,8 +505,17 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     static = metrics["vectorize.static.proofs"]["value"]
     assert metrics["vectorize.certificate.hits"]["value"] == written == 7
     assert static == 10 and static + written == 17
-    assert metrics.get("vectorize.certificate.misses",
-                       {"value": 0})["value"] == 0
+    assert counter(metrics, "vectorize.certificate.misses") == 0
+    assert counter(metrics, "vectorize.replay.checks") == 0
+    doc = json.loads(cold_trace.read_text())
+    metrics = doc["otherData"]["metrics"]
+    assert counter(metrics, "vectorize.replay.checks") == 1
+    assert counter(metrics, "vectorize.replay.mismatches") == 0
+    hows = sorted((e["args"]["kernel"], e["args"]["how"])
+                  for e in doc["traceEvents"]
+                  if e.get("name") == "vectorize.validate")
+    assert hows == [("lavamd_kernel", "replay")] + [
+        ("needle_block", "shadow")] * 5 + [("scatter", "shadow")]
     # --no-cache wrote nothing to the default root in the working dir
     assert not (tmp_path / ".repro_cache").exists()
 

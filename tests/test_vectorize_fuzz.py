@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import math
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def _make_kernel(src_text):
     filename = f"<vectorize-fuzz-{next(_COUNTER)}>"
     linecache.cache[filename] = (
         len(src_text), None, src_text.splitlines(True), filename)
-    namespace = {"np": np}
+    namespace = {"np": np, "math": math}
     exec(compile(src_text, filename, "exec"), namespace)
     return namespace["kfuzz"]
 
@@ -321,7 +322,7 @@ def _wide_expr(draw, depth, extra=()):
     kind = draw(st.sampled_from(
         ["leaf"] * 4 + ["add"] * 5 + ["sub"] * 3 + ["mul"] * 5 + ["div"] * 3
         + ["sqrt", "npmin", "npmax", "abs", "float", "ifexp", "where",
-           "pow", "exp", "minb", "maxb", "shl"]))
+           "pow", "exp", "mexp", "minb", "maxb", "shl"]))
     sub = _wide_expr(depth - 1, extra)
     if kind == "leaf":
         return draw(leaves)
@@ -330,8 +331,9 @@ def _wide_expr(draw, depth, extra=()):
         return f"({draw(sub)} {ops[kind]} {draw(sub)})"
     if kind == "shl":
         return f"({draw(sub)} << 31)"
-    if kind in ("sqrt", "exp", "abs", "float"):
-        fn = {"sqrt": "np.sqrt", "exp": "np.exp"}.get(kind, kind)
+    if kind in ("sqrt", "exp", "mexp", "abs", "float"):
+        fn = {"sqrt": "np.sqrt", "exp": "np.exp",
+              "mexp": "math.exp"}.get(kind, kind)
         return f"{fn}({draw(sub)})"
     if kind in ("npmin", "npmax", "minb", "maxb"):
         fn = {"npmin": "np.minimum", "npmax": "np.maximum", "minb": "min",
@@ -357,14 +359,27 @@ _WIDE_STORES = [
 ]
 
 
+#: residual calls a replay draw routes ``v1`` through
+_RESIDUAL_CALLS = ["np.exp({})", "math.exp({})", "({}) ** 2", "np.log({})",
+                   "np.sin({})", "math.sqrt({})"]
+
+
 @st.composite
-def _wide_source(draw):
-    lines = ["v0 = src[i]", f"v1 = {draw(_wide_expr(2))}"]
+def _wide_source(draw, replay=False):
+    """A kernel from the wide grammar; with ``replay``, ``v1`` passes
+    through a residual call and every store is at the item's own index,
+    so that most draws reach replay validation."""
+    v1 = draw(_wide_expr(2))
+    if replay:
+        v1 = draw(st.sampled_from(_RESIDUAL_CALLS)).format(v1)
+    lines = ["v0 = src[i]", f"v1 = {v1}"]
     if draw(st.booleans()):
         lines += ["acc = 0.0", "for q in range(3):",
                   f"    acc = acc + {draw(_wide_expr(1, ['q', 'acc']))}",
                   "v1 = v1 + acc"]
-    store = draw(st.sampled_from(_WIDE_STORES))
+    store = draw(st.sampled_from(
+        [_WIDE_STORES[0], _WIDE_STORES[1], _WIDE_STORES[-1]] if replay
+        else _WIDE_STORES))
     lines.append(store.format(e=draw(_wide_expr(2, ["v1"]))))
     body = "\n".join("    " + line for line in lines)
     return ("def kfuzz(item, out, src, idx, n, s):\n"
@@ -375,6 +390,20 @@ def _wide_source(draw):
 
 _WIDE_SCALARS = st.sampled_from([0.0, 1.5, 0, 3, np.float32(0.25),
                                  np.float64(-2.0)])
+
+
+def _wide_args(n, seed, dtypes, s):
+    """``(out, src, idx, n, s)`` for a ``_wide_source`` kernel."""
+    rng = np.random.default_rng(seed)
+    out_dt, src_dt = map(np.dtype, dtypes)
+    src = (rng.random(n) * 4 - 1).astype(src_dt) if src_dt.kind == "f" \
+        else rng.integers(-3, 4, n).astype(src_dt)
+    return (np.zeros(n, out_dt), src,
+            rng.integers(0, n, n).astype(np.int32), n, s)
+
+
+_WIDE_DTYPES = st.sampled_from([("f4", "f4"), ("f8", "f8"), ("f4", "f8"),
+                                ("f8", "f4"), ("i4", "i4"), ("i8", "i8")])
 
 
 def _outcome(spec, nd, args, mode):
@@ -393,9 +422,7 @@ def _outcome(spec, nd, args, mode):
           suppress_health_check=[HealthCheck.too_slow])
 @given(src_text=_wide_source(), n=st.integers(min_value=33, max_value=64),
        seed=st.integers(min_value=0, max_value=2**16),
-       dtypes=st.sampled_from([("f4", "f4"), ("f8", "f8"), ("f4", "f8"),
-                               ("f8", "f4"), ("i4", "i4"), ("i8", "i8")]),
-       s=_WIDE_SCALARS)
+       dtypes=_WIDE_DTYPES, s=_WIDE_SCALARS)
 def test_fuzz_static_proofs_are_sound(src_text, n, seed, dtypes, s):
     """Every draw the static pass calls exact runs its batched program
     directly (no shadow run) and must leave the interpreter's bytes."""
@@ -403,12 +430,7 @@ def test_fuzz_static_proofs_are_sound(src_text, n, seed, dtypes, s):
     spec = _spec(fn, "kwide")
     if eligible_form(spec)[0] is None:
         return  # outside the dialect: never compiled, nothing to prove
-    rng = np.random.default_rng(seed)
-    out_dt, src_dt = map(np.dtype, dtypes)
-    src = (rng.random(n) * 4 - 1).astype(src_dt) if src_dt.kind == "f" \
-        else rng.integers(-3, 4, n).astype(src_dt)
-    args = (np.zeros(n, out_dt), src,
-            rng.integers(0, n, n).astype(np.int32), n, s)
+    args = _wide_args(n, seed, dtypes, s)
     nd = NdRange(Range(64), Range(16))
     if prove_exact(fn, nd, args) is not None:
         return
@@ -419,6 +441,122 @@ def test_fuzz_static_proofs_are_sound(src_text, n, seed, dtypes, s):
     assert hot == _outcome(spec, nd, args, "item"), \
         f"a statically proven kernel diverged from the interpreter:\n" \
         f"{src_text}\nargs dtypes {dtypes}, s={s!r}"
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(src_text=_wide_source(replay=True),
+       n=st.integers(min_value=33, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**16),
+       dtypes=_WIDE_DTYPES, s=_WIDE_SCALARS)
+def test_fuzz_replay_validation_is_sound(src_text, n, seed, dtypes, s):
+    """Every draw the launch-mode pass proves exact apart from residual
+    calls (``np.exp``, ``math.exp``, ``**``) is validated by replay or
+    demoted, and must leave the interpreter's bytes (or raise what the
+    interpreter raises)."""
+    fn = _make_kernel(src_text)
+    spec = _spec(fn, "kreplay")
+    if eligible_form(spec)[0] is None:
+        return
+    args = _wide_args(n, seed, dtypes, s)
+    nd = NdRange(Range(64), Range(16))
+    sites = {}
+    if prove_exact(fn, nd, args, sites=sites) is not None or not sites:
+        return
+    clear_plan_caches()
+    hot = _outcome(spec, nd, args, "compiled")
+    how = get_plan(spec, nd, mode="compiled").describe()["validated_by"]
+    assert how in ("replay", None), src_text  # None: demoted
+    assert hot == _outcome(spec, nd, args, "item"), \
+        f"a replay-validated kernel diverged from the interpreter:\n" \
+        f"{src_text}\nargs dtypes {dtypes}, s={s!r}"
+
+
+def _scalar_differs(body, src):
+    """Whether the interpreter's scalar call and the batched array call
+    of ``body`` differ in bits on some element of ``src`` (host-dependent
+    for ``math.exp``: numpy may pick a SIMD loop libm does not use)."""
+    if body == "out[i] = v0 ** 2":
+        return any((x ** 2).tobytes() != y.tobytes()
+                   for x, y in zip(src, src ** 2))
+    return any(np.float64(math.exp(x)).tobytes() != y.tobytes()
+               for x, y in zip(src.tolist(), np.exp(src)))
+
+
+@pytest.mark.parametrize("body, dtype, planted", [
+    # float32 inputs whose scalar square rounds differently from numpy's
+    # array square (measured on x86-64)
+    ("out[i] = v0 ** 2", "f4", [-0.34613037, 2.590332, 1.971686]),
+    # float64 inputs where libm's exp and numpy's SIMD exp differ
+    ("out[i] = math.exp(v0)", "f8",
+     [2.2922923051961424, 2.8947789362487084, -0.3446095579522721]),
+], ids=["float32 pow", "float64 math.exp"])
+def test_replay_mismatch_demotes(body, dtype, planted):
+    """A planted input where a residual call's scalar and array results
+    differ demotes the replaying launch, which then leaves the
+    interpreter's bytes; without one, the launch is replay-validated."""
+    fn = _hazard_kernel(body)
+    spec = _spec(fn, "kplanted")
+    src = np.random.default_rng(7).random(64).astype(dtype)
+    src[[5, 30, 61]] = planted
+    args = (np.zeros(64, dtype), src, np.zeros(64, np.int32), 64, 1.0)
+    nd = NdRange(Range(64), Range(16))
+    sites = {}
+    assert prove_exact(fn, nd, args, sites=sites) is None and sites
+    differs = _scalar_differs(body, src)
+    before = registry.counter("vectorize.replay.mismatches").value
+    clear_plan_caches()
+    hot = _outcome(spec, nd, args, "compiled")
+    plan = get_plan(spec, nd, mode="compiled")
+    assert hot == _outcome(spec, nd, args, "item")
+    assert plan.describe()["validated_by"] == (None if differs else "replay")
+    assert registry.counter("vectorize.replay.mismatches").value \
+        == before + differs
+
+
+def _barrier_kernel(body):
+    return _make_kernel(
+        "def kfuzz(item, out, src):\n"
+        "    i = item.get_global_linear_id()\n" + body)
+
+
+def test_static_pass_admits_barrier_kernels_without_tiles():
+    """A top-level barrier between own-index writes cannot pass data
+    between work-items, so the kernel is proven like any other."""
+    fn = _barrier_kernel("    out[i] = src[i] * 2.0\n"
+                         "    yield item.barrier()\n"
+                         "    out[i] = out[i] + 1.0\n")
+    spec = _spec(fn, "kbarrier")
+    nd = NdRange(Range(32), Range(8))
+    args = (np.zeros(32), np.random.default_rng(3).random(32))
+    assert prove_exact(fn, nd, args) is None
+    clear_plan_caches()
+    hot = _outcome(spec, nd, args, "compiled")
+    assert get_plan(spec, nd, mode="compiled").describe()[
+        "validated_by"] == "static"
+    assert hot == _outcome(spec, nd, args, "item")
+
+
+@pytest.mark.parametrize("body, fragment", [
+    # another item's slot, written before the barrier, read after it
+    ("    out[i] = src[i]\n"
+     "    yield item.barrier()\n"
+     "    src[i] = out[np.minimum(i + 1, 31)]\n", "written"),
+    ("    if i >= 30:\n"
+     "        return\n"
+     "    yield item.barrier()\n"
+     "    out[i] = 1.0\n", "not batchable"),
+    ("    if src[i] > 0.5:\n"
+     "        yield item.barrier()\n"
+     "    out[i] = 1.0\n", "not batchable"),
+], ids=["read across the barrier", "guard return", "barrier under if"])
+def test_static_pass_refuses_barrier_hazards(body, fragment):
+    fn = _barrier_kernel(body)
+    args = (np.zeros(32), np.zeros(32))
+    for sites in (None, {}):
+        why = prove_exact(fn, NdRange(Range(32), Range(8)), args,
+                          sites=sites)
+        assert why is not None and fragment in why, why
 
 
 #: (body after ``v0 = src[i]``, src dtype, reason fragment): each is
@@ -491,10 +629,13 @@ def test_static_pass_refuses_barriers_tiles_and_old_numpy(monkeypatch):
                                                                 np.float64)))
     assert "LocalAccessor" in why
     barrier_fn = _make_kernel(
-        "def kfuzz(item, out):\n"
+        "def kfuzz(item, out, tile):\n"
+        "    t = item.get_local_id(0)\n"
+        "    tile[t] = 1.0\n"
         "    yield item.barrier()\n"
-        "    out[item.get_global_linear_id()] = 1.0\n")
-    assert "barrier" in prove_exact(barrier_fn, nd, (np.zeros(32),))
+        "    out[item.get_global_linear_id()] = tile[(t + 1) % 8]\n")
+    assert "LocalAccessor" in prove_exact(
+        barrier_fn, nd, (np.zeros(32), LocalAccessor((8,), np.float64)))
     exact = _hazard_kernel("out[i] = v0 * 2.0 + s")
     args = (np.zeros(40), np.ones(40), np.zeros(40, np.int32), 40, 1.0)
     assert prove_exact(exact, NdRange(Range(64), Range(16)), args) is None
