@@ -95,20 +95,6 @@ class CorruptedOutputError(TransientFaultError):
     """A cell's output (or a cache entry) was detected as corrupted."""
 
 
-# -- service layer (repro.service) ------------------------------------------
-
-class QuotaExceededError(ReproError):
-    """A sweep-service submission was rejected by a tenant quota
-    (mapped to HTTP 429 by :mod:`repro.service.http`)."""
-
-    def __init__(self, message: str, *, tenant: str = "",
-                 quota: str = ""):
-        super().__init__(message)
-        self.tenant = tenant
-        #: which limit rejected the job (``max_active_jobs`` / ``max_total_cells``)
-        self.quota = quota
-
-
 def _rebuild_cell_error(message, key, index, attempts):
     return CellExecutionError(message, key=key, index=index, attempts=attempts)
 

@@ -224,64 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--size", type=int, default=3, choices=SIZES)
     synth.add_argument("--baseline", action="store_true",
                        help="build the non-optimized design")
-
-    serve = sub.add_parser(
-        "serve", help="run the multi-tenant sweep service (HTTP job "
-                      "server; see docs/service.md)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1; the "
-                           "service has no auth layer — do not bind "
-                           "public interfaces directly)")
-    serve.add_argument("--port", type=int, default=8077,
-                       help="listen port (default: 8077; 0 picks an "
-                            "ephemeral port)")
-    serve.add_argument("--root", default=".repro_service", metavar="DIR",
-                       help="service state root: per-tenant journals, "
-                            "artifacts, and caches live here "
-                            "(default: .repro_service)")
-    serve.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="sweep worker threads executing jobs "
-                            "(default: 4)")
-    serve.add_argument("--max-active-jobs", type=int, default=8,
-                       metavar="N",
-                       help="per-tenant cap on simultaneously "
-                            "queued/running jobs (default: 8)")
-    serve.add_argument("--max-cells", type=int, default=100_000,
-                       metavar="N",
-                       help="per-tenant lifetime budget of sweep cells "
-                            "(default: 100000)")
-
-    loadgen = sub.add_parser(
-        "loadgen", help="drive synthetic clients against a sweep "
-                        "service; exit 1 on dropped jobs or report "
-                        "mismatches")
-    loadgen.add_argument("--url", default=None, metavar="URL",
-                         help="target service base URL (default: "
-                              "self-host an in-process service)")
-    loadgen.add_argument("--clients", type=int, default=50, metavar="N",
-                         help="concurrent client threads (default: 50)")
-    loadgen.add_argument("--jobs-per-client", type=int, default=1,
-                         metavar="N",
-                         help="jobs each client submits (default: 1)")
-    loadgen.add_argument("--tenants", type=int, default=2, metavar="N",
-                         help="tenants the clients spread across "
-                              "(default: 2)")
-    loadgen.add_argument("--quick", action="store_true",
-                         help="CI-sized jobs: every sweep is the 1-cell "
-                              "'Where' config")
-    loadgen.add_argument("--inject-faults", default=None, metavar="SPEC",
-                         help="fault plan for every submitted job "
-                              "(same grammar as 'repro suite "
-                              "--inject-faults')")
-    loadgen.add_argument("--retries", type=int, default=2, metavar="N",
-                         help="per-job retry budget (default: 2)")
-    loadgen.add_argument("--service-workers", type=int, default=8,
-                         metavar="N",
-                         help="worker threads of the self-hosted "
-                              "service (ignored with --url; default: 8)")
-    loadgen.add_argument("--out", default=None, metavar="DIR",
-                         help="artifact directory for loadgen.json / "
-                              "metrics.json / tenants.json / trace.json")
     return parser
 
 
@@ -536,31 +478,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from ..service.http import serve
-    from ..service.tenants import TenantQuota
-
-    quota = TenantQuota(max_active_jobs=args.max_active_jobs,
-                        max_total_cells=args.max_cells)
-    return serve(args.root, host=args.host, port=args.port,
-                 workers=args.workers, default_quota=quota)
-
-
-def _cmd_loadgen(args) -> int:
-    from ..service.loadgen import LoadgenError, run_loadgen
-
-    try:
-        run_loadgen(args.url, clients=args.clients,
-                    jobs_per_client=args.jobs_per_client,
-                    tenants=args.tenants, quick=args.quick,
-                    inject_faults=args.inject_faults, retries=args.retries,
-                    service_workers=args.service_workers, out=args.out)
-    except LoadgenError as exc:
-        print(f"loadgen FAILED: {exc}")
-        return 1
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "list": _cmd_list,
@@ -571,8 +488,6 @@ _COMMANDS = {
     "perfdiff": _cmd_perfdiff,
     "migrate": _cmd_migrate,
     "synth": _cmd_synth,
-    "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
 }
 
 

@@ -347,7 +347,7 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
 
 _WORKLOAD_CACHE: OrderedDict[tuple, Workload] = OrderedDict()
 _WORKLOAD_CACHE_MAX = 64
-#: concurrent suite jobs (repro.service) share the memo across threads;
+#: ``pool_map(mode="thread")`` workers share the memo across threads;
 #: the composite get/move_to_end/popitem sequences need a real lock
 _WORKLOAD_CACHE_LOCK = threading.Lock()
 _workload_cache_hits = 0
@@ -536,24 +536,31 @@ def journal_record(result: RunResult, mode: str | None = None,
 
 def journal_record_trusted(record: dict, *, device_key: str,
                            variant: Variant, mode: str | None,
-                           wanted: set, fingerprint: str | None) -> bool:
+                           fingerprint: str | None) -> bool:
     """Whether a journal ``record`` may stand in for executing its cell.
 
-    The single validity predicate shared by every journal consumer: the
-    ``--resume`` filter in :func:`run_suite_functional` and the sweep
-    service's resume-aware quota credit
-    (:meth:`repro.service.jobs.JobQueue.submit`) — so a record the
-    resume path would re-execute (stale code fingerprint, foreign
-    device/variant/mode, drifted workload scale) is never silently
-    trusted, or credited, anywhere else.
+    The ``--resume`` filter of :func:`run_suite_functional`: a record
+    written by other code (stale fingerprint), for another device,
+    variant, mode, suite config or workload scale, or whose report fields
+    :func:`result_from_record` would misread (``verified`` not a bool,
+    ``kernel_s``/``total_s`` not real numbers) is re-executed, never
+    merged.
     """
+    config = record.get("config")
     return (record.get("status") == "done"
             and record.get("fingerprint") == fingerprint
             and record.get("device") == device_key
             and record.get("variant") == variant.value
             and record.get("mode") == (mode or "auto")
-            and record.get("config") in wanted
-            and record.get("scale") == _DEFAULT_SCALES[record["config"]])
+            and isinstance(config, str) and config in _DEFAULT_SCALES
+            and record.get("scale") == _DEFAULT_SCALES[config]
+            and isinstance(record.get("verified"), bool)
+            and _is_real(record.get("kernel_s"))
+            and _is_real(record.get("total_s")))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def result_from_record(record: dict) -> RunResult:
@@ -574,25 +581,18 @@ def run_suite_functional(device_key: str = "rtx2080",
                          workers: int | None = None,
                          pool_mode: str = "auto",
                          mode: str | None = None,
-                         configs: Sequence[str] | None = None,
                          retry: RetryPolicy | None = None,
                          cell_timeout: float | None = None,
                          fault_plan: FaultPlan | None = None,
                          degrade: bool = False,
                          journal: SweepJournal | str | os.PathLike | None = None,
-                         resume: bool = False,
-                         progress: Callable | None = None) -> list:
+                         resume: bool = False) -> list:
     """Run every configuration once (the 'does it all work' sweep).
 
     Results are returned in suite (``_DEFAULT_SCALES``) order no matter
-    which worker finishes first.  ``configs`` restricts the sweep to a
-    subset of the suite (suite order is preserved; unknown names raise
-    :class:`InvalidParameterError`) — this is what lets the sweep
-    service (:mod:`repro.service`) run narrow per-tenant jobs through
-    exactly the same engine as the full CLI sweep.
+    which worker finishes first.
 
-    Fault tolerance (all off by default — the plain sweep behaves
-    exactly as before):
+    Fault tolerance (all off by default):
 
     * ``retry``/``cell_timeout``/``fault_plan`` — per-cell recovery and
       deterministic fault injection (see :mod:`repro.resilience`);
@@ -604,25 +604,13 @@ def run_suite_functional(device_key: str = "rtx2080",
       they finish; a resumed sweep re-executes only the cells the
       journal is missing (skips are counted on
       ``resilience.cells_resumed``) and merges journaled results back in
-      suite order, byte-identical to an uninterrupted run.  Records are
-      only trusted when their code fingerprint and workload scale match
-      the current sweep — stale or hand-edited journal entries are
-      re-executed, not merged.  The fingerprint is computed **once per
-      sweep** (it is launch-invariant) and shared by the resume filter
-      and every appended record.
-    * ``progress`` — called in the parent with each executed cell's
-      :class:`CellOutcome` as it completes (completion order), after the
-      cell is journaled; the sweep service streams these to clients.
+      suite order, byte-identical to an uninterrupted run.  Only records
+      that :func:`journal_record_trusted` accepts are merged — stale or
+      hand-edited journal entries are re-executed.  The fingerprint is
+      computed **once per sweep** (it is launch-invariant) and shared by
+      the resume filter and every appended record.
     """
-    if configs is None:
-        configs = list(_DEFAULT_SCALES)
-    else:
-        unknown = [c for c in configs if c not in _DEFAULT_SCALES]
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown suite config(s) {unknown!r}; "
-                f"expected a subset of {list(_DEFAULT_SCALES)}")
-        configs = [c for c in _DEFAULT_SCALES if c in set(configs)]
+    configs = list(_DEFAULT_SCALES)
     if journal is not None and not isinstance(journal, SweepJournal):
         journal = SweepJournal(journal)
     # launch-invariant: one fingerprint covers the resume filter and
@@ -630,11 +618,9 @@ def run_suite_functional(device_key: str = "rtx2080",
     fingerprint = code_fingerprint() if journal is not None else None
     done: dict[str, dict] = {}
     if journal is not None and resume:
-        wanted = set(configs)
         for record in journal.load():
             if journal_record_trusted(record, device_key=device_key,
                                       variant=variant, mode=mode,
-                                      wanted=wanted,
                                       fingerprint=fingerprint):
                 done[record["config"]] = record
     if done:
@@ -644,19 +630,16 @@ def run_suite_functional(device_key: str = "rtx2080",
     fn = partial(run_functional, device_key=device_key, variant=variant,
                  mode=mode)
     resilient = (retry is not None or cell_timeout is not None
-                 or fault_plan is not None or degrade or journal is not None
-                 or progress is not None)
+                 or fault_plan is not None or degrade or journal is not None)
     if not resilient:
         return pool_map(fn, configs, workers=workers, mode=pool_mode)
 
     on_result = None
-    if journal is not None or progress is not None:
+    if journal is not None:
         def on_result(outcome: CellOutcome) -> None:
-            if journal is not None and outcome.ok:
+            if outcome.ok:
                 journal.append(journal_record(outcome.value, mode=mode,
                                               fingerprint=fingerprint))
-            if progress is not None:
-                progress(outcome)
 
     fresh = pool_map(fn, pending, workers=workers, mode=pool_mode,
                      retry=retry, cell_timeout=cell_timeout,

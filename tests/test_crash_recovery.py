@@ -74,24 +74,31 @@ def test_journaled_digests_match_golden_checksums(crashed_journal):
 def test_resume_rejects_tampered_journal_records(crashed_journal):
     journal = SweepJournal(crashed_journal)
     records = journal.load()
-    assert len(records) >= 2
+    assert len(records) >= 5
     # hand-edit the journal: one record from "different code" carrying a
-    # forged modeled time, one with a foreign workload scale
+    # forged modeled time, one with a foreign workload scale, one whose
+    # verdict is a string (bool("false") is True), one missing a modeled
+    # time, and an extra copy of a good record naming an unhashable config
     records[0]["fingerprint"] = "0" * 16
     records[0]["kernel_s"] = 123.0
     records[1]["scale"] = 99.0
+    records[2]["verified"] = "false"
+    del records[3]["kernel_s"]
     journal.clear()
     for record in records:
         journal.append(record)
+    journal.append(dict(records[4], config=[records[4]["config"]]))
     metrics.reset()
     results = run_suite_functional(journal=journal, resume=True)
     snap = metrics.snapshot()
-    # both tampered cells were re-executed, not merged from the journal
-    assert snap["resilience.cells_resumed"]["value"] == len(records) - 2
-    assert results[0].outputs is not None and results[1].outputs is not None
+    # the tampered cells were re-executed, not merged from the journal
+    assert snap["resilience.cells_resumed"]["value"] == len(records) - 4
+    assert all(r.outputs is not None for r in results[:4])
     assert results[0].modeled_kernel_s != 123.0
     assert [r.config for r in results] == CONFIGS
-    assert all(r.verified for r in results)
+    assert all(r.verified is True for r in results)
+    assert (render_suite_report(results)
+            == render_suite_report(run_suite_functional()))
 
 
 def test_journal_tolerates_torn_tail_line(crashed_journal):
@@ -118,3 +125,31 @@ def test_cli_crash_resume_round_trip(tmp_path, capsys, monkeypatch):
     assert main(["suite", "--journal", journal, "--resume"]) == 0
     resumed = capsys.readouterr().out
     assert resumed == clean
+
+
+def test_code_fingerprint_computed_once_per_sweep(tmp_path, monkeypatch):
+    """journal_record() must reuse the sweep-level fingerprint instead of
+    recomputing it per appended cell (timing-insensitive: counts calls,
+    not seconds)."""
+    from repro.harness import runner
+
+    calls = []
+    real = runner.code_fingerprint
+
+    def counting_fingerprint():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(runner, "code_fingerprint", counting_fingerprint)
+    journal = tmp_path / "sweep.journal"
+    run_suite_functional(journal=journal, resume=True)
+    assert len(calls) == 1
+    assert len(SweepJournal(journal).load()) == len(CONFIGS)
+    # the resumed sweep also fingerprints exactly once (filter only: every
+    # cell is merged from the journal)
+    calls.clear()
+    metrics.reset()
+    run_suite_functional(journal=journal, resume=True)
+    assert len(calls) == 1
+    assert metrics.snapshot()["resilience.cells_resumed"]["value"] == len(
+        CONFIGS)

@@ -40,7 +40,7 @@ def test_nav_lists_every_page(build_docs):
     for required in ("index.md", "quickstart.md", "cli.md",
                      "reproduction-map.md", "architecture.md",
                      "calibration.md", "observability.md", "performance.md",
-                     "resilience.md", "service.md", "api.md"):
+                     "resilience.md", "api.md"):
         assert required in pages
 
 
@@ -52,18 +52,13 @@ def test_api_reference_covers_public_surface(build_docs):
     api = (DOCS / "api.md").read_text()
     for module in ("repro.sycl.queue", "repro.sycl.plan",
                    "repro.harness.runner", "repro.harness.bench",
-                   "repro.resilience", "repro.trace",
-                   "repro.service", "repro.service.jobs",
-                   "repro.service.tenants", "repro.service.http",
-                   "repro.service.loadgen"):
+                   "repro.resilience", "repro.trace"):
         assert f"## `{module}`" in api
     for name in ("pool_map", "run_suite_functional", "FaultPlan",
                  "RetryPolicy", "call_with_retry", "FailedCell",
                  "SweepJournal", "render_suite_report",
                  "LaunchPlan", "plan_cache_info", "clear_plan_caches",
-                 "run_bench", "append_trajectory",
-                 "JobSpec", "JobQueue", "TenantQuota", "SweepService",
-                 "run_loadgen"):
+                 "run_bench", "append_trajectory"):
         assert name in api
 
 
@@ -89,8 +84,6 @@ def _subcommands():
 def test_every_cli_flag_is_documented():
     cli_md = (DOCS / "cli.md").read_text()
     subcommands = _subcommands()
-    # the service entry points are part of the documented surface
-    assert "serve" in subcommands and "loadgen" in subcommands
     for name, sub in subcommands.items():
         assert f"## {name}" in cli_md
         for action in sub._actions:

@@ -15,8 +15,6 @@ import repro.common.cache
 import repro.harness.runner
 import repro.resilience.faults
 import repro.resilience.retry
-import repro.service.jobs
-import repro.service.tenants
 import repro.sycl.certificates
 import repro.sycl.plan
 import repro.sycl.queue
@@ -27,8 +25,6 @@ import repro.sycl.queue
     repro.harness.runner,
     repro.resilience.faults,
     repro.resilience.retry,
-    repro.service.jobs,
-    repro.service.tenants,
     repro.sycl.certificates,
     repro.sycl.plan,
     repro.sycl.queue,

@@ -55,11 +55,6 @@ API_MODULES = [
     "repro.trace.spans",
     "repro.trace.metrics",
     "repro.trace.profile",
-    "repro.service",
-    "repro.service.jobs",
-    "repro.service.tenants",
-    "repro.service.http",
-    "repro.service.loadgen",
 ]
 
 #: packages whose every submodule must be *classified* — either
@@ -68,7 +63,7 @@ API_MODULES = [
 #: that is neither fails ``--check``, so the API reference cannot
 #: silently lose coverage of new code.
 API_PACKAGES = ["repro.sycl", "repro.harness", "repro.resilience",
-                "repro.trace", "repro.service"]
+                "repro.trace"]
 
 #: submodules re-exported through their package ``__init__`` (and thus
 #: documented via the package page) rather than on a page of their own
