@@ -1,9 +1,8 @@
 """Ablations — §5.1 datatype optimization (Listing 1) and §3.2.1 barrier
-fence scope, plus the Level-0 device-characteristics sweep."""
+fence scope."""
 
 import numpy as np
 
-from repro.altis.level0 import run_level0
 from repro.altis.raytracing import LAMBERTIAN, Material
 from repro.fpga import Design, KernelDesign, synthesize
 from repro.perfmodel import FpgaModel, KernelProfile, get_spec
@@ -85,23 +84,3 @@ def test_barrier_scope_trait(report):
     ]
     assert trait.kernel_multiplier > 1.0
     report("Ablation: barrier fence scope (§3.2.1)", "\n".join(lines))
-
-
-def test_level0_device_characteristics(benchmark, report):
-    """The Level-0 sweep: measured-from-the-models device numbers that
-    anchor everything else (bus, DRAM, flops, launch overhead)."""
-    def sweep():
-        return {dev: run_level0(dev) for dev in
-                ("xeon6128", "rtx2080", "a100", "stratix10")}
-
-    dbs = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [f"{'device':<12}{'triad GB/s':>12}{'SP GFLOP/s':>12}"
-             f"{'launch us':>11}"]
-    for dev, db in dbs.items():
-        triad = db.get("DeviceMemory", "triad_bw").mean
-        flops = db.get("MaxFlops", "sp_flops").mean
-        launch = db.get("KernelLaunch", "launch_overhead").mean
-        lines.append(f"{dev:<12}{triad:>12.1f}{flops:>12.0f}{launch:>11.1f}")
-    assert dbs["a100"].get("DeviceMemory", "triad_bw").mean > \
-        dbs["rtx2080"].get("DeviceMemory", "triad_bw").mean
-    report("Level-0 microbenchmarks (modeled devices)", "\n".join(lines))

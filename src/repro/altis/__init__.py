@@ -1,14 +1,10 @@
 """The Altis benchmark suite: the Level-2 applications of the paper's
-Table 1 (the evaluation targets), plus the Level-0 microbenchmarks and
-Level-1 algorithms the suite ships around them — all implemented
-against the functional SYCL runtime with analytical performance models."""
+Table 1 (the evaluation targets), implemented against the functional
+SYCL runtime with analytical performance models."""
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".": ("level0", "level1"),
-    "level0": ("LEVEL0_BENCHMARKS", "run_level0"),
-    "level1": ("LEVEL1_BENCHMARKS",),
     "base": ("SIZES", "AltisApp", "FpgaSetup", "Variant", "Workload"),
     "cfd": ("Cfd",),
     "dwt2d": ("Dwt2D",),

@@ -75,41 +75,19 @@ class CalibrationError(ReproError):
     """A performance-model parameter is missing or inconsistent."""
 
 
-# -- resilience layer (repro.resilience) ------------------------------------
-
-class TransientFaultError(ReproError):
-    """A failure that is expected to clear on retry (crashed worker,
-    expired deadline, corrupted read).  The retry policy's default
-    ``retry_on`` filter catches exactly this subtree."""
-
-
-class InjectedFaultError(TransientFaultError):
-    """A fault deliberately raised by an active :class:`FaultPlan`."""
-
-
-class CellTimeoutError(TransientFaultError):
-    """A sweep cell exceeded its cooperative worker deadline."""
-
-
-class CorruptedOutputError(TransientFaultError):
-    """A cell's output (or a cache entry) was detected as corrupted."""
-
-
-def _rebuild_cell_error(message, key, index, attempts):
-    return CellExecutionError(message, key=key, index=index, attempts=attempts)
+def _rebuild_cell_error(message, key, index):
+    return CellExecutionError(message, key=key, index=index)
 
 
 class CellExecutionError(ReproError):
     """A pool cell failed; carries the cell's identity so the caller can
     tell *which* config/size/index died instead of a bare re-raise."""
 
-    def __init__(self, message: str, *, key: str = "", index: int | None = None,
-                 attempts: int = 1):
+    def __init__(self, message: str, *, key: str = "",
+                 index: int | None = None):
         super().__init__(message)
         self.key = key
         self.index = index
-        self.attempts = attempts
 
     def __reduce__(self):
-        return (_rebuild_cell_error,
-                (self.args[0], self.key, self.index, self.attempts))
+        return _rebuild_cell_error, (self.args[0], self.key, self.index)

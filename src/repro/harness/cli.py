@@ -38,28 +38,6 @@ def _add_trace_args(sub_parser: argparse.ArgumentParser) -> None:
                                  "chrome://tracing)")
 
 
-def _add_resilience_args(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("--retries", type=int, default=0, metavar="N",
-                            help="retry transient cell failures up to N "
-                                 "times (exponential backoff with "
-                                 "deterministic jitter)")
-    sub_parser.add_argument("--cell-timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="cooperative per-cell deadline; a cell "
-                                 "past it fails with CellTimeoutError "
-                                 "(retried when --retries is set)")
-    sub_parser.add_argument("--inject-faults", default=None, metavar="SPEC",
-                            help="deterministic fault plan, e.g. "
-                                 "'cell:exception:0.2' or "
-                                 "'launch:slow:0.1:delay=0.01,"
-                                 "cache:corrupt:0.5' "
-                                 "(site:kind:rate[:persist=N][:delay=S]"
-                                 "[:match=SUBSTR])")
-    sub_parser.add_argument("--fault-seed", type=int, default=0, metavar="N",
-                            help="seed of the fault plan's Philox decision "
-                                 "stream")
-
-
 def _add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--no-cache", action="store_true",
                             help="disable the persistent caches: the figure "
@@ -81,17 +59,6 @@ def _certificates(args):
 
     return using_certificate_store(
         None if args.no_cache else resolve_cache_root(args.cache_dir))
-
-
-def _build_resilience(args):
-    """(retry policy, fault plan) from the parsed resilience flags."""
-    from ..resilience import FaultPlan, RetryPolicy
-
-    policy = (RetryPolicy(max_attempts=args.retries + 1)
-              if args.retries > 0 else None)
-    plan = (FaultPlan.parse(args.inject_faults, seed=args.fault_seed)
-            if args.inject_faults else None)
-    return policy, plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quiet", action="store_true")
     _add_cache_args(run)
     _add_trace_args(run)
-    _add_resilience_args(run)
 
     sub.add_parser("list", help="list benchmarks and devices")
 
@@ -145,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "implement it (default: auto)")
     suite.add_argument("--on-error", default="abort",
                        choices=["abort", "degrade"],
-                       help="abort: first unrecovered cell failure stops "
-                            "the sweep (exit 1); degrade: failed cells "
-                            "become FailedCell report rows and the sweep "
-                            "exits 0")
+                       help="abort: the first failing cell stops the "
+                            "sweep; degrade: every cell runs and a failing "
+                            "one becomes a FAIL report row.  Either way "
+                            "the exit status is 1 if any cell failed")
     suite.add_argument("--journal", default=None, metavar="PATH",
                        help="append-only sweep journal (JSONL, fsync'd); "
                             "completed cells are checkpointed here "
@@ -159,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "and merge their results into the report")
     _add_cache_args(suite)
     _add_trace_args(suite)
-    _add_resilience_args(suite)
 
     bench = sub.add_parser("bench",
                            help="steady-state launch benchmarks "
@@ -229,43 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_benchmark(config: str, size: int, device_key: str, passes: int,
                   variant: Variant, scale: float | None,
-                  db: ResultDB, mode: str | None = None,
-                  retry=None, cell_timeout: float | None = None,
-                  fault_plan=None) -> None:
-    """Execute one benchmark ``passes`` times into a ResultDB.
-
-    ``retry``/``cell_timeout``/``fault_plan`` wrap each pass in the
-    resilience layer (:func:`repro.resilience.call_with_retry`), so a
-    single ``run`` survives transient faults the same way a sweep cell
-    does."""
-    from functools import partial
-
+                  db: ResultDB, mode: str | None = None) -> None:
+    """Execute one benchmark ``passes`` times into a ResultDB."""
     from .runner import _DEFAULT_SCALES, run_functional
 
     if mode == "auto":
         mode = None
     scale = scale if scale is not None else _DEFAULT_SCALES.get(config, 0.02)
-    resilient = (retry is not None or cell_timeout is not None
-                 or fault_plan is not None)
     for pass_idx in range(passes):
-        one = partial(run_functional, config, device_key, variant,
-                      scale=scale, seed=pass_idx, mode=mode)
-        if resilient:
-            from ..resilience import call_with_retry, poll
-
-            key = f"{config}#pass{pass_idx}"
-
-            def attempt(one=one, key=key):
-                poll("cell", key, phase="pre")
-                value = one()
-                poll("cell", key, phase="post")
-                return value
-
-            result = call_with_retry(attempt, policy=retry, key=key,
-                                     deadline_s=cell_timeout,
-                                     plan=fault_plan)
-        else:
-            result = one()
+        result = run_functional(config, device_key, variant, scale=scale,
+                                seed=pass_idx, mode=mode)
         db.add_result(config, "kernel_time", "s", result.modeled_kernel_s)
         db.add_result(config, "total_time", "s", result.modeled_total_s)
     # the analytical layer's full-size estimate, once
@@ -281,12 +219,9 @@ def run_benchmark(config: str, size: int, device_key: str, passes: int,
 
 def _cmd_run(args) -> int:
     db = ResultDB()
-    policy, plan = _build_resilience(args)
     with _certificates(args):
         run_benchmark(args.benchmark, args.size, args.device, args.passes,
-                      Variant(args.variant), args.scale, db, mode=args.mode,
-                      retry=policy, cell_timeout=args.cell_timeout,
-                      fault_plan=plan)
+                      Variant(args.variant), args.scale, db, mode=args.mode)
     if not args.quiet:
         print(db.render())
     return 0
@@ -340,23 +275,19 @@ def _cmd_figures(args) -> int:
 
 def _cmd_suite(args) -> int:
     from ..common.errors import CellExecutionError
-    from ..resilience import FailedCell
     from .reporting import render_suite_report
     from .runner import run_suite_functional
 
     mode = None if args.mode == "auto" else args.mode
-    policy, plan = _build_resilience(args)
     journal = args.journal
     if journal is None and args.resume:
         journal = ".repro_sweep.journal"
-    degrade = args.on_error == "degrade"
     try:
         with _certificates(args):
             results = run_suite_functional(
                 args.device, Variant(args.variant), workers=args.workers,
-                mode=mode, retry=policy, cell_timeout=args.cell_timeout,
-                fault_plan=plan, degrade=degrade, journal=journal,
-                resume=args.resume)
+                mode=mode, degrade=args.on_error == "degrade",
+                journal=journal, resume=args.resume)
     except CellExecutionError as exc:
         print(f"suite aborted: {exc}")
         if journal is not None:
@@ -364,15 +295,8 @@ def _cmd_suite(args) -> int:
                   "re-run with --resume to continue")
         return 1
     print(render_suite_report(results))
-    # Degrade mode forgives FailedCell rows (that is its contract), but a
-    # cell that executed and failed golden verification is a correctness
-    # regression in any mode.
-    verified = all(getattr(r, "verified", False) for r in results
-                   if not isinstance(r, FailedCell))
-    if degrade:
-        return 0 if verified else 1
-    return 0 if verified and not any(
-        isinstance(r, FailedCell) for r in results) else 1
+    # a FailedCell row is never verified, so degrade mode fails here too
+    return 0 if all(r.verified for r in results) else 1
 
 
 def _cmd_bench(args) -> int:

@@ -132,13 +132,13 @@ def render_suite_report(results: list) -> str:
 
     Successful cells print their modeled kernel/total times; failed
     cells (:class:`~repro.resilience.FailedCell`, degraded mode) print
-    the error class, attempt count, and message.  The summary line
-    counts degraded cells and verification failures separately — a cell
-    that executed but did not verify is not a degraded row.  The
-    rendering depends
-    only on modeled quantities — never on wall-clock — so a resumed or
-    retry-recovered sweep reproduces the uninterrupted report
-    byte-for-byte.
+    the error class and message, whitespace collapsed so a multi-line
+    message (``assert_allclose``'s) stays on the cell's row.  The
+    summary line counts degraded cells and verification failures
+    separately — a cell that executed but did not verify is not a
+    degraded row.  The rendering depends only on modeled quantities —
+    never on wall-clock — so a resumed sweep reproduces the
+    uninterrupted report byte-for-byte.
     """
     lines = []
     ok = degraded = unverified = 0
@@ -146,8 +146,8 @@ def render_suite_report(results: list) -> str:
         if isinstance(r, FailedCell):
             degraded += 1
             name = r.config or r.key
-            lines.append(f"{name:<14} FAIL  {r.error_kind} after "
-                         f"{r.attempts} attempt(s): {r.message}")
+            message = " ".join(r.message.split())
+            lines.append(f"{name:<14} FAIL  {r.error_kind}: {message}")
             continue
         if r.verified:
             ok += 1

@@ -29,7 +29,6 @@ from pathlib import Path
 from ..common.cache import (atomic_write, code_fingerprint, content_key,
                             resolve_cache_root)
 from ..common.errors import InvalidParameterError
-from ..resilience.faults import cache_read_corrupted as _cache_read_corrupted
 
 __all__ = ["Result", "ResultDB", "FigureCache", "SweepJournal",
            "code_fingerprint"]
@@ -216,19 +215,12 @@ class FigureCache:
     def get(self, **parts):
         """Return the cached value for the cell, or ``None`` on a miss.
 
-        An active :class:`~repro.resilience.faults.FaultPlan` may declare
-        the read corrupted (``cache:corrupt`` rules); the entry is then
-        dropped and the cell recomputes — same degraded path a genuinely
-        torn write takes below.
+        A corrupt or half-written entry counts as a miss: it is dropped
+        and the cell recomputes.
         """
         if not self.enabled:
             return None
-        key = self.key_for(**parts)
-        path = self._path(key)
-        if _cache_read_corrupted(f"figurecache:{key}"):
-            path.unlink(missing_ok=True)
-            self.misses += 1
-            return None
+        path = self._path(self.key_for(**parts))
         try:
             value = _decode(json.loads(path.read_text())["value"])
         except OSError:

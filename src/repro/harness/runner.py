@@ -11,9 +11,7 @@ and the figure builders use them:
   independent cells (process pool when the function is pickle-safe and
   ``fork`` is available, thread pool otherwise — numpy releases the GIL
   on the heavy kernels, so threads still overlap), with optional
-  per-cell retry/backoff, cooperative timeouts, deterministic fault
-  injection, and error capture into
-  :class:`~repro.resilience.FailedCell` records;
+  error capture into :class:`~repro.resilience.FailedCell` records;
 * :func:`generate_workload` — a content-keyed workload memo
   (``(config, size, seed, scale)``) that returns **deep copies**, since
   ``run_sycl`` mutates workload arrays in place;
@@ -30,20 +28,17 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext as _null_context
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..altis.base import AltisApp, Variant, Workload
+from ..altis.base import Variant, Workload
 from ..altis.registry import make_app
-from ..common.errors import (CellExecutionError, CellTimeoutError,
-                             InvalidParameterError, TransientFaultError)
-from ..resilience import (FailedCell, FaultPlan, RetryPolicy, call_with_retry,
-                          poll as _fault_poll)
-from ..sycl import Queue, device
+from ..common.errors import CellExecutionError, InvalidParameterError
+from ..resilience import FailedCell
+from ..sycl import Queue
 from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import Tracer, current_tracer, install_tracer
 from .resultdb import SweepJournal, code_fingerprint
@@ -118,19 +113,14 @@ def resolve_pool_mode(fn: Callable, mode: str = "auto") -> str:
 @dataclass
 class CellOutcome:
     """Everything one pool cell reports home: the value or a structured
-    failure, attempts burned, injected-fault count, and (for process
-    workers) the trace spans recorded remotely."""
+    failure, and (for process workers) the trace spans recorded
+    remotely."""
 
     index: int
     key: str
-    item: object = None
     value: object = None
     error_kind: str | None = None
     message: str = ""
-    attempts: int = 1
-    injected: int = 0
-    transient: bool = False
-    timed_out: bool = False
     #: the raw exception (dropped before crossing a process boundary)
     cause: BaseException | None = None
     events: list | None = None
@@ -140,46 +130,23 @@ class CellOutcome:
         return self.error_kind is None
 
 
-def _run_cell(fn: Callable, item, index: int, key: str,
-              retry: RetryPolicy | None, cell_timeout: float | None,
-              plan: FaultPlan | None) -> CellOutcome:
-    """Run one cell under the full resilience stack: a ``cell`` trace
-    span, per-attempt fault scope + deadline, retry with backoff, and
-    structured failure capture (never raises)."""
-    from ..resilience import current_cell
-
-    calls = [0]
-
-    def attempt():
-        calls[0] += 1
-        _fault_poll("cell", key, phase="pre")
-        result = fn(item)
-        _fault_poll("cell", key, phase="post")
-        return result
-
+def _run_cell(fn: Callable, item, index: int, key: str) -> CellOutcome:
+    """Run one cell under a ``cell`` trace span, capturing its failure
+    as a structured outcome (never raises)."""
     tracer = current_tracer()
     cell_cm = (tracer.span(f"cell:{key}", "cell")
                if tracer is not None else _null_context())
-    injected_before = current_cell().injected
     with cell_cm:
         try:
-            value = call_with_retry(attempt, policy=retry, key=key,
-                                    deadline_s=cell_timeout, plan=plan)
-            outcome = CellOutcome(index=index, key=key, item=item,
-                                  value=value, attempts=max(1, calls[0]))
+            return CellOutcome(index=index, key=key, value=fn(item))
         except Exception as exc:  # structured capture; caller decides
-            outcome = CellOutcome(
-                index=index, key=key, item=item,
-                error_kind=type(exc).__name__, message=str(exc),
-                attempts=max(1, calls[0]), cause=exc,
-                transient=isinstance(exc, TransientFaultError),
-                timed_out=isinstance(exc, CellTimeoutError))
-    outcome.injected = current_cell().injected - injected_before
-    return outcome
+            return CellOutcome(index=index, key=key,
+                               error_kind=type(exc).__name__,
+                               message=str(exc), cause=exc)
 
 
-def _pool_cell(fn: Callable, retry, cell_timeout, plan, traced: str | None,
-               strip_cause: bool, spec: tuple) -> CellOutcome:
+def _pool_cell(fn: Callable, traced: str | None, strip_cause: bool,
+               spec: tuple) -> CellOutcome:
     """Pool-worker entry (module-level so a process pool can pickle it).
     ``traced="process"`` runs under a private tracer whose spans ship
     home in the outcome; ``"shared"`` records into the process tracer."""
@@ -188,32 +155,15 @@ def _pool_cell(fn: Callable, retry, cell_timeout, plan, traced: str | None,
         tracer = Tracer(pid="worker")
         previous = install_tracer(tracer)
         try:
-            outcome = _run_cell(fn, item, index, key, retry, cell_timeout,
-                                plan)
+            outcome = _run_cell(fn, item, index, key)
         finally:
             install_tracer(previous)
         outcome.events = tracer.events()
     else:
-        outcome = _run_cell(fn, item, index, key, retry, cell_timeout, plan)
+        outcome = _run_cell(fn, item, index, key)
     if strip_cause:
         outcome.cause = None  # exceptions may not survive pickling
-        outcome.item = None
     return outcome
-
-
-def _account_outcomes(outcomes: list) -> None:
-    """Fold a batch of cell outcomes into the ``resilience.*`` counters
-    (parent-side, so process-pool cells are counted too)."""
-    _trace_metrics.counter("resilience.cells").inc(len(outcomes))
-    retries = sum(max(0, o.attempts - 1) for o in outcomes)
-    if retries:
-        _trace_metrics.counter("resilience.cell_retries").inc(retries)
-    injected = sum(o.injected for o in outcomes)
-    if injected:
-        _trace_metrics.counter("resilience.cell_faults").inc(injected)
-    failed = sum(1 for o in outcomes if not o.ok)
-    if failed:
-        _trace_metrics.counter("resilience.failed_cells").inc(failed)
 
 
 def _collect_outcomes(outcomes: list, capture_errors: bool) -> list:
@@ -229,26 +179,20 @@ def _collect_outcomes(outcomes: list, capture_errors: bool) -> list:
         if capture_errors:
             results.append(FailedCell(
                 key=outcome.key, index=outcome.index,
-                error_kind=outcome.error_kind, message=outcome.message,
-                attempts=outcome.attempts, transient=outcome.transient,
-                timed_out=outcome.timed_out))
+                error_kind=outcome.error_kind, message=outcome.message))
         elif first_error is None:
             first_error = outcome
     if first_error is not None:
         raise CellExecutionError(
-            f"pool cell {first_error.index} ({first_error.key!r}) failed "
-            f"after {first_error.attempts} attempt(s): "
+            f"pool cell {first_error.index} ({first_error.key!r}) failed: "
             f"{first_error.error_kind}: {first_error.message}",
             key=first_error.key, index=first_error.index,
-            attempts=first_error.attempts) from first_error.cause
+        ) from first_error.cause
     return results
 
 
 def pool_map(fn: Callable, items: Sequence | Iterable, *,
              workers: int | None = None, mode: str = "auto",
-             retry: RetryPolicy | None = None,
-             cell_timeout: float | None = None,
-             fault_plan: FaultPlan | None = None,
              capture_errors: bool = False,
              cell_key: Callable | None = None,
              on_result: Callable | None = None) -> list:
@@ -265,11 +209,7 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
     spans are adopted into the parent trace afterwards, so a parallel
     sweep always yields one merged trace.
 
-    The resilience options thread each cell through
-    :mod:`repro.resilience`: ``retry`` retries transient failures with
-    deterministic backoff, ``cell_timeout`` arms a cooperative
-    per-attempt deadline, ``fault_plan`` injects reproducible faults,
-    and ``capture_errors=True`` degrades failed cells into
+    ``capture_errors=True`` turns failed cells into
     :class:`~repro.resilience.FailedCell` records in the result list
     instead of aborting the map.  A worker exception that does propagate
     is raised as :class:`CellExecutionError` carrying the cell's key and
@@ -284,23 +224,19 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
     [2, 1, 4]
     """
     items = list(items)
-    resilient = (retry is not None or cell_timeout is not None
-                 or fault_plan is not None or capture_errors
-                 or on_result is not None)
-    if workers is None or workers <= 1 or len(items) <= 1:
-        if not resilient:
-            return [fn(it) for it in items]
-        keys = [str(cell_key(it) if cell_key else it) for it in items]
+    serial = workers is None or workers <= 1 or len(items) <= 1
+    if serial and not capture_errors and on_result is None:
+        return [fn(it) for it in items]
+    keys = [str(cell_key(it) if cell_key else it) for it in items]
+    if serial:
         outcomes = []
         for i, item in enumerate(items):
-            outcome = _run_cell(fn, item, i, keys[i], retry, cell_timeout,
-                                fault_plan)
+            outcome = _run_cell(fn, item, i, keys[i])
             outcomes.append(outcome)
             if on_result is not None:
                 on_result(outcome)
             if not capture_errors and not outcome.ok:
                 break  # abort mode fails fast; earlier cells stay journaled
-        _account_outcomes(outcomes)
         return _collect_outcomes(outcomes, capture_errors)
 
     # the serial path above never loads the pool machinery
@@ -312,9 +248,7 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
     tracer = current_tracer()
     traced = (None if tracer is None
               else "process" if pool_mode == "process" else "shared")
-    keys = [str(cell_key(it) if cell_key else it) for it in items]
-    mapped = partial(_pool_cell, fn, retry, cell_timeout, fault_plan, traced,
-                     pool_mode == "process")
+    mapped = partial(_pool_cell, fn, traced, pool_mode == "process")
     pool_cls = (ProcessPoolExecutor if pool_mode == "process"
                 else ThreadPoolExecutor)
     slots: list = [None] * len(items)
@@ -336,8 +270,6 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
         for outcome in outcomes:
             if outcome.events:
                 tracer.adopt(outcome.events, pid=f"cell-{outcome.index}")
-    if resilient:
-        _account_outcomes(outcomes)
     return _collect_outcomes(outcomes, capture_errors)
 
 
@@ -581,9 +513,6 @@ def run_suite_functional(device_key: str = "rtx2080",
                          workers: int | None = None,
                          pool_mode: str = "auto",
                          mode: str | None = None,
-                         retry: RetryPolicy | None = None,
-                         cell_timeout: float | None = None,
-                         fault_plan: FaultPlan | None = None,
                          degrade: bool = False,
                          journal: SweepJournal | str | os.PathLike | None = None,
                          resume: bool = False) -> list:
@@ -592,11 +521,9 @@ def run_suite_functional(device_key: str = "rtx2080",
     Results are returned in suite (``_DEFAULT_SCALES``) order no matter
     which worker finishes first.
 
-    Fault tolerance (all off by default):
+    Failure handling (off by default):
 
-    * ``retry``/``cell_timeout``/``fault_plan`` — per-cell recovery and
-      deterministic fault injection (see :mod:`repro.resilience`);
-    * ``degrade=True`` — a cell that exhausts recovery becomes a
+    * ``degrade=True`` — a cell that fails becomes a
       :class:`~repro.resilience.FailedCell` entry in the returned list
       instead of aborting the sweep;
     * ``journal`` (+ ``resume=True``) — completed cells are fsync'd to
@@ -629,9 +556,7 @@ def run_suite_functional(device_key: str = "rtx2080",
 
     fn = partial(run_functional, device_key=device_key, variant=variant,
                  mode=mode)
-    resilient = (retry is not None or cell_timeout is not None
-                 or fault_plan is not None or degrade or journal is not None)
-    if not resilient:
+    if not degrade and journal is None:
         return pool_map(fn, configs, workers=workers, mode=pool_mode)
 
     on_result = None
@@ -642,9 +567,7 @@ def run_suite_functional(device_key: str = "rtx2080",
                                               fingerprint=fingerprint))
 
     fresh = pool_map(fn, pending, workers=workers, mode=pool_mode,
-                     retry=retry, cell_timeout=cell_timeout,
-                     fault_plan=fault_plan, capture_errors=degrade,
-                     on_result=on_result)
+                     capture_errors=degrade, on_result=on_result)
     by_config = dict(zip(pending, fresh))
     merged = []
     for config in configs:

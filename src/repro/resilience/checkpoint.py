@@ -1,57 +1,33 @@
-"""Degraded-mode failure records for checkpointed sweeps.
+"""Degraded-mode failure records for suite sweeps.
 
-A sweep cell that exhausts its retries does not abort the run: it
-degrades into a :class:`FailedCell` — a structured record carrying the
-cell's identity (config/key/index), the error class, and how many
-attempts were burned — which flows through the suite report next to the
-successful :class:`~repro.harness.runner.RunResult` rows.  The
-append-only journal itself (:class:`~repro.harness.resultdb.SweepJournal`)
-lives with the rest of the persistence layer in
-:mod:`repro.harness.resultdb`; this module stays free of harness imports
-so the resilience package layers strictly on ``common`` + ``trace``.
+Under ``--on-error degrade`` a sweep cell that fails does not abort the
+run: it becomes a :class:`FailedCell` — a structured record carrying the
+cell's identity (config/key/index), the error class and its message —
+which flows through the suite report next to the successful
+:class:`~repro.harness.runner.RunResult` rows.  The append-only journal
+itself (:class:`~repro.harness.resultdb.SweepJournal`) lives with the
+rest of the persistence layer in :mod:`repro.harness.resultdb`; this
+module imports nothing from the harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.errors import CellTimeoutError, TransientFaultError
-
 __all__ = ["FailedCell"]
 
 
 @dataclass
 class FailedCell:
-    """One sweep cell that failed after all recovery was exhausted."""
+    """One sweep cell that raised instead of returning a result."""
 
     key: str
     index: int
     error_kind: str
     message: str
-    attempts: int = 1
     #: filled by the suite driver for benchmark cells
     config: str = ""
     device_key: str = ""
     variant: str = ""
-    transient: bool = False
-    timed_out: bool = False
     #: mirrors ``RunResult.verified`` so report code can treat rows uniformly
     verified: bool = False
-
-    @classmethod
-    def from_exception(cls, exc: BaseException, *, key: str, index: int,
-                       attempts: int = 1) -> "FailedCell":
-        return cls(
-            key=key,
-            index=index,
-            error_kind=type(exc).__name__,
-            message=str(exc),
-            attempts=attempts,
-            transient=isinstance(exc, TransientFaultError),
-            timed_out=isinstance(exc, CellTimeoutError),
-        )
-
-    def describe(self) -> str:
-        name = self.config or self.key
-        return (f"{name}: {self.error_kind} after {self.attempts} "
-                f"attempt(s): {self.message}")

@@ -30,8 +30,7 @@ hosts must not carry one host's proof to another.
 The file holds the full payload, and a read compares the whole file
 byte for byte with the document the current launch would write.
 Anything else — a missing, unreadable, corrupt, truncated,
-foreign-schema or mismatched file, or an injected ``cache:corrupt``
-fault on ``certificate:<key>`` — is a miss, and a miss means full
+foreign-schema or mismatched file — is a miss, and a miss means full
 validation, followed by a rewrite when the program matches.
 Only bitwise matches are written; a demotion never is.
 
@@ -69,7 +68,6 @@ import numpy as np
 
 from ..common.cache import (atomic_write, canonical_json, code_fingerprint,
                             content_key, resolve_cache_root)
-from ..resilience.faults import cache_read_corrupted as _cache_read_corrupted
 from ..trace.metrics import registry as _metrics
 from .vectorize import _SCALARS, _arg_signature, _overlaps
 
@@ -230,8 +228,6 @@ class CertificateStore:
         """
         key, expected = self._document(payload)
         path = self.root / f"{key}.json"
-        if _cache_read_corrupted(f"certificate:{key}"):
-            return self._miss(rejected=True)  # revalidated, then rewritten
         try:
             found = path.read_bytes()
         except FileNotFoundError:

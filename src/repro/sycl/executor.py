@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from ..common.errors import KernelLaunchError
-from ..resilience.faults import poll as _fault_poll
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
 from .kernel import KernelSpec
@@ -335,13 +334,7 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
     the first launch of a shape compiles a
     :class:`~repro.sycl.plan.LaunchPlan`, repeated launches execute
     warm with zero re-inspection.
-
-    Each launch is a fault-injection / deadline checkpoint
-    (:func:`repro.resilience.faults.poll` at site ``launch``) — polled
-    *before* the plan lookup, so faults and retries stay per-launch
-    even on a warm cache; free when no plan or deadline is active.
     """
-    _fault_poll("launch", kernel.name)
     return _lookup_plan(kernel, nd_range, force_item, device_max_wg,
                         mode).execute(args)
 
@@ -363,7 +356,6 @@ def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
     scheduler in :mod:`repro.sycl.pipes`; calling them here runs them to
     completion and will raise if a pipe read ever blocks.
     """
-    _fault_poll("launch", kernel.name)
     stats = ExecutionStats()
     stats.path = "single_task"
     fn = kernel.vector_fn or kernel.item_fn

@@ -490,13 +490,7 @@ class LaunchPlan:
     # -- execution ---------------------------------------------------------
 
     def execute(self, args: tuple) -> ExecutionStats:
-        """Run one launch through the plan.
-
-        The caller remains responsible for the per-launch duties that
-        must *not* amortize — the executor polls the fault-injection /
-        deadline hook before looking the plan up, so faults and retries
-        stay per-launch even on a fully warm cache.
-        """
+        """Run one launch through the plan."""
         stats = ExecutionStats()
         tracer = current_tracer()
         ck = self.compiled

@@ -9,12 +9,8 @@ instrumentation (see docs/observability.md for the full catalogue):
 * ``queue.launch_wall_us`` — histogram of wall-clock launch cost;
 * ``perfmodel.plans_timed`` — launch-plan assemblies;
 * ``harness.runs`` / ``harness.verify_failures`` — functional runs;
-* ``resilience.*`` — the fault-tolerance layer: ``faults_injected``,
-  ``cache_corruptions``, ``cell_timeouts``, ``retries`` /
-  ``retry_exhausted`` and the ``backoff_s`` histogram (recorded by
-  :func:`repro.resilience.call_with_retry`), plus per-sweep accounting
-  from ``pool_map`` (``cells``, ``cell_retries``, ``cell_faults``,
-  ``failed_cells``) and checkpoint-resume (``cells_resumed``).
+* ``resilience.cells_resumed`` — suite cells a ``--resume`` merged from
+  the sweep journal instead of re-executing.
 
 Hot-path sites (executor, queue, buffer) update metrics only while a
 tracer is active, so the disabled path stays free; harness-level sites

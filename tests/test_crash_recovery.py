@@ -1,35 +1,54 @@
-"""Crash-recovery integration: a sweep killed mid-run by an injected
-fault resumes from its journal, re-executes only the unfinished cells,
-produces a byte-identical report, and its journaled output digests still
-match the golden end-to-end checksums."""
+"""Crash-recovery integration: a sweep that dies mid-run — by an
+exception in a cell, or by a real ``SIGKILL`` of its process — resumes
+from its journal, re-executes only the unfinished cells, produces a
+byte-identical report, and its journaled output digests still match the
+golden end-to-end checksums."""
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.common.errors import CellExecutionError
+from repro.harness import runner
 from repro.harness.cli import main
 from repro.harness.reporting import render_suite_report
 from repro.harness.resultdb import SweepJournal
 from repro.harness.runner import (_DEFAULT_SCALES, run_suite_functional)
 from repro.trace.metrics import registry as metrics
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "size1_checksums.json"
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden" / "size1_checksums.json"
 CONFIGS = list(_DEFAULT_SCALES)
 CRASH_AT = "LavaMD"  # config index 5: five cells complete before the crash
 
 
+def _crash_at(mp, config):
+    """Make ``config``'s cell raise, as a crashing cell would."""
+    real = runner.run_functional
+
+    def crashing(name, *args, **kwargs):
+        if name == config:
+            raise RuntimeError(f"{name}: cell crashed")
+        return real(name, *args, **kwargs)
+
+    mp.setattr(runner, "run_functional", crashing)
+
+
 @pytest.fixture
-def crashed_journal(tmp_path):
+def crashed_journal(tmp_path, monkeypatch):
     """A journal left behind by a sweep that died at LavaMD."""
     journal = tmp_path / "sweep.journal"
-    from repro.resilience import FaultPlan
-    plan = FaultPlan.parse(f"cell:exception:1.0:persist=99:match={CRASH_AT}")
-    with pytest.raises(CellExecutionError) as excinfo:
-        run_suite_functional(journal=journal, fault_plan=plan)
+    with monkeypatch.context() as mp:
+        _crash_at(mp, CRASH_AT)
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_suite_functional(journal=journal)
     assert excinfo.value.key == CRASH_AT
     return journal
 
@@ -116,8 +135,9 @@ def test_cli_crash_resume_round_trip(tmp_path, capsys, monkeypatch):
     clean = capsys.readouterr().out
 
     journal = str(tmp_path / "cli.journal")
-    status = main(["suite", "--journal", journal, "--inject-faults",
-                   f"cell:exception:1.0:persist=99:match={CRASH_AT}"])
+    with monkeypatch.context() as mp:
+        _crash_at(mp, CRASH_AT)
+        status = main(["suite", "--journal", journal])
     out = capsys.readouterr().out
     assert status == 1
     assert "suite aborted" in out and "--resume" in out
@@ -125,6 +145,56 @@ def test_cli_crash_resume_round_trip(tmp_path, capsys, monkeypatch):
     assert main(["suite", "--journal", journal, "--resume"]) == 0
     resumed = capsys.readouterr().out
     assert resumed == clean
+
+
+#: run as ``sitecustomize`` in the killed process: LavaMD's cell sends
+#: its own process a SIGKILL, so no handler, ``finally`` or flush runs
+_KILL_AT_CRASH = f"""
+import os, signal
+from repro.harness import runner
+
+real = runner.run_functional
+
+def killing(name, *args, **kwargs):
+    if name == {CRASH_AT!r}:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(name, *args, **kwargs)
+
+runner.run_functional = killing
+"""
+
+
+def _repro(*argv, cwd, extra_path=None):
+    path = [str(REPO / "src")] + ([str(extra_path)] if extra_path else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("REPRO_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-m", "repro", *argv], cwd=cwd,
+                          env=env, capture_output=True)
+
+
+def test_sigkilled_suite_resumes_byte_identical(tmp_path):
+    """A ``suite --journal`` process killed by SIGKILL inside the LavaMD
+    cell: ``--resume`` re-runs only the eight unfinished cells and prints
+    exactly what an uninterrupted ``suite`` prints."""
+    clean = _repro("suite", cwd=tmp_path)
+    assert clean.returncode == 0
+
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(_KILL_AT_CRASH)
+    journal = tmp_path / "sweep.journal"
+    killed = _repro("suite", "--journal", str(journal), cwd=tmp_path,
+                    extra_path=hook)
+    assert killed.returncode == -signal.SIGKILL
+    done = CONFIGS[:CONFIGS.index(CRASH_AT)]
+    assert [r["config"] for r in SweepJournal(journal).load()] == done
+
+    resumed = _repro("suite", "--journal", str(journal), "--resume",
+                     cwd=tmp_path)
+    assert resumed.returncode == 0
+    assert resumed.stdout == clean.stdout
+    # the resume appended exactly the cells the killed run never finished
+    assert [r["config"] for r in SweepJournal(journal).load()] == CONFIGS
 
 
 def test_code_fingerprint_computed_once_per_sweep(tmp_path, monkeypatch):

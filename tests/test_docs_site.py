@@ -54,8 +54,7 @@ def test_api_reference_covers_public_surface(build_docs):
                    "repro.harness.runner", "repro.harness.bench",
                    "repro.resilience", "repro.trace"):
         assert f"## `{module}`" in api
-    for name in ("pool_map", "run_suite_functional", "FaultPlan",
-                 "RetryPolicy", "call_with_retry", "FailedCell",
+    for name in ("pool_map", "run_suite_functional", "FailedCell",
                  "SweepJournal", "render_suite_report",
                  "LaunchPlan", "plan_cache_info", "clear_plan_caches",
                  "run_bench", "append_trajectory"):

@@ -13,8 +13,6 @@ import pytest
 
 import repro.common.cache
 import repro.harness.runner
-import repro.resilience.faults
-import repro.resilience.retry
 import repro.sycl.certificates
 import repro.sycl.plan
 import repro.sycl.queue
@@ -23,8 +21,6 @@ import repro.sycl.queue
 @pytest.mark.parametrize("module", [
     repro.common.cache,
     repro.harness.runner,
-    repro.resilience.faults,
-    repro.resilience.retry,
     repro.sycl.certificates,
     repro.sycl.plan,
     repro.sycl.queue,

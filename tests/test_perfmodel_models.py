@@ -86,6 +86,30 @@ class TestGpuRoofline:
         ta100 = GpuModel(get_spec("a100")).kernel_time_s(p)
         assert ta100 < t2080
 
+    def test_streaming_bandwidth_stays_below_spec(self):
+        """A saturating triad (a = b + s*c) gets most of the DRAM
+        bandwidth and never more; the A100 streams faster."""
+        n = 1 << 24
+        triad = KernelProfile(name="triad", flops=2.0 * n,
+                              global_bytes=12.0 * n, work_items=n,
+                              compute_efficiency=0.9)
+        achieved = {}
+        for key in ("rtx2080", "a100"):
+            spec = get_spec(key)
+            achieved[key] = (triad.global_bytes
+                             / GpuModel(spec).kernel_time_s(triad))
+            assert 0.4 * spec.mem_bw < achieved[key] <= spec.mem_bw
+        assert achieved["a100"] > achieved["rtx2080"]
+
+    def test_fma_chain_stays_below_peak_flops(self):
+        n = 1 << 20
+        chain = KernelProfile(name="maxflops", flops=2.0 * 512 * n,
+                              global_bytes=8.0 * n, work_items=n,
+                              compute_efficiency=0.92)
+        spec = get_spec("rtx2080")
+        achieved = chain.flops / GpuModel(spec).kernel_time_s(chain)
+        assert 0.5 * spec.peak_flops() < achieved <= spec.peak_flops()
+
     def test_kernel_floor(self):
         m = GpuModel(get_spec("a100"))
         assert m.kernel_time_s(_profile(flops=1, global_bytes=1, work_items=1)) >= 2e-6
@@ -254,6 +278,20 @@ class TestOverheadsAndTimeline:
         fpga = overheads_for(RuntimeKind.SYCL, get_spec("stratix10"))
         gpu = overheads_for(RuntimeKind.SYCL, get_spec("rtx2080"))
         assert fpga.launch_s > gpu.launch_s
+
+    def test_fpga_per_launch_overhead_dwarfs_gpu(self):
+        """Back-to-back launches, each with its two events (§5)."""
+        def per_launch(key):
+            ov = overheads_for(RuntimeKind.SYCL, get_spec(key))
+            return ov.launch_s + 2 * ov.event_s
+        assert per_launch("stratix10") > 3 * per_launch("rtx2080")
+
+    def test_transfer_bandwidth_grows_with_block_size(self):
+        """A 1 KiB copy is latency-bound, a 64 MiB one bandwidth-bound."""
+        ov = overheads_for(RuntimeKind.SYCL, get_spec("rtx2080"))
+        small, large = 1 << 10, 1 << 26
+        assert (large / ov.transfer_time_s(large)
+                > 10 * small / ov.transfer_time_s(small))
 
     def test_unknown_combo_raises(self):
         with pytest.raises(KeyError):

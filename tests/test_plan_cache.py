@@ -11,7 +11,7 @@ import pytest
 
 from repro.altis import Variant
 from repro.altis.registry import APP_FACTORIES, make_app
-from repro.common.errors import InjectedFaultError, KernelLaunchError
+from repro.common.errors import KernelLaunchError
 from repro.sycl import KernelSpec, NdRange, Queue, Range
 from repro.sycl.executor import run_grid_synchronized, run_nd_range
 from repro.sycl.ndrange import FenceSpace
@@ -191,29 +191,6 @@ class TestCacheBehavior:
             with pytest.raises(KernelLaunchError,
                                match="divergent barrier - only 2 of 4"):
                 run_nd_range(k, nd, (np.zeros(8),), force_item=True)
-
-
-class TestFaultsStayPerLaunch:
-    def test_warm_plan_does_not_bypass_fault_injection(self):
-        from repro.resilience import FaultPlan, fault_injection
-
-        clear_plan_caches()
-        nd = NdRange(Range(8), Range(4))
-        out = np.zeros(8)
-        run_nd_range(_triple(), nd, (out,))
-        run_nd_range(_triple(), nd, (out,))
-        assert plan_cache_info()["hits"] >= 1  # plan is warm
-
-        plan = FaultPlan.parse("launch:exception:1.0", seed=3)
-        with fault_injection(plan):
-            # every launch is polled, warm plan or not
-            for _ in range(2):
-                with pytest.raises(InjectedFaultError):
-                    run_nd_range(_triple(), nd, (out,))
-        # plan survives the faults; next launch is a clean warm hit
-        hits = plan_cache_info()["hits"]
-        run_nd_range(_triple(), nd, (out,))
-        assert plan_cache_info()["hits"] == hits + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Property-based tests for the harness additions (ResultDB statistics,
-HyperQ scheduler invariants, Level-1 algorithm invariants)."""
+HyperQ scheduler invariants)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,51 +80,3 @@ def test_full_chain_equals_serial(n):
         prev = q.parallel_for(Range(64), _noop(), profile=prof,
                               depends_on=deps)
     assert q.concurrent_span_s() == q.serial_span_s()
-
-
-# -- Level-1 invariants ----------------------------------------------------------
-
-@given(st.integers(0, 2**31 - 1), st.integers(16, 128))
-@settings(max_examples=10, deadline=None)
-def test_sort_is_permutation(seed, n):
-    from repro.altis.level1 import Sort
-    from repro.sycl import Queue
-
-    s = Sort()
-    w = s.generate(n=n, seed=seed)
-    out = s.run_sycl(Queue("rtx2080"), w)
-    assert (np.diff(out.astype(np.int64)) >= 0).all()
-    np.testing.assert_array_equal(np.sort(w["keys"]), out)
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=10, deadline=None)
-def test_bfs_depths_are_valid(seed):
-    """Every edge relaxes: depth[v] <= depth[u] + 1 for reachable u->v."""
-    from repro.altis.level1 import Bfs
-    from repro.sycl import Queue
-
-    b = Bfs()
-    w = b.generate(n=64, seed=seed)
-    depth = b.run_sycl(Queue("rtx2080"), w)
-    for u in range(w["n"]):
-        if depth[u] < 0:
-            continue
-        for e in range(w["row_ptr"][u], w["row_ptr"][u + 1]):
-            v = int(w["col_idx"][e])
-            assert 0 <= depth[v] <= depth[u] + 1
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(4, 24))
-@settings(max_examples=10, deadline=None)
-def test_pathfinder_lower_bound(seed, rows):
-    """The DP result is at least the column-wise minimum path bound."""
-    from repro.altis.level1 import Pathfinder
-    from repro.sycl import Queue
-
-    p = Pathfinder()
-    w = p.generate(rows=rows, cols=32, seed=seed)
-    out = p.run_sycl(Queue("rtx2080"), w)
-    # any path sums `rows` cells, each at least the global min cell
-    assert (out >= rows * w["grid"].min()).all()
-    np.testing.assert_array_equal(out, p.reference(w))

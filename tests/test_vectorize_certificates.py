@@ -7,8 +7,8 @@ an intact certificate for exactly this launch can be trusted.  The
 hypothesis properties below draw random batchable kernels (the grammar
 of :mod:`tests.test_vectorize_fuzz`), earn a certificate, and then break
 it in one of many ways: a damaged file, a foreign or stale payload in
-its place, an injected ``cache:corrupt`` fault, or a changed numpy
-version, host, code fingerprint, launch range, dtype or shape.  In every case
+its place, or a changed numpy version, host, code fingerprint, launch
+range, dtype or shape.  In every case
 the next launch must run full shadow validation and leave
 interpreter-identical bytes.  Deterministic tests check that a real
 certificate planted for a wrong program, or for a monkeypatched
@@ -35,7 +35,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.resilience import FaultPlan, fault_injection  # noqa: E402
 from repro.sycl import (  # noqa: E402
     KernelKind,
     KernelSpec,
@@ -175,7 +174,6 @@ def _flip(path: Path, data) -> None:
     path.write_bytes(bytes(raw))
 
 
-_DAMAGES = sorted(_FILE_DAMAGE) + ["fault"]
 
 
 @_SETTINGS
@@ -188,7 +186,7 @@ def test_damaged_certificate_forces_full_validation(lines_names, n, seed,
     spec = _spec(_make_kernel(src_text))
     src = np.random.default_rng(seed).random(n)
     ref = _interpreter(spec, ND, src, n)
-    for damage in _DAMAGES:
+    for damage in sorted(_FILE_DAMAGE):
         _check_damage(damage, spec, src, n, ref, data, src_text)
 
 
@@ -202,13 +200,8 @@ def _check_damage(damage, spec, src, n, ref, data, src_text):
         _rewrite(path, lambda doc: None)
         assert path.read_bytes() == intact
 
-        if damage == "fault":
-            plan = FaultPlan.parse("cache:corrupt:1.0:match=certificate")
-            with fault_injection(plan):
-                out, how = _compiled(spec, ND, src, n)
-        else:
-            _FILE_DAMAGE[damage](path, data)
-            out, how = _compiled(spec, ND, src, n)
+        _FILE_DAMAGE[damage](path, data)
+        out, how = _compiled(spec, ND, src, n)
 
         assert store.hits == 0, f"{damage}: a broken certificate was trusted"
         assert store.rejects == 1

@@ -48,8 +48,6 @@ API_MODULES = [
     "repro.harness.bench",
     "repro.harness.perfdiff",
     "repro.resilience",
-    "repro.resilience.faults",
-    "repro.resilience.retry",
     "repro.resilience.checkpoint",
     "repro.trace",
     "repro.trace.spans",
