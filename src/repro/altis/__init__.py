@@ -18,6 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "srad": ("Srad",),
     "where": ("Where",),
     "registry": ("APP_FACTORIES", "FIG2_CONFIGS", "FIG4_CONFIGS",
-                 "FIG5_CONFIGS", "COMMON_INFRASTRUCTURE", "all_apps",
+                 "FIG5_CONFIGS", "all_apps", "common_infrastructure",
                  "make_app", "suite_source_models"),
 })

@@ -18,6 +18,18 @@ Every application (Table 1 of the paper) implements :class:`AltisApp`:
 * **source model** — the construct-level CUDA source description the
   DPCT analogue migrates (§3.2 statistics).
 
+The first three are the functional half, which ``repro suite`` runs;
+the last three are the model half, which only the figures, ``migrate``,
+``synth`` and modeled times read.  An app module imports only its
+functional layers (``sycl``, ``perfmodel.spec`` and
+``perfmodel.profile``, whose ``KernelProfile`` feeds the suite's
+modeled ``kernel=``/``total=`` columns) at module level.  The model half
+(``perfmodel.timeline``/``overhead``/``traits``/``fpga``, ``fpga.*``
+and ``dpct.source_model``) is imported inside :meth:`AltisApp.xpu_time`,
+:meth:`AltisApp.fpga_time`, :meth:`AltisApp.variant_traits`,
+:meth:`AltisApp.fpga_setup` and :meth:`AltisApp.source_model`, so it
+loads on the first call.
+
 Variants (:class:`Variant`) name the implementation stages of the
 paper's methodology pipeline: original CUDA -> DPCT baseline SYCL ->
 GPU-optimized SYCL -> FPGA baseline -> FPGA optimized.
@@ -28,19 +40,20 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..common.errors import InvalidParameterError
-from ..dpct.source_model import SourceModel
-from ..fpga.resources import Design
-from ..fpga.synthesis import SynthesisResult, synthesize
-from ..perfmodel.fpga import FpgaModel
-from ..perfmodel.overhead import overheads_for
 from ..perfmodel.profile import LaunchPlan
 from ..perfmodel.spec import get_spec
-from ..perfmodel.timeline import RunDecomposition, model_for, time_launch_plan
-from ..perfmodel.traits import ImplVariant
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
+    from ..fpga.resources import Design
+    from ..fpga.synthesis import SynthesisResult
+    from ..perfmodel.timeline import RunDecomposition
+    from ..perfmodel.traits import ImplVariant
 
 __all__ = ["Variant", "SIZES", "Workload", "AltisApp", "FpgaSetup"]
 
@@ -164,6 +177,8 @@ class AltisApp(abc.ABC):
         Default: no traits; apps override with their paper-documented
         mechanisms (harmful unroll, missing inlining, pow vs a*a, ...).
         """
+        from ..perfmodel.traits import ImplVariant
+
         return ImplVariant(name=f"{self.name}:{variant.value}", runtime=variant.runtime)
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> "FpgaSetup":
@@ -181,6 +196,9 @@ class AltisApp(abc.ABC):
     def xpu_time(self, size: int, variant: Variant, device_key: str,
                  config: str | None = None) -> RunDecomposition:
         """Model one run on a CPU/GPU device for a CUDA/SYCL variant."""
+        from ..perfmodel.overhead import overheads_for
+        from ..perfmodel.timeline import model_for, time_launch_plan
+
         self.check_size(size)
         spec = get_spec(device_key)
         plan = self.launch_plan(size, variant)
@@ -192,6 +210,11 @@ class AltisApp(abc.ABC):
     def fpga_time(self, size: int, optimized: bool, device_key: str,
                   seed: int = 1) -> RunDecomposition:
         """Model one run of an FPGA build (synthesize + time)."""
+        from ..fpga.synthesis import synthesize
+        from ..perfmodel.fpga import FpgaModel
+        from ..perfmodel.overhead import overheads_for
+        from ..perfmodel.timeline import time_launch_plan
+
         self.check_size(size)
         setup = self.fpga_setup(size, optimized, device_key)
         spec = get_spec(device_key)

@@ -31,13 +31,16 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["Cfd", "cfd_reference_iteration"]
 
@@ -302,6 +305,8 @@ class Cfd(AltisApp):
                            runtime=variant.runtime, traits=traits)
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         nel, iters = dims["nel"], dims["iterations"]
         variant = Variant.FPGA_OPT if optimized else Variant.FPGA_BASE
@@ -328,6 +333,8 @@ class Cfd(AltisApp):
                          kernels={"compute_flux": (kern, repl)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=3_200,

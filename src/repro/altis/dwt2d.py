@@ -21,14 +21,17 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..common.errors import FeatureNotSupportedError
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["Dwt2D", "dwt53_forward", "dwt53_inverse",
            "dwt97_forward", "dwt97_inverse"]
@@ -405,6 +408,8 @@ class Dwt2D(AltisApp):
                            runtime=variant.runtime, traits=traits)
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         if optimized:
             # §5.4: the shared-memory congestion could not be removed;
             # only the baseline FPGA version exists
@@ -427,6 +432,8 @@ class Dwt2D(AltisApp):
                                   "fdwt53_cols": (ks["fdwt53_cols"], 1)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=2_400,

@@ -19,16 +19,17 @@ measurement pitfall** (§3.3):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
-from ..perfmodel.overhead import overheads_for
 from ..perfmodel.profile import KernelProfile, LaunchPlan
-from ..perfmodel.spec import get_spec
-from ..perfmodel.timeline import RunDecomposition
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
+    from ..perfmodel.timeline import RunDecomposition
 
 __all__ = ["FdTd2D", "fdtd2d_reference"]
 
@@ -219,6 +220,8 @@ class FdTd2D(AltisApp):
         }
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         n, steps = dims["n"], dims["steps"]
         variant = Variant.FPGA_OPT if optimized else Variant.FPGA_BASE
@@ -238,6 +241,8 @@ class FdTd2D(AltisApp):
         return FpgaSetup(design=design, plan=plan, kernels=kernels)
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=1_300,

@@ -23,14 +23,17 @@ Paper relevance (§5.3, Fig. 3):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec, LoopSpec
-from ..sycl.pipes import DataflowGraph, Pipe
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
+    from ..sycl.pipes import Pipe
 
 __all__ = ["KMeans", "kmeans_reference"]
 
@@ -257,6 +260,8 @@ class KMeans(AltisApp):
         ks = self.kernels(variant)
 
         if variant is Variant.FPGA_OPT:
+            from ..sycl.pipes import DataflowGraph, Pipe
+
             assign_pipe = Pipe("assign", capacity=8)
             centers_pipe = Pipe("centers_fb", capacity=2)
             graph = DataflowGraph()
@@ -328,6 +333,8 @@ class KMeans(AltisApp):
         return plan
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         n, k, d, iters = dims["n"], dims["k"], dims["d"], dims["iterations"]
         ks = self.kernels(Variant.FPGA_OPT if optimized else Variant.FPGA_BASE)
@@ -381,6 +388,8 @@ class KMeans(AltisApp):
                          kernels={"dataflow": map_st})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=2_900,

@@ -20,14 +20,17 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from ..sycl.ndrange import FenceSpace
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["LavaMD", "lavamd_reference"]
 
@@ -254,6 +257,8 @@ class LavaMD(AltisApp):
         return plan
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         nb, par = dims["boxes1d"], dims["par"]
         variant = Variant.FPGA_OPT if optimized else Variant.FPGA_BASE
@@ -270,6 +275,8 @@ class LavaMD(AltisApp):
                          kernels={"lavamd_kernel": (kern, 1)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=1_900,

@@ -19,13 +19,16 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec, LoopSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["Mandelbrot", "mandelbrot_reference"]
 
@@ -245,6 +248,8 @@ class Mandelbrot(AltisApp):
         return plan
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         n = dims["width"]
         ks = self.kernels(Variant.FPGA_OPT if optimized else Variant.FPGA_BASE)
@@ -281,6 +286,8 @@ class Mandelbrot(AltisApp):
                          kernels={prof.name: (kernel, repl)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=1_150,

@@ -22,15 +22,18 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign, LocalMemorySpec
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.buffer import LocalAccessor
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from ..sycl.ndrange import FenceSpace
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["NW", "nw_reference"]
 
@@ -276,6 +279,8 @@ class NW(AltisApp):
         return plan
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         n, block = dims["n"], dims["block"]
         nb = n // block
@@ -311,6 +316,8 @@ class NW(AltisApp):
                            runtime=variant.runtime, traits=traits)
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=1_750,

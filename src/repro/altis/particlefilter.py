@@ -26,14 +26,17 @@ optimized-over-baseline speedup grows from ~1x (size 1) to ~272x/368x
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..common.rng import LcgPark
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec, LoopSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["ParticleFilter", "particlefilter_reference"]
 
@@ -300,6 +303,8 @@ class ParticleFilter(AltisApp):
             self._cuda_pow_unfixed = old
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         n, frames = dims["n_particles"], dims["frames"]
         variant = Variant.FPGA_OPT if optimized else Variant.FPGA_BASE
@@ -345,6 +350,8 @@ class ParticleFilter(AltisApp):
                                   "pf_find": (base, 1)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=2_600,

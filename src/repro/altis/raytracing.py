@@ -25,15 +25,17 @@ Paper relevance (the most migration-affected app):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..common.vectypes import float8
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["Raytracing", "Material", "MaterialF8", "render"]
 
@@ -358,6 +360,8 @@ class Raytracing(AltisApp):
                            runtime=variant.runtime, traits=traits)
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         w, h, spp = dims["width"], dims["height"], dims["samples"]
         variant = Variant.FPGA_OPT if optimized else Variant.FPGA_BASE
@@ -380,6 +384,8 @@ class Raytracing(AltisApp):
                          kernels={"render": (kern, 1)})
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=2_100,

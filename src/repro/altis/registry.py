@@ -4,8 +4,8 @@
 column names of Figs. 2/4/5 — to a factory for the app instance that
 produces it (CFD and ParticleFilter contribute two configs each).
 
-``COMMON_INFRASTRUCTURE`` is the construct-level source model of Altis'
-shared non-benchmark code (option parsing, ResultDB, device init, the
+:func:`common_infrastructure` is the construct-level source model of
+Altis' shared non-benchmark code (option parsing, ResultDB, device init, the
 Level-0/1 microbenchmarks DPCT also migrates); together with the 11
 apps it brings the suite to the ~40k lines of code and 2,535 DPCT
 warnings reported in §3.2.1.
@@ -13,9 +13,8 @@ warnings reported in §3.2.1.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..dpct.source_model import Construct, SourceModel
 from .base import AltisApp
 from .cfd import Cfd
 from .dwt2d import Dwt2D
@@ -29,6 +28,9 @@ from .raytracing import Raytracing
 from .srad import Srad
 from .where import Where
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
+
 __all__ = [
     "APP_FACTORIES",
     "FIG2_CONFIGS",
@@ -37,7 +39,7 @@ __all__ = [
     "make_app",
     "all_apps",
     "suite_source_models",
-    "COMMON_INFRASTRUCTURE",
+    "common_infrastructure",
 ]
 
 APP_FACTORIES: dict[str, Callable[[], AltisApp]] = {
@@ -89,23 +91,27 @@ def all_apps() -> dict[str, AltisApp]:
     }
 
 
-COMMON_INFRASTRUCTURE = SourceModel(
-    app="altis-common",
-    lines_of_code=17_000,
-    constructs=[
-        Construct("kernel_def", 24),       # Level-0/1 microbenchmark kernels
-        Construct("cuda_event_timing", 860),
-        Construct("usm_mem_advise", 470),
-        Construct("syncthreads", 470),
-        Construct("dpct_helper_use", 238),
-        Construct("generic_api", 700),
-        Construct("cmake_command", 14),
-    ],
-)
+def common_infrastructure() -> SourceModel:
+    """Source model of Altis' shared non-benchmark code."""
+    from ..dpct.source_model import Construct, SourceModel
+
+    return SourceModel(
+        app="altis-common",
+        lines_of_code=17_000,
+        constructs=[
+            Construct("kernel_def", 24),       # Level-0/1 microbenchmark kernels
+            Construct("cuda_event_timing", 860),
+            Construct("usm_mem_advise", 470),
+            Construct("syncthreads", 470),
+            Construct("dpct_helper_use", 238),
+            Construct("generic_api", 700),
+            Construct("cmake_command", 14),
+        ],
+    )
 
 
 def suite_source_models() -> list[SourceModel]:
     """Source models of the whole migrated code base (11 apps + common)."""
     models = [app.source_model() for app in all_apps().values()]
-    models.append(COMMON_INFRASTRUCTURE)
+    models.append(common_infrastructure())
     return models

@@ -22,13 +22,16 @@ Paper relevance:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..dpct.source_model import Construct, SourceModel
-from ..fpga.resources import Design, KernelDesign
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec, LoopSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dpct.source_model import SourceModel
 
 __all__ = ["Srad", "srad_reference"]
 
@@ -276,6 +279,8 @@ class Srad(AltisApp):
         return plan
 
     def fpga_setup(self, size: int, optimized: bool, device_key: str) -> FpgaSetup:
+        from ..fpga.resources import Design, KernelDesign
+
         dims = self.nominal_dims(size)
         rows, cols, iters = dims["rows"], dims["cols"], dims["iterations"]
         px = rows * cols
@@ -316,6 +321,7 @@ class Srad(AltisApp):
         """§5.2 case 2 tuning grid: (wg edge, SIMD) -> modeled time or the
         failure mode ('does not fit' / 'timing violation')."""
         from ..common.errors import FpgaToolError
+        from ..fpga.resources import Design, KernelDesign
         from ..fpga.synthesis import synthesize
         from ..perfmodel.fpga import FpgaModel
         from ..perfmodel.spec import get_spec
@@ -349,6 +355,8 @@ class Srad(AltisApp):
         return results
 
     def source_model(self) -> SourceModel:
+        from ..dpct.source_model import Construct, SourceModel
+
         return SourceModel(
             app=self.name,
             lines_of_code=2_300,

@@ -17,7 +17,6 @@ True
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from functools import lru_cache
@@ -63,6 +62,8 @@ def resolve_cache_root(root: str | os.PathLike | None = None) -> Path:
 
 def canonical_json(value) -> str:
     """``value`` as compact JSON with sorted keys: one text per value."""
+    import json  # only the content-addressed stores need it
+
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from ..altis import SIZES, Variant
 from ..altis.registry import APP_FACTORIES, make_app
 from ..perfmodel.spec import DEVICE_SPECS, get_spec
-from .resultdb import ResultDB
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .resultdb import ResultDB
 
 __all__ = ["main", "build_parser", "run_benchmark", "resolve_config"]
 
@@ -218,6 +221,8 @@ def run_benchmark(config: str, size: int, device_key: str, passes: int,
 
 
 def _cmd_run(args) -> int:
+    from .resultdb import ResultDB
+
     db = ResultDB()
     with _certificates(args):
         run_benchmark(args.benchmark, args.size, args.device, args.passes,

@@ -30,18 +30,21 @@ from collections import OrderedDict
 from contextlib import nullcontext as _null_context
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..altis.base import Variant, Workload
 from ..altis.registry import make_app
+from ..common.cache import code_fingerprint
 from ..common.errors import CellExecutionError, InvalidParameterError
 from ..resilience import FailedCell
 from ..sycl import Queue
 from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import Tracer, current_tracer, install_tracer
-from .resultdb import SweepJournal, code_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .resultdb import SweepJournal
 
 __all__ = [
     "RunResult",
@@ -183,12 +186,15 @@ def _collect_outcomes(outcomes: list, capture_errors: bool) -> list:
         elif first_error is None:
             first_error = outcome
     if first_error is not None:
-        raise CellExecutionError(
-            f"pool cell {first_error.index} ({first_error.key!r}) failed: "
-            f"{first_error.error_kind}: {first_error.message}",
-            key=first_error.key, index=first_error.index,
-        ) from first_error.cause
+        raise _cell_error(first_error) from first_error.cause
     return results
+
+
+def _cell_error(outcome: CellOutcome) -> CellExecutionError:
+    return CellExecutionError(
+        f"pool cell {outcome.index} ({outcome.key!r}) failed: "
+        f"{outcome.error_kind}: {outcome.message}",
+        key=outcome.key, index=outcome.index)
 
 
 def pool_map(fn: Callable, items: Sequence | Iterable, *,
@@ -226,7 +232,17 @@ def pool_map(fn: Callable, items: Sequence | Iterable, *,
     items = list(items)
     serial = workers is None or workers <= 1 or len(items) <= 1
     if serial and not capture_errors and on_result is None:
-        return [fn(it) for it in items]
+        # no cell spans or outcome records, just the documented error
+        results = []
+        for i, item in enumerate(items):
+            try:
+                results.append(fn(item))
+            except Exception as exc:
+                key = str(cell_key(item) if cell_key else item)
+                raise _cell_error(CellOutcome(
+                    index=i, key=key, error_kind=type(exc).__name__,
+                    message=str(exc))) from exc
+        return results
     keys = [str(cell_key(it) if cell_key else it) for it in items]
     if serial:
         outcomes = []
@@ -538,11 +554,15 @@ def run_suite_functional(device_key: str = "rtx2080",
       the resume filter and every appended record.
     """
     configs = list(_DEFAULT_SCALES)
-    if journal is not None and not isinstance(journal, SweepJournal):
-        journal = SweepJournal(journal)
-    # launch-invariant: one fingerprint covers the resume filter and
-    # every record this sweep appends
-    fingerprint = code_fingerprint() if journal is not None else None
+    fingerprint = None
+    if journal is not None:
+        from .resultdb import SweepJournal
+
+        if not isinstance(journal, SweepJournal):
+            journal = SweepJournal(journal)
+        # launch-invariant: one fingerprint covers the resume filter and
+        # every record this sweep appends
+        fingerprint = code_fingerprint()
     done: dict[str, dict] = {}
     if journal is not None and resume:
         for record in journal.load():

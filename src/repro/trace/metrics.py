@@ -8,7 +8,7 @@ instrumentation (see docs/observability.md for the full catalogue):
 * ``sycl.h2d_bytes`` / ``sycl.d2h_bytes`` — modeled transfer volume;
 * ``queue.launch_wall_us`` — histogram of wall-clock launch cost;
 * ``perfmodel.plans_timed`` — launch-plan assemblies;
-* ``harness.runs`` / ``harness.verify_failures`` — functional runs;
+* ``harness.runs`` — functional runs;
 * ``resilience.cells_resumed`` — suite cells a ``--resume`` merged from
   the sweep journal instead of re-executing.
 

@@ -149,3 +149,22 @@ def test_cli_suite_degrade_exits_nonzero_on_real_failure(capsys,
     nw = [line for line in lines if line.startswith("NW ")]
     assert len(nw) == 1 and "FAIL  AssertionError: " in nw[0]
     assert lines[-1] == "suite: 12/13 ok, 1 failed (degraded)"
+
+
+def test_cli_suite_abort_reports_the_failing_cell(capsys, monkeypatch):
+    """The default sweep (serial, no journal) fails a cell the same way
+    a journaled or pooled one does: a ``suite aborted`` message naming
+    the cell and carrying the verify error, no report, exit status 1."""
+    real_verify = AltisApp.verify
+
+    def off_by_one(self, result, expected, **tolerances):
+        result = {name: np.asarray(arr) + 1 for name, arr in result.items()}
+        real_verify(self, result, expected, **tolerances)
+
+    monkeypatch.setattr(NW, "verify", off_by_one)
+    status = main(["suite"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert out.startswith(
+        "suite aborted: pool cell 7 ('NW') failed: AssertionError: ")
+    assert "diverges from reference" in out and "suite:" not in out

@@ -513,30 +513,50 @@ def test_suite_reports_identical_cold_warm_and_no_cache(tmp_path):
     assert not (tmp_path / ".repro_cache").exists()
 
 
-@pytest.mark.parametrize("argv, unloaded", [
+#: what a default ``suite`` never calls: the model half of every app
+#: (modeled times, FPGA designs, source models) and the result DB
+_SUITE_UNLOADED = [
+    "repro.sycl.certificates", "repro.sycl.exactness", "repro.dpct.migrator",
+    "repro.harness.experiments", "repro.trace.profile",
+    "repro.fpga.replication", "repro.cuda", "multiprocessing",
+    "concurrent.futures.process", "numpy.testing",
+    "repro.perfmodel.timeline", "repro.perfmodel.overhead",
+    "repro.perfmodel.traits", "repro.perfmodel.gpu", "repro.perfmodel.fpga",
+    "repro.fpga", "repro.fpga.resources", "repro.fpga.synthesis",
+    "repro.dpct", "repro.dpct.source_model", "repro.sycl.pipes", "json"]
+
+
+@pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
     (["suite", "--cache-dir", "cache"],
-     ["repro.sycl.certificates", "repro.sycl.exactness", "repro.dpct.migrator",
-      "repro.harness.experiments", "repro.trace.profile",
-      "repro.fpga.replication", "repro.cuda", "multiprocessing",
-      "concurrent.futures.process", "numpy.testing"]),
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 45),
+    (["suite", "--cache-dir", "cache", "--journal", "J"],
+     _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
     (["figures", "fig2", "--no-cache"],
-     ["repro.sycl.plan", "repro.sycl.vectorize"]),
-], ids=["suite", "figures-fig2"])
-def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded):
+     ["repro.sycl.plan", "repro.sycl.vectorize"], [], None),
+], ids=["suite", "suite-journal", "figures-fig2"])
+def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
+                                               loaded, max_repro):
     """A command imports only what it runs.  ``suite`` installs only a
     root; a run that validates no compiled plan never imports the
     certificate module or writes anything, and neither command loads
-    the layers (or the pool and ``numpy.testing``) it does not use."""
+    the layers (or the pool and ``numpy.testing``) it does not use.
+    ``suite`` loads no app's model half, and the result DB only to
+    journal."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("REPRO_CACHE_DIR", None)
     code = ("import sys\n"
             "from repro.harness.cli import main\n"
             f"main({argv!r})\n"
-            f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n")
+            f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
+            f"print(sorted(set({loaded!r}) - set(sys.modules)))\n"
+            "print(sum(m.split('.')[0] == 'repro' for m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    leaked, missing, repro_modules = proc.stdout.splitlines()[-3:]
+    assert leaked == "[]" and missing == "[]"
+    if max_repro is not None:
+        assert int(repro_modules) <= max_repro
     assert not (tmp_path / "cache").exists()
 
 
