@@ -136,28 +136,25 @@ def _flux_item(item, variables, neighbours, normals, farfield, out, nel, dt):
         nx = normals[i, f, 0]
         ny = normals[i, f, 1]
         nz = normals[i, f, 2]
-        # own-state contribution through this face
-        p = (GAMMA - 1.0) * (e - 0.5 * (mx * mx + my * my + mz * mz) / rho)
+        # own and neighbour state through this face, in the order
+        # cfd_reference_iteration evaluates them, so both forms agree
+        # bitwise; wall mirrors, far-field is free stream
+        p = (GAMMA - 1.0) * (
+            e - 0.5 * rho * ((mx * mx + my * my + mz * mz) / (rho * rho)))
         vn = (mx / rho) * nx + (my / rho) * ny + (mz / rho) * nz
-        f0 = f0 + 0.5 * (rho * vn)
-        f1 = f1 + 0.5 * (mx * vn + p * nx)
-        f2 = f2 + 0.5 * (my * vn + p * ny)
-        f3 = f3 + 0.5 * (mz * vn + p * nz)
-        f4 = f4 + 0.5 * ((e + p) * vn)
-        # neighbour state: wall mirrors, far-field is free stream
         rho_n = np.where(far, farfield[0], np.where(wall, rho, variables[nbc, 0]))
         mnx = np.where(far, farfield[1], np.where(wall, -mx, variables[nbc, 1]))
         mny = np.where(far, farfield[2], np.where(wall, -my, variables[nbc, 2]))
         mnz = np.where(far, farfield[3], np.where(wall, -mz, variables[nbc, 3]))
         e_n = np.where(far, farfield[4], np.where(wall, e, variables[nbc, 4]))
-        p_n = (GAMMA - 1.0) * (
-            e_n - 0.5 * (mnx * mnx + mny * mny + mnz * mnz) / rho_n)
+        p_n = (GAMMA - 1.0) * (e_n - 0.5 * rho_n * (
+            (mnx * mnx + mny * mny + mnz * mnz) / (rho_n * rho_n)))
         vn_n = (mnx / rho_n) * nx + (mny / rho_n) * ny + (mnz / rho_n) * nz
-        f0 = f0 + 0.5 * (rho_n * vn_n)
-        f1 = f1 + 0.5 * (mnx * vn_n + p_n * nx)
-        f2 = f2 + 0.5 * (mny * vn_n + p_n * ny)
-        f3 = f3 + 0.5 * (mnz * vn_n + p_n * nz)
-        f4 = f4 + 0.5 * ((e_n + p_n) * vn_n)
+        f0 = f0 + 0.5 * (rho * vn + rho_n * vn_n)
+        f1 = f1 + 0.5 * ((mx * vn + p * nx) + (mnx * vn_n + p_n * nx))
+        f2 = f2 + 0.5 * ((my * vn + p * ny) + (mny * vn_n + p_n * ny))
+        f3 = f3 + 0.5 * ((mz * vn + p * nz) + (mnz * vn_n + p_n * nz))
+        f4 = f4 + 0.5 * ((e + p) * vn + (e_n + p_n) * vn_n)
     out[i, 0] = rho - dt * f0
     out[i, 1] = mx - dt * f1
     out[i, 2] = my - dt * f2

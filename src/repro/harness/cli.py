@@ -8,7 +8,6 @@ same surface::
     python -m repro list
     python -m repro figures fig2 fig4
     python -m repro profile fdtd2d --device rtx2080
-    python -m repro perfdiff
     python -m repro migrate
     python -m repro synth KMeans --device stratix10
 
@@ -129,21 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(suite)
     _add_trace_args(suite)
 
-    bench = sub.add_parser("bench",
-                           help="steady-state launch benchmarks "
-                                "(plan-cache trajectory)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized run: fewer best-of repetitions and "
-                            "the smaller figure sweep")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="measurement trials per benchmark "
-                            "(default: 3, or 2 with --quick)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="benchmark record file to append the "
-                            "trajectory record to "
-                            "(default: BENCH_executor.json)")
-    _add_trace_args(bench)
-
     profile = sub.add_parser(
         "profile", help="run one benchmark under tracing and write a "
                         "per-kernel profile report")
@@ -174,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--quiet", action="store_true",
                          help="write the artifacts without printing the "
                               "report")
-
-    perfdiff = sub.add_parser(
-        "perfdiff", help="compare the last two bench trajectory records; "
-                         "exit 1 on regression")
-    perfdiff.add_argument("--bench", default="BENCH_executor.json",
-                          metavar="PATH",
-                          help="trajectory file written by 'repro bench' "
-                               "(default: BENCH_executor.json)")
 
     sub.add_parser("migrate", help="print the §3.2 migration report")
 
@@ -304,26 +280,6 @@ def _cmd_suite(args) -> int:
     return 0 if all(r.verified for r in results) else 1
 
 
-def _cmd_bench(args) -> int:
-    import time
-
-    from ..common.errors import ReproError
-    from .bench import render_bench, run_bench
-
-    # the CLI stamps the record; run_bench itself stays clock-free when
-    # a caller supplies the timestamp
-    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    try:
-        record, path = run_bench(args.out, quick=args.quick,
-                                 repeats=args.repeats, timestamp=timestamp)
-    except ReproError as exc:
-        print(f"bench failed verification: {exc}")
-        return 1
-    print(render_bench(record))
-    print(f"trajectory record appended to {path}")
-    return 0
-
-
 def resolve_config(name: str) -> str:
     """Registry key for a case/spacing-insensitive benchmark name.
 
@@ -370,14 +326,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_perfdiff(args) -> int:
-    from .perfdiff import perfdiff, render_perfdiff
-
-    result = perfdiff(args.bench)
-    print(render_perfdiff(result))
-    return result.exit_code
-
-
 def _cmd_migrate(_args) -> int:
     from .experiments import migration_report
 
@@ -412,9 +360,7 @@ _COMMANDS = {
     "list": _cmd_list,
     "figures": _cmd_figures,
     "suite": _cmd_suite,
-    "bench": _cmd_bench,
     "profile": _cmd_profile,
-    "perfdiff": _cmd_perfdiff,
     "migrate": _cmd_migrate,
     "synth": _cmd_synth,
 }

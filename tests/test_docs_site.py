@@ -57,7 +57,7 @@ def test_api_reference_covers_public_surface(build_docs):
     for name in ("pool_map", "run_suite_functional", "FailedCell",
                  "SweepJournal", "render_suite_report",
                  "LaunchPlan", "plan_cache_info", "clear_plan_caches",
-                 "run_bench", "append_trajectory"):
+                 "bench_environment"):
         assert name in api
 
 

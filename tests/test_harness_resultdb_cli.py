@@ -113,3 +113,20 @@ class TestCli:
         assert main(["migrate"]) == 0
         out = capsys.readouterr().out
         assert "2,535" in out or "2535" in out
+
+    @pytest.mark.parametrize("retired", ["bench", "perfdiff"])
+    def test_warm_benchmark_subcommands_are_gone(self, retired):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([retired])
+
+
+def test_bench_environment_contract():
+    """perfbench stamps every record with this, so the keys must be
+    there and the value must not change within a process."""
+    from repro.harness.bench import __all__ as bench_exports
+    from repro.harness.bench import bench_environment
+
+    env = bench_environment()
+    assert {"python", "platform", "machine", "cpu_count"} <= set(env)
+    assert env == bench_environment()
+    assert bench_exports == ["bench_environment"]

@@ -145,6 +145,33 @@ def test_traced_run_emits_full_hierarchy():
     assert "needle_block" in table and "total" in table
 
 
+def test_span_counts_follow_launch_counters_not_items():
+    """Tracing records spans per launch and per barrier phase, never per
+    work-item or per generator advance: every category's count is a
+    function of the queue's own launch, group and phase counters."""
+    from collections import Counter
+
+    from repro.altis import Variant
+    from repro.altis.nw import NW
+    from repro.sycl import Queue
+
+    app = NW()
+    workload = app.generate(1, seed=0, scale=0.02)
+    queue = Queue("rtx2080", default_mode="item")
+    with tracing() as tracer:
+        app.run_sycl(queue, workload, Variant.SYCL_OPT)
+        events = tracer.events()
+    c = queue.counters
+    assert c.path_counts == {"item": c.kernel_launches}
+    assert c.barrier_phases > c.groups > 0
+    launches = c.kernel_launches
+    # each group's generators end with one phase that reaches no barrier
+    assert Counter(ev.cat for ev in events) == {
+        "launch": launches, "plan": launches, "kernel-form": launches,
+        "modeled": launches, "barrier-phase": c.barrier_phases + c.groups}
+    assert len(events) < c.gen_advances
+
+
 def test_traced_run_updates_metrics():
     from repro.trace.metrics import registry
 

@@ -46,7 +46,6 @@ API_MODULES = [
     "repro.harness.reporting",
     "repro.harness.cli",
     "repro.harness.bench",
-    "repro.harness.perfdiff",
     "repro.resilience",
     "repro.resilience.checkpoint",
     "repro.trace",
