@@ -75,19 +75,12 @@ class CalibrationError(ReproError):
     """A performance-model parameter is missing or inconsistent."""
 
 
-def _rebuild_cell_error(message, key, index):
-    return CellExecutionError(message, key=key, index=index)
-
-
 class CellExecutionError(ReproError):
-    """A pool cell failed; carries the cell's identity so the caller can
-    tell *which* config/size/index died instead of a bare re-raise."""
+    """A suite cell failed; carries the cell's identity so the caller can
+    tell *which* config/index died instead of a bare re-raise."""
 
     def __init__(self, message: str, *, key: str = "",
                  index: int | None = None):
         super().__init__(message)
         self.key = key
         self.index = index
-
-    def __reduce__(self):
-        return _rebuild_cell_error, (self.args[0], self.key, self.index)

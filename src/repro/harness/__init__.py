@@ -12,9 +12,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "reporting": ("compare_ratio", "render_figure1", "render_figure5",
                   "render_speedup_grid", "render_suite_report",
                   "render_table2"),
-    "runner": ("CellOutcome", "RunResult", "run_functional",
-               "run_suite_functional", "journal_record",
-               "result_from_record", "pool_map", "generate_workload"),
+    "runner": ("RunResult", "run_functional", "run_suite_functional",
+               "journal_record", "result_from_record", "generate_workload"),
     "resultdb": ("Result", "ResultDB", "SweepJournal", "FigureCache",
                  "code_fingerprint"),
 })

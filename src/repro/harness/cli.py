@@ -31,6 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["main", "build_parser", "run_benchmark", "resolve_config"]
 
 
+def _positive(kind):
+    """An argparse ``type=`` converting with ``kind`` and accepting only
+    finite values above zero, so a bad count or scale is a usage error
+    rather than an empty or meaningless run."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > 0, got {text}")
+        return value
+    return parse
+
+
 def _add_trace_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--trace", action="store_true",
                             help="record an execution trace of this command")
@@ -75,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--size", type=int, default=1, choices=SIZES)
     run.add_argument("--device", default="rtx2080",
                      choices=sorted(DEVICE_SPECS))
-    run.add_argument("--passes", type=int, default=1)
-    run.add_argument("--scale", type=float, default=None,
+    run.add_argument("--passes", type=_positive(int), default=1)
+    run.add_argument("--scale", type=_positive(float), default=None,
                      help="functional problem scale (default: test scale)")
     run.add_argument("--variant", default="sycl_opt",
                      choices=[v.value for v in Variant])
@@ -94,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("which", nargs="+",
                          choices=["fig1", "fig2", "fig4", "fig5", "table2",
                                   "table3"])
-    figures.add_argument("--workers", type=int, default=None,
-                         help="worker-pool size for the figure sweeps "
-                              "(default: serial)")
     _add_cache_args(figures)
     _add_trace_args(figures)
 
@@ -106,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DEVICE_SPECS))
     suite.add_argument("--variant", default="sycl_opt",
                        choices=[v.value for v in Variant])
-    suite.add_argument("--workers", type=int, default=None)
     suite.add_argument("--mode", default=None,
                        choices=["auto", "vector", "item", "compiled"],
                        help="pin one executor path for kernels that "
@@ -143,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["auto", "vector", "item", "compiled"],
                          help="pin one executor path for kernels that "
                               "implement it (default: auto)")
-    profile.add_argument("--scale", type=float, default=None,
+    profile.add_argument("--scale", type=_positive(float), default=None,
                          help="functional problem scale (default: 2x the "
                               "functional test scale)")
     profile.add_argument("--seed", type=int, default=0,
@@ -223,7 +236,6 @@ def _cmd_figures(args) -> int:
     from .resultdb import FigureCache
 
     cache = FigureCache(root=args.cache_dir, enabled=not args.no_cache)
-    workers = args.workers
     for which in args.which:
         if which == "fig1":
             print(reporting.render_figure1(experiments.figure1(cache=cache),
@@ -231,15 +243,15 @@ def _cmd_figures(args) -> int:
         elif which == "fig2":
             print(reporting.render_speedup_grid(
                 "Figure 2 (optimized SYCL vs CUDA, RTX 2080)",
-                experiments.figure2(True, workers=workers, cache=cache),
+                experiments.figure2(True, cache=cache),
                 experiments.PAPER_FIG2_OPTIMIZED))
         elif which == "fig4":
             print(reporting.render_speedup_grid(
                 "Figure 4 (FPGA optimized vs baseline, Stratix 10)",
-                experiments.figure4(workers=workers, cache=cache),
+                experiments.figure4(cache=cache),
                 experiments.PAPER_FIG4))
         elif which == "fig5":
-            fig5 = experiments.figure5(workers=workers, cache=cache)
+            fig5 = experiments.figure5(cache=cache)
             print(reporting.render_figure5(
                 fig5, experiments.PAPER_FIG5,
                 experiments.figure5_geomeans(fig5),
@@ -266,8 +278,8 @@ def _cmd_suite(args) -> int:
     try:
         with _certificates(args):
             results = run_suite_functional(
-                args.device, Variant(args.variant), workers=args.workers,
-                mode=mode, degrade=args.on_error == "degrade",
+                args.device, Variant(args.variant), mode=mode,
+                degrade=args.on_error == "degrade",
                 journal=journal, resume=args.resume)
     except CellExecutionError as exc:
         print(f"suite aborted: {exc}")

@@ -4,21 +4,17 @@ and verify the result against the numpy reference.
 This is the "does the suite actually compute the right thing" driver —
 the performance figures come from :mod:`repro.harness.experiments`.
 
-Three harness-level facilities live here because both the suite sweep
-and the figure builders use them:
+Two harness-level facilities live here:
 
-* :func:`pool_map` — ordered ``concurrent.futures`` fan-out over
-  independent cells (process pool when the function is pickle-safe and
-  ``fork`` is available, thread pool otherwise — numpy releases the GIL
-  on the heavy kernels, so threads still overlap), with optional
-  error capture into :class:`~repro.resilience.FailedCell` records;
 * :func:`generate_workload` — a content-keyed workload memo
   (``(config, size, seed, scale)``) that returns **deep copies**, since
   ``run_sycl`` mutates workload arrays in place;
-* :func:`run_suite_functional` — the whole-suite sweep, with
+* :func:`run_suite_functional` — the whole-suite sweep, one cell at a
+  time as the Altis harness runs them, with optional capture of failed
+  cells into :class:`~repro.resilience.FailedCell` rows and
   checkpoint-resume through an append-only
   :class:`~repro.harness.resultdb.SweepJournal` so a killed sweep loses
-  at most its in-flight cells.
+  at most its in-flight cell.
 """
 
 from __future__ import annotations
@@ -29,30 +25,26 @@ import threading
 from collections import OrderedDict
 from contextlib import nullcontext as _null_context
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..altis.base import Variant, Workload
 from ..altis.registry import make_app
 from ..common.cache import code_fingerprint
-from ..common.errors import CellExecutionError, InvalidParameterError
+from ..common.errors import CellExecutionError
 from ..resilience import FailedCell
 from ..sycl import Queue
 from ..trace.metrics import registry as _trace_metrics
-from ..trace.spans import Tracer, current_tracer, install_tracer
+from ..trace.spans import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .resultdb import SweepJournal
 
 __all__ = [
     "RunResult",
-    "CellOutcome",
     "run_functional",
     "run_suite_functional",
-    "pool_map",
-    "resolve_pool_mode",
     "generate_workload",
     "workload_cache_stats",
     "clear_workload_cache",
@@ -81,222 +73,13 @@ _TOLERANCES = {
 
 
 # ---------------------------------------------------------------------------
-# Ordered pool fan-out
-# ---------------------------------------------------------------------------
-
-def resolve_pool_mode(fn: Callable, mode: str = "auto") -> str:
-    """Pick ``"process"`` or ``"thread"`` for ``pool_map``.
-
-    ``auto`` selects a process pool only when the function can actually
-    cross a process boundary: a module-level, non-lambda callable (after
-    unwrapping ``functools.partial``) with ``fork`` available.  Anything
-    else — closures, lambdas, bound app methods — runs on threads.
-    """
-    if mode in ("process", "thread"):
-        return mode
-    if mode != "auto":
-        raise InvalidParameterError(
-            f"unknown pool mode {mode!r}; expected auto/process/thread")
-    import multiprocessing  # only pooled maps pay for it
-
-    target = fn
-    while isinstance(target, partial):
-        target = target.func
-    name = getattr(target, "__qualname__", "<lambda>")
-    picklable = (
-        getattr(target, "__module__", None) is not None
-        and "<locals>" not in name
-        and "<lambda>" not in name
-    )
-    if picklable and "fork" in multiprocessing.get_all_start_methods():
-        return "process"
-    return "thread"
-
-
-@dataclass
-class CellOutcome:
-    """Everything one pool cell reports home: the value or a structured
-    failure, and (for process workers) the trace spans recorded
-    remotely."""
-
-    index: int
-    key: str
-    value: object = None
-    error_kind: str | None = None
-    message: str = ""
-    #: the raw exception (dropped before crossing a process boundary)
-    cause: BaseException | None = None
-    events: list | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error_kind is None
-
-
-def _run_cell(fn: Callable, item, index: int, key: str) -> CellOutcome:
-    """Run one cell under a ``cell`` trace span, capturing its failure
-    as a structured outcome (never raises)."""
-    tracer = current_tracer()
-    cell_cm = (tracer.span(f"cell:{key}", "cell")
-               if tracer is not None else _null_context())
-    with cell_cm:
-        try:
-            return CellOutcome(index=index, key=key, value=fn(item))
-        except Exception as exc:  # structured capture; caller decides
-            return CellOutcome(index=index, key=key,
-                               error_kind=type(exc).__name__,
-                               message=str(exc), cause=exc)
-
-
-def _pool_cell(fn: Callable, traced: str | None, strip_cause: bool,
-               spec: tuple) -> CellOutcome:
-    """Pool-worker entry (module-level so a process pool can pickle it).
-    ``traced="process"`` runs under a private tracer whose spans ship
-    home in the outcome; ``"shared"`` records into the process tracer."""
-    index, key, item = spec
-    if traced == "process":
-        tracer = Tracer(pid="worker")
-        previous = install_tracer(tracer)
-        try:
-            outcome = _run_cell(fn, item, index, key)
-        finally:
-            install_tracer(previous)
-        outcome.events = tracer.events()
-    else:
-        outcome = _run_cell(fn, item, index, key)
-    if strip_cause:
-        outcome.cause = None  # exceptions may not survive pickling
-    return outcome
-
-
-def _collect_outcomes(outcomes: list, capture_errors: bool) -> list:
-    """Turn outcomes into results: failures become
-    :class:`~repro.resilience.FailedCell` records (``capture_errors``)
-    or raise a :class:`CellExecutionError` carrying the cell identity."""
-    results = []
-    first_error: CellOutcome | None = None
-    for outcome in outcomes:
-        if outcome.ok:
-            results.append(outcome.value)
-            continue
-        if capture_errors:
-            results.append(FailedCell(
-                key=outcome.key, index=outcome.index,
-                error_kind=outcome.error_kind, message=outcome.message))
-        elif first_error is None:
-            first_error = outcome
-    if first_error is not None:
-        raise _cell_error(first_error) from first_error.cause
-    return results
-
-
-def _cell_error(outcome: CellOutcome) -> CellExecutionError:
-    return CellExecutionError(
-        f"pool cell {outcome.index} ({outcome.key!r}) failed: "
-        f"{outcome.error_kind}: {outcome.message}",
-        key=outcome.key, index=outcome.index)
-
-
-def pool_map(fn: Callable, items: Sequence | Iterable, *,
-             workers: int | None = None, mode: str = "auto",
-             capture_errors: bool = False,
-             cell_key: Callable | None = None,
-             on_result: Callable | None = None) -> list:
-    """Map ``fn`` over ``items`` with a worker pool, preserving order.
-
-    ``workers=None`` or ``workers <= 1`` runs serially (no pool
-    overhead, exact seed behavior).  Results always come back in input
-    order regardless of completion order, so sweeps stay deterministic
-    under parallelism.
-
-    When a tracer is active the trace context crosses the pool: thread
-    workers record straight into the shared tracer (distinct ``tid`` per
-    worker thread); process workers run under a private tracer whose
-    spans are adopted into the parent trace afterwards, so a parallel
-    sweep always yields one merged trace.
-
-    ``capture_errors=True`` turns failed cells into
-    :class:`~repro.resilience.FailedCell` records in the result list
-    instead of aborting the map.  A worker exception that does propagate
-    is raised as :class:`CellExecutionError` carrying the cell's key and
-    index — never a bare re-raise.  ``on_result`` is invoked in the
-    parent with each :class:`CellOutcome` as it completes (completion
-    order), which is how the suite journals finished cells before the
-    sweep ends.
-
-    >>> pool_map(str, [1, 2, 3])
-    ['1', '2', '3']
-    >>> pool_map(len, ["aa", "b", "cccc"], workers=2, mode="thread")
-    [2, 1, 4]
-    """
-    items = list(items)
-    serial = workers is None or workers <= 1 or len(items) <= 1
-    if serial and not capture_errors and on_result is None:
-        # no cell spans or outcome records, just the documented error
-        results = []
-        for i, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                key = str(cell_key(item) if cell_key else item)
-                raise _cell_error(CellOutcome(
-                    index=i, key=key, error_kind=type(exc).__name__,
-                    message=str(exc))) from exc
-        return results
-    keys = [str(cell_key(it) if cell_key else it) for it in items]
-    if serial:
-        outcomes = []
-        for i, item in enumerate(items):
-            outcome = _run_cell(fn, item, i, keys[i])
-            outcomes.append(outcome)
-            if on_result is not None:
-                on_result(outcome)
-            if not capture_errors and not outcome.ok:
-                break  # abort mode fails fast; earlier cells stay journaled
-        return _collect_outcomes(outcomes, capture_errors)
-
-    # the serial path above never loads the pool machinery
-    from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                    as_completed)
-
-    workers = min(workers, len(items))
-    pool_mode = resolve_pool_mode(fn, mode)
-    tracer = current_tracer()
-    traced = (None if tracer is None
-              else "process" if pool_mode == "process" else "shared")
-    mapped = partial(_pool_cell, fn, traced, pool_mode == "process")
-    pool_cls = (ProcessPoolExecutor if pool_mode == "process"
-                else ThreadPoolExecutor)
-    slots: list = [None] * len(items)
-    with pool_cls(max_workers=workers) as pool:
-        futures = {pool.submit(mapped, (i, keys[i], item)): i
-                   for i, item in enumerate(items)}
-        for future in as_completed(futures):
-            if future.cancelled():
-                continue  # abort mode cancelled it below; result() would raise
-            outcome = future.result()  # _pool_cell never raises
-            slots[futures[future]] = outcome
-            if on_result is not None:
-                on_result(outcome)
-            if not capture_errors and not outcome.ok:
-                for pending in futures:  # abort mode: stop scheduling
-                    pending.cancel()
-    outcomes = [o for o in slots if o is not None]
-    if traced == "process":
-        for outcome in outcomes:
-            if outcome.events:
-                tracer.adopt(outcome.events, pid=f"cell-{outcome.index}")
-    return _collect_outcomes(outcomes, capture_errors)
-
-
-# ---------------------------------------------------------------------------
 # Workload memo
 # ---------------------------------------------------------------------------
 
 _WORKLOAD_CACHE: OrderedDict[tuple, Workload] = OrderedDict()
 _WORKLOAD_CACHE_MAX = 64
-#: ``pool_map(mode="thread")`` workers share the memo across threads;
-#: the composite get/move_to_end/popitem sequences need a real lock
+#: callers on several threads may share the memo; the composite
+#: get/move_to_end/popitem sequences need a real lock
 _WORKLOAD_CACHE_LOCK = threading.Lock()
 _workload_cache_hits = 0
 _workload_cache_misses = 0
@@ -526,16 +309,16 @@ def result_from_record(record: dict) -> RunResult:
 
 def run_suite_functional(device_key: str = "rtx2080",
                          variant: Variant = Variant.SYCL_OPT, *,
-                         workers: int | None = None,
-                         pool_mode: str = "auto",
                          mode: str | None = None,
                          degrade: bool = False,
                          journal: SweepJournal | str | os.PathLike | None = None,
                          resume: bool = False) -> list:
     """Run every configuration once (the 'does it all work' sweep).
 
-    Results are returned in suite (``_DEFAULT_SCALES``) order no matter
-    which worker finishes first.
+    Cells run one after another in suite (``_DEFAULT_SCALES``) order,
+    and the results come back in that order.  By default the first
+    failing cell aborts the sweep with a :class:`CellExecutionError`
+    carrying its ``key`` and ``index`` (chained to the cause).
 
     Failure handling (off by default):
 
@@ -574,30 +357,30 @@ def run_suite_functional(device_key: str = "rtx2080",
         _trace_metrics.counter("resilience.cells_resumed").inc(len(done))
     pending = [c for c in configs if c not in done]
 
-    fn = partial(run_functional, device_key=device_key, variant=variant,
-                 mode=mode)
-    if not degrade and journal is None:
-        return pool_map(fn, configs, workers=workers, mode=pool_mode)
-
-    on_result = None
-    if journal is not None:
-        def on_result(outcome: CellOutcome) -> None:
-            if outcome.ok:
-                journal.append(journal_record(outcome.value, mode=mode,
-                                              fingerprint=fingerprint))
-
-    fresh = pool_map(fn, pending, workers=workers, mode=pool_mode,
-                     capture_errors=degrade, on_result=on_result)
-    by_config = dict(zip(pending, fresh))
-    merged = []
+    results = []
     for config in configs:
         if config in done:
-            merged.append(result_from_record(done[config]))
+            results.append(result_from_record(done[config]))
             continue
-        result = by_config[config]
-        if isinstance(result, FailedCell):
-            result.config = config
-            result.device_key = device_key
-            result.variant = variant.value
-        merged.append(result)
-    return merged
+        try:
+            result = run_functional(config, device_key, variant, mode=mode)
+        except Exception as exc:
+            # position among the cells this run executes (a resumed
+            # sweep skips the journaled ones)
+            index = pending.index(config)
+            if not degrade:
+                # "pool cell" is the established `suite aborted:` wording
+                raise CellExecutionError(
+                    f"pool cell {index} ({config!r}) failed: "
+                    f"{type(exc).__name__}: {exc}",
+                    key=config, index=index) from exc
+            result = FailedCell(key=config, index=index,
+                                error_kind=type(exc).__name__,
+                                message=str(exc), config=config,
+                                device_key=device_key, variant=variant.value)
+        else:
+            if journal is not None:
+                journal.append(journal_record(result, mode=mode,
+                                              fingerprint=fingerprint))
+        results.append(result)
+    return results

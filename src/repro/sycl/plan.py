@@ -28,7 +28,7 @@ a steady-state wavefront.
 
 Plans live in a process-wide LRU cache mirroring the executor's lattice
 caches — :func:`plan_cache_info` / :func:`clear_plan_caches` — and are
-shared by every ``Queue`` and every harness ``pool_map`` worker thread.
+shared by every ``Queue`` on every thread.
 With a tracer installed, compilation emits a ``plan.compile`` span,
 warm launches emit ``plan.hit`` spans, and the ``plan.*`` metrics show
 the amortization (see ``docs/performance.md``).
@@ -213,7 +213,7 @@ def plan_pool_stats() -> dict:
 
     Walks the cached plans and reports how many have materialized their
     *calling thread's* pooled ``Group`` objects (pools are thread-local,
-    so other workers' pools are invisible here by design), how many
+    so other threads' pools are invisible here by design), how many
     pooled groups that is in total.  Used by the ``repro profile``
     report.
     """
@@ -453,8 +453,8 @@ class LaunchPlan:
     def _groups(self) -> tuple:
         """This thread's pooled ``Group`` objects for the plan's range.
 
-        Pools are thread-local, so concurrent ``pool_map`` workers
-        reusing one plan never share mutable group state.  Each launch
+        Pools are thread-local, so threads launching one plan
+        concurrently never share mutable group state.  Each launch
         sees freshly cleared local memory — indistinguishable from a
         brand-new ``Group``.
         """

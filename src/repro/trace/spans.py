@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Iterable
 
 __all__ = [
     "Span",
@@ -67,13 +66,6 @@ class Span:
     @property
     def end_us(self) -> float:
         return self.start_us + self.dur_us
-
-    def __getstate__(self):  # __slots__ classes need explicit pickling
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for key, value in state.items():
-            setattr(self, key, value)
 
     def __repr__(self) -> str:
         return (f"Span({self.name!r}, cat={self.cat!r}, "
@@ -126,7 +118,7 @@ _NULL_CONTEXT = _NullContext()
 
 
 class Tracer:
-    """Thread-safe span collector for one process (or pool worker)."""
+    """Thread-safe span collector for one process."""
 
     def __init__(self, pid: str = "repro"):
         self.pid = pid
@@ -212,31 +204,6 @@ class Tracer:
     def events(self) -> list[Span]:
         with self._lock:
             return list(self._events)
-
-    def adopt(self, events: Iterable[Span], pid: str | None = None) -> None:
-        """Merge spans recorded by another tracer (a pool worker).
-
-        Ids are remapped into this tracer's id space (parent links are
-        preserved within the adopted batch) and the worker's ``pid``
-        keeps its spans visually separate in ``chrome://tracing``.
-        """
-        events = list(events)
-        remap = {ev.id: next(self._ids) for ev in events}
-        adopted = []
-        for ev in events:
-            adopted.append(Span(
-                id=remap[ev.id],
-                parent_id=remap.get(ev.parent_id),
-                name=ev.name,
-                cat=ev.cat,
-                start_us=ev.start_us,
-                dur_us=ev.dur_us,
-                pid=pid or ev.pid,
-                tid=ev.tid,
-                args=ev.args,
-            ))
-        with self._lock:
-            self._events.extend(adopted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
-"""Parallel sweep engine + cache hierarchy: pool_map ordering, the
-workload memo, the persistent figure cache, and the cached-vs-uncached
-bit-identical guarantee."""
+"""Cache hierarchy: the workload memo, the persistent figure cache, and
+the cached-vs-uncached bit-identical guarantee."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -13,38 +11,8 @@ from repro.harness.resultdb import FigureCache, _decode, _encode, code_fingerpri
 from repro.harness.runner import (
     clear_workload_cache,
     generate_workload,
-    pool_map,
-    resolve_pool_mode,
-    run_suite_functional,
     workload_cache_stats,
 )
-
-
-def _square(x):
-    return x * x
-
-
-class TestPoolMap:
-    def test_serial_when_workers_none(self):
-        assert pool_map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_order_preserved_under_out_of_order_completion(self):
-        def slow_first(x):
-            time.sleep(0.05 if x == 0 else 0.0)
-            return x * 10
-
-        got = pool_map(slow_first, [0, 1, 2, 3], workers=4, mode="thread")
-        assert got == [0, 10, 20, 30]
-
-    def test_process_mode_for_module_level_fn(self):
-        assert resolve_pool_mode(_square) in ("process", "thread")
-        assert pool_map(_square, [1, 2, 3], workers=2, mode="process") == [1, 4, 9]
-
-    def test_auto_falls_back_to_thread_for_closures(self):
-        local = 2
-        assert resolve_pool_mode(lambda x: x * local) == "thread"
-        got = pool_map(lambda x: x * local, [1, 2], workers=2)
-        assert got == [2, 4]
 
 
 class TestWorkloadMemo:
@@ -66,16 +34,6 @@ class TestWorkloadMemo:
         generate_workload("NW", 1, seed=1, scale=0.008)
         generate_workload("NW", 1, seed=0, scale=0.01)
         assert workload_cache_stats()["misses"] == 3
-
-
-class TestSuiteParallel:
-    def test_parallel_matches_serial_in_order_and_values(self):
-        serial = run_suite_functional()
-        parallel = run_suite_functional(workers=4, pool_mode="thread")
-        assert [r.config for r in serial] == [r.config for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.verified and b.verified
-            assert a.modeled_total_s == b.modeled_total_s
 
 
 class TestFigureCacheCodec:
@@ -150,8 +108,8 @@ class TestFiguresCachedVsUncached:
 
     def test_figure4_and_5_cold_warm(self, tmp_path):
         cache = FigureCache(tmp_path)
-        cold4 = experiments.figure4(cache=cache, workers=2)
-        cold5 = experiments.figure5(cache=cache, workers=2)
+        cold4 = experiments.figure4(cache=cache)
+        cold5 = experiments.figure5(cache=cache)
         warm4 = experiments.figure4(cache=cache)
         warm5 = experiments.figure5(cache=cache)
         assert cold4 == warm4
@@ -165,16 +123,12 @@ class TestFiguresCachedVsUncached:
         assert cold == warm
         assert (1, "cuda") in warm
 
-    def test_workers_do_not_change_values(self):
-        assert experiments.figure2(True) == experiments.figure2(
-            True, workers=3)
-
 
 class TestCliFlags:
     def test_figures_flags_parse_and_run(self, tmp_path, capsys):
         from repro.harness.cli import main
 
-        rc = main(["figures", "table2", "--workers", "2", "--no-cache",
+        rc = main(["figures", "table2", "--no-cache",
                    "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert "device" in capsys.readouterr().out.lower()
@@ -192,7 +146,7 @@ class TestCliFlags:
     def test_suite_subcommand(self, capsys):
         from repro.harness.cli import main
 
-        rc = main(["suite", "--workers", "2"])
+        rc = main(["suite"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "NW" in out and "FAIL" not in out

@@ -119,6 +119,36 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([retired])
 
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--workers", "2"],
+        ["figures", "table2", "--workers", "2"],
+    ], ids=["suite", "figures"])
+    def test_worker_pool_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "NW", "--passes", "0"],
+        ["run", "NW", "--passes", "-2"],
+        ["run", "NW", "--scale", "-1"],
+        ["run", "NW", "--scale", "0"],
+        ["run", "NW", "--scale", "nan"],
+        ["profile", "nw", "--scale", "0"],
+        ["profile", "nw", "--scale", "-0.5"],
+    ], ids=["passes-0", "passes-neg", "run-scale-neg", "run-scale-0",
+            "run-scale-nan", "profile-scale-0", "profile-scale-neg"])
+    def test_bad_counts_and_scales_are_usage_errors(self, argv, capsys):
+        """A non-positive ``--passes`` used to run nothing and still
+        print a report; a non-positive ``--scale`` ran a meaningless
+        workload.  Both now exit 2 before any work."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and > 0" in captured.err
+
 
 def test_bench_environment_contract():
     """perfbench stamps every record with this, so the keys must be

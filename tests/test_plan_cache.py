@@ -6,6 +6,8 @@ speed: byte-identical outputs across the whole registry, identical
 injection, bounded memory, and safe concurrent reuse.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -194,12 +196,11 @@ class TestCacheBehavior:
 
 
 # ---------------------------------------------------------------------------
-# concurrent reuse through pool_map (thread and process workers)
+# concurrent reuse from several threads
 # ---------------------------------------------------------------------------
 
-def _pool_launch(seed: int) -> bytes:
-    """One steady-state launch pair; module-level so process pools can
-    pickle it."""
+def _launch_pair() -> bytes:
+    """One steady-state launch pair on a fresh output buffer."""
     out = np.zeros(16)
     nd = NdRange(Range(16), Range(4))
     k = KernelSpec(name="pool", item_fn=_add_item, vector_fn=_add_vector)
@@ -209,16 +210,27 @@ def _pool_launch(seed: int) -> bytes:
 
 
 class TestConcurrentReuse:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_pool_map_shares_plans_safely(self, mode):
-        from repro.harness import pool_map
-
+    def test_threads_share_plans_safely(self):
+        """Plans are process-wide but their pooled work-groups are
+        per-thread, so threads launching one plan at once never share
+        local memory."""
         clear_plan_caches()
         expected = np.full(16, 2.0).tobytes()
-        results = pool_map(_pool_launch, range(8), workers=4, mode=mode)
+        results = [None] * 8
+
+        def worker(first: int) -> None:
+            for cell in range(first, 8, 4):
+                results[cell] = _launch_pair()
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         assert results == [expected] * 8
-        if mode == "thread":
-            # 8 cells x 2 launches share one compiled plan
-            info = plan_cache_info()
-            assert info["compiles"] >= 1
-            assert info["hits"] >= 8
+        # 8 cells x 2 launches share one compiled plan
+        info = plan_cache_info()
+        assert info["compiles"] >= 1
+        assert info["hits"] >= 8

@@ -1,89 +1,76 @@
-"""Failure handling of the suite sweep: ``pool_map``'s abort and capture
-modes, the degraded report rows, and the ``suite --on-error`` exit
-status on a real verification failure."""
+"""Failure handling of the suite sweep: ``run_suite_functional``'s abort
+and degrade modes, the degraded report rows, and the ``suite
+--on-error`` exit status on a real verification failure."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
+import repro.harness.runner as runner_mod
 from repro.altis import AltisApp, Variant
 from repro.altis.nw import NW
 from repro.common.errors import CellExecutionError
 from repro.harness.cli import main
 from repro.harness.reporting import render_suite_report
-from repro.harness.runner import RunResult, pool_map
+from repro.harness.runner import RunResult, run_suite_functional
 from repro.resilience import FailedCell
 
 
-def _fail_on(bad):
-    """A cell function that raises on ``bad`` and squares the rest."""
-    def cell(x):
-        if x == bad:
-            raise ValueError(f"cell {x} broke")
-        return x * x
-    return cell
+def _fail_on(monkeypatch, bad):
+    """Replace ``run_functional`` with a stub that raises on the ``bad``
+    config and passes the rest; returns the configs it was called on."""
+    seen = []
+
+    def run(config, device_key, variant, mode=None):
+        seen.append(config)
+        if config == bad:
+            raise ValueError(f"cell {config} broke")
+        return _run_result(config, True)
+
+    monkeypatch.setattr(runner_mod, "run_functional", run)
+    return seen
 
 
 # ---------------------------------------------------------------------------
-# pool_map failure modes
+# Abort and degrade through the serial sweep
 # ---------------------------------------------------------------------------
 
-def _ignore(outcome):
-    """An ``on_result`` hook: with one, a serial map runs each cell as a
-    structured outcome (the journaled suite's path) instead of calling
-    ``fn`` bare."""
+# The two abort tests keep the names they had when the sweep ran through
+# ``pool_map``; the serial loop in ``run_suite_functional`` replaced it and
+# keeps its "pool cell N" error wording.
 
-
-def test_pool_map_raises_cell_execution_error_with_context():
+def test_pool_map_raises_cell_execution_error_with_context(monkeypatch):
+    _fail_on(monkeypatch, "FDTD2D")
     with pytest.raises(CellExecutionError) as excinfo:
-        pool_map(_fail_on(2), [1, 2, 3], on_result=_ignore)
+        run_suite_functional()
     err = excinfo.value
-    assert err.key == "2" and err.index == 1
-    assert "pool cell 1" in str(err) and "ValueError" in str(err)
+    assert err.key == "FDTD2D" and err.index == 3
+    assert str(err) == ("pool cell 3 ('FDTD2D') failed: "
+                        "ValueError: cell FDTD2D broke")
     assert isinstance(err.__cause__, ValueError)
 
 
-def test_pool_map_abort_fails_fast_serially():
-    seen = []
-
-    def record(x):
-        seen.append(x)
-        return _fail_on(1)(x)
-
+def test_pool_map_abort_fails_fast_serially(monkeypatch):
+    seen = _fail_on(monkeypatch, "FDTD2D")
     with pytest.raises(CellExecutionError):
-        pool_map(record, [0, 1, 2, 3], on_result=_ignore)
-    assert seen == [0, 1]  # cell 1 raised; 2 and 3 never ran
+        run_suite_functional()
+    # the failing cell stopped the sweep: nothing after it ran
+    assert seen == ["CFD FP32", "CFD FP64", "DWT2D", "FDTD2D"]
 
 
-def test_pool_map_parallel_abort_raises_cell_execution_error():
-    # Regression: after the first failed cell, abort mode cancels the
-    # pending futures but keeps draining as_completed — calling
-    # .result() on a cancelled future raised CancelledError out of
-    # pool_map instead of the documented CellExecutionError.
-    fail = _fail_on(3)
-
-    def slow(x):
-        time.sleep(0.01)
-        return fail(x)
-
-    with pytest.raises(CellExecutionError) as excinfo:
-        pool_map(slow, list(range(8)), workers=2, mode="thread")
-    assert excinfo.value.key == "3"
-
-
-def test_pool_map_captures_failed_cells():
-    for workers in (None, 2):
-        out = pool_map(_fail_on(1), [0, 1, 2], workers=workers,
-                       mode="thread", capture_errors=True)
-        assert out[0] == 0 and out[2] == 4
-        failed = out[1]
-        assert isinstance(failed, FailedCell)
-        assert failed.key == "1" and failed.index == 1
-        assert failed.error_kind == "ValueError"
-        assert failed.message == "cell 1 broke"
+def test_suite_degrade_captures_the_failed_cell(monkeypatch):
+    seen = _fail_on(monkeypatch, "FDTD2D")
+    results = run_suite_functional(degrade=True)
+    assert seen == list(runner_mod._DEFAULT_SCALES)  # every cell ran
+    assert [r.config for r in results] == seen
+    failed = results[3]
+    assert isinstance(failed, FailedCell)
+    assert failed.key == "FDTD2D" and failed.index == 3
+    assert failed.error_kind == "ValueError"
+    assert failed.message == "cell FDTD2D broke"
+    assert (failed.device_key, failed.variant) == ("rtx2080", "sycl_opt")
+    assert all(r.verified for i, r in enumerate(results) if i != 3)
 
 
 # ---------------------------------------------------------------------------

@@ -128,32 +128,6 @@ def test_chrome_export_round_trips(tree, names, args):
         assert raw["args"]["span_id"] == ev.id
 
 
-@given(tree=_TREES)
-@settings(max_examples=40, deadline=None)
-def test_adopt_preserves_structure(tree):
-    worker = Tracer(pid="worker")
-    _execute(worker, tree)
-    parent = Tracer(pid="main")
-    with parent.span("host", "cell"):
-        pass
-    parent.adopt(worker.events(), pid="cell-0")
-    adopted = [ev for ev in parent.events() if ev.pid == "cell-0"]
-    assert len(adopted) == len(worker.events())
-    ids = {ev.id for ev in parent.events()}
-    assert len(ids) == len(parent.events())  # remap keeps ids unique
-    by_name_worker = {ev.name: ev for ev in worker.events()}
-    by_id = _by_id(adopted)
-    for ev in adopted:
-        original = by_name_worker[ev.name]
-        assert ev.start_us == original.start_us
-        assert ev.dur_us == original.dur_us
-        if original.parent_id is None:
-            assert ev.parent_id is None
-        else:  # parent links survive the id remap: the adopted parent
-            # must be the span whose path prefixes this one
-            assert by_id[ev.parent_id].name == ev.name.rsplit(".", 1)[0]
-
-
 def test_install_tracer_restores_previous():
     first = Tracer()
     second = Tracer()

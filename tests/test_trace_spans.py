@@ -1,20 +1,20 @@
 """Unit and integration tests for the tracing & metrics layer.
 
 Covers the pieces the property tests don't: the metrics registry, the
-queue/executor/harness span integration on a real benchmark run, trace
-merging across both ``pool_map`` flavours, and the CLI ``--trace``
-export path.
+queue/executor/harness span integration on a real benchmark run, one
+trace shared by several threads, and the CLI ``--trace`` export path.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.harness.cli import main
 from repro.harness.reporting import render_trace_table
-from repro.harness.runner import pool_map, run_functional
+from repro.harness.runner import run_functional, run_suite_functional
 from repro.trace import (
     MetricsRegistry,
     Tracer,
@@ -190,48 +190,50 @@ def test_untraced_run_records_no_spans():
 
 
 # ---------------------------------------------------------------------------
-# pool_map trace merging
+# One trace across threads and across a suite sweep
 # ---------------------------------------------------------------------------
 
-def _pool_cell(item: int) -> int:
-    """Module-level so the process pool can pickle it."""
-    with span(f"work:{item}", "work", item=item):
-        return item * 10
+def test_threads_record_into_one_trace():
+    # all four threads hold their cell span open at once, so a shared
+    # span stack would parent one thread's work under another's cell
+    together = threading.Barrier(4, timeout=10)
 
+    def run_cell(item: int) -> None:
+        with span(f"cell:{item}", "cell"):
+            together.wait()
+            with span(f"work:{item}", "work", item=item):
+                pass
 
-def test_pool_map_merges_thread_worker_spans():
     with tracing() as tracer:
-        results = pool_map(_pool_cell, range(4), workers=2, mode="thread")
+        threads = [threading.Thread(target=run_cell, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         events = tracer.events()
-    assert results == [0, 10, 20, 30]
     cells = [ev for ev in events if ev.cat == "cell"]
     work = [ev for ev in events if ev.cat == "work"]
     assert len(cells) == 4 and len(work) == 4
-    cell_ids = {ev.id for ev in cells}
-    assert all(ev.parent_id in cell_ids for ev in work)
+    assert len({ev.tid for ev in work}) == 4
+    by_id = {ev.id: ev for ev in cells}
+    for ev in work:  # each thread's stack parents its own spans
+        parent = by_id[ev.parent_id]
+        assert parent.tid == ev.tid
+        assert parent.name == f"cell:{ev.args['item']}"
 
 
-def test_pool_map_merges_process_worker_spans():
+def test_traced_suite_has_one_app_span_per_config_and_no_cell_spans():
+    from repro.harness.runner import _DEFAULT_SCALES
+
     with tracing() as tracer:
-        results = pool_map(_pool_cell, range(3), workers=2, mode="process")
+        results = run_suite_functional()
         events = tracer.events()
-    assert results == [0, 10, 20]
-    pids = {ev.pid for ev in events}
-    assert {"cell-0", "cell-1", "cell-2"} <= pids  # one pid per cell
-    work = [ev for ev in events if ev.cat == "work"]
-    assert len(work) == 3
-    by_id = {ev.id: ev for ev in events}
-    for ev in work:  # adopted ids stay linked after the remap
-        assert by_id[ev.parent_id].cat == "cell"
-
-
-def test_pool_map_serial_has_no_cell_wrappers():
-    with tracing() as tracer:
-        results = pool_map(_pool_cell, range(3), workers=1)
-        events = tracer.events()
-    assert results == [0, 10, 20]
+    assert all(r.verified for r in results)
     assert not any(ev.cat == "cell" for ev in events)
-    assert sum(1 for ev in events if ev.cat == "work") == 3
+    apps = [ev.name for ev in events if ev.cat == "app"]
+    assert apps == [f"app:{config}" for config in _DEFAULT_SCALES]
 
 
 # ---------------------------------------------------------------------------
