@@ -52,10 +52,22 @@ def _assign_points(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(c2[None, :] - 2.0 * cross, axis=1).astype(np.int32)
 
 
-def _update_centers(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+def _cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster float64 sums of ``points`` rows, shape ``(k, d)``.
+
+    One ``np.bincount`` over the flat bin ``assign * d + j``: each
+    (cluster, dim) bin adds its points in point order, starting from
+    0.0, so the sums equal, bit for bit, a scatter-add of one row at a
+    time into zeros.
+    """
     d = points.shape[1]
-    sums = np.zeros((k, d), dtype=np.float64)
-    np.add.at(sums, assign, points)
+    bins = (assign.astype(np.intp) * d)[:, None] + np.arange(d)
+    return np.bincount(bins.ravel(), weights=points.ravel(),
+                       minlength=k * d).reshape(k, d)
+
+
+def _update_centers(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    sums = _cluster_sums(points, assign, k)
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     counts[counts == 0] = 1.0
     return (sums / counts[:, None]).astype(points.dtype)
@@ -104,8 +116,9 @@ def _reset_vector(nd_range, sums, counts, k, d):
 
 
 def _accumulate_vector(nd_range, points, assign, sums, counts, n):
-    np.add.at(sums, assign[:n], points[:n])
-    np.add.at(counts, assign[:n], 1)
+    k = len(counts)
+    sums += _cluster_sums(points[:n], assign[:n], k)
+    counts += np.bincount(assign[:n], minlength=k)
 
 
 def _finalize_vector(nd_range, centers, sums, counts, k):
@@ -132,17 +145,18 @@ def _reset_acc_fin_st(points, centers_out, assign_out, assign_pipe: Pipe,
                       centers_pipe: Pipe, n, k, d, iterations):
     """Fused reset+accumulate+finalize; feeds centers back via pipe."""
     for it in range(iterations):
-        sums = np.zeros((k, d), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
+        assign = np.empty(n, dtype=np.int32)
         received = 0
         while received < n:
             start, chunk = yield from assign_pipe.read_blocking()
-            pts = points[start:start + len(chunk)]
-            np.add.at(sums, chunk, pts)
-            np.add.at(counts, chunk, 1)
-            if it == iterations - 1:
-                assign_out[start:start + len(chunk)] = chunk
+            assign[start:start + len(chunk)] = chunk
             received += len(chunk)
+        # chunks arrive in point order, so one pass over the whole
+        # assignment adds each cluster's points in the streamed order
+        sums = _cluster_sums(points[:n], assign, k)
+        counts = np.bincount(assign, minlength=k)
+        if it == iterations - 1:
+            assign_out[:n] = assign
         safe = np.maximum(counts, 1).astype(np.float64)
         centers = (sums / safe[:, None]).astype(points.dtype)
         if it < iterations - 1:

@@ -44,38 +44,46 @@ _VIEW = (-2.0, 0.75, -1.375, 1.375)  # x0, x1, y0, y1
 def mandelbrot_reference(width: int, height: int, max_iters: int = MAX_ITERS) -> np.ndarray:
     """Vectorized numpy ground truth: escape counts, dtype int32.
 
-    Real-pair float32 arithmetic with the exact operation order of the
-    device kernel, so the scalar per-work-item path is bit-identical.
+    A pixel's count is the iteration at which its orbit escapes, or
+    ``max_iters`` if it never does.  Only live pixels are iterated: the
+    flat state arrays are compacted each time some pixel escapes.
+    Real-pair float32 arithmetic in the device kernel's operation order,
+    ``(zx*zx - zy*zy) + cx`` and ``(2*zx)*zy + cy``, so the per-item
+    form (:func:`_kernel_item`) is bit-identical.
     """
     x0, x1, y0, y1 = _VIEW
     xs = np.linspace(x0, x1, width, dtype=np.float32)
     ys = np.linspace(y0, y1, height, dtype=np.float32)
-    cx = np.broadcast_to(xs[None, :], (height, width))
-    cy = np.broadcast_to(ys[:, None], (height, width))
-    zx = np.zeros((height, width), dtype=np.float32)
-    zy = np.zeros((height, width), dtype=np.float32)
-    counts = np.zeros((height, width), dtype=np.int32)
-    active = np.ones((height, width), dtype=bool)
+    cx = np.tile(xs, height)
+    cy = np.repeat(ys, width)
+    counts = np.full(width * height, max_iters, dtype=np.int32)
+    live = np.arange(width * height)
+    zx = np.zeros_like(cx)
+    zy = np.zeros_like(cx)
+    zx2 = zy2 = zx
     two = np.float32(2.0)
     four = np.float32(4.0)
-    for _ in range(max_iters):
-        nzx = zx * zx - zy * zy + cx
-        nzy = two * zx * zy + cy
-        zx = np.where(active, nzx, zx)
-        zy = np.where(active, nzy, zy)
-        escaped = zx * zx + zy * zy > four
-        active &= ~escaped
-        counts[active] += 1
-        if not active.any():
+    for i in range(max_iters):
+        if not live.size:
             break
-    return counts
+        zy = two * zx * zy + cy
+        zx = zx2 - zy2 + cx
+        zx2 = zx * zx
+        zy2 = zy * zy
+        escaped = zx2 + zy2 > four
+        if escaped.any():
+            counts[live[escaped]] = i
+            keep = ~escaped
+            live, cx, cy = live[keep], cx[keep], cy[keep]
+            zx, zy, zx2, zy2 = zx[keep], zy[keep], zx2[keep], zy2[keep]
+    return counts.reshape(height, width)
 
 
 def _kernel_item(item, out, width, height, max_iters):
     """ND-range SYCL kernel, one pixel per work-item.
 
-    The escape loop is written as masked early-exit accumulation (the
-    exact structure of :func:`mandelbrot_reference`): ``alive`` freezes
+    The escape loop keeps the masked early-exit form that the compacted
+    :func:`mandelbrot_reference` is tested against: ``alive`` freezes
     ``z`` and the count once the orbit escapes, instead of ``break`` —
     the batchable-dialect form of a data-dependent loop exit, and
     bit-identical to the classic break form because a frozen ``z``

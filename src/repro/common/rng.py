@@ -182,6 +182,31 @@ class LcgPark:
         u2 = self.uniform_float()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def normals(self, n: int) -> np.ndarray:
+        """``n`` draws of :meth:`normal` as a float64 array, in one loop.
+
+        Returns the same values, and leaves the same ``state``, as ``n``
+        calls to :meth:`normal`.
+
+        >>> a, b = LcgPark(7), LcgPark(7)
+        >>> a.normals(3).tolist() == [b.normal() for _ in range(3)]
+        True
+        >>> a.state == b.state
+        True
+        """
+        from math import cos, log, pi, sqrt
+
+        a, m, s = self.A, self.M, self.state
+        two_pi = 2.0 * pi
+        out = []
+        for _ in range(n):
+            s = (a * s) % m
+            u1 = s / m
+            s = (a * s) % m
+            out.append(sqrt(-2.0 * log(u1)) * cos(two_pi * (s / m)))
+        self.state = s
+        return np.array(out, dtype=np.float64)
+
 
 def make_rng(kind: str, seed: int = 0):
     """Factory keyed by the generator names the paper mentions."""

@@ -48,6 +48,20 @@ def _positive(kind):
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse ``type=`` for a workload seed: numpy's generators
+    take only integers >= 0, so a negative seed is a usage error rather
+    than a traceback from inside the run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_trace_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--trace", action="store_true",
                             help="record an execution trace of this command")
@@ -159,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--scale", type=_positive(float), default=None,
                          help="functional problem scale (default: 2x the "
                               "functional test scale)")
-    profile.add_argument("--seed", type=int, default=0,
+    profile.add_argument("--seed", type=_non_negative_int, default=0,
                          help="workload seed")
     profile.add_argument("--quick", action="store_true",
                          help="CI-sized run: profile at the functional "

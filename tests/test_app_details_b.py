@@ -4,6 +4,7 @@ Raytracing, SRAD, Where, DWT2D."""
 import numpy as np
 import pytest
 
+from repro.altis.base import Variant
 from repro.altis.dwt2d import Dwt2D, _lift53_1d, _unlift53_1d, dwt53_forward
 from repro.altis.nw import nw_reference
 from repro.altis.particlefilter import (
@@ -12,11 +13,13 @@ from repro.altis.particlefilter import (
     _likelihood,
     _make_video,
     _systematic_u,
+    particlefilter_reference,
 )
 from repro.altis.raytracing import make_scene, render
 from repro.altis.srad import srad_reference, srad_step
 from repro.altis.where import Where, where_reference
 from repro.common.rng import LcgPark
+from repro.sycl import Queue
 
 
 class TestNwDetails:
@@ -102,6 +105,75 @@ class TestParticleFilterDetails:
         naive = ParticleFilter(False).generate(1, seed=1, scale=0.05)
         fl = ParticleFilter(True).generate(1, seed=1, scale=0.05)
         np.testing.assert_array_equal(naive["video"], fl["video"])
+
+
+def _nine_clip_likelihood(video_frame, px, py):
+    """The likelihood with one ``np.clip`` pair per 3x3 tap, as it was
+    before the six row/column indices were hoisted: the oracle."""
+    img = video_frame.shape[0]
+    lik = np.zeros(len(px), dtype=np.float64)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            ix = np.clip(np.round(px + dx).astype(int), 0, img - 1)
+            iy = np.clip(np.round(py + dy).astype(int), 0, img - 1)
+            sample = video_frame[iy, ix].astype(np.float64)
+            lik += ((sample - 100.0) ** 2 - (sample - 228.0) ** 2) / 50.0
+    return lik / 9.0
+
+
+def _per_draw_filter(video, n_particles, seed):
+    """``particlefilter_reference`` with one ``normal()`` call per draw
+    and the nine-clip likelihood: the oracle for the fast forms."""
+    frames, img, _ = video.shape
+    rng = LcgPark(seed)
+    px = np.full(n_particles, img / 4.0)
+    py = np.full(n_particles, img / 4.0)
+    weights = np.full(n_particles, 1.0 / n_particles)
+    estimates = np.zeros((frames, 2))
+    for t in range(frames):
+        px = px + 1.0 + np.array([rng.normal() for _ in range(n_particles)]) * 0.5
+        py = py + 1.5 + np.array([rng.normal() for _ in range(n_particles)]) * 0.5
+        lik = _nine_clip_likelihood(video[t], px, py)
+        weights = weights * np.exp(0.05 * (lik - lik.max()))
+        weights /= weights.sum()
+        estimates[t] = ((px * weights).sum(), (py * weights).sum())
+        cdf = np.cumsum(weights)
+        u = _systematic_u(n_particles, rng)
+        idx = np.clip(np.searchsorted(cdf, u), 0, n_particles - 1)
+        px, py = px[idx].copy(), py[idx].copy()
+        weights = np.full(n_particles, 1.0 / n_particles)
+    return estimates
+
+
+class TestParticleFilterOracle:
+    """The reference and ``run_sycl`` share ``_likelihood`` and
+    ``LcgPark.normals``, so ``verify`` cannot catch a slip in them;
+    these pin both byte for byte to the per-tap, per-draw forms."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_likelihood_matches_nine_clip_form(self, seed):
+        video, _ = _make_video(3, 64, seed=seed)
+        rng = np.random.default_rng(seed)
+        # spans the frame edges, so every clip bound is exercised
+        px = rng.uniform(-3.0, 67.0, size=97)
+        py = rng.uniform(-3.0, 67.0, size=97)
+        for frame in video:
+            got = _likelihood(frame, px, py)
+            assert got.tobytes() == _nine_clip_likelihood(frame, px, py).tobytes()
+
+    @pytest.mark.parametrize("float_version", [False, True],
+                             ids=["naive", "float"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_filter_matches_per_draw_form(self, seed, float_version):
+        app = ParticleFilter(float_version)
+        wl = app.generate(1, seed=seed, scale=0.05)
+        p = wl.params
+        want = _per_draw_filter(wl["video"], p["n_particles"], p["seed"])
+        got = particlefilter_reference(wl["video"], p["n_particles"], p["seed"])
+        assert got.tobytes() == want.tobytes()
+        for variant in (Variant.SYCL_OPT, Variant.FPGA_OPT):
+            out = app.run_sycl(Queue("rtx2080"), wl, variant)["estimates"]
+            assert out.tobytes() == want.tobytes(), variant
 
 
 class TestRaytracingDetails:

@@ -117,6 +117,24 @@ class TestLcgPark:
         for _ in range(100):
             assert 0.0 < g.uniform_float() < 1.0
 
+    @pytest.mark.parametrize("seed,n", [(1, 1), (1, 51), (7, 200), (2**31 - 2, 9)])
+    def test_normals_equal_repeated_normal(self, seed, n):
+        fast, slow = LcgPark(seed), LcgPark(seed)
+        got = fast.normals(n)
+        want = np.array([slow.normal() for _ in range(n)])
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert fast.state == slow.state
+        # the stream continues where n calls to normal() would leave it
+        assert fast.normal() == slow.normal()
+
+    def test_normals_zero_draws(self):
+        g = LcgPark(5)
+        before = g.state
+        out = g.normals(0)
+        assert out.shape == (0,)
+        assert g.state == before
+
 
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [

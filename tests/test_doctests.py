@@ -12,6 +12,7 @@ import doctest
 import pytest
 
 import repro.common.cache
+import repro.common.rng
 import repro.harness.runner
 import repro.sycl.certificates
 import repro.sycl.plan
@@ -20,6 +21,7 @@ import repro.sycl.queue
 
 @pytest.mark.parametrize("module", [
     repro.common.cache,
+    repro.common.rng,
     repro.harness.runner,
     repro.sycl.certificates,
     repro.sycl.plan,

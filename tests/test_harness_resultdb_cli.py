@@ -149,6 +149,21 @@ class TestCli:
         assert captured.out == ""
         assert "must be finite and > 0" in captured.err
 
+    @pytest.mark.parametrize("seed,message", [
+        ("-1", "must be >= 0"),
+        ("-7", "must be >= 0"),
+        ("x", "invalid int value"),
+    ], ids=["neg-1", "neg-7", "not-int"])
+    def test_bad_profile_seed_is_usage_error(self, seed, message, capsys):
+        """A negative ``profile --seed`` used to reach numpy and die with
+        a raw ``ValueError`` traceback; it now exits 2 before any work."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "nw", "--seed", seed])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 def test_bench_environment_contract():
     """perfbench stamps every record with this, so the keys must be
