@@ -2,8 +2,8 @@
 
 A Python reproduction of "Altis-SYCL: Migrating Altis Benchmarking Suite
 from CUDA to SYCL for GPUs and FPGAs" (SC-W 2023): a functional SYCL
-runtime model, a mini-CUDA substrate, a DPCT-style migration engine, an
-FPGA synthesis/performance model, the eleven Altis Level-2 applications,
+runtime model, a DPCT-style migration engine, an FPGA
+synthesis/performance model, the eleven Altis Level-2 applications,
 and the harness that regenerates every table and figure of the paper's
 evaluation.
 
@@ -19,7 +19,7 @@ from ._exports import lazy_exports
 __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".": ("altis", "common", "cuda", "dpct", "fpga", "harness", "perfmodel",
+    ".": ("altis", "common", "dpct", "fpga", "harness", "perfmodel",
           "resilience", "sycl", "trace"),
 })
 __all__.append("__version__")

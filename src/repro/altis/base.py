@@ -136,36 +136,6 @@ class AltisApp(abc.ABC):
         """Execute the SYCL implementation on a queue; returns outputs
         comparable to :meth:`reference`."""
 
-    def run_cuda(self, ctx, workload: Workload):
-        """Execute the *original* (CUDA) flavour through the mini-CUDA
-        substrate.
-
-        Default implementation: drive the same device kernels through a
-        SYCL queue on the context's GPU with the CUDA variant selected —
-        the paper's premise is that CUDA and SYCL share the kernels and
-        differ in host API, timing semantics, and compiler behaviour.
-        Apps with CUDA-specific host logic (FDTD2D's event-timing bug)
-        override this with a real CUDA-API driver.
-
-        Returns ``(outputs, measured_ms)`` where ``measured_ms`` follows
-        the app's measurement convention on the CUDA clocks.
-        """
-        from ..sycl import Queue
-
-        start = ctx.event_create()
-        stop = ctx.event_create()
-        ctx.event_record(start)
-        queue = Queue(ctx.device, timing=None)
-        out = self.run_sycl(queue, workload, Variant.CUDA)
-        # charge the modeled kernel time onto the CUDA device clock
-        ctx._host_cost(queue.non_kernel_time_s())
-        begin = max(ctx.host_now_ns, ctx.device_done_ns)
-        ctx.device_done_ns = begin + int(queue.kernel_time_s() * 1e9)
-        ctx.kernel_time_ns += int(queue.kernel_time_s() * 1e9)
-        ctx.device_synchronize()
-        ctx.event_record(stop)
-        return out, ctx.event_elapsed_ms(start, stop)
-
     # -- analytical layer ---------------------------------------------------
     @abc.abstractmethod
     def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
@@ -229,8 +199,9 @@ class AltisApp(abc.ABC):
         """The time this app's harness *reports* for one run.
 
         Kernel-only for event-timed apps; total for whole-program-timed
-        apps (§3.3 'Discussion').  Apps with measurement quirks (FDTD2D's
-        missing cudaDeviceSynchronize) override.
+        apps (§3.3 'Discussion').  CUDA measurement quirks have their own
+        methods: FDTD2D's missing cudaDeviceSynchronize is
+        ``FdTd2D.cuda_measurement(fixed=False)``.
         """
         if variant in (Variant.FPGA_BASE, Variant.FPGA_OPT):
             decomp = self.fpga_time(size, variant is Variant.FPGA_OPT, device_key)

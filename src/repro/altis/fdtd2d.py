@@ -153,33 +153,6 @@ class FdTd2D(AltisApp):
                                profile=prof)
         return {"ez": ez, "hx": hx, "hy": hy}
 
-    def run_cuda(self, ctx, workload: Workload, *, fixed_timing: bool = True):
-        """CUDA driver using the mini-CUDA API; reproduces the event
-        timing bug when ``fixed_timing=False`` (no device synchronize
-        before the stop event)."""
-        from ..cuda import Dim3
-
-        p = workload.params
-        n, steps = p["n"], p["steps"]
-        ez, hx, hy = workload["ez"], workload["hx"], workload["hy"]
-        ks = self.kernels(Variant.CUDA)
-        block = Dim3(16, 8)
-        grid = Dim3(-(-n // 16), -(-n // 8))
-        prof = self._step_profile(n)
-        start = ctx.event_create()
-        stop = ctx.event_create()
-        ctx.event_record(start)
-        for t in range(steps):
-            ctx.launch(ks["update_hx"], grid, block, ez, hx, n, profile=prof)
-            ctx.launch(ks["update_hy"], grid, block, ez, hy, n, profile=prof)
-            ctx.launch(ks["update_ez"], grid, block, ez, hx, hy, n, t,
-                       profile=prof)
-        if fixed_timing:
-            ctx.device_synchronize()  # the paper's fix (§3.3)
-        ctx.event_record(stop)
-        measured_ms = ctx.event_elapsed_ms(start, stop)
-        return {"ez": ez, "hx": hx, "hy": hy}, measured_ms
-
     # -- analytical ------------------------------------------------------------
     def _step_profile(self, n: int) -> KernelProfile:
         px = n * n
@@ -195,15 +168,6 @@ class FdTd2D(AltisApp):
         plan = LaunchPlan(transfer_bytes=dims["n"] * dims["n"] * 4 * 4)
         plan.add(prof, 3 * dims["steps"])
         return plan
-
-    def reported_time_s(self, size: int, variant: Variant, device_key: str,
-                        config: str | None = None) -> float:
-        """FDTD2D's CUDA harness (pre-fix) reports only launch-API time +
-        transfers; the kernel work escapes the event pair (§3.3)."""
-        if variant is Variant.CUDA and getattr(self, "_cuda_unfixed", False):
-            decomp = self.xpu_time(size, variant, device_key, config)
-            return decomp.non_kernel_s  # events miss the async kernel work
-        return super().reported_time_s(size, variant, device_key, config)
 
     def cuda_measurement(self, size: int, device_key: str = "rtx2080",
                          fixed: bool = True) -> float:

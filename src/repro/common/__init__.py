@@ -4,7 +4,7 @@ from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".": ("errors", "rng", "utils", "vectypes"),
-    "errors": ("ReproError", "SyclError", "CudaError", "MigrationError",
+    "errors": ("ReproError", "SyclError", "MigrationError",
                "FpgaToolError", "FitError", "TimingViolationError",
                "InvalidParameterError", "FeatureNotSupportedError",
                "KernelLaunchError", "DeviceNotFoundError", "PipeError",

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the reproduction.
 
 The hierarchy mirrors the error surfaces of the systems being modeled:
-the SYCL runtime, the CUDA runtime, the DPCT migrator, and the FPGA
+the SYCL runtime, the DPCT migrator, and the FPGA
 synthesis toolchain.  Keeping them under one root (:class:`ReproError`)
 lets callers distinguish model errors from genuine Python bugs.
 """
@@ -22,7 +22,8 @@ class InvalidParameterError(SyclError):
 
 
 class FeatureNotSupportedError(SyclError):
-    """The selected device lacks a required aspect (e.g. USM on FPGA)."""
+    """The selected device lacks a required aspect (e.g. FPGA-only local
+    memory requested on a GPU)."""
 
 
 class KernelLaunchError(SyclError):
@@ -40,10 +41,6 @@ class PipeError(SyclError):
 class DataflowDeadlockError(PipeError):
     """The cooperative dataflow scheduler detected that no kernel can make
     progress (all blocked on pipe reads)."""
-
-
-class CudaError(ReproError):
-    """Base class for errors of the mini-CUDA substrate."""
 
 
 class MigrationError(ReproError):

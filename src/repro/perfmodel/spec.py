@@ -90,8 +90,6 @@ class DeviceSpec:
     #: absorb ~1.75x the logic of Stratix 10 ALMs — Table 3 fits larger
     #: replication factors into a device with half the ALM count)
     alm_density: float = 1.0
-    supports_usm_host: bool = True
-    supports_usm_shared: bool = True
 
     @property
     def is_fpga(self) -> bool:
@@ -194,8 +192,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             fmax_min_mhz=250.0,
             fmax_max_mhz=450.0,
             fmax_typical_mhz=350.0,
-            supports_usm_host=False,  # paper: malloc_host returns nullptr
-            supports_usm_shared=False,
         ),
         DeviceSpec(
             name="Agilex FPGA (DE10 Agilex)",
@@ -215,8 +211,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             fmax_typical_mhz=400.0,
             fmax_pressure=0.15,
             alm_density=1.75,
-            supports_usm_host=False,
-            supports_usm_shared=False,
         ),
     ]
 }

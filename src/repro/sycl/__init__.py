@@ -1,7 +1,7 @@
 """A functional SYCL runtime model.
 
 This package reproduces the SYCL 2020 surface the migrated Altis suite
-uses — queues, buffers/accessors, USM, profiling events, ND-range
+uses — queues, buffers/accessors, profiling events, ND-range
 execution with work-group barriers and local memory, Single-Task kernels
 with Intel FPGA pipes, and the oneDPL algorithms — executing kernels
 functionally on the host while advancing a modeled device clock.
@@ -33,10 +33,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "pipes": ("Pipe", "PipeBlocked", "DataflowGraph"),
     "queue": ("Queue", "Handler", "SpecTiming", "TimelineEntry",
               "LaunchCounters"),
-    "streams": ("OutOfOrderQueue", "hyperq_speedup"),
     "local_memory": ("group_local_memory_for_overwrite",),
-    "usm": ("UsmPointer", "UsmKind", "MemAdvice", "malloc_device",
-            "malloc_host", "malloc_shared", "free", "mem_advise"),
 })
 
 # ``device`` is the one exported name that shadows a submodule: the first

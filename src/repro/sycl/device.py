@@ -41,9 +41,6 @@ class Aspect(str, Enum):
     GPU = "gpu"
     ACCELERATOR = "accelerator"
     FP64 = "fp64"
-    USM_DEVICE_ALLOCATIONS = "usm_device_allocations"
-    USM_HOST_ALLOCATIONS = "usm_host_allocations"
-    USM_SHARED_ALLOCATIONS = "usm_shared_allocations"
     QUEUE_PROFILING = "queue_profiling"
 
 
@@ -75,17 +72,13 @@ class Device:
 
     @staticmethod
     def _derive_aspects(spec: DeviceSpec) -> frozenset[Aspect]:
-        aspects = {Aspect.QUEUE_PROFILING, Aspect.USM_DEVICE_ALLOCATIONS, Aspect.FP64}
+        aspects = {Aspect.QUEUE_PROFILING, Aspect.FP64}
         if spec.kind is DeviceKind.CPU:
             aspects.add(Aspect.CPU)
         elif spec.kind is DeviceKind.GPU:
             aspects.add(Aspect.GPU)
         else:
             aspects.add(Aspect.ACCELERATOR)
-        if spec.supports_usm_host:
-            aspects.add(Aspect.USM_HOST_ALLOCATIONS)
-        if spec.supports_usm_shared:
-            aspects.add(Aspect.USM_SHARED_ALLOCATIONS)
         return frozenset(aspects)
 
     # -- SYCL-style queries -------------------------------------------------

@@ -17,6 +17,11 @@ class TestEveryConfig:
         assert result.verified
         assert result.modeled_total_s > 0
 
+    def test_cuda_variant_runs_and_verifies(self, config):
+        # the CUDA variant runs the same kernels through run_sycl
+        # (Raytracing's draws another RNG stream and is not compared)
+        assert run_functional(config, variant=Variant.CUDA).verified
+
     def test_deterministic_generation(self, config):
         app_a = make_app(config)
         app_b = make_app(config)

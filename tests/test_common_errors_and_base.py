@@ -10,7 +10,7 @@ from repro.common import errors
 
 class TestErrorHierarchy:
     def test_all_under_repro_error(self):
-        for cls in (errors.SyclError, errors.CudaError, errors.MigrationError,
+        for cls in (errors.SyclError, errors.MigrationError,
                     errors.FpgaToolError, errors.CalibrationError,
                     errors.PipeError):
             assert issubclass(cls, errors.ReproError)

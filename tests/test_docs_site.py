@@ -73,6 +73,18 @@ def test_unlisted_public_module_fails_strict_check(build_docs):
         "repro.sycl.plan"]
 
 
+def test_stale_entry_fails_strict_check(build_docs, monkeypatch):
+    """A module listed for the API page but deleted from ``src/`` fails
+    the strict check, whether it has its own page or is folded."""
+    assert build_docs.stale_entries() == []
+    gone = "repro.sycl.no_such_module"
+    assert build_docs.stale_entries(
+        api_modules=[*build_docs.API_MODULES, gone]) == [gone]
+    monkeypatch.setattr(build_docs, "API_FOLDED",
+                        build_docs.API_FOLDED | {gone})
+    assert any(gone in error for error in build_docs.check())
+
+
 def _subcommands():
     parser = build_parser()
     subparsers = next(a for a in parser._actions

@@ -1,5 +1,4 @@
-"""Unit tests for the FPGA synthesis model (resources, fitting, timing,
-replication helpers)."""
+"""Unit tests for the FPGA synthesis model (resources, fitting, timing)."""
 
 import pytest
 
@@ -14,24 +13,17 @@ from repro.fpga import (
     Design,
     KernelDesign,
     LocalMemorySpec,
-    NdRangeReplicator,
     congestion_score,
     estimate,
-    submit_compute_units,
     synthesize,
 )
 from repro.perfmodel import get_spec
-from repro.sycl import KernelAttributes, KernelSpec, NdRange, Queue, Range
+from repro.sycl import KernelAttributes, KernelSpec
 
 
 def _kernel(**features):
     return KernelSpec(name="k", vector_fn=lambda nd, *a: None,
                       features=features)
-
-
-def _single_task(fn=None):
-    return KernelSpec(name="st", kind="single_task",
-                      vector_fn=fn or (lambda *a: None))
 
 
 class TestResourceEstimation:
@@ -160,57 +152,3 @@ class TestSynthesis:
         high = congestion_score(Design("h").add(KernelDesign(k, unroll=16)), spec)
         assert high > low
 
-
-class TestReplicationHelpers:
-    def test_submit_compute_units_runs_each_unit(self):
-        hits = []
-
-        def st(unit, n_units, tag):
-            hits.append((unit, n_units, tag))
-
-        q = Queue("stratix10")
-        events = submit_compute_units(q, _single_task(st), 3, "x")
-        assert len(events) == 3
-        assert hits == [(0, 3, "x"), (1, 3, "x"), (2, 3, "x")]
-
-    def test_submit_compute_units_rejects_nd_range(self):
-        """§5.1: the oneAPI samples helper is Single-Task-only."""
-        q = Queue("stratix10")
-        with pytest.raises(InvalidParameterError):
-            submit_compute_units(q, _kernel(), 2)
-
-    def test_ndrange_replicator_partition_covers_all_groups(self):
-        rep = NdRangeReplicator(3)
-        nd = NdRange(Range(70 * 16), Range(16))
-        parts = rep.partition(nd)
-        assert sum(p[1].num_groups() for p in parts) == 70
-        offsets = [p[0] for p in parts]
-        assert offsets == sorted(offsets)
-        # balanced within one group
-        sizes = [p[1].num_groups() for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_ndrange_replicator_executes_whole_range(self):
-        import numpy as np
-
-        out = np.zeros(64, dtype=np.int64)
-
-        def body(nd_range, offset, out):
-            # each copy fills its slab with its offset
-            start = offset * 16
-            out[start:start + nd_range.total_items()] += 1
-
-        k = KernelSpec(name="slab", vector_fn=body)
-        q = Queue("stratix10")
-        NdRangeReplicator(4).submit(q, k, NdRange(Range(64), Range(16)), out)
-        assert (out == 1).all()  # every element touched exactly once
-
-    def test_replicator_rejects_single_task(self):
-        q = Queue("stratix10")
-        with pytest.raises(InvalidParameterError):
-            NdRangeReplicator(2).submit(q, _single_task(),
-                                        NdRange(Range(16), Range(16)))
-
-    def test_replicator_rejects_bad_unit_count(self):
-        with pytest.raises(InvalidParameterError):
-            NdRangeReplicator(0)

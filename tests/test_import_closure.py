@@ -3,12 +3,14 @@
 ``suite`` and ``figures`` are run in a fresh interpreter and their
 ``sys.modules`` checked against what they must never load: the layers
 they do not call, the certificate store, ``numpy.testing`` and any
-worker-pool machinery.  A static check keeps ``repro.sycl`` from
-importing the harness above it.
+worker-pool machinery.  Static checks keep ``repro.sycl`` from
+importing the harness above it and every module reachable from another
+one.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,14 +19,14 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 
 #: what a default ``suite`` never calls: the model half of every app
 #: (modeled times, FPGA designs, source models) and the result DB
 _SUITE_UNLOADED = [
     "repro.sycl.certificates", "repro.sycl.exactness", "repro.dpct.migrator",
-    "repro.harness.experiments", "repro.trace.profile",
-    "repro.fpga.replication", "repro.cuda", "multiprocessing",
+    "repro.harness.experiments", "repro.trace.profile", "multiprocessing",
     "concurrent.futures", "concurrent.futures.process", "numpy.testing",
     "repro.perfmodel.timeline", "repro.perfmodel.overhead",
     "repro.perfmodel.traits", "repro.perfmodel.gpu", "repro.perfmodel.fpga",
@@ -71,9 +73,7 @@ def test_sycl_layer_never_imports_harness():
     """The certificate store finds the fingerprint and the cache root in
     ``repro.common.cache``; nothing in ``repro.sycl`` reaches up into the
     harness."""
-    import ast
-
-    for path in sorted((REPO / "src" / "repro" / "sycl").glob("*.py")):
+    for path in sorted((SRC / "repro" / "sycl").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
@@ -84,3 +84,73 @@ def test_sycl_layer_never_imports_harness():
             for name in names:
                 assert "harness" not in name.split("."), \
                     f"{path.name} imports {name}"
+
+
+#: modules that no other ``repro`` module imports, each with its reason
+_UNIMPORTED = {
+    "repro.__main__": "the ``python -m repro`` entry point",
+    "repro.harness.bench": "perfbench stamps its records with its "
+                           "``bench_environment()``",
+    "repro.sycl.local_memory": "the paper's §5.2 FPGA local-memory API, "
+                               "used by examples/fpga_design_exploration.py",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _lazy_table(tree: ast.Module) -> dict:
+    """``{name: submodule}`` of a package's ``lazy_exports`` table."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            table = ast.literal_eval(node.args[1])
+            return {name: sub for sub, names in table.items()
+                    for name in names}
+    return {}
+
+
+def _imports(path: Path, tree: ast.Module, modules: set, tables: dict):
+    """The ``repro`` modules ``path`` imports, at module level or inside a
+    function; ``from pkg import Name`` counts for the submodule that
+    ``pkg``'s lazy table says owns ``Name``."""
+    name = _module_name(path)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            found.add(base)
+            for alias in node.names:
+                owner = tables.get(base, {}).get(alias.name)
+                if f"{base}.{alias.name}" in modules:
+                    found.add(f"{base}.{alias.name}")
+                elif owner is not None:
+                    found.add(f"{base}.{owner}")
+    # importing ``a.b.c`` imports the packages ``a`` and ``a.b`` too
+    return {module.rsplit(".", i)[0] for module in found
+            for i in range(module.count(".") + 1)} - {name}
+
+
+def test_every_module_is_imported_by_another():
+    """A module that no other ``repro`` module imports is dead code that
+    only its tests keep alive; the exceptions are listed with a reason."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((SRC / "repro").rglob("*.py"))}
+    modules = {_module_name(path) for path in trees}
+    tables = {_module_name(path): _lazy_table(tree)
+              for path, tree in trees.items() if path.name == "__init__.py"}
+    imported = set()
+    for path, tree in trees.items():
+        imported |= _imports(path, tree, modules, tables)
+    unimported = modules - imported
+    orphans = sorted(unimported - set(_UNIMPORTED))
+    assert orphans == [], f"no repro module imports {orphans}"
+    assert sorted(set(_UNIMPORTED) - unimported) == []  # stale exceptions

@@ -11,8 +11,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
-PACKAGES = ["repro", "repro.altis", "repro.common", "repro.cuda",
-            "repro.dpct", "repro.fpga", "repro.harness", "repro.perfmodel",
+PACKAGES = ["repro", "repro.altis", "repro.common", "repro.dpct",
+            "repro.fpga", "repro.harness", "repro.perfmodel",
             "repro.resilience", "repro.sycl", "repro.trace"]
 
 

@@ -10,7 +10,8 @@ pyyaml) so the docs are checked by the tier-1 test suite itself:
   API reference can never drift silently from the code;
 * ``--check``    strict validation: every nav entry exists, every page
   is in the nav, every relative link/anchor in ``docs/*.md`` resolves,
-  and ``docs/api.md`` matches a fresh regeneration (exit 1 otherwise);
+  every module listed for the API page exists, and ``docs/api.md``
+  matches a fresh regeneration (exit 1 otherwise);
 * ``--build``    render a minimal static HTML site (fallback for
   environments without mkdocs; CI uploads the real mkdocs site).
 
@@ -67,8 +68,7 @@ API_PACKAGES = ["repro.sycl", "repro.harness", "repro.resilience",
 API_FOLDED = {
     "repro.sycl.buffer", "repro.sycl.device", "repro.sycl.event",
     "repro.sycl.kernel", "repro.sycl.local_memory", "repro.sycl.ndrange",
-    "repro.sycl.onedpl", "repro.sycl.pipes", "repro.sycl.streams",
-    "repro.sycl.usm",
+    "repro.sycl.onedpl", "repro.sycl.pipes",
     "repro.harness.experiments",
     "repro.trace.export",
 }
@@ -90,6 +90,21 @@ def unclassified_modules(api_modules: list[str] | None = None,
             if modname not in api_modules and modname not in folded:
                 missing.append(modname)
     return missing
+
+
+def stale_entries(api_modules: list[str] | None = None,
+                  folded: set[str] | None = None) -> list[str]:
+    """:data:`API_MODULES` and :data:`API_FOLDED` entries whose module
+    file does not exist — each one is a strict-check error."""
+    api_modules = API_MODULES if api_modules is None else api_modules
+    folded = API_FOLDED if folded is None else folded
+    stale = []
+    for modname in [*api_modules, *sorted(folded)]:
+        path = ROOT / "src" / Path(*modname.split("."))
+        if not (path.with_suffix(".py").exists()
+                or (path / "__init__.py").exists()):
+            stale.append(modname)
+    return stale
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +278,13 @@ def check() -> list[str]:
             f"public module {modname} is not covered by docs/api.md — "
             "add it to API_MODULES (own page) or API_FOLDED "
             "(documented via its package) in tools/build_docs.py")
+    stale = stale_entries()
+    for modname in stale:
+        errors.append(
+            f"{modname} is listed in tools/build_docs.py but its module "
+            "file does not exist — remove the entry")
+    if stale:
+        return errors  # the API page cannot be regenerated
 
     fresh = generate_api()
     current = (DOCS / "api.md").read_text() if (DOCS / "api.md").exists() else ""
