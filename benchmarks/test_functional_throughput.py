@@ -25,7 +25,7 @@ def test_barrier_executor_throughput(benchmark):
     import numpy as np
 
     from repro.altis.nw import NW, _similarity
-    from repro.sycl.buffer import LocalAccessor
+    from repro.sycl.local_memory import LocalAccessor
     from repro.sycl import NdRange, Range
     from repro.sycl.executor import run_nd_range
 

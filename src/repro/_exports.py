@@ -12,7 +12,7 @@ of ``from . import errors, rng``)::
 
     __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         ".": ("errors", "rng"),
-        "rng": ("Philox4x32", "make_rng"),
+        "rng": ("LcgPark",),
     })
 """
 

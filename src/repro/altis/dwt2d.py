@@ -8,8 +8,10 @@ Paper relevance:
 
 * §4 "Multiple kernel versions": DWT2D features **14 kernels** (row/
   column x 5/3 / 9/7 x forward/reverse variants); only the two needed
-  for the default configuration are synthesized into one FPGA
-  bitstream;
+  for the default configuration, the forward 5/3 row and column
+  kernels, are synthesized into one FPGA bitstream — and only those
+  two are implemented here (``TOTAL_KERNEL_VARIANTS`` keeps the count
+  for the DPCT source model);
 * §4 "Congested memory ports": DWT2D performs numerous operations on a
   single shared-memory array; the port/arbiter pressure forced smaller
   work-group sizes to close timing;
@@ -33,8 +35,7 @@ from .base import AltisApp, FpgaSetup, Variant, Workload
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel
 
-__all__ = ["Dwt2D", "dwt53_forward", "dwt53_inverse",
-           "dwt97_forward", "dwt97_inverse"]
+__all__ = ["Dwt2D", "dwt53_forward", "dwt53_inverse"]
 
 LEVELS = 3
 
@@ -95,83 +96,6 @@ def dwt53_inverse(coeffs: np.ndarray, levels: int = LEVELS) -> np.ndarray:
     return out
 
 
-# -- CDF 9/7 (float, lossy) — the suite's other kernel family ---------------
-# Standard lifting constants (JPEG2000 irreversible transform).
-_A97 = -1.586134342
-_B97 = -0.05298011854
-_C97 = 0.8829110762
-_D97 = 0.4435068522
-_K97 = 1.149604398
-
-
-def _lift97_1d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One CDF 9/7 lifting pass along the last axis -> (low, high)."""
-    x = x.astype(np.float64)
-    even = x[..., 0::2].copy()
-    odd = x[..., 1::2].copy()
-
-    def right_of(e):
-        return np.concatenate([e[..., 1:], e[..., -1:]], axis=-1)
-
-    def left_of(h):
-        return np.concatenate([h[..., :1], h[..., :-1]], axis=-1)
-
-    odd += _A97 * (even + right_of(even))    # predict 1
-    even += _B97 * (left_of(odd) + odd)      # update 1
-    odd += _C97 * (even + right_of(even))    # predict 2
-    even += _D97 * (left_of(odd) + odd)      # update 2
-    return even * _K97, odd / _K97
-
-
-def _unlift97_1d(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    even = low.astype(np.float64) / _K97
-    odd = high.astype(np.float64) * _K97
-
-    def right_of(e):
-        return np.concatenate([e[..., 1:], e[..., -1:]], axis=-1)
-
-    def left_of(h):
-        return np.concatenate([h[..., :1], h[..., :-1]], axis=-1)
-
-    even -= _D97 * (left_of(odd) + odd)
-    odd -= _C97 * (even + right_of(even))
-    even -= _B97 * (left_of(odd) + odd)
-    odd -= _A97 * (even + right_of(even))
-    out = np.empty(low.shape[:-1] + (low.shape[-1] * 2,), dtype=np.float64)
-    out[..., 0::2] = even
-    out[..., 1::2] = odd
-    return out
-
-
-def dwt97_forward(img: np.ndarray, levels: int = LEVELS) -> np.ndarray:
-    """Forward 9/7 DWT (float, the lossy family of the 14 kernels)."""
-    out = img.astype(np.float64).copy()
-    h, w = out.shape
-    for _ in range(levels):
-        low, high = _lift97_1d(out[:h, :w])
-        out[:h, : w // 2] = low
-        out[:h, w // 2: w] = high
-        low, high = _lift97_1d(out[:h, :w].T)
-        out[: h // 2, :w] = low.T
-        out[h // 2: h, :w] = high.T
-        h //= 2
-        w //= 2
-    return out
-
-
-def dwt97_inverse(coeffs: np.ndarray, levels: int = LEVELS) -> np.ndarray:
-    """Inverse 9/7 transform (reconstructs to floating-point accuracy)."""
-    out = coeffs.astype(np.float64).copy()
-    H, W = out.shape
-    dims = [(H >> k, W >> k) for k in range(levels)]
-    for h, w in reversed(dims):
-        cols = _unlift97_1d(out[: h // 2, :w].T, out[h // 2: h, :w].T).T
-        out[:h, :w] = cols
-        rows = _unlift97_1d(out[:h, : w // 2], out[:h, w // 2: w])
-        out[:h, :w] = rows
-    return out
-
-
 def _fdwt_rows_item(item, data, tmp, h, w):
     """Row-lifting kernel: one work-item per row (functional form)."""
     i = item.get_global_linear_id()
@@ -201,97 +125,6 @@ def _fdwt_cols_vector(nd_range, tmp, data, h, w):
     low, high = _lift53_1d(tmp[:h, :w].T)
     data[: h // 2, :w] = low.T
     data[h // 2: h, :w] = high.T
-
-
-def _mk_lift_kernel(name: str, fn53: bool, forward: bool, rows: bool):
-    """Build one of the 14 lifting-kernel variants as a KernelSpec.
-
-    The functional bodies share the lifting helpers; what varies is the
-    filter family (5/3 integer vs 9/7 float), the direction, and the
-    axis — exactly the combinatorial space §4's 'Multiple kernel
-    versions' refers to."""
-
-    def vec(nd_range, src, dst, h, w):
-        lift = _lift53_1d if fn53 else _lift97_1d
-        unlift = _unlift53_1d if fn53 else _unlift97_1d
-        if forward:
-            data = src[:h, :w] if rows else src[:h, :w].T
-            low, high = lift(data)
-            if rows:
-                dst[:h, : w // 2] = low
-                dst[:h, w // 2: w] = high
-            else:
-                dst[: h // 2, :w] = low.T
-                dst[h // 2: h, :w] = high.T
-        else:
-            if rows:
-                out = unlift(src[:h, : w // 2], src[:h, w // 2: w])
-                dst[:h, :w] = out
-            else:
-                out = unlift(src[: h // 2, :w].T, src[h // 2: h, :w].T)
-                dst[:h, :w] = out.T
-
-    return KernelSpec(
-        name=name, kind=KernelKind.ND_RANGE, vector_fn=vec,
-        features={"body_fmas": 0 if fn53 else 6, "body_ops": 8,
-                  "global_access_sites": 4,
-                  "local_memories": [{"bytes": 6 * 1024, "static": True,
-                                      "ports": 6, "bankable": False}]},
-    )
-
-
-def kernel_variants() -> dict[str, KernelSpec]:
-    """All 14 DWT2D kernel variants (§4): {fdwt,rdwt} x {53,97} x
-    {rows,cols} plus the packing/unpacking pair the suite carries."""
-    out: dict[str, KernelSpec] = {}
-    for fn53 in (True, False):
-        fam = "53" if fn53 else "97"
-        for forward in (True, False):
-            d = "f" if forward else "r"
-            for rows in (True, False):
-                axis = "rows" if rows else "cols"
-                name = f"{d}dwt{fam}_{axis}"
-                out[name] = _mk_lift_kernel(name, fn53, forward, rows)
-    # the fused tile kernels: rows+cols of one level in a single launch
-    # through the congested shared array (§4's problem children)
-    for fn53 in (True, False):
-        fam = "53" if fn53 else "97"
-        for forward in (True, False):
-            d = "f" if forward else "r"
-            name = f"{d}dwt{fam}_tile"
-            rows_k = out[f"{d}dwt{fam}_rows"]
-            cols_k = out[f"{d}dwt{fam}_cols"]
-
-            def tile_vec(nd_range, src, dst, h, w, _r=rows_k, _c=cols_k,
-                         _fwd=forward):
-                tmp = np.zeros_like(src)
-                if _fwd:
-                    _r.vector_fn(nd_range, src, tmp, h, w)
-                    _c.vector_fn(nd_range, tmp, dst, h, w)
-                else:
-                    _c.vector_fn(nd_range, src, tmp, h, w)
-                    _r.vector_fn(nd_range, tmp, dst, h, w)
-
-            out[name] = KernelSpec(
-                name=name, kind=KernelKind.ND_RANGE, vector_fn=tile_vec,
-                features={"body_fmas": 0 if fn53 else 12, "body_ops": 16,
-                          "global_access_sites": 4,
-                          "local_memories": [
-                              {"bytes": 12 * 1024, "static": True,
-                               "ports": 8, "bankable": False}]},
-            )
-    # the component packing/unpacking kernels round the count to 14
-    out["c_copy_src_to_components"] = KernelSpec(
-        name="c_copy_src_to_components",
-        vector_fn=lambda nd, src, dst, n: dst.__setitem__(slice(0, n),
-                                                          src[:n]),
-        features={"body_ops": 2, "global_access_sites": 2})
-    out["c_copy_components_to_dst"] = KernelSpec(
-        name="c_copy_components_to_dst",
-        vector_fn=lambda nd, src, dst, n: dst.__setitem__(slice(0, n),
-                                                          src[:n]),
-        features={"body_ops": 2, "global_access_sites": 2})
-    return out
 
 
 class Dwt2D(AltisApp):

@@ -141,7 +141,10 @@ class FdTd2D(AltisApp):
         n, steps = p["n"], p["steps"]
         ez, hx, hy = workload["ez"], workload["hx"], workload["hy"]
         ks = self.kernels(variant)
-        wg = (8, 16) if n % 16 == 0 and n >= 16 else (1, n)
+        # the FPGA kernels require their (8, 16) work-group, so pad the
+        # range to whole tiles (the bodies guard i >= n / j >= n)
+        fpga = variant in (Variant.FPGA_BASE, Variant.FPGA_OPT)
+        wg = (8, 16) if fpga or (n % 16 == 0 and n >= 16) else (1, n)
         gr = -(-n // wg[0]) * wg[0]
         gc = -(-n // wg[1]) * wg[1]
         nd = NdRange(Range(gr, gc), Range(wg))

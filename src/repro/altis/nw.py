@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..perfmodel.profile import KernelProfile, LaunchPlan
-from ..sycl.buffer import LocalAccessor
+from ..sycl.local_memory import LocalAccessor
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from ..sycl.ndrange import FenceSpace
 from .base import AltisApp, FpgaSetup, Variant, Workload

@@ -1,54 +1,11 @@
-"""Small shared utilities: unit helpers, geometric mean, formatting."""
+"""Small shared utilities: geometric mean and time formatting."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
-import numpy as np
-
-__all__ = [
-    "ceil_div",
-    "round_up",
-    "is_pow2",
-    "next_pow2",
-    "geomean",
-    "human_bytes",
-    "human_time",
-    "KB",
-    "MB",
-    "GB",
-    "US",
-    "MS",
-]
-
-KB = 1024
-MB = 1024 * 1024
-GB = 1024 * 1024 * 1024
-US = 1e-6
-MS = 1e-3
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division (used pervasively for grid sizing)."""
-    if b <= 0:
-        raise ValueError("divisor must be positive")
-    return -(-a // b)
-
-
-def round_up(a: int, multiple: int) -> int:
-    """Round ``a`` up to the next multiple of ``multiple``."""
-    return ceil_div(a, multiple) * multiple
-
-
-def is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def next_pow2(n: int) -> int:
-    if n <= 1:
-        return 1
-    return 1 << (n - 1).bit_length()
+__all__ = ["geomean", "human_time"]
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -61,14 +18,6 @@ def geomean(values: Iterable[float]) -> float:
     return float(math.exp(sum(math.log(v) for v in vals) / len(vals)))
 
 
-def human_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024 or unit == "TiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024
-    return f"{n:.1f} TiB"
-
-
 def human_time(seconds: float) -> str:
     if seconds < 1e-6:
         return f"{seconds * 1e9:.1f} ns"
@@ -77,11 +26,3 @@ def human_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds:.3f} s"
-
-
-def relative_error(measured: Sequence[float], reference: Sequence[float]) -> float:
-    """Max relative elementwise error, guarding zero references."""
-    m = np.asarray(measured, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    denom = np.maximum(np.abs(r), 1e-30)
-    return float(np.max(np.abs(m - r) / denom))

@@ -224,12 +224,18 @@ def run_benchmark(config: str, size: int, device_key: str, passes: int,
 
 
 def _cmd_run(args) -> int:
+    from ..common.errors import ReproError
     from .resultdb import ResultDB
 
     db = ResultDB()
-    with _certificates(args):
-        run_benchmark(args.benchmark, args.size, args.device, args.passes,
-                      Variant(args.variant), args.scale, db, mode=args.mode)
+    try:
+        with _certificates(args):
+            run_benchmark(args.benchmark, args.size, args.device,
+                          args.passes, Variant(args.variant), args.scale, db,
+                          mode=args.mode)
+    except ReproError as exc:
+        print(f"run failed: {exc}")
+        return 1
     if not args.quiet:
         print(db.render())
     return 0
@@ -327,6 +333,7 @@ def resolve_config(name: str) -> str:
 
 
 def _cmd_profile(args) -> int:
+    from ..common.errors import ReproError
     from ..sycl.plan import clear_plan_caches
     from ..trace.profile import profile_functional, render_profile, \
         write_profile
@@ -339,9 +346,13 @@ def _cmd_profile(args) -> int:
         scale = base if args.quick else base * 2
     mode = None if args.mode == "auto" else args.mode
     clear_plan_caches()  # within-run compile/hit counts, not leftovers
-    run = profile_functional(config, device_key=args.device,
-                             variant=args.variant, mode=mode,
-                             scale=scale, seed=args.seed)
+    try:
+        run = profile_functional(config, device_key=args.device,
+                                 variant=args.variant, mode=mode,
+                                 scale=scale, seed=args.seed)
+    except ReproError as exc:
+        print(f"profile failed: {exc}")
+        return 1
     out = args.out or f"profile_{args.benchmark.lower().replace(' ', '_')}"
     paths = write_profile(out, run)
     if not args.quiet:

@@ -369,9 +369,8 @@ def run_suite_functional(device_key: str = "rtx2080",
             # sweep skips the journaled ones)
             index = pending.index(config)
             if not degrade:
-                # "pool cell" is the established `suite aborted:` wording
                 raise CellExecutionError(
-                    f"pool cell {index} ({config!r}) failed: "
+                    f"cell {index} ({config!r}) failed: "
                     f"{type(exc).__name__}: {exc}",
                     key=config, index=index) from exc
             result = FailedCell(key=config, index=index,

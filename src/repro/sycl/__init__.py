@@ -1,21 +1,19 @@
 """A functional SYCL runtime model.
 
 This package reproduces the SYCL 2020 surface the migrated Altis suite
-uses — queues, buffers/accessors, profiling events, ND-range
-execution with work-group barriers and local memory, Single-Task kernels
-with Intel FPGA pipes, and the oneDPL algorithms — executing kernels
-functionally on the host while advancing a modeled device clock.
+uses — in-order queues with profiling events, ND-range execution with
+work-group barriers and local memory, Single-Task kernels with Intel
+FPGA pipes, and oneDPL's ``exclusive_scan`` — executing kernels
+functionally on the host while advancing a modeled device clock.  Every
+launch takes one path: ``Queue.parallel_for``/``single_task`` → a cached
+launch plan → the executor.
 """
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".": ("onedpl",),
-    "buffer": ("AccessMode", "Accessor", "Buffer", "LocalAccessor",
-               "no_init"),
-    "device": ("Aspect", "Device", "device", "select_device",
-               "available_devices", "default_selector", "cpu_selector",
-               "gpu_selector", "accelerator_selector", "fpga_selector"),
+    "device": ("Device", "device"),
     "event": ("Event", "ProfilingInfo", "CommandKind"),
     "executor": ("ExecutionStats", "run_nd_range", "run_single_task",
                  "validate_launch", "execution_cache_info",
@@ -31,9 +29,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ndrange": ("Range", "Id", "NdRange", "NdItem", "Group", "FenceSpace",
                 "BarrierToken"),
     "pipes": ("Pipe", "PipeBlocked", "DataflowGraph"),
-    "queue": ("Queue", "Handler", "SpecTiming", "TimelineEntry",
-              "LaunchCounters"),
-    "local_memory": ("group_local_memory_for_overwrite",),
+    "queue": ("Queue", "SpecTiming", "TimelineEntry", "LaunchCounters"),
+    "local_memory": ("LocalAccessor", "group_local_memory_for_overwrite"),
 })
 
 # ``device`` is the one exported name that shadows a submodule: the first

@@ -1,9 +1,9 @@
-"""SYCL devices, aspects, and device selection.
+"""SYCL devices.
 
 A :class:`Device` wraps a :class:`~repro.perfmodel.spec.DeviceSpec` from
-the Table 2 catalogue and exposes SYCL-flavoured queries (``has(aspect)``,
-``get_info(...)``).  Selectors reproduce the standard SYCL selection
-functions, plus the FPGA selector from the oneAPI FPGA add-on.
+the Table 2 catalogue and exposes SYCL-flavoured queries
+(``get_info(...)``).  Devices are named by catalogue key
+(:func:`device`); every queue is built for one explicitly.
 
 The paper abandons DPCT's helper headers and their device-selection
 logic (§3.2.2) partly because that logic could not enable profiling on
@@ -13,35 +13,10 @@ profiling is requested per-queue, exactly like standard SYCL.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Callable
+from ..common.errors import FeatureNotSupportedError
+from ..perfmodel.spec import DeviceKind, DeviceSpec, get_spec
 
-from ..common.errors import DeviceNotFoundError, FeatureNotSupportedError
-from ..perfmodel.spec import DEVICE_SPECS, DeviceKind, DeviceSpec, get_spec
-
-__all__ = [
-    "Aspect",
-    "Device",
-    "Platform",
-    "device",
-    "default_selector",
-    "cpu_selector",
-    "gpu_selector",
-    "accelerator_selector",
-    "fpga_selector",
-    "select_device",
-    "available_devices",
-]
-
-
-class Aspect(str, Enum):
-    """Subset of SYCL 2020 aspects relevant to the benchmark suite."""
-
-    CPU = "cpu"
-    GPU = "gpu"
-    ACCELERATOR = "accelerator"
-    FP64 = "fp64"
-    QUEUE_PROFILING = "queue_profiling"
+__all__ = ["Device", "Platform", "device"]
 
 
 class Platform:
@@ -68,31 +43,10 @@ class Device:
     def __init__(self, spec: DeviceSpec):
         self.spec = spec
         self.platform = _PLATFORMS[spec.kind]
-        self._aspects = self._derive_aspects(spec)
-
-    @staticmethod
-    def _derive_aspects(spec: DeviceSpec) -> frozenset[Aspect]:
-        aspects = {Aspect.QUEUE_PROFILING, Aspect.FP64}
-        if spec.kind is DeviceKind.CPU:
-            aspects.add(Aspect.CPU)
-        elif spec.kind is DeviceKind.GPU:
-            aspects.add(Aspect.GPU)
-        else:
-            aspects.add(Aspect.ACCELERATOR)
-        return frozenset(aspects)
 
     # -- SYCL-style queries -------------------------------------------------
-    def has(self, aspect: Aspect) -> bool:
-        return aspect in self._aspects
-
-    def is_cpu(self) -> bool:
-        return self.spec.kind is DeviceKind.CPU
-
     def is_gpu(self) -> bool:
         return self.spec.kind is DeviceKind.GPU
-
-    def is_accelerator(self) -> bool:
-        return self.spec.kind is DeviceKind.FPGA
 
     @property
     def is_fpga(self) -> bool:
@@ -112,12 +66,6 @@ class Device:
         except KeyError:
             raise FeatureNotSupportedError(f"unknown info query {name!r}") from None
 
-    def require(self, aspect: Aspect) -> None:
-        if not self.has(aspect):
-            raise FeatureNotSupportedError(
-                f"device {self.spec.key!r} lacks aspect {aspect.value!r}"
-            )
-
     def __repr__(self) -> str:
         return f"Device({self.spec.key!r})"
 
@@ -136,47 +84,3 @@ def device(key: str) -> Device:
     if key not in _DEVICE_CACHE:
         _DEVICE_CACHE[key] = Device(get_spec(key))
     return _DEVICE_CACHE[key]
-
-
-def available_devices() -> list[Device]:
-    return [device(k) for k in DEVICE_SPECS]
-
-
-Selector = Callable[[Device], int]
-
-
-def cpu_selector(dev: Device) -> int:
-    return 100 if dev.is_cpu() else -1
-
-
-def gpu_selector(dev: Device) -> int:
-    return 100 if dev.is_gpu() else -1
-
-
-def accelerator_selector(dev: Device) -> int:
-    return 100 if dev.is_accelerator() else -1
-
-
-#: oneAPI FPGA add-on's ``ext::intel::fpga_selector``
-fpga_selector = accelerator_selector
-
-
-def default_selector(dev: Device) -> int:
-    if dev.is_gpu():
-        return 50
-    if dev.is_accelerator():
-        return 40
-    return 10
-
-
-def select_device(selector: Selector = default_selector) -> Device:
-    """Pick the highest-scoring available device (SYCL selection rules)."""
-    best: Device | None = None
-    best_score = -1
-    for dev in available_devices():
-        score = selector(dev)
-        if score > best_score:
-            best, best_score = dev, score
-    if best is None or best_score < 0:
-        raise DeviceNotFoundError("no device satisfies the selector")
-    return best

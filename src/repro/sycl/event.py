@@ -17,7 +17,7 @@ performance model — not Python wall-clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..common.errors import InvalidParameterError
@@ -27,10 +27,6 @@ __all__ = ["ProfilingInfo", "CommandKind", "Event"]
 
 class CommandKind(str, Enum):
     KERNEL = "kernel"
-    MEMCPY_H2D = "memcpy_h2d"
-    MEMCPY_D2H = "memcpy_d2h"
-    MEMCPY_D2D = "memcpy_d2d"
-    FILL = "fill"
     HOST_TASK = "host_task"
 
 
@@ -55,11 +51,8 @@ class Event:
     start_ns: int = 0
     end_ns: int = 0
     profiling_enabled: bool = True
-    #: bytes moved, for memory commands
+    #: bytes touched, for host tasks (oneDPL calls)
     bytes: int = 0
-
-    def wait(self) -> "Event":
-        return self
 
     def get_profiling_info(self, what: ProfilingInfo) -> int:
         if not self.profiling_enabled:

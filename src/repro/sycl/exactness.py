@@ -35,7 +35,7 @@ import types
 
 import numpy as np
 
-from .buffer import LocalAccessor
+from .local_memory import LocalAccessor
 from .ndrange import NdRange
 from .vectorize import (_EXACT_UFUNCS, _MATH_TO_NP, _SCALAR_ARGS,
                         _kernel_def, _literal_only, _site, translate)

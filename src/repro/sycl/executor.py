@@ -18,11 +18,11 @@ Every nd-range launch runs through a cached
 This module holds what the plans share: launch validation, path
 selection, the memoized index-point grids and per-group (global id,
 local id) lattices (``lru_cache`` over immutable tuples only, so
-concurrent launches from a harness worker pool can share them safely),
-and the one deque-based barrier-phase engine that serves work-group and
-grid scope alike.  :mod:`repro.sycl.plan` compiles everything
-launch-invariant into the plan on the first launch of a shape; repeated
-launches — the steady state Altis measures — re-inspect nothing.
+concurrent launches can share them safely), and the deque-based
+barrier-phase engine of the strict work-group path.
+:mod:`repro.sycl.plan` compiles everything launch-invariant into the
+plan on the first launch of a shape; repeated launches — the steady
+state Altis measures — re-inspect nothing.
 
 The executor validates work-group limits against kernel attributes,
 reproducing the runtime errors the paper hit when Altis' default
@@ -47,7 +47,6 @@ from .ndrange import BarrierToken, NdRange
 __all__ = [
     "validate_launch",
     "run_nd_range",
-    "run_grid_synchronized",
     "run_single_task",
     "ExecutionStats",
     "execution_cache_info",
@@ -169,24 +168,20 @@ def clear_execution_caches() -> None:
 # ---------------------------------------------------------------------------
 
 def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
-                            stats: ExecutionStats, *, grid: bool = False,
-                            tracer=None) -> None:
-    """Run generator kernels phase by phase until all complete.
+                            stats: ExecutionStats, *, tracer=None) -> None:
+    """Run one work-group's generator kernels phase by phase until all
+    complete.
 
-    One scheduler serves both scopes: work-group barriers
-    (:func:`run_nd_range`) and grid-wide barriers
-    (:func:`run_grid_synchronized`) differ only in which generators are
-    scheduled together.  The deque rotates each phase's survivors to the
-    back, so no per-phase live-list rebuild ever happens.
+    The deque rotates each phase's survivors to the back, so no
+    per-phase live-list rebuild ever happens.
 
     With a ``tracer`` each phase is recorded as a ``barrier-phase`` span
     under the caller's open kernel-form span; ``tracer=None`` adds one
     branch per phase and nothing else.
 
-    Divergence check (single implementation for both scopes): within one
-    phase either *every* live participant reaches the barrier or every
-    one runs to completion; any mix is the divergent-barrier error the
-    SIMT contract forbids.
+    Divergence check: within one phase either *every* live participant
+    reaches the barrier or every one runs to completion; any mix is the
+    divergent-barrier error the SIMT contract forbids.
     """
     live = deque(gens)
     phase_index = 0
@@ -201,18 +196,16 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
             except StopIteration:
                 continue
             if not isinstance(token, BarrierToken):
-                kind = "grid-sync" if grid else "barrier"
                 raise KernelLaunchError(
-                    f"kernel {kernel.name!r} yielded {token!r}; {kind} "
+                    f"kernel {kernel.name!r} yielded {token!r}; barrier "
                     "kernels must `yield item.barrier(...)`"
                 )
             reached += 1
             live.append(gen)
         stats.gen_advances += phase_size
         if reached and reached != phase_size:
-            scope = "grid barrier" if grid else "barrier"
             raise KernelLaunchError(
-                f"kernel {kernel.name!r}: divergent {scope} - only "
+                f"kernel {kernel.name!r}: divergent barrier - only "
                 f"{reached} of {phase_size} work-items reached it"
             )
         if reached:
@@ -222,7 +215,7 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
                 f"{kernel.name}:barrier-phase", "barrier-phase",
                 phase_start, tracer.now_us() - phase_start,
                 phase=phase_index, participants=phase_size,
-                reached_barrier=bool(reached), grid=grid,
+                reached_barrier=bool(reached),
             )
             phase_index += 1
 
@@ -238,15 +231,14 @@ _MODES = ("vector", "item", "compiled")
 _get_plan = None
 
 
-def _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode,
-                 grid=False):
+def _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode):
     global _get_plan
     if _get_plan is None:
         from .plan import get_plan
 
         _get_plan = get_plan
     return _get_plan(kernel, nd_range, force_item=force_item,
-                     device_max_wg=device_max_wg, mode=mode, grid=grid)
+                     device_max_wg=device_max_wg, mode=mode)
 
 
 def _select_path(kernel: KernelSpec, force_item: bool,
@@ -295,25 +287,6 @@ def _select_compiled(kernel: KernelSpec) -> str:
         note_fallback(kernel.name, reason, "static")
         return "item"
     return "compiled"
-
-
-def run_grid_synchronized(kernel: KernelSpec, nd_range: NdRange,
-                          args: tuple) -> ExecutionStats:
-    """Execute an ND-range kernel with **grid-level synchronization**.
-
-    Altis exercises CUDA cooperative groups' grid sync (paper §2.2);
-    SYCL has no portable equivalent, so migrated kernels restructure —
-    but the reproduction keeps the primitive for the CUDA side.  Every
-    ``yield item.barrier(...)`` of the generator ``item_fn``
-    synchronizes across the *entire grid*, not just the work-group: all
-    items of all groups reach barrier k before any proceeds.
-
-    Grid barriers interlock every generator, so each launch runs the
-    strict phase engine; the cached grid plan amortizes path selection,
-    generator inspection, and group construction only.
-    """
-    return _lookup_plan(kernel, nd_range, False, None, None,
-                        grid=True).execute(args)
 
 
 def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,

@@ -1,4 +1,4 @@
-"""oneDPL-style parallel algorithms (scan, reduce, transform).
+"""oneDPL's ``exclusive_scan``, as the migrated ``Where`` calls it.
 
 DPCT migrates Thrust/CUB calls in Altis' ``Where`` to oneDPL.  The paper
 found oneDPL's ``exclusive_scan`` to be **50% slower than CUDA's** on the
@@ -6,11 +6,11 @@ RTX 2080 (§3.3) and GPU-tuned (no FPGA specialization at the time,
 §5.3), prompting a custom FPGA prefix-sum (Listing 2, ~100x faster on
 Stratix 10 than running the GPU-tuned oneDPL version there).
 
-Functionally these are numpy one-liners; each returns an
-:class:`AlgorithmCall` record describing the call so the performance
-model can apply the library-implementation penalty appropriate for the
-target device.  SYCL events cannot time oneDPL calls (§3.2.1), so the
-queue records them as host tasks.
+Functionally the scan is a numpy cumulative sum; each call is described
+by an :class:`AlgorithmCall` record so the performance model can apply
+the library-implementation penalty appropriate for the target device.
+SYCL events cannot time oneDPL calls (§3.2.1), so the queue records them
+as host tasks.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import numpy as np
 from .event import CommandKind
 from .queue import Queue
 
-__all__ = [
-    "AlgorithmCall",
-    "exclusive_scan",
-    "inclusive_scan",
-    "reduce",
-    "transform",
-    "copy_if",
-]
+__all__ = ["AlgorithmCall", "exclusive_scan"]
 
 
 @dataclass(frozen=True)
@@ -77,33 +70,4 @@ def exclusive_scan(data: np.ndarray, init=0, *, queue: Queue | None = None) -> n
         out[0] = 0
     out = out + init
     _record(queue, AlgorithmCall("exclusive_scan", data.size, 2 * data.nbytes))
-    return out
-
-
-def inclusive_scan(data: np.ndarray, *, queue: Queue | None = None) -> np.ndarray:
-    data = np.asarray(data)
-    out = np.cumsum(data)
-    _record(queue, AlgorithmCall("inclusive_scan", data.size, 2 * data.nbytes))
-    return out.astype(data.dtype, copy=False)
-
-
-def reduce(data: np.ndarray, init=0, *, queue: Queue | None = None):
-    data = np.asarray(data)
-    _record(queue, AlgorithmCall("reduce", data.size, data.nbytes))
-    return data.sum(dtype=np.result_type(data.dtype, type(init))) + init
-
-
-def transform(data: np.ndarray, fn, *, queue: Queue | None = None) -> np.ndarray:
-    data = np.asarray(data)
-    out = fn(data)
-    _record(queue, AlgorithmCall("transform", data.size, 2 * data.nbytes))
-    return out
-
-
-def copy_if(data: np.ndarray, mask: np.ndarray, *, queue: Queue | None = None) -> np.ndarray:
-    """Stream compaction (scan + scatter), as ``Where`` uses."""
-    data = np.asarray(data)
-    mask = np.asarray(mask, dtype=bool)
-    out = data[mask]
-    _record(queue, AlgorithmCall("copy_if", data.size, 3 * data.nbytes))
     return out

@@ -65,7 +65,6 @@ from contextlib import contextmanager, nullcontext as _null_context
 from ..common.errors import KernelLaunchError
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
-from .buffer import LocalAccessor
 from .executor import (
     ExecutionStats,
     _advance_barrier_phases,
@@ -76,6 +75,7 @@ from .executor import (
     validate_launch,
 )
 from .kernel import KernelSpec
+from .local_memory import LocalAccessor
 from .ndrange import Group, NdItem, NdRange
 from .vectorize import (
     VectorizeFallback,
@@ -258,8 +258,7 @@ def _normalize_mode(mode: str | None) -> str | None:
 
 
 def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
-              device_max_wg: int | None, mode: str | None,
-              grid: bool) -> tuple:
+              device_max_wg: int | None, mode: str | None) -> tuple:
     # Content-based, not id(kernel)-based: apps may rebuild equal
     # KernelSpec copies per launch (``with_attributes``); two specs with
     # the same implementation functions and attributes launch the same.
@@ -267,7 +266,7 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
         kernel.item_fn, kernel.vector_fn, kernel.name,
         kernel.attributes,
         nd_range.global_range.dims, nd_range.local_range.dims,
-        force_item, mode, device_max_wg, grid,
+        force_item, mode, device_max_wg,
         # a vectorize_disabled() block must never reuse a plan compiled
         # to the batched tier (and vice versa) — the flag splits the key
         vectorize_enabled(),
@@ -276,7 +275,7 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
 
 def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
              force_item: bool = False, device_max_wg: int | None = None,
-             mode: str | None = None, grid: bool = False) -> "LaunchPlan":
+             mode: str | None = None) -> "LaunchPlan":
     """The cached plan for one launch shape, compiling it on first use.
 
     Invalid launch configurations raise
@@ -285,7 +284,7 @@ def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
     """
     global _HITS, _MISSES
     mode = _normalize_mode(mode)
-    key = _plan_key(kernel, nd_range, force_item, device_max_wg, mode, grid)
+    key = _plan_key(kernel, nd_range, force_item, device_max_wg, mode)
     with _LOCK:
         plan = _CACHE.get(key)
         if plan is not None:
@@ -301,31 +300,28 @@ def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
             _metrics.counter("plan.hits").inc()
         return plan
     return _compile_and_insert(kernel, nd_range, key, force_item,
-                               device_max_wg, mode, grid)
+                               device_max_wg, mode)
 
 
 def compile_plan(kernel: KernelSpec, nd_range: NdRange, *,
                  force_item: bool = False, device_max_wg: int | None = None,
-                 mode: str | None = None, grid: bool = False) -> "LaunchPlan":
+                 mode: str | None = None) -> "LaunchPlan":
     """Compile a plan without touching the cache (introspection aid)."""
     return LaunchPlan(kernel, nd_range, _normalize_mode(mode),
-                      force_item=force_item, device_max_wg=device_max_wg,
-                      grid=grid)
+                      force_item=force_item, device_max_wg=device_max_wg)
 
 
 def _compile_and_insert(kernel, nd_range, key, force_item, device_max_wg,
-                        mode, grid) -> "LaunchPlan":
+                        mode) -> "LaunchPlan":
     global _COMPILES
     tracer = current_tracer()
     if tracer is None:
         plan = compile_plan(kernel, nd_range, force_item=force_item,
-                            device_max_wg=device_max_wg, mode=mode, grid=grid)
+                            device_max_wg=device_max_wg, mode=mode)
     else:
-        with tracer.span("plan.compile", "plan", kernel=kernel.name,
-                         grid=grid):
+        with tracer.span("plan.compile", "plan", kernel=kernel.name):
             plan = compile_plan(kernel, nd_range, force_item=force_item,
-                                device_max_wg=device_max_wg, mode=mode,
-                                grid=grid)
+                                device_max_wg=device_max_wg, mode=mode)
         _metrics.counter("plan.compiles").inc()
     with _LOCK:
         winner = _CACHE.setdefault(key, plan)
@@ -360,7 +356,7 @@ class LaunchPlan:
     """
 
     __slots__ = (
-        "kernel", "nd_range", "path", "grid", "is_generator", "arity",
+        "kernel", "nd_range", "path", "is_generator", "arity",
         "run_fn", "group_ids", "group_size", "num_groups",
         "total_items", "barrier_schedule", "compiled",
         "fallback_reason", "_tls",
@@ -368,28 +364,23 @@ class LaunchPlan:
 
     def __init__(self, kernel: KernelSpec, nd_range: NdRange,
                  mode: str | None, *, force_item: bool = False,
-                 device_max_wg: int | None = None, grid: bool = False):
+                 device_max_wg: int | None = None):
         validate_launch(kernel, nd_range, device_max_wg)
         self.kernel = kernel
         self.nd_range = nd_range
-        self.grid = grid
         self.compiled = None
         #: why this plan is not (or no longer) on the compiled tier:
         #: the static ineligibility reason when compiled mode was
         #: requested, or the runtime demotion message after ``_demote``;
         #: ``None`` for compiled plans and paths that never tried
         self.fallback_reason = None
-        if grid:
-            _check_grid_kernel(kernel)
-            self.path = "item"
-        else:
-            self.path = _select_path(kernel, force_item, mode)
+        self.path = _select_path(kernel, force_item, mode)
         if self.path == "compiled":
             self.compiled, _reason = compile_batched(kernel, nd_range)
             if self.compiled is None:  # defensive: eligibility raced
                 self.path = "item"
                 self.fallback_reason = _reason
-        elif not grid and mode == "compiled":
+        elif mode == "compiled":
             # compiled mode was requested but the plan landed on the
             # interpreter — record why, so plan_cache_info()'s tier map
             # can name the miss
@@ -423,8 +414,7 @@ class LaunchPlan:
 
     def __repr__(self) -> str:
         return (f"LaunchPlan({self.kernel.name!r}, path={self.path!r}, "
-                f"groups={self.num_groups}, items={self.total_items}, "
-                f"grid={self.grid})")
+                f"groups={self.num_groups}, items={self.total_items})")
 
     def describe(self) -> dict:
         """The compiled launch-invariant facts, as plain data."""
@@ -436,7 +426,6 @@ class LaunchPlan:
             # "static" / "replay" / "shadow" / "certificate" once
             # validated, else None
             "validated_by": ck.validated_by if ck is not None else None,
-            "grid": self.grid,
             "is_generator": self.is_generator,
             "arity": self.arity,
             "global_range": self.nd_range.global_range.dims,
@@ -500,8 +489,7 @@ class LaunchPlan:
         # as demoted here already carries its final path
         stats.path = path = self.path
         with (tracer.span(f"{self.kernel.name}:{path}", "kernel-form",
-                          kernel=self.kernel.name, path=path,
-                          **({"grid": True} if self.grid else {}))
+                          kernel=self.kernel.name, path=path)
               if tracer is not None else _null_context()):
             self._run(args, stats, tracer)
         if tracer is not None:
@@ -510,9 +498,7 @@ class LaunchPlan:
 
     def _run(self, args: tuple, stats: ExecutionStats, tracer) -> None:
         """One launch on the plan's interpreter path."""
-        if self.grid:
-            self._run_grid(args, stats, tracer)
-        elif self.path == "vector":
+        if self.path == "vector":
             self.run_fn(self.nd_range, *args)
             stats.groups = self.num_groups
             stats.items = self.total_items
@@ -730,34 +716,3 @@ class LaunchPlan:
                 acc._end_group()
         if self.barrier_schedule is None:
             self.barrier_schedule = tuple(schedule)
-
-    def _run_grid(self, args: tuple, stats: ExecutionStats, tracer) -> None:
-        """Grid-synchronized execution: barriers interlock across the
-        whole grid, so every launch runs the strict phase engine — the
-        plan amortizes selection, inspection, lattice lookups, and group
-        construction only."""
-        locals_ = [a for a in args if isinstance(a, LocalAccessor)]
-        for acc in locals_:
-            acc._begin_group()  # one grid-wide instance
-        fn = self.run_fn
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        gens = [fn(item, *args)
-                for group, items in self._items()
-                for item in items]
-        _advance_barrier_phases(self.kernel, gens, stats, grid=True,
-                                tracer=tracer)
-        if self.barrier_schedule is None:
-            self.barrier_schedule = (stats.barrier_phases,)
-        for acc in locals_:
-            acc._end_group()
-
-
-def _check_grid_kernel(kernel: KernelSpec) -> None:
-    """Grid sync runs the generator ``item_fn`` (paper §2.2)."""
-    if kernel.item_fn is None:
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} needs an item_fn for grid sync")
-    if not inspect.isgeneratorfunction(kernel.item_fn):
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} never synchronizes; use run_nd_range")

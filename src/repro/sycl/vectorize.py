@@ -146,7 +146,7 @@ import numpy as np
 
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
-from .buffer import LocalAccessor
+from .local_memory import LocalAccessor
 from .kernel import KernelKind, KernelSpec
 from .ndrange import BarrierToken, FenceSpace, NdRange
 

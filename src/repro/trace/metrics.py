@@ -5,14 +5,13 @@ instrumentation (see docs/observability.md for the full catalogue):
 
 * ``executor.launches``, ``executor.items``, ``executor.barrier_phases``,
   ``executor.gen_advances`` — functional-execution counters;
-* ``sycl.h2d_bytes`` / ``sycl.d2h_bytes`` — modeled transfer volume;
 * ``queue.launch_wall_us`` — histogram of wall-clock launch cost;
 * ``perfmodel.plans_timed`` — launch-plan assemblies;
 * ``harness.runs`` — functional runs;
 * ``resilience.cells_resumed`` — suite cells a ``--resume`` merged from
   the sweep journal instead of re-executing.
 
-Hot-path sites (executor, queue, buffer) update metrics only while a
+Hot-path sites (executor, queue) update metrics only while a
 tracer is active, so the disabled path stays free; harness-level sites
 record unconditionally (per-run cost is negligible).
 """

@@ -5,10 +5,10 @@ mirrors the layers of a reproduction run::
 
     run (CLI invocation)
       app (one benchmark configuration, harness.runner)
+        transfer (workload staging copy, harness.runner)
         launch (one queue command, sycl.queue)
-          kernel-form segment (vector / group / item, sycl.executor)
+          kernel-form segment (vector / item / compiled, sycl.executor)
             barrier-phase (one phase of the generator scheduler)
-          transfer (modeled h2d / d2h, sycl.buffer)
       model (perfmodel.timeline launch-plan assembly)
 
 Wall-clock spans nest through a per-thread stack; *modeled*-clock spans

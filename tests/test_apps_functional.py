@@ -22,6 +22,12 @@ class TestEveryConfig:
         # (Raytracing's draws another RNG stream and is not compared)
         assert run_functional(config, variant=Variant.CUDA).verified
 
+    @pytest.mark.parametrize("variant", [Variant.FPGA_BASE, Variant.FPGA_OPT])
+    def test_fpga_variants_run_and_verify(self, config, variant):
+        # the FPGA kernels carry reqd_work_group_size attributes, so a
+        # launch shape that ignores them fails on the device
+        assert run_functional(config, "stratix10", variant).verified
+
     def test_deterministic_generation(self, config):
         app_a = make_app(config)
         app_b = make_app(config)

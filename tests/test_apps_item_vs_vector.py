@@ -12,7 +12,7 @@ import pytest
 
 from repro.altis import Variant
 from repro.sycl import NdRange, Range
-from repro.sycl.buffer import LocalAccessor
+from repro.sycl.local_memory import LocalAccessor
 from repro.sycl.executor import run_nd_range
 
 

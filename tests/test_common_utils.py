@@ -2,40 +2,7 @@
 
 import pytest
 
-from repro.common.utils import (
-    ceil_div,
-    geomean,
-    human_bytes,
-    human_time,
-    is_pow2,
-    next_pow2,
-    relative_error,
-    round_up,
-)
-
-
-class TestIntegerHelpers:
-    def test_ceil_div(self):
-        assert ceil_div(10, 3) == 4
-        assert ceil_div(9, 3) == 3
-        assert ceil_div(1, 128) == 1
-
-    def test_ceil_div_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ceil_div(5, 0)
-
-    def test_round_up(self):
-        assert round_up(100, 16) == 112
-        assert round_up(96, 16) == 96
-
-    def test_is_pow2(self):
-        assert is_pow2(1) and is_pow2(64)
-        assert not is_pow2(0) and not is_pow2(96)
-
-    def test_next_pow2(self):
-        assert next_pow2(1) == 1
-        assert next_pow2(5) == 8
-        assert next_pow2(64) == 64
+from repro.common.utils import geomean, human_time
 
 
 class TestGeomean:
@@ -55,25 +22,8 @@ class TestGeomean:
 
 
 class TestFormatting:
-    def test_human_bytes(self):
-        assert human_bytes(512) == "512 B"
-        assert "KiB" in human_bytes(2048)
-        assert "GiB" in human_bytes(3 * 2**30)
-
     def test_human_time(self):
         assert "ns" in human_time(5e-9)
         assert "us" in human_time(5e-6)
         assert "ms" in human_time(5e-3)
         assert "s" in human_time(5.0)
-
-
-class TestRelativeError:
-    def test_zero_for_equal(self):
-        assert relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_max_elementwise(self):
-        assert relative_error([1.0, 2.2], [1.0, 2.0]) == pytest.approx(0.1)
-
-    def test_zero_reference_guarded(self):
-        # must not divide by zero
-        assert relative_error([1e-31], [0.0]) < float("inf")

@@ -1,57 +1,9 @@
-"""Tests for the DWT 9/7 kernel family and the fused-material render
-path (the remaining halves of two paper stories: DWT2D's 14 kernel
-variants and Listing 1's float8 layout actually driving the tracer)."""
+"""Tests for the fused-material render path (Listing 1's float8 layout
+actually driving the tracer)."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.altis.dwt2d import (
-    dwt53_forward,
-    dwt97_forward,
-    dwt97_inverse,
-)
 from repro.altis.raytracing import Material, make_scene, render
-
-
-class TestDwt97:
-    def test_roundtrip_to_float_accuracy(self):
-        rng = np.random.default_rng(0)
-        img = rng.integers(0, 256, (64, 64)).astype(np.float64)
-        rec = dwt97_inverse(dwt97_forward(img))
-        np.testing.assert_allclose(rec, img, atol=1e-9)
-
-    def test_constant_image_detail_is_zero(self):
-        img = np.full((32, 32), 100.0)
-        coeffs = dwt97_forward(img, levels=1)
-        np.testing.assert_allclose(coeffs[16:, 16:], 0.0, atol=1e-9)
-
-    def test_energy_roughly_preserved(self):
-        """The 9/7 transform is near-orthonormal: total energy is
-        approximately preserved."""
-        rng = np.random.default_rng(1)
-        img = rng.normal(0, 1, (64, 64))
-        coeffs = dwt97_forward(img, levels=1)
-        ratio = (coeffs ** 2).sum() / (img ** 2).sum()
-        assert 0.7 < ratio < 1.4
-
-    def test_differs_from_53(self):
-        rng = np.random.default_rng(2)
-        img = rng.integers(0, 256, (32, 32)).astype(np.int64)
-        c53 = dwt53_forward(img, levels=1).astype(np.float64)
-        c97 = dwt97_forward(img, levels=1)
-        assert not np.allclose(c53, c97)
-
-    @given(st.integers(0, 2**31 - 1), st.integers(4, 6))
-    @settings(max_examples=10, deadline=None)
-    def test_roundtrip_property(self, seed, log_n):
-        rng = np.random.default_rng(seed)
-        n = 1 << log_n
-        img = rng.normal(0, 100, (n, n))
-        levels = log_n - 3
-        rec = dwt97_inverse(dwt97_forward(img, levels), levels)
-        np.testing.assert_allclose(rec, img, atol=1e-7)
 
 
 class TestFusedMaterialRender:

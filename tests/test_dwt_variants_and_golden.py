@@ -1,30 +1,21 @@
-"""Tests for the 14 DWT2D kernel variants (§4) and golden-value drift
-guards on the regenerated figures."""
+"""Tests for DWT2D's kernel count (§4: 14 kernels, 2 synthesized) and
+golden-value drift guards on the regenerated figures."""
 
 import numpy as np
 import pytest
 
-from repro.altis.dwt2d import (
-    Dwt2D,
-    dwt53_forward,
-    dwt97_forward,
-    kernel_variants,
-)
+from repro.altis.dwt2d import Dwt2D, dwt53_forward
 
 
 class TestKernelVariants:
     def test_exactly_fourteen(self):
-        assert len(kernel_variants()) == Dwt2D.TOTAL_KERNEL_VARIANTS == 14
-
-    def test_naming_covers_the_matrix(self):
-        names = set(kernel_variants())
-        for fam in ("53", "97"):
-            for d in ("f", "r"):
-                for axis in ("rows", "cols"):
-                    assert f"{d}dwt{fam}_{axis}" in names
+        """§4: DWT2D has 14 kernels, as its DPCT source model counts."""
+        kernel_defs = {c.kind: c.count
+                       for c in Dwt2D().source_model().constructs}
+        assert kernel_defs["kernel_def"] == Dwt2D.TOTAL_KERNEL_VARIANTS == 14
 
     def test_forward_53_kernels_compose_to_reference(self):
-        ks = kernel_variants()
+        ks = Dwt2D().kernels()
         rng = np.random.default_rng(0)
         n = 32
         img = rng.integers(0, 256, (n, n)).astype(np.int64)
@@ -34,51 +25,12 @@ class TestKernelVariants:
         ks["fdwt53_cols"].vector_fn(None, tmp, data, n, n)
         np.testing.assert_array_equal(data, dwt53_forward(img, levels=1))
 
-    def test_reverse_53_kernels_invert_forward(self):
-        ks = kernel_variants()
-        rng = np.random.default_rng(1)
-        n = 32
-        img = rng.integers(0, 256, (n, n)).astype(np.int64)
-        data = img.copy()
-        tmp = np.zeros_like(data)
-        ks["fdwt53_rows"].vector_fn(None, data, tmp, n, n)
-        ks["fdwt53_cols"].vector_fn(None, tmp, data, n, n)
-        # invert: columns first, then rows (reverse composition order)
-        ks["rdwt53_cols"].vector_fn(None, data, tmp, n, n)
-        ks["rdwt53_rows"].vector_fn(None, tmp, data, n, n)
-        np.testing.assert_array_equal(data, img)
-
-    def test_forward_97_kernels_compose_to_reference(self):
-        ks = kernel_variants()
-        rng = np.random.default_rng(2)
-        n = 32
-        img = rng.normal(0, 100, (n, n))
-        data = img.copy()
-        tmp = np.zeros_like(data)
-        ks["fdwt97_rows"].vector_fn(None, data, tmp, n, n)
-        ks["fdwt97_cols"].vector_fn(None, tmp, data, n, n)
-        np.testing.assert_allclose(data, dwt97_forward(img, levels=1),
-                                   atol=1e-9)
-
-    def test_reverse_97_kernels_invert_forward(self):
-        ks = kernel_variants()
-        rng = np.random.default_rng(3)
-        n = 16
-        img = rng.normal(0, 100, (n, n))
-        data = img.copy()
-        tmp = np.zeros_like(data)
-        ks["fdwt97_rows"].vector_fn(None, data, tmp, n, n)
-        ks["fdwt97_cols"].vector_fn(None, tmp, data, n, n)
-        ks["rdwt97_cols"].vector_fn(None, data, tmp, n, n)
-        ks["rdwt97_rows"].vector_fn(None, tmp, data, n, n)
-        np.testing.assert_allclose(data, img, atol=1e-8)
-
     def test_bitstream_selects_two_of_fourteen(self):
         """§4: only the kernels for the default config are synthesized."""
         app = Dwt2D()
         setup = app.fpga_setup(3, False, "stratix10")
         assert len(setup.design.kernels) == 2
-        assert len(kernel_variants()) == 14
+        assert Dwt2D.TOTAL_KERNEL_VARIANTS == 14
 
 
 class TestGoldenValues:

@@ -1,5 +1,5 @@
 """Executor fast paths: path selection, memoized index lattices, and
-the shared barrier-phase engine at multi-group scale."""
+the barrier-phase engine at multi-group scale."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.sycl import KernelSpec, NdRange, Range
 from repro.sycl.executor import (
     clear_execution_caches,
     execution_cache_info,
-    run_grid_synchronized,
     run_nd_range,
 )
 
@@ -141,18 +140,6 @@ class TestBarrierPhaseEngine:
             run_nd_range(k, NdRange(Range(16), Range(8)),
                          (np.zeros(16),), force_item=True)
 
-    def test_divergent_grid_barrier_multi_group(self):
-        def diverge(item, out):
-            if item.get_global_linear_id() < 12:
-                yield item.barrier()
-            out[item.get_global_linear_id()] = 1
-
-        k = KernelSpec(name="gdiv", item_fn=diverge)
-        with pytest.raises(KernelLaunchError,
-                           match="divergent grid barrier - only 12 of 16"):
-            run_grid_synchronized(k, NdRange(Range(16), Range(4)),
-                                  (np.zeros(16),))
-
 
 class TestQueueCounters:
     def test_counters_accumulate_and_reset(self):
@@ -172,16 +159,6 @@ class TestQueueCounters:
         q.reset_timeline()
         assert q.counters.kernel_launches == 0
         assert q.counters.path_counts == {}
-
-    def test_memcpy_counters(self):
-        from repro.sycl import Queue
-
-        q = Queue("rtx2080")
-        dst = np.zeros(8, dtype=np.float32)
-        src = np.ones(8, dtype=np.float32)
-        q.memcpy(dst, src)
-        assert q.counters.memcpy_ops == 1
-        assert q.counters.h2d_bytes == 32
 
 
 def _phased_item(item, out):

@@ -105,6 +105,27 @@ class TestCli:
         assert main(["synth", "DWT2D"]) == 1
         assert "failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "SRAD", "--device", "stratix10"],
+         "run failed: work-group size 256 exceeds the device limit 128"),
+        (["run", "DWT2D", "--device", "stratix10", "--variant", "fpga_opt"],
+         "run failed: DWT2D has no optimized FPGA design"),
+        (["profile", "srad", "--device", "stratix10", "--quick"],
+         "profile failed: work-group size 256 exceeds the device limit"),
+    ], ids=["run-launch-error", "run-no-design", "profile-launch-error"])
+    def test_run_and_profile_failures_are_one_line(self, argv, message,
+                                                   capsys, tmp_path,
+                                                   monkeypatch):
+        """A failing run prints one line and exits 1, as ``synth`` and
+        ``suite`` do, instead of a traceback; ``profile`` writes no
+        artifacts."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(message)
+        assert out.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_main_figures_table2(self, capsys):
         assert main(["figures", "table2"]) == 0
         assert "Xeon" in capsys.readouterr().out

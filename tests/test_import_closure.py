@@ -91,8 +91,6 @@ _UNIMPORTED = {
     "repro.__main__": "the ``python -m repro`` entry point",
     "repro.harness.bench": "perfbench stamps its records with its "
                            "``bench_environment()``",
-    "repro.sycl.local_memory": "the paper's §5.2 FPGA local-memory API, "
-                               "used by examples/fpga_design_exploration.py",
 }
 
 

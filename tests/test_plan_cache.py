@@ -15,7 +15,7 @@ from repro.altis import Variant
 from repro.altis.registry import APP_FACTORIES, make_app
 from repro.common.errors import KernelLaunchError
 from repro.sycl import KernelSpec, NdRange, Queue, Range
-from repro.sycl.executor import run_grid_synchronized, run_nd_range
+from repro.sycl.executor import run_nd_range
 from repro.sycl.ndrange import FenceSpace
 from repro.sycl.plan import (
     clear_plan_caches,
@@ -74,12 +74,6 @@ def _barrier_item(item, out):
     out[item.get_global_linear_id()] *= 2
 
 
-def _grid_item(item, out, tot):
-    out[item.get_global_linear_id()] = 1
-    yield item.barrier()
-    tot[item.get_global_linear_id()] = out.sum()
-
-
 def _triple():
     return KernelSpec(name="triple", item_fn=_add_item,
                       vector_fn=_add_vector)
@@ -120,21 +114,6 @@ class TestStatsParity:
         assert _stats_tuple(warm) == _stats_tuple(cold)
         assert out_w.tobytes() == out_c.tobytes()
         np.testing.assert_array_equal(out_w, 2)
-
-    def test_grid_synchronized(self):
-        clear_plan_caches()
-        k = KernelSpec(name="grid", item_fn=_grid_item)
-        nd = NdRange(Range(8), Range(4))
-        tot_c = np.zeros(8)
-        tot_w = np.zeros(8)
-        cold = run_grid_synchronized(k, nd, (np.zeros(8), tot_c))
-        warm = run_grid_synchronized(k, nd, (np.zeros(8), tot_w))
-        assert _stats_tuple(warm) == _stats_tuple(cold)
-        # the grid barrier interlocks all items: every cell sees the full
-        # phase-one sum
-        assert tot_w.tobytes() == tot_c.tobytes()
-        np.testing.assert_array_equal(tot_w, 8)
-        assert plan_cache_info()["hits"] >= 1
 
 
 class TestCacheBehavior:

@@ -2,7 +2,6 @@
 algorithm invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +9,13 @@ from repro.altis.dwt2d import dwt53_forward, dwt53_inverse
 from repro.altis.kmeans import _assign_points, _update_centers
 from repro.altis.nw import nw_reference
 from repro.altis.where import custom_fpga_prefix_sum, where_reference
-from repro.common.rng import LcgPark, Philox4x32, Xorwow
-from repro.common.utils import ceil_div, geomean, next_pow2, round_up
+from repro.common.rng import LcgPark
+from repro.common.utils import geomean
 from repro.common.vectypes import float3, float4
 from repro.sycl import DataflowGraph, KernelSpec, NdRange, Pipe, Range
 from repro.sycl.executor import run_nd_range
 from repro.sycl.ndrange import linear_index
-from repro.sycl.onedpl import exclusive_scan, inclusive_scan
+from repro.sycl.onedpl import exclusive_scan
 
 
 # -- index spaces -------------------------------------------------------------
@@ -52,29 +51,7 @@ def test_executor_visits_every_item_exactly_once(groups, local):
     assert (counts == 1).all()
 
 
-# -- integer helpers ----------------------------------------------------------
-
-@given(st.integers(0, 10**9), st.integers(1, 10**6))
-def test_ceil_div_properties(a, b):
-    q = ceil_div(a, b)
-    assert q * b >= a
-    assert (q - 1) * b < a or q == 0
-
-
-@given(st.integers(0, 10**9), st.integers(1, 10**6))
-def test_round_up_is_multiple_and_minimal(a, m):
-    r = round_up(a, m)
-    assert r % m == 0
-    assert r >= a
-    assert r - a < m
-
-
-@given(st.integers(1, 2**30))
-def test_next_pow2_bounds(n):
-    p = next_pow2(n)
-    assert p >= n
-    assert p < 2 * n or n == 1
-
+# -- geometric mean -----------------------------------------------------------
 
 @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20))
 def test_geomean_between_min_and_max(values):
@@ -108,23 +85,6 @@ def test_vec_roundtrip_through_numpy(a):
 
 # -- RNGs ---------------------------------------------------------------------
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30)
-def test_xorwow_deterministic_per_seed(seed):
-    assert Xorwow(seed).next_uint32() == Xorwow(seed).next_uint32()
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 100))
-@settings(max_examples=20)
-def test_philox_skip_ahead_consistency(seed, skip):
-    a = Philox4x32(seed)
-    for _ in range(skip):
-        a.next_block()
-    b = Philox4x32(seed)
-    b.skip_ahead(skip)
-    assert a.next_block() == b.next_block()
-
-
 @given(st.integers(1, 2**31 - 2))
 @settings(max_examples=30)
 def test_lcg_stays_in_range(seed):
@@ -141,12 +101,6 @@ def test_exclusive_scan_invariant(data):
     out = exclusive_scan(arr)
     assert out[0] == 0
     np.testing.assert_array_equal(out[1:], np.cumsum(arr)[:-1])
-
-
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=200))
-def test_inclusive_minus_exclusive_is_input(data):
-    arr = np.array(data, dtype=np.int64)
-    np.testing.assert_array_equal(inclusive_scan(arr) - exclusive_scan(arr), arr)
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=300))

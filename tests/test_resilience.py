@@ -38,7 +38,7 @@ def _fail_on(monkeypatch, bad):
 
 # The two abort tests keep the names they had when the sweep ran through
 # ``pool_map``; the serial loop in ``run_suite_functional`` replaced it and
-# keeps its "pool cell N" error wording.
+# names the failing cell as "cell N".
 
 def test_pool_map_raises_cell_execution_error_with_context(monkeypatch):
     _fail_on(monkeypatch, "FDTD2D")
@@ -46,7 +46,7 @@ def test_pool_map_raises_cell_execution_error_with_context(monkeypatch):
         run_suite_functional()
     err = excinfo.value
     assert err.key == "FDTD2D" and err.index == 3
-    assert str(err) == ("pool cell 3 ('FDTD2D') failed: "
+    assert str(err) == ("cell 3 ('FDTD2D') failed: "
                         "ValueError: cell FDTD2D broke")
     assert isinstance(err.__cause__, ValueError)
 
@@ -140,7 +140,7 @@ def test_cli_suite_degrade_exits_nonzero_on_real_failure(capsys,
 
 def test_cli_suite_abort_reports_the_failing_cell(capsys, monkeypatch):
     """The default sweep (serial, no journal) fails a cell the same way
-    a journaled or pooled one does: a ``suite aborted`` message naming
+    a journaled one does: a ``suite aborted`` message naming
     the cell and carrying the verify error, no report, exit status 1."""
     real_verify = AltisApp.verify
 
@@ -153,5 +153,5 @@ def test_cli_suite_abort_reports_the_failing_cell(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert status == 1
     assert out.startswith(
-        "suite aborted: pool cell 7 ('NW') failed: AssertionError: ")
+        "suite aborted: cell 7 ('NW') failed: AssertionError: ")
     assert "diverges from reference" in out and "suite:" not in out

@@ -1,89 +1,10 @@
-"""Unit tests for buffers, accessors, and local accessors."""
+"""Unit tests for local accessors (work-group shared memory)."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.sycl import AccessMode, Accessor, Buffer, LocalAccessor, no_init
-
-
-class TestBuffer:
-    def test_from_data_copies_shape(self):
-        buf = Buffer(np.arange(12, dtype=np.float32).reshape(3, 4))
-        assert buf.range == (3, 4)
-        assert buf.dtype == np.float32
-        assert buf.nbytes == 48
-
-    def test_from_range(self):
-        buf = Buffer(range=(5,), dtype=np.int32)
-        assert buf.size() == 5
-        assert (buf.host_array() == 0).all()
-
-    def test_needs_data_or_range(self):
-        with pytest.raises(InvalidParameterError):
-            Buffer()
-
-    def test_dtype_override(self):
-        buf = Buffer(np.arange(4), dtype=np.float64)
-        assert buf.dtype == np.float64
-
-
-class TestModeledTransfers:
-    def test_first_device_touch_moves_bytes(self):
-        buf = Buffer(np.zeros(1024, dtype=np.float32))
-        moved = buf._touch_device(writes=False)
-        assert moved == buf.nbytes
-        assert buf._touch_device(writes=False) == 0  # already resident
-
-    def test_noinit_skips_upload(self):
-        buf = Buffer(np.zeros(16, dtype=np.float32))
-        assert buf._touch_device(writes=True, discard=True) == 0
-
-    def test_writeback_only_when_dirty(self):
-        buf = Buffer(np.zeros(16, dtype=np.float32))
-        buf._touch_device(writes=False)
-        assert buf._sync_to_host() == 0
-        buf._touch_device(writes=True)
-        assert buf._sync_to_host() == buf.nbytes
-        assert buf._sync_to_host() == 0  # clean again
-
-    def test_host_array_syncs(self):
-        buf = Buffer(np.zeros(8, dtype=np.float32))
-        buf._touch_device(writes=True)
-        buf.host_array()
-        assert not buf.dirty_on_device
-
-
-class TestAccessor:
-    def test_read_write_roundtrip(self):
-        buf = Buffer(np.arange(8, dtype=np.float32))
-        acc = Accessor(buf, None, AccessMode.READ_WRITE)
-        acc[3] = 99
-        assert acc[3] == 99
-
-    def test_write_only_rejects_reads(self):
-        acc = Accessor(Buffer(np.zeros(4)), None, AccessMode.WRITE)
-        with pytest.raises(InvalidParameterError):
-            _ = acc[0]
-
-    def test_read_only_rejects_writes(self):
-        acc = Accessor(Buffer(np.zeros(4)), None, AccessMode.READ)
-        with pytest.raises(InvalidParameterError):
-            acc[0] = 1
-
-    def test_noinit_property_detected(self):
-        acc = Accessor(Buffer(np.zeros(4)), None, AccessMode.WRITE, no_init)
-        assert acc.noinit
-
-    def test_get_pointer_returns_raw_array(self):
-        buf = Buffer(np.arange(4, dtype=np.int32))
-        acc = Accessor(buf, None, AccessMode.READ)
-        assert acc.get_pointer() is buf._host
-
-    def test_shape_and_len(self):
-        acc = Accessor(Buffer(np.zeros((3, 5))), None, AccessMode.READ)
-        assert acc.shape == (3, 5)
-        assert len(acc) == 3
+from repro.sycl import LocalAccessor
 
 
 class TestLocalAccessor:

@@ -1,11 +1,11 @@
-"""Unit tests for oneDPL algorithms and group_local_memory_for_overwrite."""
+"""Unit tests for oneDPL's exclusive_scan and group_local_memory_for_overwrite."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import FeatureNotSupportedError
 from repro.sycl import CommandKind, Queue, device, group_local_memory_for_overwrite
-from repro.sycl.onedpl import copy_if, exclusive_scan, inclusive_scan, reduce, transform
+from repro.sycl.onedpl import exclusive_scan
 
 
 class TestScan:
@@ -21,10 +21,6 @@ class TestScan:
 
     def test_exclusive_scan_single_element(self):
         np.testing.assert_array_equal(exclusive_scan(np.array([5])), [0])
-
-    def test_inclusive_scan(self):
-        np.testing.assert_array_equal(
-            inclusive_scan(np.array([1, 2, 3])), [1, 3, 6])
 
     def test_records_host_task_on_queue(self, gpu_queue):
         exclusive_scan(np.arange(64), queue=gpu_queue)
@@ -42,20 +38,6 @@ class TestScan:
         t_gpu = qg.timeline[-1].event.duration_s
         t_fpga = qf.timeline[-1].event.duration_s
         assert t_fpga > 20 * t_gpu
-
-
-class TestOtherAlgorithms:
-    def test_reduce(self):
-        assert reduce(np.arange(10), init=5) == 50
-
-    def test_transform(self):
-        np.testing.assert_array_equal(
-            transform(np.array([1, 2, 3]), lambda x: x * 2), [2, 4, 6])
-
-    def test_copy_if(self):
-        data = np.arange(10)
-        out = copy_if(data, data % 2 == 0)
-        np.testing.assert_array_equal(out, [0, 2, 4, 6, 8])
 
 
 class TestGroupLocalMemory:

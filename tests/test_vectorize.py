@@ -405,7 +405,7 @@ def test_local_tile_with_barrier_loop():
     including a barrier inside a static loop — batches bitwise: the
     compiled tier shadows the tile as one per-group array and the loop
     contributes one array phase per iteration."""
-    from repro.sycl.buffer import LocalAccessor
+    from repro.sycl.local_memory import LocalAccessor
 
     n, wg = 32, 8
     rng = np.random.default_rng(7)

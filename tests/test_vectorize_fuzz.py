@@ -46,7 +46,7 @@ from repro.sycl import (  # noqa: E402
     prove_exact,
     vectorize_enabled,
 )
-from repro.sycl.buffer import LocalAccessor  # noqa: E402
+from repro.sycl.local_memory import LocalAccessor  # noqa: E402
 from repro.sycl.executor import run_nd_range  # noqa: E402
 from repro.sycl.plan import (  # noqa: E402
     clear_plan_caches,

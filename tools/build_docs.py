@@ -66,9 +66,9 @@ API_PACKAGES = ["repro.sycl", "repro.harness", "repro.resilience",
 #: submodules re-exported through their package ``__init__`` (and thus
 #: documented via the package page) rather than on a page of their own
 API_FOLDED = {
-    "repro.sycl.buffer", "repro.sycl.device", "repro.sycl.event",
-    "repro.sycl.kernel", "repro.sycl.local_memory", "repro.sycl.ndrange",
-    "repro.sycl.onedpl", "repro.sycl.pipes",
+    "repro.sycl.device", "repro.sycl.event", "repro.sycl.kernel",
+    "repro.sycl.local_memory", "repro.sycl.ndrange", "repro.sycl.onedpl",
+    "repro.sycl.pipes",
     "repro.harness.experiments",
     "repro.trace.export",
 }
