@@ -46,7 +46,7 @@ def test_barrier_executor_throughput(benchmark):
             blocks = (d + 1) if d < nb else (2 * nb - 1 - d)
             run_nd_range(kern, NdRange(Range(blocks * block), Range(block)),
                          (score, sim, tile, penalty, d, nb, n, block),
-                         force_item=True)
+                         mode="item")
         return score
 
     score = benchmark(run)

@@ -43,7 +43,6 @@ class FixKind(str, Enum):
 
     CHRONO_TO_SYCL_EVENTS = "chrono_to_sycl_events"      # §3.2.1
     SET_MEM_ADVISE_VALUE = "set_mem_advise_value"        # §3.2.1
-    REMOVE_USM = "remove_usm"                            # FPGA path (§3.2.1)
     NARROW_BARRIER_SCOPE = "narrow_barrier_scope"        # §3.2.1
     DROP_HELPER_HEADERS = "drop_helper_headers"          # §3.2.2
     HOIST_DEVICE_ALLOCATION = "hoist_device_allocation"  # §3.2.2

@@ -111,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="functional problem scale (default: test scale)")
     run.add_argument("--variant", default="sycl_opt",
                      choices=[v.value for v in Variant])
-    run.add_argument("--mode", default=None,
-                     choices=["auto", "vector", "item", "compiled"],
-                     help="pin one executor path for kernels that "
-                          "implement it (default: auto)")
+    run.add_argument("--mode", default="auto",
+                     choices=["auto", "item", "compiled"],
+                     help="kernel form: auto, item or compiled "
+                          "(default: auto)")
     run.add_argument("--quiet", action="store_true")
     _add_cache_args(run)
     _add_trace_args(run)
@@ -134,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DEVICE_SPECS))
     suite.add_argument("--variant", default="sycl_opt",
                        choices=[v.value for v in Variant])
-    suite.add_argument("--mode", default=None,
-                       choices=["auto", "vector", "item", "compiled"],
-                       help="pin one executor path for kernels that "
-                            "implement it (default: auto)")
+    suite.add_argument("--mode", default="auto",
+                       choices=["auto", "item", "compiled"],
+                       help="kernel form: auto, item or compiled "
+                            "(default: auto)")
     suite.add_argument("--on-error", default="abort",
                        choices=["abort", "degrade"],
                        help="abort: the first failing cell stops the "
@@ -166,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(DEVICE_SPECS))
     profile.add_argument("--variant", default="sycl_opt",
                          choices=[v.value for v in Variant])
-    profile.add_argument("--mode", default=None,
-                         choices=["auto", "vector", "item", "compiled"],
-                         help="pin one executor path for kernels that "
-                              "implement it (default: auto)")
+    profile.add_argument("--mode", default="auto",
+                         choices=["auto", "item", "compiled"],
+                         help="kernel form: auto, item or compiled "
+                              "(default: auto)")
     profile.add_argument("--scale", type=_positive(float), default=None,
                          help="functional problem scale (default: 2x the "
                               "functional test scale)")
@@ -200,12 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_benchmark(config: str, size: int, device_key: str, passes: int,
                   variant: Variant, scale: float | None,
-                  db: ResultDB, mode: str | None = None) -> None:
+                  db: ResultDB, mode: str = "auto") -> None:
     """Execute one benchmark ``passes`` times into a ResultDB."""
     from .runner import _DEFAULT_SCALES, run_functional
 
-    if mode == "auto":
-        mode = None
     scale = scale if scale is not None else _DEFAULT_SCALES.get(config, 0.02)
     for pass_idx in range(passes):
         result = run_functional(config, device_key, variant, scale=scale,
@@ -291,14 +289,13 @@ def _cmd_suite(args) -> int:
     from .reporting import render_suite_report
     from .runner import run_suite_functional
 
-    mode = None if args.mode == "auto" else args.mode
     journal = args.journal
     if journal is None and args.resume:
         journal = ".repro_sweep.journal"
     try:
         with _certificates(args):
             results = run_suite_functional(
-                args.device, Variant(args.variant), mode=mode,
+                args.device, Variant(args.variant), mode=args.mode,
                 degrade=args.on_error == "degrade",
                 journal=journal, resume=args.resume)
     except CellExecutionError as exc:
@@ -344,11 +341,10 @@ def _cmd_profile(args) -> int:
     if scale is None:
         base = _DEFAULT_SCALES.get(config, 0.02)
         scale = base if args.quick else base * 2
-    mode = None if args.mode == "auto" else args.mode
     clear_plan_caches()  # within-run compile/hit counts, not leftovers
     try:
         run = profile_functional(config, device_key=args.device,
-                                 variant=args.variant, mode=mode,
+                                 variant=args.variant, mode=args.mode,
                                  scale=scale, seed=args.seed)
     except ReproError as exc:
         print(f"profile failed: {exc}")

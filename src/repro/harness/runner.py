@@ -176,11 +176,12 @@ class RunResult:
 def run_functional(config: str, device_key: str = "rtx2080",
                    variant: Variant = Variant.SYCL_OPT,
                    scale: float | None = None, seed: int = 0,
-                   mode: str | None = None) -> RunResult:
+                   mode: str = "auto") -> RunResult:
     """Generate -> run -> verify one benchmark configuration.
 
-    ``mode`` pins one executor path (vector/item/compiled) for every launch
-    whose kernel implements it — the differential tests' entry point.
+    ``mode`` is the queue's kernel form (auto/item/compiled, see
+    :class:`~repro.sycl.queue.Queue`) — the differential tests' entry
+    point.
 
     >>> result = run_functional("NW", seed=0)
     >>> result.verified
@@ -193,7 +194,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
     tracer = current_tracer()
     app_span = (tracer.span(f"app:{config}", "app", config=config,
                             device=device_key, variant=variant.value,
-                            seed=seed, mode=mode or "auto")
+                            seed=seed, mode=mode)
                 if tracer is not None else _null_context())
     with app_span:
         app = make_app(config)
@@ -225,7 +226,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
 # Suite sweep with checkpoint-resume
 # ---------------------------------------------------------------------------
 
-def journal_record(result: RunResult, mode: str | None = None,
+def journal_record(result: RunResult, mode: str = "auto",
                    scale: float | None = None,
                    fingerprint: str | None = None) -> dict:
     """Serialize one completed suite cell for the append-only journal.
@@ -256,7 +257,7 @@ def journal_record(result: RunResult, mode: str | None = None,
         "config": result.config,
         "device": result.device_key,
         "variant": result.variant.value,
-        "mode": mode or "auto",
+        "mode": mode,
         "scale": float(scale),
         "verified": bool(result.verified),
         "kernel_s": result.modeled_kernel_s,
@@ -266,7 +267,7 @@ def journal_record(result: RunResult, mode: str | None = None,
 
 
 def journal_record_trusted(record: dict, *, device_key: str,
-                           variant: Variant, mode: str | None,
+                           variant: Variant, mode: str,
                            fingerprint: str | None) -> bool:
     """Whether a journal ``record`` may stand in for executing its cell.
 
@@ -282,7 +283,7 @@ def journal_record_trusted(record: dict, *, device_key: str,
             and record.get("fingerprint") == fingerprint
             and record.get("device") == device_key
             and record.get("variant") == variant.value
-            and record.get("mode") == (mode or "auto")
+            and record.get("mode") == mode
             and isinstance(config, str) and config in _DEFAULT_SCALES
             and record.get("scale") == _DEFAULT_SCALES[config]
             and isinstance(record.get("verified"), bool)
@@ -309,7 +310,7 @@ def result_from_record(record: dict) -> RunResult:
 
 def run_suite_functional(device_key: str = "rtx2080",
                          variant: Variant = Variant.SYCL_OPT, *,
-                         mode: str | None = None,
+                         mode: str = "auto",
                          degrade: bool = False,
                          journal: SweepJournal | str | os.PathLike | None = None,
                          resume: bool = False) -> list:

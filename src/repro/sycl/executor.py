@@ -1,25 +1,29 @@
 """Functional execution of SYCL kernels.
 
 Every nd-range launch runs through a cached
-:class:`~repro.sycl.plan.LaunchPlan` on one of three paths:
+:class:`~repro.sycl.plan.LaunchPlan` on one of three paths, picked by
+the launch's mode (``auto``, ``item`` or ``compiled``, set once per
+:class:`~repro.sycl.queue.Queue`):
 
 * **vectorized** — the kernel's ``vector_fn`` is invoked once for the
-  whole range (numpy fast path, the idiomatic HPC-Python form);
-* **per-item** — the kernel's ``item_fn`` is run for every work-item.
+  whole range (numpy fast path, the idiomatic HPC-Python form); auto
+  mode takes it whenever the kernel has one;
+* **per-item** — the kernel's ``item_fn`` is run for every work-item
+  (item mode, or auto mode on a kernel without a ``vector_fn``).
   Kernels that synchronize are generator functions; the executor runs all
   items of a work-group *phase by phase*: it advances every generator to
   its next ``yield item.barrier(...)`` before any generator continues.
   This is exactly the SIMT barrier contract — every work-item of the
   group reaches barrier *k* before any proceeds past it;
 * **compiled** — the ``item_fn`` lifted into one batched numpy program
-  (:mod:`repro.sycl.vectorize`), shadow-validated bitwise against the
-  per-item path before it runs on real buffers.
+  (:mod:`repro.sycl.vectorize`, loaded only in compiled mode), proven
+  bitwise against the per-item path before it runs on real buffers.
 
 This module holds what the plans share: launch validation, path
 selection, the memoized index-point grids and per-group (global id,
 local id) lattices (``lru_cache`` over immutable tuples only, so
-concurrent launches can share them safely), and the deque-based
-barrier-phase engine of the strict work-group path.
+concurrent launches can share them safely), and the barrier-phase
+engine of the per-item path.
 :mod:`repro.sycl.plan` compiles everything launch-invariant into the
 plan on the first launch of a shape; repeated launches — the steady
 state Altis measures — re-inspect nothing.
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from collections import deque
 from contextlib import nullcontext as _null_context
 from functools import lru_cache
 from typing import Iterable
@@ -172,25 +175,24 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
     """Run one work-group's generator kernels phase by phase until all
     complete.
 
-    The deque rotates each phase's survivors to the back, so no
-    per-phase live-list rebuild ever happens.
+    Each phase advances every live generator to its next ``yield
+    item.barrier(...)`` (or to its end) before any generator continues
+    past it.  Every yield must be a :class:`BarrierToken`, and within
+    one phase either *every* live work-item reaches the barrier or every
+    one runs to completion; any mix is the divergent-barrier error the
+    SIMT contract forbids.
 
     With a ``tracer`` each phase is recorded as a ``barrier-phase`` span
     under the caller's open kernel-form span; ``tracer=None`` adds one
     branch per phase and nothing else.
-
-    Divergence check: within one phase either *every* live participant
-    reaches the barrier or every one runs to completion; any mix is the
-    divergent-barrier error the SIMT contract forbids.
     """
-    live = deque(gens)
+    live = list(gens)
     phase_index = 0
     while live:
         phase_start = tracer.now_us() if tracer is not None else 0.0
-        phase_size = len(live)
-        reached = 0
-        for _ in range(phase_size):
-            gen = live.popleft()
+        reached = []
+        append = reached.append
+        for gen in live:
             try:
                 token = next(gen)
             except StopIteration:
@@ -200,116 +202,79 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
                     f"kernel {kernel.name!r} yielded {token!r}; barrier "
                     "kernels must `yield item.barrier(...)`"
                 )
-            reached += 1
-            live.append(gen)
-        stats.gen_advances += phase_size
-        if reached and reached != phase_size:
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r}: divergent barrier - only "
-                f"{reached} of {phase_size} work-items reached it"
-            )
+            append(gen)
+        stats.gen_advances += len(live)
         if reached:
+            if len(reached) != len(live):
+                raise KernelLaunchError(
+                    f"kernel {kernel.name!r}: divergent barrier - only "
+                    f"{len(reached)} of {len(live)} work-items reached it"
+                )
             stats.barrier_phases += 1
         if tracer is not None:
             tracer.complete(
                 f"{kernel.name}:barrier-phase", "barrier-phase",
                 phase_start, tracer.now_us() - phase_start,
-                phase=phase_index, participants=phase_size,
+                phase=phase_index, participants=len(live),
                 reached_barrier=bool(reached),
             )
             phase_index += 1
+        live = reached
 
 
 # ---------------------------------------------------------------------------
 # Launch entry points
 # ---------------------------------------------------------------------------
 
-_MODES = ("vector", "item", "compiled")
+#: the executor's modes: ``auto`` runs a kernel's ``vector_fn``, else its
+#: ``item_fn``; ``item`` pins the ``item_fn``; ``compiled`` lifts the
+#: ``item_fn`` into the batched tier of :mod:`repro.sycl.vectorize`
+_MODES = ("auto", "item", "compiled")
 
 # populated on the first launch (the plan module imports this one, so
 # the executor reaches back lazily)
 _get_plan = None
 
 
-def _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode):
-    global _get_plan
-    if _get_plan is None:
-        from .plan import get_plan
-
-        _get_plan = get_plan
-    return _get_plan(kernel, nd_range, force_item=force_item,
-                     device_max_wg=device_max_wg, mode=mode)
-
-
-def _select_path(kernel: KernelSpec, force_item: bool,
-                 mode: str | None) -> str:
-    if mode is not None and mode != "auto":
-        if mode == "compiled":
-            return _select_compiled(kernel)
-        if mode not in _MODES:
-            raise KernelLaunchError(
-                f"unknown execution mode {mode!r}; expected one of {_MODES}")
-        if getattr(kernel, f"{mode}_fn") is None:
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r} has no {mode}_fn "
-                f"(mode={mode!r} requested)")
-        return mode
-    if kernel.vector_fn is not None and not force_item:
+def _select_path(kernel: KernelSpec, mode: str) -> str:
+    """The path a launch in ``mode`` takes.  ``"compiled"`` is
+    provisional: the plan falls back to ``"item"`` when the ``item_fn``
+    does not lift."""
+    if mode not in _MODES:
+        raise KernelLaunchError(
+            f"unknown execution mode {mode!r}; expected one of {_MODES}")
+    if mode == "auto" and kernel.vector_fn is not None:
         return "vector"
     if kernel.item_fn is None:
         raise KernelLaunchError(
-            f"kernel {kernel.name!r} has no item_fn (force_item requested)")
-    if not force_item:
-        # auto mode takes the compiled tier whenever the item_fn lifts;
-        # shadow validation compares it against the per-item path auto
-        # would otherwise run.  force_item pins the per-item interpreter.
-        from .vectorize import eligible_form, vectorize_enabled
-
-        if vectorize_enabled() and eligible_form(kernel)[0] is not None:
-            return "compiled"
-    return "item"
-
-
-def _select_compiled(kernel: KernelSpec) -> str:
-    """Resolve ``mode="compiled"``: the batched tier when eligible, else
-    a recorded fallback to the per-item interpreter."""
-    if kernel.item_fn is None:
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} has no item_fn "
-            "(mode='compiled' requested)")
-    from .vectorize import eligible_form, note_fallback, vectorize_enabled
-
-    if not vectorize_enabled():
-        # deliberate vectorize_disabled() block: not a coverage miss
-        return "item"
-    form, reason = eligible_form(kernel)
-    if form is None:
-        note_fallback(kernel.name, reason, "static")
-        return "item"
-    return "compiled"
+            f"kernel {kernel.name!r} has no item_fn (mode={mode!r})")
+    return "item" if mode == "auto" else mode
 
 
 def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
-                 *, force_item: bool = False,
-                 device_max_wg: int | None = None,
-                 mode: str | None = None) -> ExecutionStats:
+                 *, device_max_wg: int | None = None,
+                 mode: str = "auto") -> ExecutionStats:
     """Execute an ND-range kernel functionally.
 
-    ``mode`` pins an execution path explicitly (``"vector"``, ``"item"``
-    or ``"compiled"`` — the batched-numpy tier of
-    :mod:`repro.sycl.vectorize`, which falls back to the per-item
-    interpreter when the kernel is not batchable); otherwise the fastest
-    available path is selected — the whole-range vector form unless
-    ``force_item``, then the compiled tier when the ``item_fn`` lifts
-    (never under ``force_item``), then per-item.
+    ``mode`` is one of :data:`_MODES`: ``"auto"`` runs the whole-range
+    ``vector_fn`` when the kernel has one, else the per-item
+    ``item_fn``; ``"item"`` pins the per-item interpreter; and
+    ``"compiled"`` runs the ``item_fn`` as the batched-numpy tier of
+    :mod:`repro.sycl.vectorize`, falling back to the per-item
+    interpreter when the kernel is not batchable.
 
     The launch goes through the plan cache (:mod:`repro.sycl.plan`):
     the first launch of a shape compiles a
     :class:`~repro.sycl.plan.LaunchPlan`, repeated launches execute
     warm with zero re-inspection.
     """
-    return _lookup_plan(kernel, nd_range, force_item, device_max_wg,
-                        mode).execute(args)
+    global _get_plan
+    if _get_plan is None:
+        from .plan import get_plan
+
+        _get_plan = get_plan
+    return _get_plan(kernel, nd_range, device_max_wg=device_max_wg,
+                     mode=mode).execute(args)
 
 
 def _note_execution_metrics(stats: ExecutionStats) -> None:

@@ -9,7 +9,7 @@ path selection, ``inspect`` generator probing, lattice lookups, and
 fresh :class:`~repro.sycl.ndrange.Group` construction.
 
 This module compiles all of that **once per launch shape**.  The first
-launch of a ``(kernel, nd_range, path-pins, device limit)`` tuple builds
+launch of a ``(kernel, nd_range, mode, device limit)`` tuple builds
 an immutable :class:`LaunchPlan`:
 
 * the selected execution path and the validated work-group limits;
@@ -17,9 +17,7 @@ an immutable :class:`LaunchPlan`:
   lattice is looked up by the first per-item launch, so a compiled plan
   whose certificate hits never builds one);
 * ``inspect``-derived facts — whether the chosen form is a generator,
-  and its argument arity (the binding order of ``(index, *args)``);
-* a barrier-phase schedule, recorded by the plan's first strict
-  execution and reused for introspection and stats accounting.
+  and its argument arity (the binding order of ``(index, *args)``).
 
 Subsequent launches of the same tuple execute through the plan with
 zero re-inspection; plans also keep a **thread-local pool** of ``Group``
@@ -62,7 +60,6 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext as _null_context
 
-from ..common.errors import KernelLaunchError
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
 from .executor import (
@@ -77,13 +74,6 @@ from .executor import (
 from .kernel import KernelSpec
 from .local_memory import LocalAccessor
 from .ndrange import Group, NdItem, NdRange
-from .vectorize import (
-    VectorizeFallback,
-    compile_batched,
-    eligible_form,
-    note_fallback as _note_vectorize_fallback,
-    vectorize_enabled,
-)
 
 __all__ = [
     "LaunchPlan",
@@ -253,12 +243,8 @@ def _evict_oldest_locked() -> None:
     _EVICTIONS += 1
 
 
-def _normalize_mode(mode: str | None) -> str | None:
-    return None if mode in (None, "auto", "") else mode
-
-
-def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
-              device_max_wg: int | None, mode: str | None) -> tuple:
+def _plan_key(kernel: KernelSpec, nd_range: NdRange,
+              device_max_wg: int | None, mode: str) -> tuple:
     # Content-based, not id(kernel)-based: apps may rebuild equal
     # KernelSpec copies per launch (``with_attributes``); two specs with
     # the same implementation functions and attributes launch the same.
@@ -266,16 +252,13 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
         kernel.item_fn, kernel.vector_fn, kernel.name,
         kernel.attributes,
         nd_range.global_range.dims, nd_range.local_range.dims,
-        force_item, mode, device_max_wg,
-        # a vectorize_disabled() block must never reuse a plan compiled
-        # to the batched tier (and vice versa) — the flag splits the key
-        vectorize_enabled(),
+        mode, device_max_wg,
     )
 
 
 def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
-             force_item: bool = False, device_max_wg: int | None = None,
-             mode: str | None = None) -> "LaunchPlan":
+             device_max_wg: int | None = None,
+             mode: str = "auto") -> "LaunchPlan":
     """The cached plan for one launch shape, compiling it on first use.
 
     Invalid launch configurations raise
@@ -283,8 +266,7 @@ def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
     cached, so every launch of a bad shape keeps failing loudly.
     """
     global _HITS, _MISSES
-    mode = _normalize_mode(mode)
-    key = _plan_key(kernel, nd_range, force_item, device_max_wg, mode)
+    key = _plan_key(kernel, nd_range, device_max_wg, mode)
     with _LOCK:
         plan = _CACHE.get(key)
         if plan is not None:
@@ -299,28 +281,26 @@ def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
                             kernel=kernel.name, path=plan.path)
             _metrics.counter("plan.hits").inc()
         return plan
-    return _compile_and_insert(kernel, nd_range, key, force_item,
-                               device_max_wg, mode)
+    return _compile_and_insert(kernel, nd_range, key, device_max_wg, mode)
 
 
 def compile_plan(kernel: KernelSpec, nd_range: NdRange, *,
-                 force_item: bool = False, device_max_wg: int | None = None,
-                 mode: str | None = None) -> "LaunchPlan":
+                 device_max_wg: int | None = None,
+                 mode: str = "auto") -> "LaunchPlan":
     """Compile a plan without touching the cache (introspection aid)."""
-    return LaunchPlan(kernel, nd_range, _normalize_mode(mode),
-                      force_item=force_item, device_max_wg=device_max_wg)
+    return LaunchPlan(kernel, nd_range, mode, device_max_wg=device_max_wg)
 
 
-def _compile_and_insert(kernel, nd_range, key, force_item, device_max_wg,
+def _compile_and_insert(kernel, nd_range, key, device_max_wg,
                         mode) -> "LaunchPlan":
     global _COMPILES
     tracer = current_tracer()
     if tracer is None:
-        plan = compile_plan(kernel, nd_range, force_item=force_item,
-                            device_max_wg=device_max_wg, mode=mode)
+        plan = compile_plan(kernel, nd_range, device_max_wg=device_max_wg,
+                            mode=mode)
     else:
         with tracer.span("plan.compile", "plan", kernel=kernel.name):
-            plan = compile_plan(kernel, nd_range, force_item=force_item,
+            plan = compile_plan(kernel, nd_range,
                                 device_max_wg=device_max_wg, mode=mode)
         _metrics.counter("plan.compiles").inc()
     with _LOCK:
@@ -345,26 +325,23 @@ class LaunchPlan:
     limit), selects the execution path, resolves the memoized group
     grid, and probes the kernel form with :mod:`inspect` — work that
     would otherwise repeat per launch.  The compiled facts are
-    immutable; the only write-once field is the barrier-phase schedule,
-    recorded by the plan's first strict execution.
+    immutable, except that a compiled plan may demote once to the
+    per-item path.
 
     ``execute`` is the one implementation of a launch.  Traced and
     untraced launches run the same runners over the plan's thread-local
     ``Group`` pool; a traced launch wraps them in a kernel-form span and
-    drives barrier kernels through the strict phase engine, so every
-    phase is recorded as a ``barrier-phase`` span.
+    records every barrier phase as a ``barrier-phase`` span.
     """
 
     __slots__ = (
         "kernel", "nd_range", "path", "is_generator", "arity",
         "run_fn", "group_ids", "group_size", "num_groups",
-        "total_items", "barrier_schedule", "compiled",
-        "fallback_reason", "_tls",
+        "total_items", "compiled", "fallback_reason", "_tls",
     )
 
     def __init__(self, kernel: KernelSpec, nd_range: NdRange,
-                 mode: str | None, *, force_item: bool = False,
-                 device_max_wg: int | None = None):
+                 mode: str = "auto", *, device_max_wg: int | None = None):
         validate_launch(kernel, nd_range, device_max_wg)
         self.kernel = kernel
         self.nd_range = nd_range
@@ -374,22 +351,16 @@ class LaunchPlan:
         #: requested, or the runtime demotion message after ``_demote``;
         #: ``None`` for compiled plans and paths that never tried
         self.fallback_reason = None
-        self.path = _select_path(kernel, force_item, mode)
+        self.path = _select_path(kernel, mode)
         if self.path == "compiled":
-            self.compiled, _reason = compile_batched(kernel, nd_range)
-            if self.compiled is None:  # defensive: eligibility raced
+            # compiled mode is the only one that loads the batched tier
+            from .vectorize import compile_batched, note_fallback
+
+            self.compiled, reason = compile_batched(kernel, nd_range)
+            if self.compiled is None:
+                note_fallback(kernel.name, reason, "static")
                 self.path = "item"
-                self.fallback_reason = _reason
-        elif mode == "compiled":
-            # compiled mode was requested but the plan landed on the
-            # interpreter — record why, so plan_cache_info()'s tier map
-            # can name the miss
-            if not vectorize_enabled():
-                self.fallback_reason = "vectorizer disabled"
-            else:
-                _form, _why = eligible_form(kernel)
-                if _form is None:
-                    self.fallback_reason = _why
+                self.fallback_reason = reason
         # the interpreter form behind the plan: for a compiled plan this
         # is the validation reference / demotion target
         self.run_fn = (kernel.vector_fn if self.path == "vector"
@@ -405,11 +376,6 @@ class LaunchPlan:
         # resolved reference into the executor's memoized group grid;
         # the per-item lattice is looked up by ``_items`` on first use
         self.group_ids = _point_grid(nd_range.group_range().dims)
-        #: per-group barrier-phase counts, recorded once by the first
-        #: strict execution (``None`` until then; ``()`` for paths that
-        #: never synchronize)
-        self.barrier_schedule: tuple | None = (
-            None if self.is_generator else ())
         self._tls = threading.local()
 
     def __repr__(self) -> str:
@@ -433,7 +399,6 @@ class LaunchPlan:
             "groups": self.num_groups,
             "group_size": self.group_size,
             "items": self.total_items,
-            "barrier_schedule": self.barrier_schedule,
             "fallback_reason": self.fallback_reason,
         }
 
@@ -564,6 +529,8 @@ class LaunchPlan:
                     ck.proofs[signature] = "certificate"
                     proven = True
         if proven:
+            from .vectorize import VectorizeFallback
+
             try:
                 bound = ck.bind(args)
             except VectorizeFallback as exc:
@@ -642,7 +609,9 @@ class LaunchPlan:
         ck = self.compiled
         if ck is None:  # concurrent launch demoted first
             return
-        _note_vectorize_fallback(self.kernel.name, reason, "runtime")
+        from .vectorize import note_fallback
+
+        note_fallback(self.kernel.name, reason, "runtime")
         self.fallback_reason = reason
         self.path = "item"
         self.compiled = None
@@ -651,68 +620,18 @@ class LaunchPlan:
                   tracer=None) -> None:
         locals_ = [a for a in args if isinstance(a, LocalAccessor)]
         fn = self.run_fn
+        generator = self.is_generator
         stats.groups = self.num_groups
         stats.items = self.total_items
-        if not self.is_generator:
-            for group, items in self._items():
-                for acc in locals_:
-                    acc._begin_group()
+        for group, items in self._items():
+            for acc in locals_:
+                acc._begin_group()
+            if generator:
+                _advance_barrier_phases(
+                    self.kernel, [fn(item, *args) for item in items], stats,
+                    tracer=tracer)
+            else:
                 for item in items:
                     fn(item, *args)
-                for acc in locals_:
-                    acc._end_group()
-            return
-        if tracer is not None or self.barrier_schedule is None:
-            self._strict_item(args, stats, locals_, tracer)
-            return
-        # Warm path: a list-based lockstep engine.  Token types were
-        # validated by the first strict execution; the all-or-none
-        # divergence contract is still enforced every launch.
-        name = self.kernel.name
-        phases = 0
-        advances = 0
-        for group, items in self._items():
-            for acc in locals_:
-                acc._begin_group()
-            live = [fn(item, *args) for item in items]
-            while live:
-                nxt = []
-                append = nxt.append
-                for gen in live:
-                    try:
-                        next(gen)
-                    except StopIteration:
-                        continue
-                    append(gen)
-                advances += len(live)
-                if nxt:
-                    if len(nxt) != len(live):
-                        raise KernelLaunchError(
-                            f"kernel {name!r}: divergent barrier - only "
-                            f"{len(nxt)} of {len(live)} work-items "
-                            "reached it")
-                    phases += 1
-                live = nxt
             for acc in locals_:
                 acc._end_group()
-        stats.barrier_phases = phases
-        stats.gen_advances = advances
-
-    def _strict_item(self, args, stats, locals_, tracer) -> None:
-        """The strict phase engine per group (token and divergence
-        checks, per-phase spans when traced); the first such run
-        records the barrier-phase schedule."""
-        schedule = []
-        fn = self.run_fn
-        for group, items in self._items():
-            for acc in locals_:
-                acc._begin_group()
-            before = stats.barrier_phases
-            _advance_barrier_phases(
-                self.kernel, [fn(item, *args) for item in items], stats,
-                tracer=tracer)
-            schedule.append(stats.barrier_phases - before)
-            for acc in locals_:
-                acc._end_group()
-        if self.barrier_schedule is None:
-            self.barrier_schedule = tuple(schedule)

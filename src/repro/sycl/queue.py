@@ -23,7 +23,7 @@ from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
 from .event import CommandKind, Event
-from .executor import ExecutionStats, run_nd_range, run_single_task
+from .executor import _MODES, ExecutionStats, run_nd_range, run_single_task
 from .kernel import KernelKind, KernelSpec
 from .ndrange import NdRange, Range
 
@@ -113,30 +113,29 @@ class Queue:
         Models ``property::queue::enable_profiling``; without it, event
         profiling queries raise (the DPCT-helper limitation in §3.2.2).
     default_mode:
-        Execution path applied to every launch whose kernel implements
-        it (``"vector"``/``"item"``); kernels without that
-        form keep the automatic selection.  This is how the differential
-        tests pin one kernel form across a whole ``run_sycl`` pipeline.
-        ``"compiled"`` pins the batched-numpy tier
-        (:mod:`repro.sycl.vectorize`) for every nd-range kernel with an
-        interpreter form; ineligible kernels fall back to that reference
-        form with a recorded ``vectorize.fallback``.
+        The one way to pick a kernel form, for every nd-range launch on
+        this queue.  ``"auto"`` (or ``None``) runs a kernel's
+        ``vector_fn`` when it has one, else its ``item_fn``; ``"item"``
+        pins the per-item interpreter; ``"compiled"`` runs the
+        ``item_fn`` as the batched-numpy tier (:mod:`repro.sycl.vectorize`),
+        and ineligible kernels fall back to the interpreter with a
+        recorded ``vectorize.fallback``.  A kernel without an ``item_fn``
+        runs auto in every mode.  This is how the differential tests pin
+        one kernel form across a whole ``run_sycl`` pipeline.
     """
 
     def __init__(self, dev: Device | str, *, enable_profiling: bool = True,
-                 default_mode: str | None = None):
+                 default_mode: str | None = "auto"):
         if isinstance(dev, str):
             dev = get_device(dev)
         self.device = dev
         self.profiling = enable_profiling
         self.timing = SpecTiming(dev)
-        if default_mode in ("auto", ""):
-            default_mode = None
-        if default_mode is not None and default_mode not in (
-                "vector", "item", "compiled"):
+        default_mode = default_mode or "auto"
+        if default_mode not in _MODES:
             raise InvalidParameterError(
                 f"unknown default_mode {default_mode!r}; "
-                "expected vector/item/compiled/auto")
+                f"expected one of {_MODES}")
         self.default_mode = default_mode
         #: modeled device clock, nanoseconds
         self.now_ns: int = 0
@@ -183,8 +182,7 @@ class Queue:
 
     # -- submission API ----------------------------------------------------
     def parallel_for(self, nd_range: NdRange | Range | tuple, kernel: KernelSpec,
-                     *args, profile=None, force_item: bool = False,
-                     mode: str | None = None) -> Event:
+                     *args, profile=None) -> Event:
         """``queue.parallel_for(range, kernel)``.
 
         Launches route through the plan cache (:mod:`repro.sycl.plan`):
@@ -219,41 +217,22 @@ class Queue:
             # ensure divisibility
             local = tuple(_largest_divisor(d, l) for d, l in zip(rng.dims, local))
             nd_range = NdRange(rng, Range(local))
-        return self._launch(kernel, nd_range, args, profile, force_item,
-                            mode=mode)
+        return self._launch(kernel, nd_range, args, profile)
 
     def single_task(self, kernel: KernelSpec, *args, profile=None) -> Event:
-        return self._launch(kernel, None, args, profile, False)
+        return self._launch(kernel, None, args, profile)
 
     # -- implementation ------------------------------------------------------
 
-    def _resolve_mode(self, kernel: KernelSpec, mode: str | None) -> str | None:
-        """Apply the queue's ``default_mode`` when the launch does not
-        pin one and the kernel implements that form."""
-        if mode is not None or self.default_mode is None:
-            return mode
-        if kernel.kind != KernelKind.ND_RANGE:
-            return None
-        if self.default_mode == "compiled":
-            # the compiled tier wraps the item_fn (static fallback
-            # handles ineligible kernels)
-            return "compiled" if kernel.item_fn is not None else None
-        if getattr(kernel, f"{self.default_mode}_fn") is not None:
-            return self.default_mode
-        return None
-
     def _launch(self, kernel: KernelSpec, nd_range: NdRange | None, args: tuple,
-                profile, force_item: bool, mode: str | None = None) -> Event:
-        mode = self._resolve_mode(kernel, mode)
+                profile) -> Event:
         tracer = current_tracer()
         if tracer is None:
-            return self._launch_inner(kernel, nd_range, args, profile,
-                                      force_item, mode)
+            return self._launch_inner(kernel, nd_range, args, profile)
         with tracer.span(f"launch:{kernel.name}", "launch",
                          kernel=kernel.name, device=self.device.spec.name,
                          device_key=self.device.spec.key) as sp:
-            event = self._launch_inner(kernel, nd_range, args, profile,
-                                       force_item, mode)
+            event = self._launch_inner(kernel, nd_range, args, profile)
             entry = self.timeline[-1]
             sp.args.update(
                 path=entry.stats.path if entry.stats else "?",
@@ -273,13 +252,15 @@ class Queue:
         return event
 
     def _launch_inner(self, kernel: KernelSpec, nd_range: NdRange | None,
-                      args: tuple, profile, force_item: bool,
-                      mode: str | None) -> Event:
+                      args: tuple, profile) -> Event:
         if kernel.kind == KernelKind.ND_RANGE:
             if nd_range is None:
                 raise KernelLaunchError("nd-range kernel launched without a range")
+            # item and compiled both run the item_fn; a kernel without
+            # one keeps the auto form
+            mode = self.default_mode if kernel.item_fn is not None else "auto"
             stats = run_nd_range(
-                kernel, nd_range, args, force_item=force_item,
+                kernel, nd_range, args,
                 device_max_wg=self.device.get_info("max_work_group_size"),
                 mode=mode,
             )

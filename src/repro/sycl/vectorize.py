@@ -133,7 +133,6 @@ import copy as _copy
 import inspect
 import linecache
 import operator
-import os
 import re
 import textwrap
 import threading
@@ -157,8 +156,6 @@ __all__ = [
     "eligible_form",
     "prove_exact",
     "translate",
-    "vectorize_enabled",
-    "vectorize_disabled",
     "note_fallback",
     "vectorize_cache_info",
     "clear_vectorize_caches",
@@ -180,39 +177,6 @@ class _Ineligible(Exception):
 class _ReplayMismatch(Exception):
     """A residual call's batched result differs from the interpreter's
     on some live lane; the replaying launch demotes."""
-
-
-# ---------------------------------------------------------------------------
-# Process-wide enable switch
-# ---------------------------------------------------------------------------
-
-#: ``REPRO_VECTORIZE=0`` force-disables the compiled tier for the whole
-#: process — the CI matrix leg that keeps the interpreter reference path
-#: under first-class coverage (not only shadow-validation) uses it.
-_ENABLED = os.environ.get("REPRO_VECTORIZE", "1").strip().lower() not in (
-    "0", "false", "off", "no")
-
-
-def vectorize_enabled() -> bool:
-    """Whether eligible kernels may take the compiled tier."""
-    return _ENABLED
-
-
-@contextmanager
-def vectorize_disabled():
-    """Force the interpreter tiers for a block.
-
-    Process-wide switch for benchmarks and the on/off differential
-    suite; plans compiled inside the block carry the flag in their
-    cache key, so a disabled run never reuses a compiled plan.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def note_fallback(kernel_name: str, reason: str, stage: str) -> None:
@@ -1391,8 +1355,8 @@ def eligible_form(kernel: KernelSpec) -> tuple:
     """Whether a kernel's ``item_fn`` is batchable.
 
     Returns ``("item", None)`` or ``(None, reason)``.  Validation and
-    fallback target the per-item interpreter, the same path a
-    vectorize-disabled run takes, so on/off runs stay byte-identical by
+    fallback target the per-item interpreter, the same path ``mode="item"``
+    takes, so compiled and item runs stay byte-identical by
     construction.
     """
     if kernel.kind != KernelKind.ND_RANGE:

@@ -143,7 +143,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         body = sum(c.dur_us for c in children.get(ev.id, ())
                    if c.cat == "kernel-form")
         non_dispatch = sum(c.dur_us for c in children.get(ev.id, ())
-                           if c.cat in ("kernel-form", "transfer", "plan"))
+                           if c.cat in ("kernel-form", "plan"))
         agg.body_wall_us += body
         agg.dispatch_wall_us += max(0.0, ev.dur_us - non_dispatch)
 
@@ -286,7 +286,7 @@ class ProfileRun:
 
 
 def profile_functional(config: str, *, device_key: str = "rtx2080",
-                       variant=None, mode: str | None = None,
+                       variant=None, mode: str = "auto",
                        scale: float | None = None,
                        seed: int = 0) -> ProfileRun:
     """Run one benchmark under a fresh tracer and profile it.
@@ -309,7 +309,7 @@ def profile_functional(config: str, *, device_key: str = "rtx2080",
         events = tracer.events()
     profile = build_profile(
         events, device_key=device_key, app=config, variant=variant.value,
-        mode=mode or "auto", scale=scale, seed=seed)
+        mode=mode, scale=scale, seed=seed)
     return ProfileRun(profile=profile, events=events,
                       metrics=registry.snapshot())
 

@@ -28,7 +28,7 @@ class TestMandelbrotItemPath:
         gw = -(-p["width"] // 16) * 16
         run_nd_range(k, NdRange(Range(p["height"], gw), Range(1, 16)),
                      (out, p["width"], p["height"], p["max_iters"]),
-                     force_item=True)
+                     mode="item")
         np.testing.assert_array_equal(out, app.reference(wl)["out"])
 
 
@@ -118,9 +118,9 @@ class TestFdtdItemPath:
         ks = app.kernels()
         nd = NdRange(Range(n, n), Range(1, n))
         for t in range(p["steps"]):
-            run_nd_range(ks["update_hx"], nd, (ez, hx, n), force_item=True)
-            run_nd_range(ks["update_hy"], nd, (ez, hy, n), force_item=True)
-            run_nd_range(ks["update_ez"], nd, (ez, hx, hy, n, t), force_item=True)
+            run_nd_range(ks["update_hx"], nd, (ez, hx, n), mode="item")
+            run_nd_range(ks["update_hy"], nd, (ez, hy, n), mode="item")
+            run_nd_range(ks["update_ez"], nd, (ez, hx, hy, n, t), mode="item")
         exp = app.reference(wl)
         np.testing.assert_array_equal(ez, exp["ez"], strict=True)
 
@@ -143,7 +143,7 @@ class TestCfdItemPath:
         for _ in range(p["iterations"]):
             run_nd_range(kern, NdRange(Range(gn), Range(wg)),
                          (var, wl["neighbours"], wl["normals"], farfield, out,
-                          nel, p["dt"]), force_item=True)
+                          nel, p["dt"]), mode="item")
             var, out = out.copy(), var
         np.testing.assert_array_equal(var, app.reference(wl)["variables"],
                                       strict=True)
@@ -161,7 +161,7 @@ class TestLavaMdItemPath:
         kern = app.kernels()["lavamd_kernel"]
         run_nd_range(kern, NdRange(Range(boxes * wg), Range(wg)),
                      (wl["rv"], wl["qv"], wl["v"], wl["f"], p["boxes1d"],
-                      p["par"]), force_item=True)
+                      p["par"]), mode="item")
         exp = app.reference(wl)
         np.testing.assert_allclose(wl["v"], exp["v"], rtol=1e-3, atol=1e-4)
         np.testing.assert_allclose(wl["f"], exp["f"], rtol=1e-3, atol=1e-4)
@@ -182,10 +182,10 @@ class TestWhereItemPath:
         gn = -(-n // wg) * wg
         nd = NdRange(Range(gn), Range(wg))
         run_nd_range(ks["mark"], nd, (records, flags, n, p["threshold"]),
-                     force_item=True)
+                     mode="item")
         prefix[1:n] = np.cumsum(flags[:n - 1])
         run_nd_range(ks["scatter"], nd, (records, flags, prefix, out, n),
-                     force_item=True)
+                     mode="item")
         exp = app.reference(wl)
         n_match = int(flags[:n].sum())
         np.testing.assert_array_equal(out[:n_match], exp["matched"])
@@ -205,7 +205,7 @@ class TestPfItemPath:
         got = np.zeros(n, dtype=np.int64)
         k = KernelSpec(name="fi", item_fn=_find_index_item)
         run_nd_range(k, NdRange(Range(n), Range(16)), (cdf, u, got, n),
-                     force_item=True)
+                     mode="item")
         want = np.zeros(n, dtype=np.int64)
         _find_index_vector(None, cdf, u, want, n)
         np.testing.assert_array_equal(got, want)
@@ -224,9 +224,9 @@ class TestDwtItemPath:
         ch = cw = p["h"]
         for _ in range(p["levels"]):
             run_nd_range(ks["fdwt53_rows"], NdRange(Range(ch), Range(min(8, ch))),
-                         (data, tmp, ch, cw), force_item=True)
+                         (data, tmp, ch, cw), mode="item")
             run_nd_range(ks["fdwt53_cols"], NdRange(Range(cw), Range(min(8, cw))),
-                         (tmp, data, ch, cw), force_item=True)
+                         (tmp, data, ch, cw), mode="item")
             ch //= 2
             cw //= 2
         np.testing.assert_array_equal(data, app.reference(wl)["coeffs"])

@@ -33,30 +33,33 @@ class TestPathSelection:
         assert stats.path == "vector"
         np.testing.assert_array_equal(out, 1)
 
-    def test_force_item_runs_items(self):
-        # force_item pins the per-item interpreter, never the compiled
+    def test_item_mode_runs_items(self):
+        # item mode pins the per-item interpreter, never the compiled
         # tier, although this item_fn is batchable
         out = np.zeros(8)
         stats = run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
-                             (out,), force_item=True)
+                             (out,), mode="item")
         assert stats.path == "item"
         assert stats.groups == 2 and stats.items == 8
         np.testing.assert_array_equal(out, 1)
 
-    def test_force_item_without_group_fn_runs_items(self):
-        k = KernelSpec(name="pair", item_fn=_add_item, vector_fn=_add_vector)
-        out = np.zeros(8)
-        stats = run_nd_range(k, NdRange(Range(8), Range(4)), (out,),
-                             force_item=True)
-        assert stats.path == "item"
-        np.testing.assert_array_equal(out, 1)
-
-    @pytest.mark.parametrize("mode", ["vector", "item", "compiled"])
-    def test_explicit_mode_pins_path(self, mode):
+    @pytest.mark.parametrize("path", ["vector", "item", "compiled"])
+    def test_explicit_mode_pins_path(self, path):
+        # auto is the mode that runs a vector_fn
+        mode = "auto" if path == "vector" else path
         out = np.zeros(8)
         stats = run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                              (out,), mode=mode)
-        assert stats.path == mode
+        assert stats.path == path
+        np.testing.assert_array_equal(out, 1)
+
+    def test_auto_mode_never_promotes_to_compiled(self):
+        # without a vector_fn auto runs the item_fn per item, even when
+        # it lifts into the batched tier
+        k = KernelSpec(name="items", item_fn=_add_item)
+        out = np.zeros(8)
+        stats = run_nd_range(k, NdRange(Range(8), Range(4)), (out,))
+        assert stats.path == "item"
         np.testing.assert_array_equal(out, 1)
 
     def test_mode_missing_impl_raises(self):
@@ -70,11 +73,6 @@ class TestPathSelection:
             run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                          (np.zeros(8),), mode="warp")
 
-    def test_force_item_without_any_decomposed_impl_raises(self):
-        k = KernelSpec(name="vonly", vector_fn=_add_vector)
-        with pytest.raises(KernelLaunchError, match="has no item_fn"):
-            run_nd_range(k, NdRange(Range(8), Range(4)), (np.zeros(8),),
-                         force_item=True)
 
 
 class TestMemoizedLattices:
@@ -89,7 +87,7 @@ class TestMemoizedLattices:
         k = KernelSpec(name="items", item_fn=_add_item)
         out = np.zeros(16)
         nd = NdRange(Range(16), Range(4))
-        run_nd_range(k, nd, (out,))
+        run_nd_range(k, nd, (out,), mode="compiled")
         # the compiled plan is proven statically, so it runs no
         # interpreter and never consults the lattice: neither the plan
         # nor the compiled tier's lane tables look it up
@@ -97,9 +95,9 @@ class TestMemoizedLattices:
         assert (lattice.hits, lattice.misses) == (0, 0)
         run_nd_range(k, nd, (out,), mode="item")
         assert execution_cache_info()["nd_lattice"].misses == 1
-        run_nd_range(k, nd, (out,), force_item=True)  # another plan
+        run_nd_range(k, nd, (out,))  # auto: another plan, same lattice
         assert execution_cache_info()["nd_lattice"].hits == 1
-        for mode in (None, "item"):
+        for mode in ("auto", "item"):
             run_nd_range(k, NdRange(Range(16), Range(4)), (out,), mode=mode)
             run_nd_range(k, nd, (out,), mode=mode)
         assert plan_cache_info()["hits"] == 4
@@ -138,20 +136,33 @@ class TestBarrierPhaseEngine:
         with pytest.raises(KernelLaunchError,
                            match="divergent barrier - only 4 of 8"):
             run_nd_range(k, NdRange(Range(16), Range(8)),
-                         (np.zeros(16),), force_item=True)
+                         (np.zeros(16),), mode="item")
+
+    def test_warm_launch_checks_tokens(self):
+        # cold and warm launches run the one engine, so a warm launch
+        # rejects a non-barrier yield as the first launch does
+        def body(item, bad):
+            yield 42 if bad else item.barrier()
+
+        k = KernelSpec(name="tokens", item_fn=body)
+        nd = NdRange(Range(8), Range(4))
+        run_nd_range(k, nd, (False,), mode="item")
+        with pytest.raises(KernelLaunchError, match="yield item.barrier"):
+            run_nd_range(k, nd, (True,), mode="item")
 
 
 class TestQueueCounters:
     def test_counters_accumulate_and_reset(self):
         from repro.sycl import Queue
 
-        q = Queue("rtx2080")
+        # the queue's mode covers every launch; a kernel without an
+        # item_fn runs its vector_fn under item mode too
+        q = Queue("rtx2080", default_mode="item")
         out = np.zeros(8)
+        q.parallel_for(NdRange(Range(8), Range(4)),
+                       KernelSpec(name="vonly", vector_fn=_add_vector), out)
         q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
-        q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out,
-                       force_item=True)
-        q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out,
-                       mode="item")
+        q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
         c = q.counters
         assert c.kernel_launches == 3
         assert c.items == 24 and c.groups == 6
@@ -170,29 +181,38 @@ def _phased_item(item, out):
 class TestOneLaunchPath:
     @pytest.mark.parametrize("how", ["queue", "run_nd_range", "cli"])
     def test_group_mode_is_rejected(self, how, capsys):
+        self._rejects("group", how, capsys)
+
+    @pytest.mark.parametrize("how", ["queue", "run_nd_range", "cli"])
+    def test_vector_mode_is_rejected(self, how, capsys):
+        # auto already runs every vector_fn
+        self._rejects("vector", how, capsys)
+
+    @staticmethod
+    def _rejects(mode, how, capsys):
         from repro.common.errors import InvalidParameterError
         from repro.harness.cli import main
         from repro.sycl import Queue
 
         if how == "queue":
             with pytest.raises(InvalidParameterError,
-                               match="unknown default_mode 'group'"):
-                Queue("rtx2080", default_mode="group")
+                               match=f"unknown default_mode '{mode}'"):
+                Queue("rtx2080", default_mode=mode)
         elif how == "run_nd_range":
             with pytest.raises(KernelLaunchError,
-                               match="unknown execution mode 'group'"):
+                               match=f"unknown execution mode '{mode}'"):
                 run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
-                             (np.zeros(8),), mode="group")
+                             (np.zeros(8),), mode=mode)
         else:
             with pytest.raises(SystemExit) as excinfo:
-                main(["run", "NW", "--mode", "group", "--quiet"])
+                main(["run", "NW", "--mode", mode, "--quiet"])
             assert excinfo.value.code == 2
-            assert "invalid choice: 'group'" in capsys.readouterr().err
+            assert f"invalid choice: '{mode}'" in capsys.readouterr().err
 
     def test_traced_and_untraced_launches_agree(self):
         """Tracing wraps the plan's own runners: a barrier item_fn gives
-        the same buffers and stats traced or not, and its cold (strict)
-        and warm traced launches record the same span names."""
+        the same buffers and stats traced or not, and its cold and warm
+        traced launches record the same span names."""
         from repro.sycl.plan import clear_plan_caches
         from repro.trace import tracing
 

@@ -2,10 +2,11 @@
 
 ``suite`` and ``figures`` are run in a fresh interpreter and their
 ``sys.modules`` checked against what they must never load: the layers
-they do not call, the certificate store, ``numpy.testing`` and any
-worker-pool machinery.  Static checks keep ``repro.sycl`` from
-importing the harness above it and every module reachable from another
-one.
+they do not call, the compiled tier and its certificate store,
+``numpy.testing`` and any worker-pool machinery; ``suite --mode
+compiled`` must load the compiled tier.  Static checks keep
+``repro.sycl`` from importing the harness above it and every module
+reachable from another one.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 
-#: what a default ``suite`` never calls: the model half of every app
-#: (modeled times, FPGA designs, source models) and the result DB
-_SUITE_UNLOADED = [
-    "repro.sycl.certificates", "repro.sycl.exactness", "repro.dpct.migrator",
+#: the compiled tier, which only ``--mode compiled`` loads
+_COMPILED_TIER = ["repro.sycl.vectorize", "repro.sycl.exactness"]
+
+#: what a default ``suite`` never calls: the compiled tier and its
+#: certificate store, the model half of every app (modeled times, FPGA
+#: designs, source models) and the result DB
+_SUITE_UNLOADED = _COMPILED_TIER + [
+    "repro.sycl.certificates", "repro.dpct.migrator",
     "repro.harness.experiments", "repro.trace.profile", "multiprocessing",
     "concurrent.futures", "concurrent.futures.process", "numpy.testing",
     "repro.perfmodel.timeline", "repro.perfmodel.overhead",
@@ -36,13 +41,16 @@ _SUITE_UNLOADED = [
 
 @pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
     (["suite", "--cache-dir", "cache"],
-     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 45),
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 44),
     (["suite", "--cache-dir", "cache", "--journal", "J"],
      _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
+    (["suite", "--mode", "compiled", "--no-cache"],
+     _SUITE_UNLOADED[2:] + ["repro.harness.resultdb"], _COMPILED_TIER,
+     None),
     (["figures", "fig2", "--no-cache"],
      ["repro.sycl.plan", "repro.sycl.vectorize", "concurrent.futures",
       "multiprocessing"], [], None),
-], ids=["suite", "suite-journal", "figures-fig2"])
+], ids=["suite", "suite-journal", "suite-compiled", "figures-fig2"])
 def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
                                                loaded, max_repro):
     """A command imports only what it runs.  ``suite`` installs only a
@@ -50,7 +58,7 @@ def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
     certificate module or writes anything, and neither command loads
     the layers (or the pool and ``numpy.testing``) it does not use.
     ``suite`` loads no app's model half, and the result DB only to
-    journal."""
+    journal, and the compiled tier only in ``--mode compiled``."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("REPRO_CACHE_DIR", None)
     code = ("import sys\n"

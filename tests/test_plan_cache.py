@@ -85,8 +85,9 @@ def _stats_tuple(stats):
 
 
 class TestStatsParity:
-    @pytest.mark.parametrize("mode", ["vector", "item"])
-    def test_plain_paths(self, mode):
+    @pytest.mark.parametrize("path", ["vector", "item"])
+    def test_plain_paths(self, path):
+        mode = "auto" if path == "vector" else path
         clear_plan_caches()
         nd = NdRange(Range(16), Range(4))
         out_c = np.zeros(16)
@@ -96,6 +97,7 @@ class TestStatsParity:
         cold = run_nd_range(_triple(), nd, (out_c,), mode=mode)
         warm = run_nd_range(_triple(), nd, (out_w,), mode=mode)
         assert _stats_tuple(warm) == _stats_tuple(cold)
+        assert cold.path == path
         assert out_w.tobytes() == out_c.tobytes()
         assert plan_cache_info()["hits"] >= 1
 
@@ -103,14 +105,13 @@ class TestStatsParity:
         KernelSpec(name="bi", item_fn=_barrier_item),
     ], ids=["item-generator"])
     def test_barrier_paths(self, kernel):
-        # the cold launch runs the strict phase engine, the warm one the
-        # lockstep fast path: same stats, same bytes
+        # the compile launch and the warm one: same stats, same bytes
         clear_plan_caches()
         nd = NdRange(Range(12), Range(4))
         out_c = np.zeros(12)
         out_w = np.zeros(12)
-        cold = run_nd_range(kernel, nd, (out_c,), force_item=True)
-        warm = run_nd_range(kernel, nd, (out_w,), force_item=True)
+        cold = run_nd_range(kernel, nd, (out_c,), mode="item")
+        warm = run_nd_range(kernel, nd, (out_w,), mode="item")
         assert _stats_tuple(warm) == _stats_tuple(cold)
         assert out_w.tobytes() == out_c.tobytes()
         np.testing.assert_array_equal(out_w, 2)
@@ -171,7 +172,7 @@ class TestCacheBehavior:
         for _ in range(3):  # cold, then warm — same divergence error
             with pytest.raises(KernelLaunchError,
                                match="divergent barrier - only 2 of 4"):
-                run_nd_range(k, nd, (np.zeros(8),), force_item=True)
+                run_nd_range(k, nd, (np.zeros(8),), mode="item")
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,8 @@ def _launch_pair() -> bytes:
     out = np.zeros(16)
     nd = NdRange(Range(16), Range(4))
     k = KernelSpec(name="pool", item_fn=_add_item, vector_fn=_add_vector)
-    run_nd_range(k, nd, (out,), force_item=True)
-    run_nd_range(k, nd, (out,), force_item=True)
+    run_nd_range(k, nd, (out,), mode="item")
+    run_nd_range(k, nd, (out,), mode="item")
     return out.tobytes()
 
 

@@ -47,7 +47,7 @@ def test_executor_visits_every_item_exactly_once(groups, local):
 
     k = KernelSpec(name="count", item_fn=body)
     run_nd_range(k, NdRange(Range(groups * local), Range(local)), (counts,),
-                 force_item=True)
+                 mode="item")
     assert (counts == 1).all()
 
 

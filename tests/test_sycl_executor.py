@@ -28,7 +28,7 @@ class TestBasicExecution:
     def test_item_path_covers_all_items(self):
         out = np.zeros(32, dtype=np.int64)
         stats = run_nd_range(_simple_kernel(), NdRange(Range(32), Range(8)),
-                             (out,), force_item=True)
+                             (out,), mode="item")
         np.testing.assert_array_equal(out, np.arange(32) * 2)
         assert stats.items == 32
         assert stats.groups == 4
@@ -46,10 +46,10 @@ class TestBasicExecution:
         assert calls == [16]
         assert (out == 1).all()
 
-    def test_force_item_without_item_fn_raises(self):
+    def test_item_mode_without_item_fn_raises(self):
         k = KernelSpec(name="v", vector_fn=lambda nd, *a: None)
         with pytest.raises(KernelLaunchError):
-            run_nd_range(k, NdRange(Range(4), Range(4)), (), force_item=True)
+            run_nd_range(k, NdRange(Range(4), Range(4)), (), mode="item")
 
     def test_2d_ids(self):
         out = np.zeros((4, 4), dtype=np.int64)
@@ -60,7 +60,7 @@ class TestBasicExecution:
             )
 
         k = KernelSpec(name="ids2d", item_fn=body)
-        run_nd_range(k, NdRange(Range(4, 4), Range(2, 2)), (out,), force_item=True)
+        run_nd_range(k, NdRange(Range(4, 4), Range(2, 2)), (out,), mode="item")
         assert out[0, 0] == 0 and out[3, 3] == 11 and out[0, 3] == 1
 
 
@@ -79,7 +79,7 @@ class TestBarriers:
         out = np.full(16, -1, dtype=np.int64)
         k = KernelSpec(name="rotate", item_fn=body)
         stats = run_nd_range(k, NdRange(Range(16), Range(8)), (loc, out),
-                             force_item=True)
+                             mode="item")
         expected = np.tile((np.arange(8) + 1) % 8, 2)
         np.testing.assert_array_equal(out, expected)
         assert stats.barrier_phases == 2  # one per group
@@ -98,7 +98,7 @@ class TestBarriers:
 
         k = KernelSpec(name="divergent", item_fn=body)
         with pytest.raises(KernelLaunchError, match="divergent barrier"):
-            run_nd_range(k, NdRange(Range(4), Range(4)), (), force_item=True)
+            run_nd_range(k, NdRange(Range(4), Range(4)), (), mode="item")
 
     def test_non_barrier_yield_rejected(self):
         def body(item):
@@ -106,7 +106,7 @@ class TestBarriers:
 
         k = KernelSpec(name="bad", item_fn=body)
         with pytest.raises(KernelLaunchError, match="yield item.barrier"):
-            run_nd_range(k, NdRange(Range(2), Range(2)), (), force_item=True)
+            run_nd_range(k, NdRange(Range(2), Range(2)), (), mode="item")
 
     def test_local_accessor_reset_between_groups(self):
         loc = LocalAccessor(4, np.int64)
@@ -119,7 +119,7 @@ class TestBarriers:
 
         out = np.zeros(12, dtype=np.int64)
         k = KernelSpec(name="reset", item_fn=body)
-        run_nd_range(k, NdRange(Range(12), Range(4)), (loc, out), force_item=True)
+        run_nd_range(k, NdRange(Range(12), Range(4)), (loc, out), mode="item")
         assert (out == 1).all()
 
 

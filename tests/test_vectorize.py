@@ -40,11 +40,8 @@ from repro.sycl import (
     NdRange,
     Queue,
     Range,
-    compile_batched,
     eligible_form,
     vectorize,
-    vectorize_disabled,
-    vectorize_enabled,
 )
 from repro.sycl.certificates import CertificateStore
 from repro.sycl.executor import (
@@ -498,25 +495,8 @@ def test_validation_mismatch_demotes_with_interpreter_result():
 
 
 # ---------------------------------------------------------------------------
-# Process-wide disable + Queue integration
+# Queue integration
 # ---------------------------------------------------------------------------
-
-def test_vectorize_disabled_round_trip():
-    n = 64
-    src = np.linspace(0, 1, n, dtype=np.float32)
-    spec = _spec(_scale_item)
-    on = np.zeros(n, dtype=np.float32)
-    run_nd_range(spec, _nd(), (on, src, n, np.float32(3.0)), mode="compiled")
-    run_nd_range(spec, _nd(), (on, src, n, np.float32(3.0)), mode="compiled")
-    with vectorize_disabled():
-        off = np.zeros(n, dtype=np.float32)
-        run_nd_range(spec, _nd(), (off, src, n, np.float32(3.0)),
-                     mode="compiled")
-        plan = get_plan(spec, _nd(), mode="compiled")
-        assert plan.path == "item"  # disabled: plans never compile batched
-    assert on.tobytes() == off.tobytes()
-    assert compile_batched(spec, _nd())[0] is not None  # re-enabled
-
 
 def test_queue_compiled_default_mode():
     q = Queue("rtx2080", default_mode="compiled")
@@ -690,8 +670,6 @@ def test_source_read_without_code_positions_uses_inspect(monkeypatch):
 # A certified compiled plan never builds the interpreter's lattice
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(not vectorize_enabled(),
-                    reason="certificates cover the compiled tier")
 def test_certified_plan_builds_no_lattice(tmp_path, refuse_static):
     n = 50
     src = np.linspace(0, 1, n, dtype=np.float32)

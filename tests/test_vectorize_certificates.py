@@ -42,7 +42,6 @@ from repro.sycl import (  # noqa: E402
     Range,
     certificates,
     vectorize,
-    vectorize_enabled,
 )
 from repro.sycl.certificates import (  # noqa: E402
     CERTIFICATE_SCHEMA,
@@ -64,10 +63,6 @@ from tests.test_vectorize_fuzz import (  # noqa: E402
     _guard_body,
     _make_kernel,
 )
-
-pytestmark = pytest.mark.skipif(
-    not vectorize_enabled(),
-    reason="certificates cover the compiled tier; vectorizer is disabled")
 
 REPO = Path(__file__).resolve().parent.parent
 ND = NdRange(Range(64), Range(16))

@@ -1,24 +1,17 @@
 """Differential tests: the compiled tier must be invisible in results.
 
-Every benchmark configuration runs twice in ``mode="compiled"`` — once
-with the vectorizer enabled, once inside :func:`vectorize_disabled` —
-and the output buffers must be **byte-identical**, not merely close.
-The tier's design makes this hold by construction: the batched program
-is compiled from, validated against (bitwise, on buffer copies), and
-demoted to the exact interpreter form a disabled run would take.
+Every benchmark configuration runs twice — once in ``mode="compiled"``
+(the tier on), once in ``mode="item"`` (the tier off: the per-item
+interpreter) — and the output buffers must be **byte-identical**, not
+merely close.  The tier's design makes this hold by construction: the
+batched program is compiled from, validated against (bitwise, on buffer
+copies), and demoted to the exact interpreter form item mode runs.
 
-A second pass pins the suite to the golden checksum fixtures with the
-vectorizer enabled in auto mode, so the tier cannot silently shift the
-figures even through the default path selection; a third pins each
-config's tier assignment (including demotion reasons) to
-``tests/golden/tiers.json`` so a dialect regression that silently drops
-an app back to the interpreter fails loudly.
-
-The whole file also runs in CI with ``REPRO_VECTORIZE=0`` (the
-vectorizer-off matrix leg): the on/off pass then exercises the
-interpreter reference path under first-class coverage and the
-tier-engagement/pinning assertions stand down, since every plan
-deliberately reports the ``vectorizer disabled`` fallback.
+A second pass pins the suite to the golden checksum fixtures in auto
+mode, so the default path selection cannot silently shift the figures;
+a third pins each config's tier assignment (including demotion reasons)
+to ``tests/golden/tiers.json`` so a dialect regression that silently
+drops an app back to the interpreter fails loudly.
 
 Regenerate the tier fixture after an *intentional* dialect change with::
 
@@ -37,7 +30,6 @@ import pytest
 
 from repro.altis.registry import APP_FACTORIES
 from repro.harness.runner import run_functional
-from repro.sycl import vectorize_disabled, vectorize_enabled
 from repro.sycl.plan import clear_plan_caches, plan_cache_info
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "size1_checksums.json"
@@ -51,7 +43,7 @@ COMPILED_CONFIGS = ("SRAD", "FDTD2D", "Where", "NW", "KMeans", "Mandelbrot",
                     "CFD FP32", "CFD FP64", "LavaMD")
 
 
-def _digests(config: str, mode: str | None) -> dict:
+def _digests(config: str, mode: str) -> dict:
     result = run_functional(config, seed=0, mode=mode)
     assert result.verified
     return {
@@ -66,12 +58,10 @@ def test_compiled_mode_byte_identical_on_off(config):
     clear_plan_caches()
     on = _digests(config, "compiled")
     tiers = plan_cache_info()["tiers"]
-    with vectorize_disabled():
-        clear_plan_caches()
-        off = _digests(config, "compiled")
+    off = _digests(config, "item")
     assert on == off, (
         f"{config}: compiled-tier outputs differ from the interpreter")
-    if config in COMPILED_CONFIGS and vectorize_enabled():
+    if config in COMPILED_CONFIGS:
         compiled = tiers.get("compiled")
         assert compiled and compiled["count"] > 0, (
             f"{config}: expected at least one compiled-tier plan, "
@@ -83,19 +73,15 @@ def test_compiled_mode_byte_identical_on_off(config):
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_auto_mode_matches_golden_with_vectorizer(config):
-    """Auto-mode results must equal the golden fixtures — the compiled
-    tier may only take over a launch when it is bitwise
-    indistinguishable (and with ``REPRO_VECTORIZE=0`` this pins the
-    pure-interpreter path to the same fixtures)."""
+    """Auto-mode results must equal the golden fixtures."""
     clear_plan_caches()
-    got = _digests(config, None)
+    got = _digests(config, "auto")
     golden = json.loads(GOLDEN_PATH.read_text())[config]
     assert set(got) == set(golden)
     for key, digest in golden.items():
         assert got[key] == digest["sha256"], (
             f"{config}: output {key!r} drifted from the golden fixture "
-            "with the vectorizer "
-            f"{'enabled' if vectorize_enabled() else 'disabled'}")
+            "in auto mode")
 
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
@@ -105,9 +91,6 @@ def test_tier_assignment_pinned(config):
     ``tests/golden/tiers.json``.  A dialect regression that silently
     demotes an app (or a fallback whose reason string drifts) fails
     with the full before/after mapping."""
-    if not vectorize_enabled():
-        pytest.skip("vectorizer disabled: every plan reports the "
-                    "'vectorizer disabled' fallback by design")
     clear_plan_caches()
     _digests(config, "compiled")
     got = plan_cache_info()["tiers"]

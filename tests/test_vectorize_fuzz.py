@@ -44,7 +44,6 @@ from repro.sycl import (  # noqa: E402
     Range,
     eligible_form,
     prove_exact,
-    vectorize_enabled,
 )
 from repro.sycl.local_memory import LocalAccessor  # noqa: E402
 from repro.sycl.executor import run_nd_range  # noqa: E402
@@ -54,10 +53,6 @@ from repro.sycl.plan import (  # noqa: E402
     plan_cache_info,
 )
 from repro.trace.metrics import registry  # noqa: E402
-
-pytestmark = pytest.mark.skipif(
-    not vectorize_enabled(),
-    reason="fuzzer asserts compiled-tier promotion; vectorizer is disabled")
 
 _SETTINGS = settings(max_examples=30, deadline=None, database=None,
                      suppress_health_check=[HealthCheck.too_slow])
