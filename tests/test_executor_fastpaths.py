@@ -33,14 +33,23 @@ class TestPathSelection:
         assert stats.path == "vector"
         np.testing.assert_array_equal(out, 1)
 
-    def test_item_mode_runs_items(self):
-        # item mode pins the per-item interpreter, never the compiled
+    def test_force_item_runs_items(self):
+        # item mode forces the per-item interpreter, never the compiled
         # tier, although this item_fn is batchable
         out = np.zeros(8)
         stats = run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                              (out,), mode="item")
         assert stats.path == "item"
         assert stats.groups == 2 and stats.items == 8
+        np.testing.assert_array_equal(out, 1)
+
+    def test_force_item_without_group_fn_runs_items(self):
+        # an item-only kernel forced to items stays on the interpreter
+        k = KernelSpec(name="items", item_fn=_add_item)
+        out = np.zeros(8)
+        stats = run_nd_range(k, NdRange(Range(8), Range(4)), (out,),
+                             mode="item")
+        assert stats.path == "item"
         np.testing.assert_array_equal(out, 1)
 
     @pytest.mark.parametrize("path", ["vector", "item", "compiled"])
@@ -72,6 +81,14 @@ class TestPathSelection:
         with pytest.raises(KernelLaunchError, match="unknown execution mode"):
             run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                          (np.zeros(8),), mode="warp")
+
+    def test_force_item_without_any_decomposed_impl_raises(self):
+        # the compiled tier lifts the item_fn too, so a vector-only
+        # kernel cannot run there either
+        k = KernelSpec(name="vonly", vector_fn=_add_vector)
+        with pytest.raises(KernelLaunchError, match="has no item_fn"):
+            run_nd_range(k, NdRange(Range(8), Range(4)), (np.zeros(8),),
+                         mode="compiled")
 
 
 
