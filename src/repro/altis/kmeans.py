@@ -273,20 +273,22 @@ class KMeans(AltisApp):
         assign = workload["assign"]
         ks = self.kernels(variant)
 
+        prof_map, prof_upd = self._iteration_profiles(n, k, d)
+
         if variant is Variant.FPGA_OPT:
-            from ..sycl.pipes import DataflowGraph, Pipe
+            from ..sycl.pipes import Pipe
 
             assign_pipe = Pipe("assign", capacity=8)
             centers_pipe = Pipe("centers_fb", capacity=2)
-            graph = DataflowGraph()
             out_centers = np.zeros_like(centers)
-            graph.add_kernel("mapCenters", _map_centers_st, points,
-                             workload["centers0"], assign_pipe, centers_pipe,
-                             n, k, d, iters)
-            graph.add_kernel("resetAccFin", _reset_acc_fin_st, points,
-                             out_centers, assign, assign_pipe, centers_pipe,
-                             n, k, d, iters)
-            graph.run()
+            # Fig. 3b: both engines launch once and run all iterations
+            queue.dataflow(
+                (ks["mapCenters_st"],
+                 (points, workload["centers0"], assign_pipe, centers_pipe,
+                  n, k, d, iters), prof_map.scaled(iters)),
+                (ks["resetAccFin_st"],
+                 (points, out_centers, assign, assign_pipe, centers_pipe,
+                  n, k, d, iters), prof_upd.scaled(iters)))
             centers[:] = out_centers
             return {"centers": centers, "assign": assign}
 
@@ -297,7 +299,6 @@ class KMeans(AltisApp):
         wg = 64
         gn = -(-n // wg) * wg
         nd = NdRange(Range(gn), Range(wg))
-        prof_map, prof_upd = self._iteration_profiles(n, k, d)
         for _ in range(iters):
             queue.parallel_for(nd, ks["mapCenters"], points, centers, assign,
                                n, k, d, profile=prof_map)

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..common.vectypes import float8
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
@@ -63,7 +62,7 @@ class Material:
         self.ref_idx = float(np.float32(self.ref_idx))
 
     def to_float8(self) -> "MaterialF8":
-        data = float8()
+        data = np.zeros(8, dtype=np.float32)
         data[0] = self.fuzz
         data[1] = self.ref_idx
         data[2:5] = self.albedo
@@ -75,10 +74,11 @@ class Material:
 class MaterialF8:
     """Listing 1's *optimized* layout: one fused ``sycl::float8``.
 
-    data[0]=fuzz, data[1]=ref_idx, data[2:5]=albedo, data[5]=type.
+    ``data`` holds eight float32 values: data[0]=fuzz, data[1]=ref_idx,
+    data[2:5]=albedo, data[5]=type (data[6:8] is padding).
     """
 
-    data: float8
+    data: np.ndarray
 
     @property
     def m_type(self) -> int:

@@ -43,7 +43,6 @@ __all__ = [
     "modeled_time_s",
     "fpga_total_s",
     "experiment_cache_info",
-    "clear_experiment_caches",
 ]
 
 GPU_KEY = "rtx2080"
@@ -215,11 +214,6 @@ def fpga_total_s(config: str, size: int, optimized: bool,
 def experiment_cache_info() -> dict:
     return {"modeled_time_s": modeled_time_s.cache_info(),
             "fpga_total_s": fpga_total_s.cache_info()}
-
-
-def clear_experiment_caches() -> None:
-    modeled_time_s.cache_clear()
-    fpga_total_s.cache_clear()
 
 
 def _figure2_row(config: str, optimized: bool = True) -> tuple:

@@ -127,25 +127,6 @@ class ResultDB:
                 f"{r.max:>12.5g}{r.stddev:>12.5g}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        payload = [
-            {"test": r.test, "attribute": r.attribute, "unit": r.unit,
-             "values": r.values, "mean": r.mean, "median": r.median,
-             "stddev": r.stddev}
-            for r in sorted(self._results.values(),
-                            key=lambda r: (r.test, r.attribute))
-        ]
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultDB":
-        db = cls()
-        for entry in json.loads(text):
-            for value in entry["values"]:
-                db.add_result(entry["test"], entry["attribute"],
-                              entry["unit"], value)
-        return db
-
 
 # ---------------------------------------------------------------------------
 # Persistent figure-cell cache

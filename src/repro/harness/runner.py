@@ -4,25 +4,18 @@ and verify the result against the numpy reference.
 This is the "does the suite actually compute the right thing" driver —
 the performance figures come from :mod:`repro.harness.experiments`.
 
-Two harness-level facilities live here:
-
-* :func:`generate_workload` — a content-keyed workload memo
-  (``(config, size, seed, scale)``) that returns **deep copies**, since
-  ``run_sycl`` mutates workload arrays in place;
-* :func:`run_suite_functional` — the whole-suite sweep, one cell at a
-  time as the Altis harness runs them, with optional capture of failed
-  cells into :class:`~repro.resilience.FailedCell` rows and
-  checkpoint-resume through an append-only
-  :class:`~repro.harness.resultdb.SweepJournal` so a killed sweep loses
-  at most its in-flight cell.
+:func:`run_suite_functional` is the whole-suite sweep, one cell at a
+time as the Altis harness runs them, with optional capture of failed
+cells into :class:`~repro.resilience.FailedCell` rows and
+checkpoint-resume through an append-only
+:class:`~repro.harness.resultdb.SweepJournal` so a killed sweep loses
+at most its in-flight cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from collections import OrderedDict
 from contextlib import nullcontext as _null_context
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,8 +39,6 @@ __all__ = [
     "run_functional",
     "run_suite_functional",
     "generate_workload",
-    "workload_cache_stats",
-    "clear_workload_cache",
     "journal_record",
     "journal_record_trusted",
     "result_from_record",
@@ -72,87 +63,14 @@ _TOLERANCES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Workload memo
-# ---------------------------------------------------------------------------
-
-_WORKLOAD_CACHE: OrderedDict[tuple, Workload] = OrderedDict()
-_WORKLOAD_CACHE_MAX = 64
-#: callers on several threads may share the memo; the composite
-#: get/move_to_end/popitem sequences need a real lock
-_WORKLOAD_CACHE_LOCK = threading.Lock()
-_workload_cache_hits = 0
-_workload_cache_misses = 0
-
-
-def _copy_workload(workload: Workload) -> Workload:
-    tracer = current_tracer()
-    arrays = {}
-    for name, arr in workload.arrays.items():
-        if tracer is None:
-            arrays[name] = np.copy(arr)
-        else:
-            # the staging copy is the functional analogue of the H2D
-            # transfer: kernels mutate these arrays as device memory
-            start = tracer.now_us()
-            arrays[name] = np.copy(arr)
-            tracer.complete(f"h2d:{name}", "transfer", start,
-                            tracer.now_us() - start, bytes=arr.nbytes,
-                            array=name)
-            _trace_metrics.counter("harness.staged_bytes").inc(arr.nbytes)
-    return Workload(
-        app=workload.app,
-        size=workload.size,
-        arrays=arrays,
-        params=dict(workload.params),
-    )
-
-
 def generate_workload(config: str, size: int, *, seed: int = 0,
                       scale: float = 1.0) -> Workload:
-    """Memoized workload generation keyed ``(config, size, seed, scale)``.
+    """A fresh workload for ``config`` (deterministic in its arguments).
 
-    Generation is deterministic in the key, so cached entries are exact.
-    Returned workloads are deep copies — apps mutate arrays in place
-    (NW's score matrix, KMeans' centers), and a shared instance would
-    poison every later cache hit.
+    Every call generates new arrays: ``run_sycl`` mutates its workload
+    in place (NW's score matrix, KMeans' centers).
     """
-    global _workload_cache_hits, _workload_cache_misses
-    key = (config, size, seed, float(scale))
-    with _WORKLOAD_CACHE_LOCK:
-        cached = _WORKLOAD_CACHE.get(key)
-        if cached is not None:
-            _WORKLOAD_CACHE.move_to_end(key)
-            _workload_cache_hits += 1
-        else:
-            _workload_cache_misses += 1
-    if cached is not None:
-        return _copy_workload(cached)
-    workload = make_app(config).generate(size, seed=seed, scale=scale)
-    stored = _copy_workload(workload)
-    with _WORKLOAD_CACHE_LOCK:
-        _WORKLOAD_CACHE[key] = stored
-        while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.popitem(last=False)
-    return workload
-
-
-def workload_cache_stats() -> dict:
-    with _WORKLOAD_CACHE_LOCK:
-        return {
-            "hits": _workload_cache_hits,
-            "misses": _workload_cache_misses,
-            "size": len(_WORKLOAD_CACHE),
-            "max": _WORKLOAD_CACHE_MAX,
-        }
-
-
-def clear_workload_cache() -> None:
-    global _workload_cache_hits, _workload_cache_misses
-    with _WORKLOAD_CACHE_LOCK:
-        _WORKLOAD_CACHE.clear()
-        _workload_cache_hits = 0
-        _workload_cache_misses = 0
+    return make_app(config).generate(size, seed=seed, scale=scale)
 
 
 # ---------------------------------------------------------------------------

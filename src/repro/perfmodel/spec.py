@@ -27,7 +27,6 @@ __all__ = [
     "DeviceSpec",
     "DEVICE_SPECS",
     "get_spec",
-    "list_specs",
     "fpga_peak_fp32_tflops",
     "roofline_attainable_flops",
     "roofline_point",
@@ -229,13 +228,6 @@ def get_spec(key: str) -> DeviceSpec:
         raise DeviceNotFoundError(
             f"unknown device {key!r}; available: {sorted(DEVICE_SPECS)}"
         ) from None
-
-
-def list_specs(kind: DeviceKind | None = None) -> list[DeviceSpec]:
-    specs = list(DEVICE_SPECS.values())
-    if kind is not None:
-        specs = [s for s in specs if s.kind is kind]
-    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Trait", "TRAITS", "ImplVariant", "combine"]
+__all__ = ["Trait", "TRAITS", "ImplVariant"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,3 @@ class ImplVariant:
         for n in names:
             mult *= TRAITS[n].kernel_multiplier
         return mult
-
-
-def combine(*multipliers: float) -> float:
-    out = 1.0
-    for m in multipliers:
-        out *= m
-    return out

@@ -16,25 +16,7 @@ from __future__ import annotations
 from ..common.errors import FeatureNotSupportedError
 from ..perfmodel.spec import DeviceKind, DeviceSpec, get_spec
 
-__all__ = ["Device", "Platform", "device"]
-
-
-class Platform:
-    """Groups devices by vendor/back-end, as SYCL platforms do."""
-
-    def __init__(self, name: str, vendor: str):
-        self.name = name
-        self.vendor = vendor
-
-    def __repr__(self) -> str:
-        return f"Platform({self.name!r})"
-
-
-_PLATFORMS = {
-    DeviceKind.CPU: Platform("OpenCL CPU", "Intel"),
-    DeviceKind.GPU: Platform("Level-Zero / CUDA back-end", "mixed"),
-    DeviceKind.FPGA: Platform("Intel FPGA SDK for OpenCL", "Intel"),
-}
+__all__ = ["Device", "device"]
 
 
 class Device:
@@ -42,7 +24,6 @@ class Device:
 
     def __init__(self, spec: DeviceSpec):
         self.spec = spec
-        self.platform = _PLATFORMS[spec.kind]
 
     # -- SYCL-style queries -------------------------------------------------
     def is_gpu(self) -> bool:
@@ -53,18 +34,11 @@ class Device:
         return self.spec.kind is DeviceKind.FPGA
 
     def get_info(self, name: str):
-        info = {
-            "name": self.spec.name,
-            "max_compute_units": self.spec.compute_units,
-            "global_mem_size": 16 * 2**30,
-            "local_mem_size": 48 * 2**10 if not self.is_fpga else 16 * 2**10,
-            "max_work_group_size": 1024 if not self.is_fpga else 128,
-            "vendor": self.platform.vendor,
-        }
-        try:
-            return info[name]
-        except KeyError:
-            raise FeatureNotSupportedError(f"unknown info query {name!r}") from None
+        """``device.get_info<...>()``; the launch path asks only for
+        ``max_work_group_size`` (the FPGA compiler's preconfigured 128)."""
+        if name != "max_work_group_size":
+            raise FeatureNotSupportedError(f"unknown info query {name!r}")
+        return 128 if self.is_fpga else 1024
 
     def __repr__(self) -> str:
         return f"Device({self.spec.key!r})"

@@ -77,11 +77,6 @@ class Event:
     def duration_s(self) -> float:
         return self.duration_ns * 1e-9
 
-    @property
-    def latency_ns(self) -> int:
-        """Submit-to-end, i.e. includes queueing/launch overhead."""
-        return self.end_ns - self.submit_ns
-
     def __repr__(self) -> str:
         return (
             f"Event({self.kind.value}, name={self.name!r}, "

@@ -290,9 +290,10 @@ def _note_execution_metrics(stats: ExecutionStats) -> None:
 def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
     """Execute a single-task kernel (no index space).
 
-    Pipe-blocking single-task kernels must be scheduled by the dataflow
-    scheduler in :mod:`repro.sycl.pipes`; calling them here runs them to
-    completion and will raise if a pipe read ever blocks.
+    Pipe-blocking single-task kernels must run together through
+    :meth:`Queue.dataflow <repro.sycl.queue.Queue.dataflow>`; calling
+    them here runs them to completion and will raise if a pipe read ever
+    blocks.
     """
     stats = ExecutionStats()
     stats.path = "single_task"
@@ -308,7 +309,7 @@ def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
             for _ in result:
                 raise KernelLaunchError(
                     f"single-task kernel {kernel.name!r} blocked on a pipe; "
-                    "submit it through a DataflowGraph instead"
+                    "submit it through Queue.dataflow instead"
                 )
     if tracer is not None:
         _note_execution_metrics(stats)

@@ -51,17 +51,6 @@ class LoopSpec:
     #: operations per iteration dominated by shared-memory access?
     local_mem_bound: bool = False
 
-    def with_pragmas(self, *, unroll: int | None = None, ii: int | None = None,
-                     speculated: int | None = None) -> "LoopSpec":
-        return replace(
-            self,
-            unroll=self.unroll if unroll is None else unroll,
-            initiation_interval=self.initiation_interval if ii is None else ii,
-            speculated_iterations=(
-                self.speculated_iterations if speculated is None else speculated
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class KernelAttributes:
@@ -159,22 +148,6 @@ class KernelSpec:
         """Return a copy with updated attributes (optimization steps)."""
         new_attrs = replace(self.attributes, **kwargs)
         return replace(self, attributes=new_attrs)
-
-    def with_loop(self, loop_name: str, **pragmas) -> "KernelSpec":
-        """Return a copy with pragmas applied to one named loop."""
-        found = False
-        loops = []
-        for lp in self.loops:
-            if lp.name == loop_name:
-                loops.append(lp.with_pragmas(**pragmas))
-                found = True
-            else:
-                loops.append(lp)
-        if not found:
-            raise InvalidParameterError(
-                f"kernel {self.name!r} has no loop named {loop_name!r}"
-            )
-        return replace(self, loops=loops)
 
     def loop(self, name: str) -> LoopSpec:
         for lp in self.loops:

@@ -222,6 +222,33 @@ class Queue:
     def single_task(self, kernel: KernelSpec, *args, profile=None) -> Event:
         return self._launch(kernel, None, args, profile)
 
+    def dataflow(self, *launches: tuple) -> list[Event]:
+        """Run single-task kernels that stream to each other through pipes.
+
+        Each launch is ``(kernel, args, profile)``.  The kernels run
+        together under a :class:`~repro.sycl.pipes.DataflowGraph`, as
+        the paper's pipe designs do on the FPGA (§5.3, KMeans' Fig. 3b),
+        and each is then booked on this queue like a :meth:`single_task`
+        launch.
+        """
+        from .pipes import DataflowGraph  # only the FPGA pipe designs run one
+
+        graph = DataflowGraph()
+        for kernel, args, _ in launches:
+            if kernel.kind != KernelKind.SINGLE_TASK:
+                raise KernelLaunchError(
+                    f"dataflow kernel {kernel.name!r} is not single-task")
+            graph.add_kernel(kernel.name, kernel.vector_fn or kernel.item_fn,
+                             *args)
+        graph.run()
+        events = []
+        for kernel, _, profile in launches:
+            stats = ExecutionStats()
+            stats.path = "single_task"
+            stats.groups = stats.items = 1
+            events.append(self._book(kernel, None, profile, stats))
+        return events
+
     # -- implementation ------------------------------------------------------
 
     def _launch(self, kernel: KernelSpec, nd_range: NdRange | None, args: tuple,
@@ -266,6 +293,11 @@ class Queue:
             )
         else:
             stats = run_single_task(kernel, args)
+        return self._book(kernel, nd_range, profile, stats)
+
+    def _book(self, kernel: KernelSpec, nd_range: NdRange | None, profile,
+              stats: ExecutionStats) -> Event:
+        """Count one executed launch and advance the modeled clock."""
         self.counters.note_launch(stats)
         device_s = self.timing.kernel_duration_s(kernel, nd_range, profile)
         overhead_s = self.device.spec.kernel_launch_overhead_s

@@ -57,7 +57,7 @@ __all__ = [
 
 #: Schema tag carried by every ``profile.json``; bump on key-structure
 #: changes so downstream tooling can detect drift.
-PROFILE_SCHEMA = "repro-profile/1"
+PROFILE_SCHEMA = "repro-profile/2"
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +148,16 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         agg.dispatch_wall_us += max(0.0, ev.dur_us - non_dispatch)
 
     # -- the Fig. 1 decomposition, from the modeled-clock spans ----------
-    kernel_us = overhead_us = transfer_us = 0.0
+    kernel_us = overhead_us = host_task_us = 0.0
     for ev in events:
         if ev.cat != "modeled":
             continue
         if ev.args.get("kind") == "kernel":
             kernel_us += ev.args.get("device_us", 0.0)
             overhead_us += ev.args.get("overhead_us", 0.0)
-        else:
-            transfer_us += ev.dur_us
-    non_kernel_us = overhead_us + transfer_us
+        else:  # oneDPL calls, booked as host tasks
+            host_task_us += ev.dur_us
+    non_kernel_us = overhead_us + host_task_us
 
     # -- hotspot rows, deterministically ordered -------------------------
     rows = []
@@ -233,7 +233,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         "decomposition": {
             "kernel_us": kernel_us,
             "overhead_us": overhead_us,
-            "transfer_us": transfer_us,
+            "host_task_us": host_task_us,
             "non_kernel_us": non_kernel_us,
             "total_us": total_us,
             "kernel_fraction": kernel_us / total_us if total_us else 0.0,
@@ -390,7 +390,7 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
                  f"({100.0 * d['kernel_fraction']:.1f}%)")
     lines.append(f"- non-kernel time : {d['non_kernel_us'] / 1e3:.3f} ms "
                  f"(launch overhead {d['overhead_us'] / 1e3:.3f} ms, "
-                 f"transfers {d['transfer_us'] / 1e3:.3f} ms)")
+                 f"host tasks {d['host_task_us'] / 1e3:.3f} ms)")
     lines.append(f"- total           : {d['total_us'] / 1e3:.3f} ms")
     lines.append("")
 

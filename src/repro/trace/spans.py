@@ -5,7 +5,6 @@ mirrors the layers of a reproduction run::
 
     run (CLI invocation)
       app (one benchmark configuration, harness.runner)
-        transfer (workload staging copy, harness.runner)
         launch (one queue command, sycl.queue)
           kernel-form segment (vector / item / compiled, sycl.executor)
             barrier-phase (one phase of the generator scheduler)

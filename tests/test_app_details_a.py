@@ -102,6 +102,20 @@ class TestFdtdDetails:
 
 
 class TestKMeansDetails:
+    def test_fpga_opt_dataflow_is_booked_on_the_queue(self):
+        """Fig. 3b's two pipe kernels launch once each, on the queue, so
+        the run reports modeled kernel time like every other variant."""
+        app = KMeans()
+        workload = app.generate(1, seed=0, scale=0.01)
+        queue = Queue("stratix10")
+        app.run_sycl(queue, workload, Variant.FPGA_OPT)
+        assert queue.counters.single_task_launches == 2
+        assert queue.counters.kernel_launches == 0
+        assert [t.event.name for t in queue.timeline] == [
+            "mapCenters_st", "resetAccFin_st"]
+        assert queue.kernel_time_s() > 0
+        assert queue.total_time_s() > queue.kernel_time_s()
+
     def test_empty_cluster_guard(self):
         """A center with no members keeps a finite position (the
         count==0 -> 1 guard)."""

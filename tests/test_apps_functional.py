@@ -7,7 +7,8 @@ import pytest
 
 from repro.altis import SIZES, Variant, make_app
 from repro.altis.registry import APP_FACTORIES
-from repro.harness.runner import _DEFAULT_SCALES, run_functional, run_suite_functional
+from repro.harness.runner import (_DEFAULT_SCALES, generate_workload,
+                                  run_functional, run_suite_functional)
 
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
@@ -70,6 +71,28 @@ class TestEveryConfig:
         plan = make_app(config).launch_plan(1, Variant.SYCL_OPT)
         assert plan.total_invocations() >= 1
         assert plan.total_flops() > 0
+
+
+class TestGenerateWorkload:
+    def test_same_key_gives_equal_unshared_arrays(self):
+        """Generation is deterministic in (config, size, seed, scale), and
+        every call owns its arrays: ``run_sycl`` mutates them in place."""
+        a = generate_workload("NW", 1, seed=0, scale=0.008)
+        b = generate_workload("NW", 1, seed=0, scale=0.008)
+        assert a.arrays.keys() == b.arrays.keys() and a.params == b.params
+        for name in a.arrays:
+            assert a[name].tobytes() == b[name].tobytes()
+            assert not np.shares_memory(a[name], b[name])
+        a["score"][:] = 7  # mutating one run must not reach the next
+        c = generate_workload("NW", 1, seed=0, scale=0.008)
+        assert c["score"].tobytes() == b["score"].tobytes()
+
+    def test_different_keys_differ(self):
+        base = generate_workload("NW", 1, seed=0, scale=0.008)
+        reseeded = generate_workload("NW", 1, seed=1, scale=0.008)
+        rescaled = generate_workload("NW", 1, seed=0, scale=0.05)
+        assert base["seq_a"].tobytes() != reseeded["seq_a"].tobytes()
+        assert base["score"].shape != rescaled["score"].shape
 
 
 class TestSuiteSweep:

@@ -1,5 +1,5 @@
-"""Cache hierarchy: the workload memo, the persistent figure cache, and
-the cached-vs-uncached bit-identical guarantee."""
+"""The persistent figure cache and the cached-vs-uncached bit-identical
+guarantee."""
 
 import json
 
@@ -8,32 +8,6 @@ import pytest
 
 from repro.harness import experiments
 from repro.harness.resultdb import FigureCache, _decode, _encode, code_fingerprint
-from repro.harness.runner import (
-    clear_workload_cache,
-    generate_workload,
-    workload_cache_stats,
-)
-
-
-class TestWorkloadMemo:
-    def test_hit_returns_equal_but_isolated_copy(self):
-        clear_workload_cache()
-        a = generate_workload("NW", 1, seed=0, scale=0.008)
-        b = generate_workload("NW", 1, seed=0, scale=0.008)
-        stats = workload_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-        np.testing.assert_array_equal(a["score"], b["score"])
-        a["score"][:] = 7  # mutating one run must not poison the next
-        c = generate_workload("NW", 1, seed=0, scale=0.008)
-        assert not np.array_equal(a["score"], c["score"])
-        np.testing.assert_array_equal(b["score"], c["score"])
-
-    def test_different_keys_miss(self):
-        clear_workload_cache()
-        generate_workload("NW", 1, seed=0, scale=0.008)
-        generate_workload("NW", 1, seed=1, scale=0.008)
-        generate_workload("NW", 1, seed=0, scale=0.01)
-        assert workload_cache_stats()["misses"] == 3
 
 
 class TestFigureCacheCodec:

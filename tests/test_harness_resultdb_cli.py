@@ -58,16 +58,6 @@ class TestResultDB:
         text = db.render()
         assert "median" in text and "stddev" in text and "NW" in text
 
-    def test_json_roundtrip(self):
-        db = ResultDB()
-        db.add_result("a", "x", "s", 1.0)
-        db.add_result("a", "x", "s", 2.0)
-        db.add_result("b", "y", "GB/s", 9.0)
-        restored = ResultDB.from_json(db.to_json())
-        assert len(restored) == 2
-        assert restored.get("a", "x").values == [1.0, 2.0]
-        assert restored.get("b", "y").unit == "GB/s"
-
 
 class TestCli:
     def test_parser_run_defaults(self):

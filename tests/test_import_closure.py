@@ -5,8 +5,8 @@
 they do not call, the compiled tier and its certificate store,
 ``numpy.testing`` and any worker-pool machinery; ``suite --mode
 compiled`` must load the compiled tier.  Static checks keep
-``repro.sycl`` from importing the harness above it and every module
-reachable from another one.
+``repro.sycl`` from importing the harness above it, every module
+reachable from another one, and every public name used somewhere.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _SUITE_UNLOADED = _COMPILED_TIER + [
 
 @pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
     (["suite", "--cache-dir", "cache"],
-     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 44),
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
     (["suite", "--cache-dir", "cache", "--journal", "J"],
      _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
     (["suite", "--mode", "compiled", "--no-cache"],
@@ -160,3 +160,68 @@ def test_every_module_is_imported_by_another():
     orphans = sorted(unimported - set(_UNIMPORTED))
     assert orphans == [], f"no repro module imports {orphans}"
     assert sorted(set(_UNIMPORTED) - unimported) == []  # stale exceptions
+
+
+#: public names that nothing outside their own definition uses, each
+#: with its reason
+_UNUSED_PUBLIC = {
+    "repro.altis.dwt2d.dwt53_inverse":
+        "oracle: the tests invert the forward 5/3 lifting with it",
+    "repro.altis.where.custom_fpga_prefix_sum":
+        "the paper's custom FPGA scan (§5), the prefix-sum ablation's subject",
+    "repro.harness.experiments.PAPER_FIG2_BASELINE":
+        "paper data: Fig. 2's baseline bars, checked by the Fig. 2 benchmark",
+    "repro.sycl.local_memory.group_local_memory_for_overwrite":
+        "the FPGA-only local-memory API of paper §5.2, pinned by its tests",
+    "repro.sycl.executor.execution_cache_info": "test cache hook",
+    "repro.sycl.executor.clear_execution_caches": "test cache hook",
+    "repro.sycl.plan.set_plan_cache_limit": "test cache hook",
+    "repro.sycl.vectorize.vectorize_cache_info":
+        "compiled tier, goes with it (ROADMAP item 1)",
+    "repro.sycl.vectorize.clear_vectorize_caches":
+        "compiled tier, goes with it (ROADMAP item 1)",
+}
+
+#: the trees whose code counts as a use of a public name
+_USER_TREES = ("src", "examples", "tools", "perfbench")
+
+
+def _public_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_public_name_is_used():
+    """A name in a module's ``__all__`` that no code reads (by name, as a
+    variable or an attribute) outside its own ``def``/``class`` is an
+    entry point with no caller; the exceptions are listed with a reason.
+    Package ``__init__`` tables only re-export, so they are no use."""
+    trees = {path: ast.parse(path.read_text())
+             for root in _USER_TREES
+             for path in sorted((REPO / root).rglob("*.py"))}
+    uses: dict[str, list] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+    unused = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC / "repro"):
+            continue
+        bodies = {node.name: (node.lineno, node.end_lineno)
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in _public_names(tree):
+            first, last = bodies.get(name, (0, -1))
+            if not any(where != path or not first <= line <= last
+                       for where, line in uses.get(name, ())):
+                unused.add(f"{_module_name(path)}.{name}")
+    assert sorted(unused - set(_UNUSED_PUBLIC)) == []
+    assert sorted(set(_UNUSED_PUBLIC) - unused) == []  # stale exceptions

@@ -11,7 +11,6 @@ from repro.perfmodel import (
     KernelProfile,
     LaunchPlan,
     RuntimeKind,
-    combine,
     get_spec,
     model_for,
     overheads_for,
@@ -261,9 +260,6 @@ class TestTraits:
                         per_kernel={"scan": ("onedpl_scan",)})
         assert v.kernel_multiplier("scan") == pytest.approx(1.5)
         assert v.kernel_multiplier("other") == 1.0
-
-    def test_combine(self):
-        assert combine(2.0, 3.0) == 6.0
 
 
 class TestOverheadsAndTimeline:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.altis.dwt2d import dwt53_forward, dwt53_inverse
 from repro.altis.kmeans import _assign_points, _update_centers
 from repro.altis.nw import nw_reference
+from repro.altis.raytracing import Material
 from repro.altis.where import custom_fpga_prefix_sum, where_reference
 from repro.common.rng import LcgPark
 from repro.common.utils import geomean
-from repro.common.vectypes import float3, float4
 from repro.sycl import DataflowGraph, KernelSpec, NdRange, Pipe, Range
 from repro.sycl.executor import run_nd_range
 from repro.sycl.ndrange import linear_index
@@ -59,28 +59,19 @@ def test_geomean_between_min_and_max(values):
     assert min(values) * 0.999 <= g <= max(values) * 1.001
 
 
-# -- vector types -------------------------------------------------------------
+# -- Listing 1's fused material -----------------------------------------------
 
-finite = st.floats(-1e5, 1e5, allow_nan=False)
-
-
-@given(st.tuples(finite, finite, finite), st.tuples(finite, finite, finite))
-def test_vec_addition_commutes(a, b):
-    va, vb = float3(*a), float3(*b)
-    assert va + vb == vb + va
+unit = st.floats(0, 1, allow_nan=False, width=32)
 
 
-@given(st.tuples(finite, finite, finite))
-def test_vec_dot_with_self_nonnegative(a):
-    v = float3(*a)
-    assert v.dot(v) >= 0
-
-
-@given(st.tuples(finite, finite, finite, finite))
-def test_vec_roundtrip_through_numpy(a):
-    v = float4(*a)
-    w = float4(np.asarray(list(v)))
-    assert v == w
+@given(st.integers(0, 2), st.tuples(unit, unit, unit), unit,
+       st.floats(1, 2, allow_nan=False, width=32))
+def test_material_float8_keeps_every_field(m_type, albedo, fuzz, ref_idx):
+    m = Material(m_type, np.array(albedo), fuzz=fuzz, ref_idx=ref_idx)
+    f8 = m.to_float8()
+    assert f8.data.dtype == np.float32 and f8.data.shape == (8,)
+    assert (f8.m_type, f8.fuzz, f8.ref_idx) == (m.m_type, m.fuzz, m.ref_idx)
+    assert f8.albedo.tobytes() == m.albedo.tobytes()
 
 
 # -- RNGs ---------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Property-based tests for the ResultDB statistics."""
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.harness.resultdb import Result, ResultDB
+from repro.harness.resultdb import Result
 
 
 # -- ResultDB statistics -------------------------------------------------------
@@ -21,15 +20,6 @@ def test_result_stats_bounds(values):
     assert r.min <= r.median <= r.max
     assert r.min - eps <= r.mean <= r.max + eps
     assert r.stddev >= 0
-
-
-@given(values_strategy)
-def test_result_json_roundtrip(values):
-    db = ResultDB()
-    for v in values:
-        db.add_result("t", "a", "s", v)
-    restored = ResultDB.from_json(db.to_json())
-    np.testing.assert_allclose(restored.get("t", "a").values, list(values))
 
 
 @given(st.floats(-1e3, 1e3, allow_nan=False))

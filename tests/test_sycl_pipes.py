@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.common.errors import DataflowDeadlockError, PipeError
-from repro.sycl import DataflowGraph, Pipe
+from repro.common.errors import (DataflowDeadlockError, KernelLaunchError,
+                                 PipeError)
+from repro.sycl import DataflowGraph, KernelKind, KernelSpec, Pipe, Queue
 
 
 class TestPipePrimitives:
@@ -180,3 +181,43 @@ class TestDataflow:
         counts = g.run()
         assert set(counts) == {"prod", "cons"}
         assert all(v >= 1 for v in counts.values())
+
+
+class TestQueueDataflow:
+    def _pair(self):
+        p = Pipe("data", capacity=1)
+        out = []
+
+        def producer(n):
+            for i in range(n):
+                yield from p.write_blocking(i)
+
+        def consumer(n):
+            for _ in range(n):
+                out.append((yield from p.read_blocking()))
+
+        prod = KernelSpec(name="prod", kind=KernelKind.SINGLE_TASK,
+                          item_fn=producer)
+        cons = KernelSpec(name="cons", kind=KernelKind.SINGLE_TASK,
+                          item_fn=consumer)
+        return prod, cons, out
+
+    def test_kernels_run_together_and_are_booked(self):
+        prod, cons, out = self._pair()
+        q = Queue("stratix10")
+        events = q.dataflow((prod, (5,), None), (cons, (5,), None))
+        assert out == [0, 1, 2, 3, 4]
+        assert [ev.name for ev in events] == ["prod", "cons"]
+        assert q.counters.single_task_launches == 2
+        assert q.counters.path_counts == {"single_task": 2}
+        assert q.kernel_time_s() > 0
+
+    def test_a_pipe_kernel_alone_blocks_in_single_task(self):
+        prod, _, _ = self._pair()
+        with pytest.raises(KernelLaunchError, match="Queue.dataflow"):
+            Queue("stratix10").single_task(prod, 5)
+
+    def test_nd_range_kernel_rejected(self):
+        nd = KernelSpec(name="nd", vector_fn=lambda nd: None)
+        with pytest.raises(KernelLaunchError, match="not single-task"):
+            Queue("stratix10").dataflow((nd, (), None))

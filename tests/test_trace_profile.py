@@ -128,7 +128,7 @@ def test_fdtd2d_fig1_crossover_from_spans():
     # the decomposition is internally consistent
     for d in (small, large):
         assert d["non_kernel_us"] == pytest.approx(
-            d["overhead_us"] + d["transfer_us"])
+            d["overhead_us"] + d["host_task_us"])
         assert d["total_us"] == pytest.approx(
             d["kernel_us"] + d["non_kernel_us"])
         assert 0.0 <= d["kernel_fraction"] <= 1.0
