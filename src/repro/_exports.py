@@ -14,10 +14,16 @@ of ``from . import errors, rng``)::
         ".": ("errors", "rng"),
         "rng": ("LcgPark",),
     })
+
+:func:`lazy_module` does the same for a third-party module bound at
+module level: ``np = lazy_module("numpy")`` executes numpy only when
+code first reads ``np.<name>``, so a command that never touches an array
+(``figures``, ``list``, ``migrate``, ``synth``) never pays its import.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 
 
@@ -55,3 +61,26 @@ def lazy_exports(package: str, table: dict) -> tuple:
         return sorted(set(vars(sys.modules[package])) | set(exported))
 
     return __getattr__, __dir__, exported
+
+
+def lazy_module(name: str):
+    """``name`` as a module that executes on its first attribute read.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise
+    a :class:`importlib.util.LazyLoader` module is registered there; the
+    first attribute read runs the real import and turns the object into
+    a plain module, so later reads cost nothing extra.  A plain ``import
+    name`` elsewhere also triggers the load (the import system reads
+    ``__spec__``).
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

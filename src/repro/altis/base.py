@@ -42,11 +42,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .._exports import lazy_module
 from ..common.errors import InvalidParameterError
 from ..perfmodel.profile import LaunchPlan
 from ..perfmodel.spec import get_spec
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel

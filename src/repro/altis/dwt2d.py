@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .._exports import lazy_module
 from ..common.errors import FeatureNotSupportedError
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .._exports import lazy_module
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec
 from ..sycl.ndrange import FenceSpace
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel

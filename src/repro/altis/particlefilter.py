@@ -26,14 +26,16 @@ optimized-over-baseline speedup grows from ~1x (size 1) to ~272x/368x
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .._exports import lazy_module
 from ..common.rng import LcgPark
 from ..perfmodel.profile import KernelProfile, LaunchPlan
 from ..sycl.kernel import KernelAttributes, KernelKind, KernelSpec, LoopSpec
 from .base import AltisApp, FpgaSetup, Variant, Workload
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel
@@ -276,7 +278,7 @@ class ParticleFilter(AltisApp):
         prof = self._frame_profile(n, variant)
         if variant in (Variant.CUDA, Variant.SYCL_BASELINE, Variant.SYCL_OPT):
             # GPU find_index: per-particle binary/linear search folded in
-            prof = prof.with_(iters_per_item=np.log2(max(n, 2)))
+            prof = prof.with_(iters_per_item=math.log2(max(n, 2)))
         plan = LaunchPlan(transfer_bytes=dims["img"] ** 2 * frames)
         # likelihood + weights + normalize + find_index per frame
         plan.add(prof, frames * 4)

@@ -9,7 +9,9 @@ from numpy's ``Philox`` bit generator.
 
 from __future__ import annotations
 
-import numpy as np
+from .._exports import lazy_module
+
+np = lazy_module("numpy")
 
 __all__ = ["LcgPark"]
 

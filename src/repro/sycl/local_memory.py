@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .._exports import lazy_module
 from ..common.errors import FeatureNotSupportedError, InvalidParameterError
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import Device
@@ -40,7 +41,7 @@ class LocalAccessor:
 
     MAX_DYNAMIC_BYTES = 16 * 1024
 
-    def __init__(self, shape, dtype=np.float32, *, static: bool = True):
+    def __init__(self, shape, dtype="float32", *, static: bool = True):
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         self.static = static
@@ -86,7 +87,7 @@ class LocalAccessor:
 
 
 
-def group_local_memory_for_overwrite(shape, dtype=np.float32, *,
+def group_local_memory_for_overwrite(shape, dtype="float32", *,
                                      device: Device | None = None) -> LocalAccessor:
     """Allocate statically sized work-group local memory.
 

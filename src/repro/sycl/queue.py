@@ -17,13 +17,15 @@ Every launch takes one path: :meth:`Queue.parallel_for` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..common.errors import InvalidParameterError, KernelLaunchError
 from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
 from .event import CommandKind, Event
-from .executor import _MODES, ExecutionStats, run_nd_range, run_single_task
+from .executor import (_MODES, ExecutionStats, _note_execution_metrics,
+                       run_nd_range, run_single_task)
 from .kernel import KernelKind, KernelSpec
 from .ndrange import NdRange, Range
 
@@ -229,7 +231,9 @@ class Queue:
         together under a :class:`~repro.sycl.pipes.DataflowGraph`, as
         the paper's pipe designs do on the FPGA (§5.3, KMeans' Fig. 3b),
         and each is then booked on this queue like a :meth:`single_task`
-        launch.
+        launch, with its own ``launch`` span and executor metrics when
+        traced.  The kernels share one run, so those spans time the
+        booking only.
         """
         from .pipes import DataflowGraph  # only the FPGA pipe designs run one
 
@@ -241,12 +245,18 @@ class Queue:
             graph.add_kernel(kernel.name, kernel.vector_fn or kernel.item_fn,
                              *args)
         graph.run()
+        tracer = current_tracer()
         events = []
         for kernel, _, profile in launches:
             stats = ExecutionStats()
             stats.path = "single_task"
             stats.groups = stats.items = 1
-            events.append(self._book(kernel, None, profile, stats))
+            book = partial(self._book, kernel, None, profile, stats)
+            if tracer is None:
+                events.append(book())
+            else:
+                _note_execution_metrics(stats)
+                events.append(self._traced(tracer, kernel, profile, book))
         return events
 
     # -- implementation ------------------------------------------------------
@@ -256,10 +266,16 @@ class Queue:
         tracer = current_tracer()
         if tracer is None:
             return self._launch_inner(kernel, nd_range, args, profile)
+        return self._traced(tracer, kernel, profile, partial(
+            self._launch_inner, kernel, nd_range, args, profile))
+
+    def _traced(self, tracer, kernel: KernelSpec, profile, run) -> Event:
+        """``run()`` one booking inside a ``launch`` span that carries the
+        path, work counts and modeled times the profiler folds."""
         with tracer.span(f"launch:{kernel.name}", "launch",
                          kernel=kernel.name, device=self.device.spec.name,
                          device_key=self.device.spec.key) as sp:
-            event = self._launch_inner(kernel, nd_range, args, profile)
+            event = run()
             entry = self.timeline[-1]
             sp.args.update(
                 path=entry.stats.path if entry.stats else "?",

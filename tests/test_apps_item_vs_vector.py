@@ -137,7 +137,7 @@ class TestCfdItemPath:
         var = wl["variables"].copy()
         out = wl["out"]
         kern = app.kernels()["compute_flux"]
-        farfield = _FARFIELD.astype(var.dtype)
+        farfield = np.asarray(_FARFIELD, dtype=var.dtype)
         wg = 16
         gn = -(-nel // wg) * wg
         for _ in range(p["iterations"]):

@@ -4,9 +4,11 @@
 ``sys.modules`` checked against what they must never load: the layers
 they do not call, the compiled tier and its certificate store,
 ``numpy.testing`` and any worker-pool machinery; ``suite --mode
-compiled`` must load the compiled tier.  Static checks keep
-``repro.sycl`` from importing the harness above it, every module
-reachable from another one, and every public name used somewhere.
+compiled`` must load the compiled tier.  The model-only commands
+(``figures``, ``list``, ``migrate``, ``synth``) never execute numpy.
+Static checks keep ``repro.sycl`` from importing the harness above it,
+every module reachable from another one, and every public name used
+somewhere.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _SUITE_UNLOADED = _COMPILED_TIER + [
      None),
     (["figures", "fig2", "--no-cache"],
      ["repro.sycl.plan", "repro.sycl.vectorize", "concurrent.futures",
-      "multiprocessing"], [], None),
+      "multiprocessing", "numpy._core"], [], None),
 ], ids=["suite", "suite-journal", "suite-compiled", "figures-fig2"])
 def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
                                                loaded, max_repro):
@@ -75,6 +77,40 @@ def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
     if max_repro is not None:
         assert int(repro_modules) <= max_repro
     assert not (tmp_path / "cache").exists()
+
+
+#: what a model-only command never loads: numpy itself (it is bound with
+#: ``lazy_module`` and never read), the launch path and the sweep
+_MODEL_UNLOADED = ["numpy._core", "numpy.random", "repro.sycl.plan",
+                   "repro.sycl.queue", "repro.sycl.vectorize",
+                   "repro.harness.runner", "concurrent.futures",
+                   "multiprocessing"]
+
+_FIGURES = ["fig1", "fig2", "fig4", "fig5", "table2", "table3"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["figures", which, *cache] for which in _FIGURES
+      for cache in (["--no-cache"], ["--cache-dir", "cache"])),
+    ["list"], ["migrate"], ["synth", "KMeans"],
+], ids=lambda argv: "-".join(argv))
+def test_model_commands_never_execute_numpy(tmp_path, argv):
+    """The figures, the app list, the migration report and FPGA synthesis
+    are pure model code: a fresh process running one of them, cold or
+    from a warm figure cache, ends with numpy registered but never
+    executed."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("REPRO_CACHE_DIR", None)
+    code = ("import sys\n"
+            "from repro.harness.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(sorted(set({_MODEL_UNLOADED!r}) & set(sys.modules)))\n")
+    runs = 2 if "--cache-dir" in argv else 1  # cold, then warm
+    for _ in range(runs):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_sycl_layer_never_imports_harness():

@@ -69,3 +69,44 @@ def test_sycl_device_stays_the_factory_after_its_submodule_loads():
                  "print(callable(repro.sycl.device),"
                  " device is sys.modules['repro.sycl.device'].device)")
     assert out == "True True"
+
+
+def test_lazy_module_returns_a_module_already_imported():
+    import json
+
+    from repro._exports import lazy_module
+
+    assert lazy_module("json") is json is sys.modules["json"]
+
+
+def test_lazy_module_raises_for_a_missing_module():
+    from repro._exports import lazy_module
+
+    with pytest.raises(ModuleNotFoundError, match="repro_no_such_module"):
+        lazy_module("repro_no_such_module")
+    assert "repro_no_such_module" not in sys.modules
+
+
+def test_lazy_module_executes_on_first_attribute_read(tmp_path, monkeypatch):
+    """Binding runs nothing; the first read runs the body once and leaves
+    a plain module behind."""
+    import types
+
+    from repro._exports import lazy_module
+
+    name = "repro_lazy_probe"
+    (tmp_path / f"{name}.py").write_text(
+        "import pathlib\n"
+        "pathlib.Path(__file__).with_suffix('.ran').touch()\n"
+        "VALUE = 42\n")
+    ran = tmp_path / f"{name}.ran"
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        module = lazy_module(name)
+        assert sys.modules[name] is module
+        assert type(module) is not types.ModuleType and not ran.exists()
+        assert module.VALUE == 42
+        assert type(module) is types.ModuleType and ran.exists()
+        assert lazy_module(name) is module
+    finally:
+        sys.modules.pop(name, None)

@@ -308,3 +308,33 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     assert (out / "profile.md").exists()
     assert (out / "profile.folded").exists()
     assert (out / "trace.json").exists()
+
+
+def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
+    """KMeans' FPGA pipe design books its two kernels through
+    ``Queue.dataflow``; each gets a ``launch`` span like any other
+    single-task launch, so the hotspot table lists both and the launch
+    count matches the queue's own counter."""
+    import re
+
+    from repro.altis import Variant
+    from repro.altis.kmeans import KMeans
+    from repro.harness.cli import main
+    from repro.harness.runner import _DEFAULT_SCALES
+    from repro.sycl import Queue
+    from repro.trace.metrics import registry
+
+    app, queue = KMeans(), Queue("stratix10")
+    app.run_sycl(queue, app.generate(1, seed=0,
+                                     scale=_DEFAULT_SCALES["KMeans"]),
+                 Variant.FPGA_OPT)
+    single_tasks = registry.counter("executor.path.single_task")
+    before = single_tasks.value
+    assert main(["profile", "kmeans", "--device", "stratix10", "--variant",
+                 "fpga_opt", "--quick", "--out", str(tmp_path / "p")]) == 0
+    assert single_tasks.value - before == 2
+    text = capsys.readouterr().out
+    for kernel in ("mapCenters_st", "resetAccFin_st"):
+        assert f"| {kernel} | single_task | 1 |" in text
+    launches = int(re.search(r"^- launches: (\d+),", text, re.M).group(1))
+    assert launches == queue.counters.single_task_launches == 2
