@@ -3,9 +3,8 @@
 Every ``repro`` package ``__init__`` declares its public surface as one
 table of ``{submodule: (public names...)}`` and hands it to
 :func:`lazy_exports`.  A name's submodule is imported on first access,
-so a command imports only the modules it actually uses; ``import
-repro.sycl`` no longer drags in the vectorizer, and ``repro suite``
-never loads the migrator or the profiler.
+so a command imports only the modules it actually uses: ``repro
+suite`` never loads the migrator or the profiler.
 
 The key ``"."`` names submodules exported as themselves (the table form
 of ``from . import errors, rng``)::

@@ -108,14 +108,15 @@ def cfd_reference_iteration(variables: np.ndarray, neighbours: np.ndarray,
 
 
 def _flux_item(item, variables, neighbours, normals, farfield, out, nel, dt):
-    """Per-element flux accumulation, written in the batchable dialect.
+    """Per-element flux accumulation, bitwise equal to the ``vector_fn``.
 
     Fully componentwise scalar arithmetic (no vector temporaries), with
     the boundary-face branches expressed as ``np.where`` selects over a
-    clamped neighbour gather — the data-dependent ``if nb == -1`` of the
-    migrated kernel is lane-divergent and would keep the kernel on the
-    interpreter.  ``farfield`` arrives as a 5-element buffer already in
-    the solver dtype so the free-stream state needs no in-kernel cast.
+    clamped neighbour gather in place of the migrated kernel's ``if nb
+    == -1``: they pick what the ``vector_fn``'s boolean patches pick,
+    so the two forms agree bit for bit.  ``farfield`` arrives as a
+    5-element buffer already in the solver dtype so the free-stream
+    state needs no in-kernel cast.
     """
     i = item.get_global_linear_id()
     if i >= nel:

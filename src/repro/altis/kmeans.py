@@ -88,9 +88,9 @@ def kmeans_reference(points: np.ndarray, centers0: np.ndarray,
 # -- ND-range kernels ---------------------------------------------------------
 
 def _map_centers_item(item, points, centers, assign, n, k, d):
-    # Batchable dialect: the k x d sweep is a static-trip-count loop
-    # (unrolled by the compiled tier), and the running best is tracked
-    # with np.where instead of a lane-divergent conditional rebind.
+    # The k x d sweep is a static-trip-count loop and the running best
+    # is kept with np.where (per item, a conditional rebind); the
+    # assignments equal the vector_fn's bit for bit.
     i = item.get_global_linear_id()
     if i >= n:
         return

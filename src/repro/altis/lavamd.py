@@ -88,12 +88,13 @@ def _kernel_item(item, rv, qv, v, f, nb, par):
     local memory by the group (modeled here by reading them directly —
     the staging barrier is kept for fidelity).
 
-    Batchable-dialect form: the 27-box neighbourhood is a static loop
-    over offset codes with grid-edge boxes masked out via ``np.where``
-    (a data-dependent neighbour list would pin the kernel to the
-    interpreter), and over-provisioned lanes (work-group 128 vs 100
-    particles) compute through a clamped particle index and simply skip
-    the final store instead of returning before the barrier completes.
+    The 27-box neighbourhood is a static loop over offset codes with
+    grid-edge boxes masked out via ``np.where``, and over-provisioned
+    lanes (work-group 128 vs 100 particles) compute through a clamped
+    particle index and simply skip the final store instead of returning
+    before the barrier completes.  It agrees with the ``vector_fn`` to
+    a tolerance only: the ``vector_fn`` reduces through ``einsum``,
+    whose summation order a per-item loop does not reproduce.
     """
     b = item.get_group(0)
     t = item.get_local_id(0)

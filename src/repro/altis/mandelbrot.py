@@ -85,10 +85,10 @@ def _kernel_item(item, out, width, height, max_iters):
 
     The escape loop keeps the masked early-exit form that the compacted
     :func:`mandelbrot_reference` is tested against: ``alive`` freezes
-    ``z`` and the count once the orbit escapes, instead of ``break`` —
-    the batchable-dialect form of a data-dependent loop exit, and
-    bit-identical to the classic break form because a frozen ``z``
-    keeps ``escaped`` true for every later iteration.
+    ``z`` and the count once the orbit escapes, instead of ``break``.
+    It is bit-identical to the break form, and so to the compacted
+    ``vector_fn``, because a frozen ``z`` keeps ``escaped`` true for
+    every later iteration.
     """
     gy = item.get_global_id(0)
     gx = item.get_global_id(1)

@@ -80,14 +80,10 @@ def _block_item(item, score, sim, tile, penalty, diag_idx, nb, n, block):
     Work-group shape: ``block`` work-items; tile anti-diagonals are
     separated by local barriers (the migrated kernel's __syncthreads).
     The tile — halo row/column included — is a ``LocalAccessor``
-    argument, which the compiled tier represents as a per-group
-    ``(groups, block+1, block+1)`` shadow array: this kernel is the
-    local-memory-lanes exemplar of the batchable dialect.  Off-diagonal
-    work-items compute through a clamped column index and only the
-    in-range lanes store — the interpreter and the batched program run
-    the identical arithmetic, so the launch stays bitwise reproducible
-    (unwritten tile cells read as the zeros both representations start
-    from).
+    argument.  Off-diagonal work-items compute through a clamped column
+    index and only the in-range lanes store, so every lane runs the
+    same arithmetic and the score matrix stays bitwise equal to the
+    ``vector_fn``'s (unwritten tile cells read as zeros).
     """
     g = item.get_group(0)
     tx = item.get_local_id(0)

@@ -62,7 +62,7 @@ def srad_step(img: np.ndarray, lam: float = LAMBDA) -> np.ndarray:
     num = 0.5 * g2 - (1.0 / 16.0) * (l * l)
     # den * den, not den ** 2: scalar float32 ``**`` and the batched
     # array ``**`` round differently by 1 ulp on some inputs; an explicit
-    # multiply is bit-identical across every execution tier (and matches
+    # multiply is bit-identical in the item_fn and the vector_fn (and matches
     # the original Altis source, which writes (1+.25*L)*(1+.25*L))
     den = 1.0 + 0.25 * l
     qsqr = num / (den * den)
@@ -84,9 +84,8 @@ def srad_reference(img: np.ndarray, iterations: int, lam: float = LAMBDA) -> np.
 
 
 def _srad1_item(item, img, c_arr, dN_a, dS_a, dW_a, dE_a, q0sqr, rows, cols):
-    # np.minimum/np.maximum instead of the min/max builtins: identical
-    # per-element, and it keeps the kernel inside the batchable dialect
-    # of repro.sycl.vectorize (the compiled tier's stencil-clamp form)
+    # clamped neighbour indices read the edge values the vector_fn's
+    # _clamped_neighbours reads, so the item_fn stays bitwise equal to it
     i = item.get_global_id(0)
     j = item.get_global_id(1)
     if i >= rows or j >= cols:

@@ -73,8 +73,7 @@ def _mark_item(item, records, flags, n, threshold):
     if i >= n:
         return
     # int32 values are exact in float64, so dividing by a float64 max is
-    # bit-identical to float(...)/int — and keeps the kernel inside the
-    # compiled tier's batchable dialect (no scalar float() builtin)
+    # bit-identical to float(...)/int and to the vector_fn's division
     key = records[i, 0] / np.float64(np.iinfo(np.int32).max)
     flags[i] = 1 if key < threshold else 0
 

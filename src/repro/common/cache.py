@@ -1,14 +1,11 @@
 """What every on-disk cache shares: the code fingerprint, the root, the
 key derivation and the atomic write.
 
-The figure cache (:class:`repro.harness.resultdb.FigureCache`), the
-sweep journal and the validation-certificate store
-(:mod:`repro.sycl.certificates`) all key their entries by
-:func:`code_fingerprint` and live under :func:`resolve_cache_root`.
-The two content-addressed stores also share :func:`content_key` and
-:func:`atomic_write`, so the on-disk policy has one copy.  All of it
-lives here, below every layer that persists, so the SYCL runtime never
-has to import the harness to find it.
+The figure cache (:class:`repro.harness.resultdb.FigureCache`) and the
+sweep journal key their entries by :func:`code_fingerprint`; the figure
+cache lives under :func:`resolve_cache_root` and writes through
+:func:`content_key` and :func:`atomic_write`.  The sweep runner reads
+the fingerprint from here without loading the figure cache.
 
 >>> content_key({"b": 1, "a": [2, 3]}) == content_key({"a": [2, 3], "b": 1})
 True
@@ -23,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 __all__ = ["code_fingerprint", "resolve_cache_root", "DEFAULT_CACHE_DIR",
-           "canonical_json", "content_key", "atomic_write"]
+           "content_key", "atomic_write"]
 
 #: cache root when neither an explicit directory nor ``$REPRO_CACHE_DIR``
 #: is given (relative to the working directory)
@@ -60,19 +57,15 @@ def resolve_cache_root(root: str | os.PathLike | None = None) -> Path:
     return Path(root)
 
 
-def canonical_json(value) -> str:
-    """``value`` as compact JSON with sorted keys: one text per value."""
-    import json  # only the content-addressed stores need it
-
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def content_key(value) -> str:
-    """The entry key of ``value``: sha256 over :func:`canonical_json`,
-    32 hex digits.  Callers put a schema version and the
+    """The entry key of ``value``: sha256 over its compact sorted-key
+    JSON, 32 hex digits.  Callers put a schema version and the
     :func:`code_fingerprint` in ``value``, so either change is a new key.
     """
-    return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:32]
+    import json  # only the figure cache needs it
+
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
 def atomic_write(path: Path, data: bytes) -> None:

@@ -71,27 +71,15 @@ def _add_trace_args(sub_parser: argparse.ArgumentParser) -> None:
                                  "chrome://tracing)")
 
 
-def _add_cache_args(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("--no-cache", action="store_true",
-                            help="disable the persistent caches: the figure "
-                                 "cache, and the validation certificates "
-                                 "(compiled plans the static pass cannot "
-                                 "prove are validated in every process, by "
-                                 "replay or a shadow run)")
-    sub_parser.add_argument("--cache-dir", default=None,
-                            help="persistent cache directory (default: "
-                                 "$REPRO_CACHE_DIR or .repro_cache)")
-
-
-def _certificates(args):
-    """Install the validation-certificate root a ``suite``/``run``
-    invocation persists to (none under ``--no-cache``).  Only the root:
-    the store opens on the first compiled plan that needs validating."""
-    from ..common.cache import resolve_cache_root
-    from ..sycl.plan import using_certificate_store
-
-    return using_certificate_store(
-        None if args.no_cache else resolve_cache_root(args.cache_dir))
+def _add_mode_arg(sub_parser: argparse.ArgumentParser) -> None:
+    sub_parser.add_argument("--mode", default="auto",
+                            choices=["auto", "item", "compiled"],
+                            help="kernel form: auto runs each kernel's "
+                                 "vector_fn, else its item_fn; item pins "
+                                 "the item_fn; compiled is an alias of "
+                                 "auto, kept until ROADMAP item 3 retires "
+                                 "the suite-compiled workload "
+                                 "(default: auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,12 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="functional problem scale (default: test scale)")
     run.add_argument("--variant", default="sycl_opt",
                      choices=[v.value for v in Variant])
-    run.add_argument("--mode", default="auto",
-                     choices=["auto", "item", "compiled"],
-                     help="kernel form: auto, item or compiled "
-                          "(default: auto)")
+    _add_mode_arg(run)
     run.add_argument("--quiet", action="store_true")
-    _add_cache_args(run)
     _add_trace_args(run)
 
     sub.add_parser("list", help="list benchmarks and devices")
@@ -125,7 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("which", nargs="+",
                          choices=["fig1", "fig2", "fig4", "fig5", "table2",
                                   "table3"])
-    _add_cache_args(figures)
+    figures.add_argument("--no-cache", action="store_true",
+                         help="disable the figure cache")
+    figures.add_argument("--cache-dir", default=None,
+                         help="figure cache directory (default: "
+                              "$REPRO_CACHE_DIR or .repro_cache)")
     _add_trace_args(figures)
 
     suite = sub.add_parser("suite",
@@ -134,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DEVICE_SPECS))
     suite.add_argument("--variant", default="sycl_opt",
                        choices=[v.value for v in Variant])
-    suite.add_argument("--mode", default="auto",
-                       choices=["auto", "item", "compiled"],
-                       help="kernel form: auto, item or compiled "
-                            "(default: auto)")
+    _add_mode_arg(suite)
     suite.add_argument("--on-error", default="abort",
                        choices=["abort", "degrade"],
                        help="abort: the first failing cell stops the "
@@ -152,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--resume", action="store_true",
                        help="skip cells already completed in the journal "
                             "and merge their results into the report")
-    _add_cache_args(suite)
     _add_trace_args(suite)
 
     profile = sub.add_parser(
@@ -166,10 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(DEVICE_SPECS))
     profile.add_argument("--variant", default="sycl_opt",
                          choices=[v.value for v in Variant])
-    profile.add_argument("--mode", default="auto",
-                         choices=["auto", "item", "compiled"],
-                         help="kernel form: auto, item or compiled "
-                              "(default: auto)")
+    _add_mode_arg(profile)
     profile.add_argument("--scale", type=_positive(float), default=None,
                          help="functional problem scale (default: 2x the "
                               "functional test scale)")
@@ -227,10 +208,8 @@ def _cmd_run(args) -> int:
 
     db = ResultDB()
     try:
-        with _certificates(args):
-            run_benchmark(args.benchmark, args.size, args.device,
-                          args.passes, Variant(args.variant), args.scale, db,
-                          mode=args.mode)
+        run_benchmark(args.benchmark, args.size, args.device, args.passes,
+                      Variant(args.variant), args.scale, db, mode=args.mode)
     except ReproError as exc:
         print(f"run failed: {exc}")
         return 1
@@ -293,11 +272,10 @@ def _cmd_suite(args) -> int:
     if journal is None and args.resume:
         journal = ".repro_sweep.journal"
     try:
-        with _certificates(args):
-            results = run_suite_functional(
-                args.device, Variant(args.variant), mode=args.mode,
-                degrade=args.on_error == "degrade",
-                journal=journal, resume=args.resume)
+        results = run_suite_functional(
+            args.device, Variant(args.variant), mode=args.mode,
+            degrade=args.on_error == "degrade",
+            journal=journal, resume=args.resume)
     except CellExecutionError as exc:
         print(f"suite aborted: {exc}")
         if journal is not None:

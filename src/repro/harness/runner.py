@@ -97,7 +97,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
                    mode: str = "auto") -> RunResult:
     """Generate -> run -> verify one benchmark configuration.
 
-    ``mode`` is the queue's kernel form (auto/item/compiled, see
+    ``mode`` is the queue's kernel form (auto/item, see
     :class:`~repro.sycl.queue.Queue`) — the differential tests' entry
     point.
 

@@ -5,9 +5,8 @@ the row a cell becomes under ``python -m repro suite --on-error
 degrade`` instead of aborting the sweep.  The other failure paths live
 with the code they protect: checkpoint-resume in
 :class:`repro.harness.resultdb.SweepJournal` (``--journal``/
-``--resume``), and the corrupt-entry fallbacks in
-:class:`repro.harness.resultdb.FigureCache` and
-:class:`repro.sycl.certificates.CertificateStore`.
+``--resume``), and the corrupt-entry fallback in
+:class:`repro.harness.resultdb.FigureCache`.
 docs/resilience.md walks through all of them.
 """
 

@@ -20,10 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "clear_execution_caches"),
     "plan": ("LaunchPlan", "get_plan", "compile_plan", "plan_cache_info",
              "plan_pool_stats", "clear_plan_caches", "set_plan_cache_limit"),
-    # the compiled (batched-numpy) tier
-    "vectorize": ("CompiledKernel", "VectorizeFallback", "compile_batched",
-                  "eligible_form", "prove_exact",
-                  "vectorize_cache_info", "clear_vectorize_caches"),
     "kernel": ("KernelSpec", "KernelKind", "KernelAttributes", "LoopSpec"),
     "ndrange": ("Range", "Id", "NdRange", "NdItem", "Group", "FenceSpace",
                 "BarrierToken"),

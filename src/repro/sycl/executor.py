@@ -1,8 +1,8 @@
 """Functional execution of SYCL kernels.
 
 Every nd-range launch runs through a cached
-:class:`~repro.sycl.plan.LaunchPlan` on one of three paths, picked by
-the launch's mode (``auto``, ``item`` or ``compiled``, set once per
+:class:`~repro.sycl.plan.LaunchPlan` on one of two paths, picked by
+the launch's mode (``auto`` or ``item``, set once per
 :class:`~repro.sycl.queue.Queue`):
 
 * **vectorized** — the kernel's ``vector_fn`` is invoked once for the
@@ -14,10 +14,7 @@ the launch's mode (``auto``, ``item`` or ``compiled``, set once per
   items of a work-group *phase by phase*: it advances every generator to
   its next ``yield item.barrier(...)`` before any generator continues.
   This is exactly the SIMT barrier contract — every work-item of the
-  group reaches barrier *k* before any proceeds past it;
-* **compiled** — the ``item_fn`` lifted into one batched numpy program
-  (:mod:`repro.sycl.vectorize`, loaded only in compiled mode), proven
-  bitwise against the per-item path before it runs on real buffers.
+  group reaches barrier *k* before any proceeds past it.
 
 This module holds what the plans share: launch validation, path
 selection, the memoized index-point grids and per-group (global id,
@@ -66,10 +63,10 @@ class ExecutionStats:
         self.groups = 0
         self.items = 0
         self.barrier_phases = 0
-        #: which execution path ran: vector / item / compiled / single_task
+        #: which execution path ran: vector / item / single_task
         self.path = ""
         #: generator resumptions performed by the phase engine (scheduler
-        #: work; 0 on the vectorized paths)
+        #: work; 0 on the vector path)
         self.gen_advances = 0
 
     def __repr__(self) -> str:
@@ -227,9 +224,8 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
 # ---------------------------------------------------------------------------
 
 #: the executor's modes: ``auto`` runs a kernel's ``vector_fn``, else its
-#: ``item_fn``; ``item`` pins the ``item_fn``; ``compiled`` lifts the
-#: ``item_fn`` into the batched tier of :mod:`repro.sycl.vectorize`
-_MODES = ("auto", "item", "compiled")
+#: ``item_fn``; ``item`` pins the ``item_fn``
+_MODES = ("auto", "item")
 
 # populated on the first launch (the plan module imports this one, so
 # the executor reaches back lazily)
@@ -237,9 +233,7 @@ _get_plan = None
 
 
 def _select_path(kernel: KernelSpec, mode: str) -> str:
-    """The path a launch in ``mode`` takes.  ``"compiled"`` is
-    provisional: the plan falls back to ``"item"`` when the ``item_fn``
-    does not lift."""
+    """The path a launch in ``mode`` takes: ``"vector"`` or ``"item"``."""
     if mode not in _MODES:
         raise KernelLaunchError(
             f"unknown execution mode {mode!r}; expected one of {_MODES}")
@@ -248,7 +242,7 @@ def _select_path(kernel: KernelSpec, mode: str) -> str:
     if kernel.item_fn is None:
         raise KernelLaunchError(
             f"kernel {kernel.name!r} has no item_fn (mode={mode!r})")
-    return "item" if mode == "auto" else mode
+    return "item"
 
 
 def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
@@ -258,10 +252,7 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
 
     ``mode`` is one of :data:`_MODES`: ``"auto"`` runs the whole-range
     ``vector_fn`` when the kernel has one, else the per-item
-    ``item_fn``; ``"item"`` pins the per-item interpreter; and
-    ``"compiled"`` runs the ``item_fn`` as the batched-numpy tier of
-    :mod:`repro.sycl.vectorize`, falling back to the per-item
-    interpreter when the kernel is not batchable.
+    ``item_fn``; ``"item"`` pins the per-item interpreter.
 
     The launch goes through the plan cache (:mod:`repro.sycl.plan`):
     the first launch of a shape compiles a
@@ -311,8 +302,8 @@ def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
                     f"single-task kernel {kernel.name!r} blocked on a pipe; "
                     "submit it through Queue.dataflow instead"
                 )
-    if tracer is not None:
-        _note_execution_metrics(stats)
     stats.groups = 1
     stats.items = 1
+    if tracer is not None:
+        _note_execution_metrics(stats)
     return stats

@@ -123,27 +123,6 @@ class KernelSpec:
     def feature(self, key: str, default=None):
         return self.features.get(key, default)
 
-    def compiled_form(self) -> tuple:
-        """Eligibility of this kernel for the batched compiled tier.
-
-        Returns ``(form, reason)`` from
-        :func:`repro.sycl.vectorize.eligible_form`: ``("item", None)``
-        when the ``item_fn`` lifts into a batched numpy program, else
-        ``(None, reason)`` with the
-        construct that blocked it.  Declare a ``no_vectorize`` feature
-        to opt a kernel out of the tier entirely.
-
-        The batchable dialect covers guard returns, conditionals,
-        ``for <name> in range(...)`` loops with launch-invariant trip
-        counts (barriers legal inside), ``LocalAccessor`` tiles across
-        barrier phases, and the scalar builtins ``abs``/``min``/``max``/
-        ``float`` plus ``math.*`` with numpy lowerings — see the
-        "Batchable dialect" table in ``docs/performance.md``.
-        """
-        from .vectorize import eligible_form  # lazy: avoids an import cycle
-
-        return eligible_form(self)
-
     def with_attributes(self, **kwargs) -> "KernelSpec":
         """Return a copy with updated attributes (optimization steps)."""
         new_attrs = replace(self.attributes, **kwargs)

@@ -14,8 +14,8 @@ an immutable :class:`LaunchPlan`:
 
 * the selected execution path and the validated work-group limits;
 * a reference to the memoized group grid of the range (the per-item
-  lattice is looked up by the first per-item launch, so a compiled plan
-  whose certificate hits never builds one);
+  lattice is looked up by the first per-item launch, so a plan on the
+  ``vector_fn`` path never builds one);
 * ``inspect``-derived facts — whether the chosen form is a generator,
   and its argument arity (the binding order of ``(index, *args)``).
 
@@ -55,10 +55,9 @@ Plan reuse is observable through the cache counters:
 from __future__ import annotations
 
 import inspect
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext as _null_context
+from contextlib import nullcontext as _null_context
 
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
@@ -83,8 +82,6 @@ __all__ = [
     "clear_plan_caches",
     "set_plan_cache_limit",
     "plan_pool_stats",
-    "certificate_store",
-    "using_certificate_store",
 ]
 
 
@@ -101,70 +98,13 @@ _COMPILES = 0
 _EVICTIONS = 0
 
 
-# ---------------------------------------------------------------------------
-# Validation certificates (off unless installed)
-# ---------------------------------------------------------------------------
-
-#: what :func:`using_certificate_store` installed: ``None`` (persist
-#: nothing), a cache root not yet opened, or an open store
-_CERTIFICATES = None
-_CERT_LOCK = threading.Lock()
-
-
-def certificate_store():
-    """The installed :class:`~repro.sycl.certificates.CertificateStore`,
-    or ``None`` (every compiled plan validates in full).
-
-    An installed cache root is opened here, on the first compiled launch
-    that needs validating, so processes that never validate a compiled
-    plan never load :mod:`repro.sycl.certificates`.
-    """
-    global _CERTIFICATES
-    installed = _CERTIFICATES
-    if not isinstance(installed, (str, os.PathLike)):
-        return installed
-    with _CERT_LOCK:
-        if isinstance(_CERTIFICATES, (str, os.PathLike)):
-            from .certificates import CertificateStore
-
-            _CERTIFICATES = CertificateStore(_CERTIFICATES)
-        return _CERTIFICATES
-
-
-@contextmanager
-def using_certificate_store(store):
-    """Install validation certificates process-wide for a block.
-
-    ``store`` is a :class:`~repro.sycl.certificates.CertificateStore`, a
-    cache root to open one under (``<root>/certificates``) when a plan
-    first needs it, or ``None`` for no store.  The previous setting is
-    restored after the block.  Library callers that install nothing
-    persist nothing.
-    """
-    global _CERTIFICATES
-    previous, _CERTIFICATES = _CERTIFICATES, store
-    try:
-        yield store
-    finally:
-        _CERTIFICATES = previous
-
-
 def plan_cache_info() -> dict:
     """Counters of the process-wide plan cache (mirrors
     :func:`~repro.sycl.executor.execution_cache_info`)."""
     with _LOCK:
         tiers: dict = {}
-        validated_by: dict = {}
         for plan in _CACHE.values():
-            entry = tiers.setdefault(plan.path,
-                                     {"count": 0, "fallbacks": {}})
-            entry["count"] += 1
-            if plan.fallback_reason is not None:
-                entry["fallbacks"][plan.kernel.name] = plan.fallback_reason
-            ck = plan.compiled
-            if ck is not None:
-                for how in list(ck.proofs.values()) or ["unvalidated"]:
-                    validated_by[how] = validated_by.get(how, 0) + 1
+            tiers.setdefault(plan.path, {"count": 0})["count"] += 1
         return {
             "hits": _HITS,
             "misses": _MISSES,
@@ -172,26 +112,14 @@ def plan_cache_info() -> dict:
             "evictions": _EVICTIONS,
             "size": len(_CACHE),
             "maxsize": _MAXSIZE,
-            # per-plan execution tier (compiled / vector / item)
-            # so tier regressions are visible without tracing.  Each
-            # entry carries a plan count plus, for plans that *missed*
-            # the compiled tier while it was requested, the per-kernel
-            # fallback reason (static ineligibility or the runtime
-            # demotion message) — a demoted compiled plan shows up
-            # under its interpreter tier with the reason it fell.
+            # live plans per execution path (vector / item), so a
+            # change of kernel form is visible without tracing
             "tiers": tiers,
-            # how the live compiled plans' argument signatures were
-            # proven: "static" (the exactness pass), "replay" (exact
-            # for one launch apart from residual calls checked per
-            # lane), "shadow" (this process compared bitwise),
-            # "certificate" (a persisted proof), or "unvalidated" for a
-            # plan with no proven signature yet
-            "validated_by": validated_by,
         }
 
 
 def clear_plan_caches() -> None:
-    """Drop every compiled plan and zero the cache counters."""
+    """Drop every cached plan and zero the cache counters."""
     global _HITS, _MISSES, _COMPILES, _EVICTIONS
     with _LOCK:
         _CACHE.clear()
@@ -315,7 +243,7 @@ def _compile_and_insert(kernel, nd_range, key, device_max_wg,
 
 
 # ---------------------------------------------------------------------------
-# The compiled plan
+# The launch plan
 # ---------------------------------------------------------------------------
 
 class LaunchPlan:
@@ -324,9 +252,7 @@ class LaunchPlan:
     Compilation validates the launch (work-group attributes and device
     limit), selects the execution path, resolves the memoized group
     grid, and probes the kernel form with :mod:`inspect` — work that
-    would otherwise repeat per launch.  The compiled facts are
-    immutable, except that a compiled plan may demote once to the
-    per-item path.
+    would otherwise repeat per launch.  These facts are immutable.
 
     ``execute`` is the one implementation of a launch.  Traced and
     untraced launches run the same runners over the plan's thread-local
@@ -337,7 +263,7 @@ class LaunchPlan:
     __slots__ = (
         "kernel", "nd_range", "path", "is_generator", "arity",
         "run_fn", "group_ids", "group_size", "num_groups",
-        "total_items", "compiled", "fallback_reason", "_tls",
+        "total_items", "_tls",
     )
 
     def __init__(self, kernel: KernelSpec, nd_range: NdRange,
@@ -345,24 +271,7 @@ class LaunchPlan:
         validate_launch(kernel, nd_range, device_max_wg)
         self.kernel = kernel
         self.nd_range = nd_range
-        self.compiled = None
-        #: why this plan is not (or no longer) on the compiled tier:
-        #: the static ineligibility reason when compiled mode was
-        #: requested, or the runtime demotion message after ``_demote``;
-        #: ``None`` for compiled plans and paths that never tried
-        self.fallback_reason = None
         self.path = _select_path(kernel, mode)
-        if self.path == "compiled":
-            # compiled mode is the only one that loads the batched tier
-            from .vectorize import compile_batched, note_fallback
-
-            self.compiled, reason = compile_batched(kernel, nd_range)
-            if self.compiled is None:
-                note_fallback(kernel.name, reason, "static")
-                self.path = "item"
-                self.fallback_reason = reason
-        # the interpreter form behind the plan: for a compiled plan this
-        # is the validation reference / demotion target
         self.run_fn = (kernel.vector_fn if self.path == "vector"
                        else kernel.item_fn)
         self.is_generator = inspect.isgeneratorfunction(self.run_fn)
@@ -383,15 +292,10 @@ class LaunchPlan:
                 f"groups={self.num_groups}, items={self.total_items})")
 
     def describe(self) -> dict:
-        """The compiled launch-invariant facts, as plain data."""
-        ck = self.compiled
+        """The plan's launch-invariant facts, as plain data."""
         return {
             "kernel": self.kernel.name,
             "path": self.path,
-            "compiled_validated": ck.validated if ck is not None else None,
-            # "static" / "replay" / "shadow" / "certificate" once
-            # validated, else None
-            "validated_by": ck.validated_by if ck is not None else None,
             "is_generator": self.is_generator,
             "arity": self.arity,
             "global_range": self.nd_range.global_range.dims,
@@ -399,7 +303,6 @@ class LaunchPlan:
             "groups": self.num_groups,
             "group_size": self.group_size,
             "items": self.total_items,
-            "fallback_reason": self.fallback_reason,
         }
 
     # -- group pooling -----------------------------------------------------
@@ -447,174 +350,19 @@ class LaunchPlan:
         """Run one launch through the plan."""
         stats = ExecutionStats()
         tracer = current_tracer()
-        ck = self.compiled
-        if ck is not None:
-            return self._execute_compiled(ck, args, stats, tracer)
-        # _demote writes path before clearing compiled, so a plan read
-        # as demoted here already carries its final path
         stats.path = path = self.path
         with (tracer.span(f"{self.kernel.name}:{path}", "kernel-form",
                           kernel=self.kernel.name, path=path)
               if tracer is not None else _null_context()):
-            self._run(args, stats, tracer)
-        if tracer is not None:
-            _note_execution_metrics(stats)
-        return stats
-
-    def _run(self, args: tuple, stats: ExecutionStats, tracer) -> None:
-        """One launch on the plan's interpreter path."""
-        if self.path == "vector":
-            self.run_fn(self.nd_range, *args)
-            stats.groups = self.num_groups
-            stats.items = self.total_items
-        else:
-            self._run_item(args, stats, tracer)
-
-    def _execute_compiled(self, ck, args: tuple, stats: ExecutionStats,
-                          tracer) -> ExecutionStats:
-        stats.path = "compiled"
-        signature = ck.signature(args)
-        with (tracer.span(f"{self.kernel.name}:compiled", "kernel-form",
-                          kernel=self.kernel.name, path="compiled",
-                          validated=signature in ck.proofs)
-              if tracer is not None else _null_context()):
-            self._run_compiled(ck, signature, args, stats, tracer)
-        if tracer is not None:
-            _note_execution_metrics(stats)
-        return stats
-
-    def _run_compiled(self, ck, signature: tuple, args: tuple,
-                      stats: ExecutionStats, tracer) -> None:
-        """One launch of the batched tier.
-
-        Validation is per argument signature (dtype, shape and layout of
-        every buffer, type of every scalar): one plan serves CFD's FP32
-        and FP64 launches alike, and each must be proven on its own
-        arguments.  The first launch of a signature runs the batched
-        program on buffer *copies* while the per-item interpreter runs
-        on the real buffers; a bitwise match proves the signature,
-        anything else permanently demotes the plan — the interpreter
-        result is authoritative either way, so the launch's outputs are
-        byte-identical to the interpreter by construction.  Proven
-        launches run the batched program directly; argument types the
-        batched runtime cannot represent demote *before* any buffer is
-        touched.  Data-dependent numpy errors on a proven launch (e.g.
-        an out-of-bounds indirect store) propagate, exactly as the
-        interpreter's would mid-loop.
-
-        The order is static proof, certificate, replay, shadow.  A
-        signature the static exactness pass proves
-        (:func:`~repro.sycl.vectorize.prove_exact`) runs the batched
-        program directly from its first launch, with no store lookup and
-        no shadow run.  Otherwise, with a certificate store installed
-        (:mod:`repro.sycl.certificates`), an intact certificate for this
-        launch's key stands in for validation, and a validation that
-        matches writes one.  Validation is a replay
-        (:meth:`~repro.sycl.vectorize.CompiledKernel.replay`) when the
-        launch-mode pass proves this launch exact apart from residual
-        calls, else a shadow run; both vouch for this launch alone, and
-        the memo and the certificate generalize from either alike.
-        """
-        store = payload = None
-        proven = (signature in ck.proofs
-                  or ck.prove_statically(self.run_fn, args, signature))
-        if not proven:
-            store = certificate_store()
-            if store is not None:
-                from .certificates import certificate_payload
-
-                payload = certificate_payload(self.kernel, self.run_fn,
-                                              ck.fn, self.nd_range, args)
-                if payload is not None and store.lookup(payload):
-                    ck.proofs[signature] = "certificate"
-                    proven = True
-        if proven:
-            from .vectorize import VectorizeFallback
-
-            try:
-                bound = ck.bind(args)
-            except VectorizeFallback as exc:
-                self._demote(str(exc))
-                stats.path = self.path
-                self._run_item(args, stats, tracer)
-                return
-            self._batched_stats(ck, ck.run(bound, tracer), stats)
-            return
-        with (tracer.span("vectorize.validate", "vectorize",
-                          kernel=self.kernel.name)
-              if tracer is not None else _null_context()) as span:
-            sites = ck.replay_sites(self.run_fn, args)
-            if span is not None:
-                span.args["how"] = "shadow" if sites is None else "replay"
-            if sites is None:
-                matched = self._shadow_validate(ck, signature, args, stats,
-                                                tracer)
+            if path == "vector":
+                self.run_fn(self.nd_range, *args)
+                stats.groups = self.num_groups
+                stats.items = self.total_items
             else:
-                matched = self._replay_validate(ck, sites, signature, args,
-                                                stats, tracer)
-        if matched and payload is not None:
-            store.record(payload)
-
-    def _batched_stats(self, ck, phases: int, stats: ExecutionStats) -> None:
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        if ck.is_generator:
-            # one batched phase = one barrier phase in every group
-            stats.barrier_phases = phases * self.num_groups
-            stats.gen_advances = phases + 1
-
-    def _replay_validate(self, ck, sites: dict, signature: tuple,
-                         args: tuple, stats: ExecutionStats, tracer) -> bool:
-        """The batched program on buffer copies with its residual calls
-        replayed per lane; on a match the outputs are copied back and
-        ``signature`` is proven, on any failure the plan demotes and the
-        interpreter runs on the real buffers.  Returns whether it
-        matched."""
-        _metrics.counter("vectorize.replay.checks").inc()
-        try:
-            phases = ck.replay(args, sites, tracer)
-        except Exception as exc:  # noqa: BLE001 — any failure demotes
-            _metrics.counter("vectorize.replay.mismatches").inc()
-            self._demote(f"{type(exc).__name__}: {exc}")
-            stats.path = self.path
-            self._run_item(args, stats, tracer)
-            return False
-        ck.proofs[signature] = "replay"
-        self._batched_stats(ck, phases, stats)
-        return True
-
-    def _shadow_validate(self, ck, signature: tuple, args: tuple,
-                         stats: ExecutionStats, tracer) -> bool:
-        """The batched program on buffer copies, the interpreter on the
-        real buffers, then a bitwise comparison; proves ``signature``
-        on a match and demotes otherwise.  Returns whether it matched."""
-        try:
-            shadow_args = ck.shadow_run(args)
-        except Exception as exc:  # noqa: BLE001 — any failure demotes
-            self._demote(f"{type(exc).__name__}: {exc}")
-            stats.path = self.path
-            self._run_item(args, stats, tracer)
-            return False
-        # authoritative interpreter run on the real buffers
-        self._run_item(args, stats, tracer)
-        if ck.buffers_match(shadow_args, args):
-            ck.proofs[signature] = "shadow"  # stats.path stays "compiled"
-            return True
-        self._demote("batched result diverged from the interpreter")
-        stats.path = self.path
-        return False
-
-    def _demote(self, reason: str) -> None:
-        """Permanently fall this plan back to the per-item interpreter."""
-        ck = self.compiled
-        if ck is None:  # concurrent launch demoted first
-            return
-        from .vectorize import note_fallback
-
-        note_fallback(self.kernel.name, reason, "runtime")
-        self.fallback_reason = reason
-        self.path = "item"
-        self.compiled = None
+                self._run_item(args, stats, tracer)
+        if tracer is not None:
+            _note_execution_metrics(stats)
+        return stats
 
     def _run_item(self, args: tuple, stats: ExecutionStats,
                   tracer=None) -> None:

@@ -61,7 +61,7 @@ class LaunchCounters:
 
     These make executor/harness speedups measurable rather than asserted:
     ``path_counts`` records which execution path (vector / item /
-    compiled / single_task) served each kernel launch, and ``gen_advances`` counts
+    single_task) served each kernel launch, and ``gen_advances`` counts
     the generator resumptions the barrier-phase engine performed.
     Reset together with the timeline by :meth:`Queue.reset_timeline`.
     """
@@ -118,12 +118,12 @@ class Queue:
         The one way to pick a kernel form, for every nd-range launch on
         this queue.  ``"auto"`` (or ``None``) runs a kernel's
         ``vector_fn`` when it has one, else its ``item_fn``; ``"item"``
-        pins the per-item interpreter; ``"compiled"`` runs the
-        ``item_fn`` as the batched-numpy tier (:mod:`repro.sycl.vectorize`),
-        and ineligible kernels fall back to the interpreter with a
-        recorded ``vectorize.fallback``.  A kernel without an ``item_fn``
+        pins the per-item interpreter.  A kernel without an ``item_fn``
         runs auto in every mode.  This is how the differential tests pin
         one kernel form across a whole ``run_sycl`` pipeline.
+        ``"compiled"`` is accepted as a spelling of ``"auto"``; it named
+        a batched tier that no longer exists, and it stays until ROADMAP
+        item 3 retires perfbench's ``suite-compiled`` workload.
     """
 
     def __init__(self, dev: Device | str, *, enable_profiling: bool = True,
@@ -133,7 +133,8 @@ class Queue:
         self.device = dev
         self.profiling = enable_profiling
         self.timing = SpecTiming(dev)
-        default_mode = default_mode or "auto"
+        if default_mode in (None, "compiled"):
+            default_mode = "auto"
         if default_mode not in _MODES:
             raise InvalidParameterError(
                 f"unknown default_mode {default_mode!r}; "
@@ -299,8 +300,7 @@ class Queue:
         if kernel.kind == KernelKind.ND_RANGE:
             if nd_range is None:
                 raise KernelLaunchError("nd-range kernel launched without a range")
-            # item and compiled both run the item_fn; a kernel without
-            # one keeps the auto form
+            # a kernel without an item_fn keeps the auto form
             mode = self.default_mode if kernel.item_fn is not None else "auto"
             stats = run_nd_range(
                 kernel, nd_range, args,

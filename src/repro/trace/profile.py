@@ -57,7 +57,7 @@ __all__ = [
 
 #: Schema tag carried by every ``profile.json``; bump on key-structure
 #: changes so downstream tooling can detect drift.
-PROFILE_SCHEMA = "repro-profile/2"
+PROFILE_SCHEMA = "repro-profile/3"
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +202,8 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         "hit_rate": plan_hits / plan_lookups if plan_lookups else 0.0,
         "compile_wall_us": plan_compile_us,
         "pools": plan_pool_stats(),
-        # execution-tier split of the live plans, with the demotion
-        # reason for every kernel that fell off the compiled tier
+        # execution-path split of the live plans
         "tiers": plan_info["tiers"],
-        # how the compiled plans were validated (static proof, replay,
-        # shadow run or a persisted certificate)
-        "validated_by": plan_info["validated_by"],
     }
 
     # -- run identity & device context -----------------------------------
@@ -408,13 +404,6 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
         lines.append("- execution tiers: " + ", ".join(
             f"{path}={entry['count']}" for path, entry in
             sorted(tiers.items())))
-        for path, entry in sorted(tiers.items()):
-            for kname, reason in sorted(entry["fallbacks"].items()):
-                lines.append(f"  - `{kname}` -> {path}: {reason}")
-    validated_by = pc.get("validated_by") or {}
-    if validated_by:
-        lines.append("- compiled plans validated by: " + ", ".join(
-            f"{how}={count}" for how, count in sorted(validated_by.items())))
     lines.append("")
 
     if not deterministic:

@@ -6,7 +6,7 @@ mirrors the layers of a reproduction run::
     run (CLI invocation)
       app (one benchmark configuration, harness.runner)
         launch (one queue command, sycl.queue)
-          kernel-form segment (vector / item / compiled, sycl.executor)
+          kernel-form segment (vector / item / single_task, sycl.executor)
             barrier-phase (one phase of the generator scheduler)
       model (perfmodel.timeline launch-plan assembly)
 

@@ -3,12 +3,10 @@
 The hand-listed item-vs-vector tests (test_apps_item_vs_vector.py) pin
 individual kernels; this module closes the gap the issue calls out: for
 *every* configuration in the registry, the full ``run_sycl`` pipeline is
-executed once per executor path — auto (vector-preferring), item, and
-compiled — through ``Queue(default_mode=...)``, and all paths must
-agree.  Kernels that do not implement a pinned form fall back to
-automatic selection (and kernels whose ``item_fn`` does not lift fall
-back from compiled to item), so "where implemented" is decided per
-kernel, not per app.  Agreement is byte for byte, except for LavaMD
+executed once per executor path — auto (vector-preferring) and item —
+through ``Queue(default_mode=...)``, and both paths must agree.
+Kernels that do not implement a pinned form fall back to automatic
+selection, so "where implemented" is decided per kernel, not per app.  Agreement is byte for byte, except for LavaMD
 (see ``_DIFF_TOLERANCES``).
 """
 
@@ -68,7 +66,7 @@ def _assert_outputs_agree(config: str, got: dict, want: dict) -> None:
                                           err_msg=msg, strict=True)
 
 
-@pytest.mark.parametrize("mode", ["item", "compiled"])
+@pytest.mark.parametrize("mode", ["item"])
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_kernel_forms_agree(config, mode):
     """Every decomposed path must reproduce the auto-selected result."""
@@ -88,13 +86,8 @@ def test_kernel_forms_agree(config, mode):
                 if t.event.kind is CommandKind.KERNEL}
     specs = {k.name: k for k in app.kernels(Variant.SYCL_OPT).values()}
 
-    def implements(spec):
-        if mode == "compiled":
-            return spec.compiled_form()[0] is not None
-        return getattr(spec, f"{mode}_fn") is not None
-
     expected = any(
-        implements(specs[name])
+        getattr(specs[name], f"{mode}_fn") is not None
         for name in launched if name in specs
         and not specs[name].is_single_task
     )
@@ -109,9 +102,8 @@ def test_kernel_forms_agree(config, mode):
 def test_kernel_forms_agree_on_more_seeds(config, seed):
     """Byte equality across forms is not an accident of seed 0."""
     base_out = _run_with_mode(config, None, seed)[0]
-    for mode in ("item", "compiled"):
-        _assert_outputs_agree(config, _run_with_mode(config, mode, seed)[0],
-                              base_out)
+    _assert_outputs_agree(config, _run_with_mode(config, "item", seed)[0],
+                          base_out)
 
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))

@@ -3,9 +3,8 @@ with generator barriers) must agree with the numpy fast paths, byte for
 byte except LavaMD, whose vector form reduces through ``einsum`` and
 ``.sum`` in an order a per-item loop does not reproduce.
 
-NW, SRAD and KMeans are parametrized over both forms an ``item_fn``
-runs in — ``mode="item"`` (the strict per-item interpreter) and
-``mode="compiled"`` (the batched program shadow-validated against it)."""
+NW, SRAD and KMeans run their ``item_fn`` through ``mode="item"``, the
+strict per-item interpreter."""
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ class TestMandelbrotItemPath:
 
 
 class TestNwItemPath:
-    @pytest.mark.parametrize("mode", ["item", "compiled"])
+    @pytest.mark.parametrize("mode", ["item"])
     def test_blocked_wavefront_with_barriers(self, mode):
         from repro.altis.nw import NW, _similarity
 
@@ -61,7 +60,7 @@ class TestNwItemPath:
 
 
 class TestKMeansItemPath:
-    @pytest.mark.parametrize("mode", ["item", "compiled"])
+    @pytest.mark.parametrize("mode", ["item"])
     def test_map_centers(self, mode):
         from repro.altis.kmeans import KMeans, _assign_points
 
@@ -81,7 +80,7 @@ class TestKMeansItemPath:
 
 
 class TestSradItemPath:
-    @pytest.mark.parametrize("mode", ["item", "compiled"])
+    @pytest.mark.parametrize("mode", ["item"])
     def test_both_kernels(self, mode):
         from repro.altis.srad import Srad
 

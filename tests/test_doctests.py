@@ -14,7 +14,6 @@ import pytest
 import repro.common.cache
 import repro.common.rng
 import repro.harness.runner
-import repro.sycl.certificates
 import repro.sycl.plan
 import repro.sycl.queue
 
@@ -23,7 +22,6 @@ import repro.sycl.queue
     repro.common.cache,
     repro.common.rng,
     repro.harness.runner,
-    repro.sycl.certificates,
     repro.sycl.plan,
     repro.sycl.queue,
 ], ids=lambda m: m.__name__)

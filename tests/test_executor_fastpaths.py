@@ -34,8 +34,8 @@ class TestPathSelection:
         np.testing.assert_array_equal(out, 1)
 
     def test_force_item_runs_items(self):
-        # item mode forces the per-item interpreter, never the compiled
-        # tier, although this item_fn is batchable
+        # item mode forces the per-item interpreter although the kernel
+        # has a vector_fn
         out = np.zeros(8)
         stats = run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                              (out,), mode="item")
@@ -52,7 +52,7 @@ class TestPathSelection:
         assert stats.path == "item"
         np.testing.assert_array_equal(out, 1)
 
-    @pytest.mark.parametrize("path", ["vector", "item", "compiled"])
+    @pytest.mark.parametrize("path", ["vector", "item"])
     def test_explicit_mode_pins_path(self, path):
         # auto is the mode that runs a vector_fn
         mode = "auto" if path == "vector" else path
@@ -62,9 +62,8 @@ class TestPathSelection:
         assert stats.path == path
         np.testing.assert_array_equal(out, 1)
 
-    def test_auto_mode_never_promotes_to_compiled(self):
-        # without a vector_fn auto runs the item_fn per item, even when
-        # it lifts into the batched tier
+    def test_auto_mode_without_vector_fn_runs_items(self):
+        # without a vector_fn auto runs the item_fn per item
         k = KernelSpec(name="items", item_fn=_add_item)
         out = np.zeros(8)
         stats = run_nd_range(k, NdRange(Range(8), Range(4)), (out,))
@@ -82,14 +81,6 @@ class TestPathSelection:
             run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
                          (np.zeros(8),), mode="warp")
 
-    def test_force_item_without_any_decomposed_impl_raises(self):
-        # the compiled tier lifts the item_fn too, so a vector-only
-        # kernel cannot run there either
-        k = KernelSpec(name="vonly", vector_fn=_add_vector)
-        with pytest.raises(KernelLaunchError, match="has no item_fn"):
-            run_nd_range(k, NdRange(Range(8), Range(4)), (np.zeros(8),),
-                         mode="compiled")
-
 
 
 class TestMemoizedLattices:
@@ -104,12 +95,6 @@ class TestMemoizedLattices:
         k = KernelSpec(name="items", item_fn=_add_item)
         out = np.zeros(16)
         nd = NdRange(Range(16), Range(4))
-        run_nd_range(k, nd, (out,), mode="compiled")
-        # the compiled plan is proven statically, so it runs no
-        # interpreter and never consults the lattice: neither the plan
-        # nor the compiled tier's lane tables look it up
-        lattice = execution_cache_info()["nd_lattice"]
-        assert (lattice.hits, lattice.misses) == (0, 0)
         run_nd_range(k, nd, (out,), mode="item")
         assert execution_cache_info()["nd_lattice"].misses == 1
         run_nd_range(k, nd, (out,))  # auto: another plan, same lattice
@@ -121,7 +106,7 @@ class TestMemoizedLattices:
         # warm planned launches hold the lattice reference: zero lru traffic
         lattice = execution_cache_info()["nd_lattice"]
         assert (lattice.hits, lattice.misses) == (1, 1)
-        np.testing.assert_array_equal(out, 7)
+        np.testing.assert_array_equal(out, 6)
 
     def test_memoized_grid_2d_correctness(self):
         seen = []
@@ -225,6 +210,21 @@ class TestOneLaunchPath:
                 main(["run", "NW", "--mode", mode, "--quiet"])
             assert excinfo.value.code == 2
             assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+
+    def test_compiled_is_auto_at_the_queue_only(self):
+        # the queue is the one place that reads "compiled" as "auto"; the
+        # executor knows only auto and item
+        from repro.sycl import Queue
+
+        q = Queue("rtx2080", default_mode="compiled")
+        assert q.default_mode == "auto"
+        out = np.zeros(8)
+        q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
+        assert q.counters.path_counts == {"vector": 1}
+        with pytest.raises(KernelLaunchError,
+                           match="unknown execution mode 'compiled'"):
+            run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),
+                         (out,), mode="compiled")
 
     def test_traced_and_untraced_launches_agree(self):
         """Tracing wraps the plan's own runners: a barrier item_fn gives

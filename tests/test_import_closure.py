@@ -2,9 +2,9 @@
 
 ``suite`` and ``figures`` are run in a fresh interpreter and their
 ``sys.modules`` checked against what they must never load: the layers
-they do not call, the compiled tier and its certificate store,
-``numpy.testing`` and any worker-pool machinery; ``suite --mode
-compiled`` must load the compiled tier.  The model-only commands
+they do not call, ``numpy.testing`` and any worker-pool machinery;
+``suite --mode compiled``, a spelling of auto, must load and print
+exactly what ``suite`` does.  The model-only commands
 (``figures``, ``list``, ``migrate``, ``synth``) never execute numpy.
 Static checks keep ``repro.sycl`` from importing the harness above it,
 every module reachable from another one, and every public name used
@@ -25,14 +25,10 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 
-#: the compiled tier, which only ``--mode compiled`` loads
-_COMPILED_TIER = ["repro.sycl.vectorize", "repro.sycl.exactness"]
-
-#: what a default ``suite`` never calls: the compiled tier and its
-#: certificate store, the model half of every app (modeled times, FPGA
-#: designs, source models) and the result DB
-_SUITE_UNLOADED = _COMPILED_TIER + [
-    "repro.sycl.certificates", "repro.dpct.migrator",
+#: what a default ``suite`` never calls: the model half of every app
+#: (modeled times, FPGA designs, source models) and the result DB
+_SUITE_UNLOADED = [
+    "repro.dpct.migrator",
     "repro.harness.experiments", "repro.trace.profile", "multiprocessing",
     "concurrent.futures", "concurrent.futures.process", "numpy.testing",
     "repro.perfmodel.timeline", "repro.perfmodel.overhead",
@@ -42,25 +38,19 @@ _SUITE_UNLOADED = _COMPILED_TIER + [
 
 
 @pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
-    (["suite", "--cache-dir", "cache"],
-     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
-    (["suite", "--cache-dir", "cache", "--journal", "J"],
+    (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
+    (["suite", "--journal", "J"],
      _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
-    (["suite", "--mode", "compiled", "--no-cache"],
-     _SUITE_UNLOADED[2:] + ["repro.harness.resultdb"], _COMPILED_TIER,
-     None),
     (["figures", "fig2", "--no-cache"],
-     ["repro.sycl.plan", "repro.sycl.vectorize", "concurrent.futures",
-      "multiprocessing", "numpy._core"], [], None),
-], ids=["suite", "suite-journal", "suite-compiled", "figures-fig2"])
+     ["repro.sycl.plan", "concurrent.futures", "multiprocessing",
+      "numpy._core"], [], None),
+], ids=["suite", "suite-journal", "figures-fig2"])
 def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
                                                loaded, max_repro):
-    """A command imports only what it runs.  ``suite`` installs only a
-    root; a run that validates no compiled plan never imports the
-    certificate module or writes anything, and neither command loads
-    the layers (or the pool and ``numpy.testing``) it does not use.
-    ``suite`` loads no app's model half, and the result DB only to
-    journal, and the compiled tier only in ``--mode compiled``."""
+    """A command imports only what it runs and writes no cache.  Neither
+    command loads the layers (or the pool and ``numpy.testing``) it
+    does not use; ``suite`` loads no app's model half, and the result
+    DB only to journal."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("REPRO_CACHE_DIR", None)
     code = ("import sys\n"
@@ -76,15 +66,38 @@ def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
     assert leaked == "[]" and missing == "[]"
     if max_repro is not None:
         assert int(repro_modules) <= max_repro
-    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / ".repro_cache").exists()
+
+
+def _suite_process(tmp_path, argv):
+    """``(stdout, sorted repro modules)`` of one fresh ``repro`` run."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("REPRO_CACHE_DIR", None)
+    code = ("import sys\n"
+            "from repro.harness.cli import main\n"
+            f"main({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'repro'), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout, proc.stderr.splitlines()[-1]
+
+
+def test_suite_compiled_imports_and_prints_what_suite_does(tmp_path):
+    """``--mode compiled`` is a spelling of auto: the same ``repro``
+    modules (at most 43) and a byte-identical report."""
+    auto = _suite_process(tmp_path, ["suite"])
+    compiled = _suite_process(tmp_path, ["suite", "--mode", "compiled"])
+    assert compiled == auto
+    assert auto[1].count("'repro") <= 43
 
 
 #: what a model-only command never loads: numpy itself (it is bound with
 #: ``lazy_module`` and never read), the launch path and the sweep
 _MODEL_UNLOADED = ["numpy._core", "numpy.random", "repro.sycl.plan",
-                   "repro.sycl.queue", "repro.sycl.vectorize",
-                   "repro.harness.runner", "concurrent.futures",
-                   "multiprocessing"]
+                   "repro.sycl.queue", "repro.harness.runner",
+                   "concurrent.futures", "multiprocessing"]
 
 _FIGURES = ["fig1", "fig2", "fig4", "fig5", "table2", "table3"]
 
@@ -114,9 +127,8 @@ def test_model_commands_never_execute_numpy(tmp_path, argv):
 
 
 def test_sycl_layer_never_imports_harness():
-    """The certificate store finds the fingerprint and the cache root in
-    ``repro.common.cache``; nothing in ``repro.sycl`` reaches up into the
-    harness."""
+    """The SYCL runtime sits below the harness: nothing in
+    ``repro.sycl`` reaches up into it."""
     for path in sorted((SRC / "repro" / "sycl").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -212,10 +224,6 @@ _UNUSED_PUBLIC = {
     "repro.sycl.executor.execution_cache_info": "test cache hook",
     "repro.sycl.executor.clear_execution_caches": "test cache hook",
     "repro.sycl.plan.set_plan_cache_limit": "test cache hook",
-    "repro.sycl.vectorize.vectorize_cache_info":
-        "compiled tier, goes with it (ROADMAP item 1)",
-    "repro.sycl.vectorize.clear_vectorize_caches":
-        "compiled tier, goes with it (ROADMAP item 1)",
 }
 
 #: the trees whose code counts as a use of a public name

@@ -160,3 +160,21 @@ class TestSingleTask:
         stats = run_single_task(k, ())
         assert hits == [1]
         assert stats.items == 1
+
+    def test_traced_launch_counts_its_item(self):
+        # a traced single-task launch adds its one item to the executor
+        # metrics, as the queue's own counters do
+        from repro.sycl import Queue
+        from repro.trace import tracing
+        from repro.trace.metrics import registry
+
+        k = KernelSpec(name="st", kind="single_task", vector_fn=lambda: None)
+        q = Queue("stratix10")
+        items = registry.counter("executor.items")
+        groups = registry.counter("executor.groups")
+        with tracing():
+            before = items.value, groups.value
+            q.single_task(k)
+            after = items.value, groups.value
+        assert after[0] - before[0] == q.counters.items == 1
+        assert after[1] - before[1] == q.counters.groups == 1

@@ -133,7 +133,7 @@ def test_traced_run_emits_full_hierarchy():
     for ev in launches:
         assert ev.parent_id == app_spans[0].id
         assert ev.args["modeled_device_us"] > 0.0
-        assert ev.args["path"] in ("vector", "item", "compiled")
+        assert ev.args["path"] in ("vector", "item")
 
     # kernel-form segments sit under their launch span
     forms = [ev for ev in events if ev.cat == "kernel-form"]

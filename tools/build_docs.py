@@ -39,9 +39,6 @@ API_MODULES = [
     "repro.sycl.queue",
     "repro.sycl.executor",
     "repro.sycl.plan",
-    "repro.sycl.vectorize",
-    "repro.sycl.exactness",
-    "repro.sycl.certificates",
     "repro.harness.runner",
     "repro.harness.resultdb",
     "repro.harness.reporting",
