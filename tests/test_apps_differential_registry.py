@@ -6,7 +6,9 @@ individual kernels; this module closes the gap the issue calls out: for
 executed once per executor path — auto (vector-preferring) and item —
 through ``Queue(default_mode=...)``, and both paths must agree.
 Kernels that do not implement a pinned form fall back to automatic
-selection, so "where implemented" is decided per kernel, not per app.  Agreement is byte for byte, except for LavaMD
+selection, so "where implemented" is decided per kernel, not per app.
+``"compiled"``, a spelling of auto, must serve every launch exactly as
+auto does.  Agreement is byte for byte, except for LavaMD
 (see ``_DIFF_TOLERANCES``).
 """
 
@@ -66,7 +68,7 @@ def _assert_outputs_agree(config: str, got: dict, want: dict) -> None:
                                           err_msg=msg, strict=True)
 
 
-@pytest.mark.parametrize("mode", ["item"])
+@pytest.mark.parametrize("mode", ["item", "compiled"])
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_kernel_forms_agree(config, mode):
     """Every decomposed path must reproduce the auto-selected result."""
@@ -79,6 +81,12 @@ def test_kernel_forms_agree(config, mode):
     assert (alt_queue.counters.kernel_launches
             == base_queue.counters.kernel_launches)
     assert alt_queue.counters.items == base_queue.counters.items
+
+    if mode == "compiled":
+        # the auto spelling: the same path serves every launch
+        assert (alt_queue.counters.path_counts
+                == base_queue.counters.path_counts)
+        return
 
     # "where implemented": every launched nd-range kernel that has the
     # pinned form must actually have been served by it

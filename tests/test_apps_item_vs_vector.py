@@ -3,16 +3,32 @@ with generator barriers) must agree with the numpy fast paths, byte for
 byte except LavaMD, whose vector form reduces through ``einsum`` and
 ``.sum`` in an order a per-item loop does not reproduce.
 
-NW, SRAD and KMeans run their ``item_fn`` through ``mode="item"``, the
-strict per-item interpreter."""
+NW, SRAD and KMeans also run in ``mode="compiled"``, the queue's
+spelling of auto, which must serve each launch with the ``vector_fn``
+and give the same bytes."""
 
 import numpy as np
 import pytest
 
 from repro.altis import Variant
-from repro.sycl import NdRange, Range
+from repro.sycl import NdRange, Queue, Range
 from repro.sycl.local_memory import LocalAccessor
 from repro.sycl.executor import run_nd_range
+
+#: the path each parametrized mode must take
+_PATH = {"item": "item", "compiled": "vector"}
+
+
+def _launch(kernel, nd, args, mode):
+    """Launch once in ``mode``; return ``(path, stats)``.  Only ``Queue``
+    reads ``"compiled"`` (as auto), so that mode launches through one."""
+    if mode == "item":
+        stats = run_nd_range(kernel, nd, args, mode=mode)
+        return stats.path, stats
+    queue = Queue("rtx2080", default_mode=mode)
+    queue.parallel_for(nd, kernel, *args)
+    (path,) = queue.counters.path_counts
+    return path, queue.counters
 
 
 class TestMandelbrotItemPath:
@@ -32,7 +48,7 @@ class TestMandelbrotItemPath:
 
 
 class TestNwItemPath:
-    @pytest.mark.parametrize("mode", ["item"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_blocked_wavefront_with_barriers(self, mode):
         from repro.altis.nw import NW, _similarity
 
@@ -49,18 +65,19 @@ class TestNwItemPath:
         tile = LocalAccessor((block + 1, block + 1), np.int32)
         for d in range(2 * nb - 1):
             blocks = (d + 1) if d < nb else (2 * nb - 1 - d)
-            stats = run_nd_range(
+            path, stats = _launch(
                 kern, NdRange(Range(blocks * block), Range(block)),
-                (score, sim, tile, penalty, d, nb, n, block), mode=mode)
-            assert stats.path == mode
-            # both forms honor the same phase structure: per group, one
-            # staging barrier + one per tile anti-diagonal
-            assert stats.barrier_phases == 2 * block * stats.groups
+                (score, sim, tile, penalty, d, nb, n, block), mode)
+            assert path == _PATH[mode]
+            if mode == "item":
+                # per group, one staging barrier + one per tile
+                # anti-diagonal
+                assert stats.barrier_phases == 2 * block * stats.groups
         np.testing.assert_array_equal(score, app.reference(wl)["score"])
 
 
 class TestKMeansItemPath:
-    @pytest.mark.parametrize("mode", ["item"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_map_centers(self, mode):
         from repro.altis.kmeans import KMeans, _assign_points
 
@@ -73,14 +90,14 @@ class TestKMeansItemPath:
         kern = app.kernels()["mapCenters"]
         wg = 16
         gn = -(-n // wg) * wg
-        stats = run_nd_range(kern, NdRange(Range(gn), Range(wg)),
-                             (points, centers, assign, n, k, d), mode=mode)
-        assert stats.path == mode
+        path, _ = _launch(kern, NdRange(Range(gn), Range(wg)),
+                          (points, centers, assign, n, k, d), mode)
+        assert path == _PATH[mode]
         np.testing.assert_array_equal(assign, _assign_points(points, centers))
 
 
 class TestSradItemPath:
-    @pytest.mark.parametrize("mode", ["item"])
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_both_kernels(self, mode):
         from repro.altis.srad import Srad
 
@@ -97,10 +114,10 @@ class TestSradItemPath:
         for _ in range(p["iterations"]):
             mean, var = img.mean(), img.var()
             q0 = var / (mean * mean)
-            run_nd_range(ks["srad1"], nd, (img, *arrays, q0, rows, cols),
-                         mode=mode)
-            run_nd_range(ks["srad2"], nd, (img, *arrays, p["lam"], rows, cols),
-                         mode=mode)
+            for name, arg in (("srad1", q0), ("srad2", p["lam"])):
+                path, _ = _launch(ks[name], nd,
+                                  (img, *arrays, arg, rows, cols), mode)
+                assert path == _PATH[mode]
         np.testing.assert_array_equal(img, app.reference(wl)["img"],
                                       strict=True)
 

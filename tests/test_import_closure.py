@@ -41,10 +41,12 @@ _SUITE_UNLOADED = [
     (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
     (["suite", "--journal", "J"],
      _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
+    (["suite", "--mode", "compiled"],
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
     (["figures", "fig2", "--no-cache"],
      ["repro.sycl.plan", "concurrent.futures", "multiprocessing",
       "numpy._core"], [], None),
-], ids=["suite", "suite-journal", "figures-fig2"])
+], ids=["suite", "suite-journal", "suite-compiled", "figures-fig2"])
 def test_auto_mode_suite_never_loads_the_store(tmp_path, argv, unloaded,
                                                loaded, max_repro):
     """A command imports only what it runs and writes no cache.  Neither
