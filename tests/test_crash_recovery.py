@@ -6,7 +6,6 @@ golden end-to-end checksums."""
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -20,11 +19,11 @@ from repro.harness import runner
 from repro.harness.cli import main
 from repro.harness.reporting import render_suite_report
 from repro.harness.resultdb import SweepJournal
-from repro.harness.runner import (_DEFAULT_SCALES, run_suite_functional)
+from repro.harness.runner import (_DEFAULT_SCALES, _GOLDEN_DIGESTS,
+                                  run_suite_functional)
 from repro.trace.metrics import registry as metrics
 
 REPO = Path(__file__).resolve().parents[1]
-GOLDEN = REPO / "tests" / "golden" / "size1_checksums.json"
 CONFIGS = list(_DEFAULT_SCALES)
 CRASH_AT = "LavaMD"  # config index 5: five cells complete before the crash
 
@@ -81,13 +80,12 @@ def test_resumed_report_is_byte_identical(crashed_journal):
 
 
 def test_journaled_digests_match_golden_checksums(crashed_journal):
-    golden = json.loads(GOLDEN.read_text())
     records = SweepJournal(crashed_journal).load()
     assert records
     for record in records:
-        expected = golden[record["config"]]
+        expected = _GOLDEN_DIGESTS[record["config"]]
         assert record["digests"] == {
-            name: digest["sha256"] for name, digest in expected.items()}
+            name: digest[0] for name, digest in expected.items()}
 
 
 def test_resume_rejects_tampered_journal_records(crashed_journal):
@@ -145,6 +143,19 @@ def test_cli_crash_resume_round_trip(tmp_path, capsys, monkeypatch):
     assert main(["suite", "--journal", journal, "--resume"]) == 0
     resumed = capsys.readouterr().out
     assert resumed == clean
+
+
+def test_resume_accepts_either_spelling_of_a_mode(tmp_path, monkeypatch):
+    """Journal records carry the queue's resolved mode: a journal that
+    ``suite --mode compiled`` (a spelling of auto) wrote is resumed by
+    ``suite``, which executes no cell and appends no record."""
+    monkeypatch.chdir(tmp_path)
+    journal = str(tmp_path / "compiled.journal")
+    assert main(["suite", "--mode", "compiled", "--journal", journal]) == 0
+    metrics.reset()
+    assert main(["suite", "--journal", journal, "--resume"]) == 0
+    assert metrics.snapshot().get("harness.runs", {}).get("value", 0) == 0
+    assert len(Path(journal).read_text().splitlines()) == len(CONFIGS)
 
 
 #: run as ``sitecustomize`` in the killed process: LavaMD's cell sends

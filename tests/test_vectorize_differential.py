@@ -6,27 +6,21 @@ spelling of ``"auto"``, resolved by ``Queue``, until the benchmark's
 runs once with the spelling and once without it, and the output buffers
 must be **byte-identical**, served by the same plans.
 
-A second pass pins the suite to the golden checksum fixtures in auto
-mode, so the default path selection cannot silently shift the figures;
-a third pins each config's plan split per execution path, in the
-compiled spelling and in item mode, so a kernel that silently loses its
-``vector_fn`` or ``item_fn`` fails loudly.
+A second pass pins the suite to the golden checksum table
+(``runner._GOLDEN_DIGESTS``) in auto mode, so the default path
+selection cannot silently shift the figures; a third pins each config's
+plan split per execution path, in the compiled spelling and in item
+mode, so a kernel that silently loses its ``vector_fn`` or ``item_fn``
+fails loudly.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from repro.altis.registry import APP_FACTORIES
-from repro.harness.runner import run_functional
+from repro.harness.runner import _GOLDEN_DIGESTS, _array_digest, run_functional
 from repro.sycl.plan import clear_plan_caches, plan_cache_info
-
-GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "size1_checksums.json"
 
 #: per config, ``(plans, plans with an item_fn)``: auto runs every
 #: plan's ``vector_fn``, item mode the ``item_fn`` where there is one
@@ -42,11 +36,8 @@ _PLANS = {
 def _digests(config: str, mode: str) -> dict:
     result = run_functional(config, seed=0, mode=mode)
     assert result.verified
-    return {
-        key: hashlib.sha256(
-            np.ascontiguousarray(np.asarray(value)).tobytes()).hexdigest()
-        for key, value in sorted(result.outputs.items())
-    }
+    return {key: _array_digest(value)
+            for key, value in sorted(result.outputs.items())}
 
 
 def _tiers(config: str, mode: str) -> dict:
@@ -73,10 +64,10 @@ def test_auto_mode_matches_golden_with_vectorizer(config):
     """Auto-mode results must equal the golden fixtures."""
     clear_plan_caches()
     got = _digests(config, "auto")
-    golden = json.loads(GOLDEN_PATH.read_text())[config]
+    golden = _GOLDEN_DIGESTS[config]
     assert set(got) == set(golden)
     for key, digest in golden.items():
-        assert got[key] == digest["sha256"], (
+        assert got[key] == digest, (
             f"{config}: output {key!r} drifted from the golden fixture "
             "in auto mode")
 
