@@ -309,7 +309,6 @@ def resolve_config(name: str) -> str:
 
 def _cmd_profile(args) -> int:
     from ..common.errors import ReproError
-    from ..sycl.plan import clear_plan_caches
     from ..trace.profile import profile_functional, render_profile, \
         write_profile
     from .runner import _DEFAULT_SCALES
@@ -319,7 +318,6 @@ def _cmd_profile(args) -> int:
     if scale is None:
         base = _DEFAULT_SCALES.get(config, 0.02)
         scale = base if args.quick else base * 2
-    clear_plan_caches()  # within-run compile/hit counts, not leftovers
     try:
         run = profile_functional(config, device_key=args.device,
                                  variant=args.variant, mode=args.mode,

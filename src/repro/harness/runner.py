@@ -63,12 +63,14 @@ _DEFAULT_SCALES = {
     "Raytracing": 0.03, "SRAD": 0.02, "Where": 0.0005,
 }
 
-#: per-config verification tolerances (iterative FP apps accumulate error)
+#: per-config verification tolerances; every other config must equal its
+#: reference exactly (rtol = atol = 0), as every surveyed device, variant,
+#: seed, size and mode does
 _TOLERANCES = {
-    "KMeans": (1e-3, 1e-3),
+    # item mode sums LavaMD's forces in another order than the reference:
+    # worst measured error 1.3e-5 absolute, 8.6e-3 relative on a near-zero
+    # force (sizes 1-3, rtx2080/a100/stratix10, every variant)
     "LavaMD": (1e-3, 1e-4),
-    "CFD FP32": (1e-4, 1e-6),
-    "CFD FP64": (1e-4, 1e-6),
 }
 
 
@@ -255,7 +257,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
             _check_golden_digests(config, result)
         else:
             expected = app.reference(workload)
-            rtol, atol = _TOLERANCES.get(config, (1e-4, 1e-5))
+            rtol, atol = _TOLERANCES.get(config, (0.0, 0.0))
             app.verify(result, expected, rtol=rtol, atol=atol)
     _trace_metrics.counter("harness.runs").inc()
     return RunResult(

@@ -5,8 +5,8 @@ uses — in-order queues with profiling events, ND-range execution with
 work-group barriers and local memory, Single-Task kernels with Intel
 FPGA pipes, and oneDPL's ``exclusive_scan`` — executing kernels
 functionally on the host while advancing a modeled device clock.  Every
-launch takes one path: ``Queue.parallel_for``/``single_task`` → a cached
-launch plan → the executor.
+launch takes one path: ``Queue.parallel_for``/``single_task`` → the
+executor, which validates and runs it.
 """
 
 from .._exports import lazy_exports
@@ -18,8 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "executor": ("ExecutionStats", "run_nd_range", "run_single_task",
                  "validate_launch", "execution_cache_info",
                  "clear_execution_caches"),
-    "plan": ("LaunchPlan", "get_plan", "compile_plan", "plan_cache_info",
-             "plan_pool_stats", "clear_plan_caches", "set_plan_cache_limit"),
     "kernel": ("KernelSpec", "KernelKind", "KernelAttributes", "LoopSpec"),
     "ndrange": ("Range", "Id", "NdRange", "NdItem", "Group", "FenceSpace",
                 "BarrierToken"),

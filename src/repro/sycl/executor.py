@@ -1,7 +1,7 @@
 """Functional execution of SYCL kernels.
 
-Every nd-range launch runs through a cached
-:class:`~repro.sycl.plan.LaunchPlan` on one of two paths, picked by
+:func:`run_nd_range` is the whole nd-range launch.  Every launch
+validates its work-group shape, then takes one of two paths, picked by
 the launch's mode (``auto`` or ``item``, set once per
 :class:`~repro.sycl.queue.Queue`):
 
@@ -9,21 +9,18 @@ the launch's mode (``auto`` or ``item``, set once per
   whole range (numpy fast path, the idiomatic HPC-Python form); auto
   mode takes it whenever the kernel has one;
 * **per-item** — the kernel's ``item_fn`` is run for every work-item
-  (item mode, or auto mode on a kernel without a ``vector_fn``).
+  (item mode, or auto mode on a kernel without a ``vector_fn``), with a
+  fresh :class:`~repro.sycl.ndrange.Group` per work-group.
   Kernels that synchronize are generator functions; the executor runs all
   items of a work-group *phase by phase*: it advances every generator to
   its next ``yield item.barrier(...)`` before any generator continues.
   This is exactly the SIMT barrier contract — every work-item of the
   group reaches barrier *k* before any proceeds past it.
 
-This module holds what the plans share: launch validation, path
-selection, the memoized index-point grids and per-group (global id,
-local id) lattices (``lru_cache`` over immutable tuples only, so
-concurrent launches can share them safely), and the barrier-phase
-engine of the per-item path.
-:mod:`repro.sycl.plan` compiles everything launch-invariant into the
-plan on the first launch of a shape; repeated launches — the steady
-state Altis measures — re-inspect nothing.
+The per-item path reads its (global id, local id) coordinates from
+memoized lattices (``lru_cache`` over immutable tuples only, so
+concurrent launches can share them safely); nothing else is kept
+between launches.
 
 The executor validates work-group limits against kernel attributes,
 reproducing the runtime errors the paper hit when Altis' default
@@ -42,7 +39,8 @@ from ..common.errors import KernelLaunchError
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
 from .kernel import KernelSpec
-from .ndrange import BarrierToken, NdRange
+from .local_memory import LocalAccessor
+from .ndrange import BarrierToken, Group, NdItem, NdRange
 
 __all__ = [
     "validate_launch",
@@ -227,10 +225,6 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
 #: ``item_fn``; ``item`` pins the ``item_fn``
 _MODES = ("auto", "item")
 
-# populated on the first launch (the plan module imports this one, so
-# the executor reaches back lazily)
-_get_plan = None
-
 
 def _select_path(kernel: KernelSpec, mode: str) -> str:
     """The path a launch in ``mode`` takes: ``"vector"`` or ``"item"``."""
@@ -252,20 +246,48 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
 
     ``mode`` is one of :data:`_MODES`: ``"auto"`` runs the whole-range
     ``vector_fn`` when the kernel has one, else the per-item
-    ``item_fn``; ``"item"`` pins the per-item interpreter.
-
-    The launch goes through the plan cache (:mod:`repro.sycl.plan`):
-    the first launch of a shape compiles a
-    :class:`~repro.sycl.plan.LaunchPlan`, repeated launches execute
-    warm with zero re-inspection.
+    ``item_fn``; ``"item"`` pins the per-item interpreter.  An invalid
+    launch raises :class:`KernelLaunchError` every time it is made.
     """
-    global _get_plan
-    if _get_plan is None:
-        from .plan import get_plan
+    validate_launch(kernel, nd_range, device_max_wg)
+    stats = ExecutionStats()
+    stats.path = path = _select_path(kernel, mode)
+    stats.groups = nd_range.num_groups()
+    stats.items = nd_range.total_items()
+    tracer = current_tracer()
+    with (tracer.span(f"{kernel.name}:{path}", "kernel-form",
+                      kernel=kernel.name, path=path)
+          if tracer is not None else _null_context()):
+        if path == "vector":
+            kernel.vector_fn(nd_range, *args)
+        else:
+            _run_items(kernel, nd_range, args, stats, tracer)
+    if tracer is not None:
+        _note_execution_metrics(stats)
+    return stats
 
-        _get_plan = get_plan
-    return _get_plan(kernel, nd_range, device_max_wg=device_max_wg,
-                     mode=mode).execute(args)
+
+def _run_items(kernel: KernelSpec, nd_range: NdRange, args: tuple,
+               stats: ExecutionStats, tracer) -> None:
+    """Run ``item_fn`` over every work-item, one fresh group at a time."""
+    fn = kernel.item_fn
+    generator = inspect.isgeneratorfunction(fn)
+    locals_ = [a for a in args if isinstance(a, LocalAccessor)]
+    for gid, coords in _nd_lattice(nd_range.global_range.dims,
+                                   nd_range.local_range.dims):
+        group = Group(gid, nd_range)
+        items = [NdItem(glob, lid, group) for glob, lid in coords]
+        for acc in locals_:
+            acc._begin_group()
+        if generator:
+            _advance_barrier_phases(
+                kernel, [fn(item, *args) for item in items], stats,
+                tracer=tracer)
+        else:
+            for item in items:
+                fn(item, *args)
+        for acc in locals_:
+            acc._end_group()
 
 
 def _note_execution_metrics(stats: ExecutionStats) -> None:

@@ -214,12 +214,11 @@ class BarrierToken:
 class Group:
     """``sycl::group`` — one work-group of an nd_range execution."""
 
-    __slots__ = ("group_id", "nd_range", "_local_mem")
+    __slots__ = ("group_id", "nd_range")
 
     def __init__(self, group_id: tuple[int, ...], nd_range: NdRange):
         self.group_id = group_id
         self.nd_range = nd_range
-        self._local_mem: dict = {}
 
     def get_group_id(self, i: int | None = None):
         if i is None:

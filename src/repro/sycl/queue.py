@@ -9,8 +9,9 @@ the queue's host timeline also captures launch overheads and host tasks
 (the ``std::chrono`` view DPCT generates — paper §3.2.1).
 
 Every launch takes one path: :meth:`Queue.parallel_for` /
-:meth:`Queue.single_task` → a cached :class:`~repro.sycl.plan.LaunchPlan`
-→ the executor.  The modeled times of the paper's figures come from
+:meth:`Queue.single_task` → the executor
+(:func:`~repro.sycl.executor.run_nd_range`), which validates and runs
+it.  The modeled times of the paper's figures come from
 :mod:`repro.perfmodel`, not from this clock.
 """
 
@@ -188,25 +189,20 @@ class Queue:
                      *args, profile=None) -> Event:
         """``queue.parallel_for(range, kernel)``.
 
-        Launches route through the plan cache (:mod:`repro.sycl.plan`):
-        the first launch of a shape compiles a
-        :class:`~repro.sycl.plan.LaunchPlan`, repeated launches hit it
-        warm —
+        Each launch runs through the executor and is counted, per
+        execution path, in the queue's :class:`LaunchCounters` —
 
         >>> import numpy as np
-        >>> from repro.sycl import (KernelSpec, NdRange, Queue, Range,
-        ...                         clear_plan_caches, plan_cache_info)
+        >>> from repro.sycl import KernelSpec, NdRange, Queue, Range
         >>> halve = KernelSpec(name="halve",
         ...                    vector_fn=lambda nd, a: np.divide(
         ...                        a, 2, out=a))
         >>> q = Queue("rtx2080")
-        >>> clear_plan_caches()
         >>> a = np.full(8, 32.0)
         >>> for _ in range(3):
         ...     _ = q.parallel_for(NdRange(Range(8), Range(4)), halve, a)
-        >>> info = plan_cache_info()
-        >>> (info["compiles"], info["hits"])
-        (1, 2)
+        >>> q.counters.path_counts
+        {'vector': 3}
         >>> float(a[0])
         4.0
 

@@ -16,9 +16,6 @@ report, the observability artifact the paper's Fig. 1 is built from:
   from the :class:`~repro.perfmodel.profile.KernelProfile` work
   counters the launch spans carry and the Table 2 device peaks
   (:func:`repro.perfmodel.spec.roofline_point`);
-* **plan-cache / work-group-pool efficiency** — ``plan.compile`` /
-  ``plan.hit`` spans of this run plus the live pool footprint
-  (:func:`repro.sycl.plan.plan_pool_stats`);
 * **launch-cost distribution** — p50/p95/p99 of the per-launch wall
   cost through :class:`~repro.trace.metrics.Histogram`;
 * **collapsed-stack flamegraph export** — one ``frame;frame value``
@@ -27,8 +24,8 @@ report, the observability artifact the paper's Fig. 1 is built from:
 
 Wall-clock quantities vary run to run; everything else (launch counts,
 items, barrier phases, modeled times, work counters, roofline
-placement, within-run plan compiles/hits) is deterministic for a fixed
-configuration.  ``render_profile(..., deterministic=True)`` emits only
+placement) is deterministic for a fixed configuration.
+``render_profile(..., deterministic=True)`` emits only
 the deterministic columns — the projection the golden-report tests pin
 byte-for-byte.
 """
@@ -57,7 +54,7 @@ __all__ = [
 
 #: Schema tag carried by every ``profile.json``; bump on key-structure
 #: changes so downstream tooling can detect drift.
-PROFILE_SCHEMA = "repro-profile/3"
+PROFILE_SCHEMA = "repro-profile/4"
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +104,8 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
     children = _children_by_parent(events)
     aggs: dict[str, _KernelAgg] = {}
     launch_walls: list[float] = []
-    plan_compiles = plan_hits = 0
-    plan_compile_us = 0.0
 
     for ev in events:
-        if ev.cat == "plan":
-            if ev.name == "plan.compile":
-                plan_compiles += 1
-                plan_compile_us += ev.dur_us
-            elif ev.name == "plan.hit":
-                plan_hits += 1
-            continue
         if ev.cat != "launch":
             continue
         args = ev.args
@@ -142,10 +130,8 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         launch_walls.append(ev.dur_us)
         body = sum(c.dur_us for c in children.get(ev.id, ())
                    if c.cat == "kernel-form")
-        non_dispatch = sum(c.dur_us for c in children.get(ev.id, ())
-                           if c.cat in ("kernel-form", "plan"))
         agg.body_wall_us += body
-        agg.dispatch_wall_us += max(0.0, ev.dur_us - non_dispatch)
+        agg.dispatch_wall_us += max(0.0, ev.dur_us - body)
 
     # -- the Fig. 1 decomposition, from the modeled-clock spans ----------
     kernel_us = overhead_us = host_task_us = 0.0
@@ -191,21 +177,6 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
     launch_wall = {k: snap[k] for k in
                    ("count", "mean", "min", "max", "p50", "p95", "p99")}
 
-    # -- plan cache + work-group pools -----------------------------------
-    from ..sycl.plan import plan_cache_info, plan_pool_stats
-
-    plan_lookups = plan_compiles + plan_hits
-    plan_info = plan_cache_info()
-    plan_cache = {
-        "compiles": plan_compiles,
-        "hits": plan_hits,
-        "hit_rate": plan_hits / plan_lookups if plan_lookups else 0.0,
-        "compile_wall_us": plan_compile_us,
-        "pools": plan_pool_stats(),
-        # execution-path split of the live plans
-        "tiers": plan_info["tiers"],
-    }
-
     # -- run identity & device context -----------------------------------
     app_spans = [ev for ev in events if ev.cat == "app"]
     if app_spans and app is None:
@@ -235,7 +206,6 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
             "kernel_fraction": kernel_us / total_us if total_us else 0.0,
         },
         "launch_wall_us": launch_wall,
-        "plan_cache": plan_cache,
     }
 
 
@@ -388,22 +358,6 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
                  f"(launch overhead {d['overhead_us'] / 1e3:.3f} ms, "
                  f"host tasks {d['host_task_us'] / 1e3:.3f} ms)")
     lines.append(f"- total           : {d['total_us'] / 1e3:.3f} ms")
-    lines.append("")
-
-    pc = profile["plan_cache"]
-    lines.append("## Plan cache & work-group pools")
-    lines.append("")
-    lines.append(f"- plan compiles / warm hits : {pc['compiles']} / "
-                 f"{pc['hits']} (hit rate {100.0 * pc['hit_rate']:.1f}%)")
-    pools = pc.get("pools") or {}
-    if pools:
-        lines.append(f"- live plans: {pools.get('plans', 0)}, poolable "
-                     f"work-groups: {pools.get('poolable_groups', 0)}")
-    tiers = pc.get("tiers") or {}
-    if tiers:
-        lines.append("- execution tiers: " + ", ".join(
-            f"{path}={entry['count']}" for path, entry in
-            sorted(tiers.items())))
     lines.append("")
 
     if not deterministic:

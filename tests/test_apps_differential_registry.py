@@ -121,5 +121,5 @@ def test_decomposed_paths_match_reference(config):
     outputs, _, app, workload = _run_with_mode(config, "item")
     from repro.harness.runner import _TOLERANCES
 
-    rtol, atol = _TOLERANCES.get(config, (1e-4, 1e-5))
+    rtol, atol = _TOLERANCES.get(config, (0.0, 0.0))
     app.verify(outputs, app.reference(workload), rtol=rtol, atol=atol)

@@ -56,8 +56,7 @@ def test_api_reference_covers_public_surface(build_docs):
         assert f"## `{module}`" in api
     for name in ("run_suite_functional", "FailedCell",
                  "SweepJournal", "render_suite_report",
-                 "LaunchPlan", "plan_cache_info", "clear_plan_caches",
-                 "bench_environment"):
+                 "plan_cache_info", "bench_environment"):
         assert name in api
 
 

@@ -14,7 +14,6 @@ import pytest
 import repro.common.cache
 import repro.common.rng
 import repro.harness.runner
-import repro.sycl.plan
 import repro.sycl.queue
 
 
@@ -22,7 +21,6 @@ import repro.sycl.queue
     repro.common.cache,
     repro.common.rng,
     repro.harness.runner,
-    repro.sycl.plan,
     repro.sycl.queue,
 ], ids=lambda m: m.__name__)
 def test_module_doctests(module):

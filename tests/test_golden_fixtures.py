@@ -153,6 +153,49 @@ def test_suite_fails_a_perturbed_shared_body(config, monkeypatch):
     assert excinfo.value.key == config
 
 
+def _nudge_one_output(monkeypatch, config: str) -> None:
+    """Make ``config``'s ``run_sycl`` return one element moved by the
+    smallest step of its dtype: one ulp for a float output (the first
+    float output, if any), one for an integer one."""
+    real = runner.make_app
+
+    def nudging(name):
+        app = real(name)
+        if name != config:
+            return app
+        run_sycl = app.run_sycl
+
+        def nudged(*args, **kwargs):
+            out = dict(run_sycl(*args, **kwargs))
+            floats = [k for k in out if np.asarray(out[k]).dtype.kind == "f"]
+            key = (floats or list(out))[0]
+            arr = np.array(out[key])
+            if arr.dtype.kind == "f":
+                arr.flat[0] = np.nextafter(arr.flat[0], np.inf,
+                                           dtype=arr.dtype)
+            else:
+                arr.flat[0] += 1
+            out[key] = arr
+            return out
+
+        app.run_sycl = nudged
+        return app
+
+    monkeypatch.setattr(runner, "make_app", nudging)
+
+
+@pytest.mark.parametrize("config",
+                         sorted(set(APP_FACTORIES) - _DIGEST_CHECKED))
+def test_suite_fails_an_output_one_ulp_off(config, monkeypatch):
+    """Verification is exact wherever the forms are bitwise equal: an
+    output one ulp off its reference fails exactly that config's row."""
+    _nudge_one_output(monkeypatch, config)
+    rows = render_suite_report(
+        run_suite_functional(degrade=True)).splitlines()[:-1]
+    assert [row[:14].rstrip() for row in rows
+            if row[15:].startswith("FAIL")] == [config]
+
+
 def _count_references(monkeypatch) -> Counter:
     """Per config, the ``app.reference()`` calls the runner makes."""
     calls = Counter()

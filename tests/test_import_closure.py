@@ -34,15 +34,16 @@ _SUITE_UNLOADED = [
     "repro.perfmodel.timeline", "repro.perfmodel.overhead",
     "repro.perfmodel.traits", "repro.perfmodel.gpu", "repro.perfmodel.fpga",
     "repro.fpga", "repro.fpga.resources", "repro.fpga.synthesis",
-    "repro.dpct", "repro.dpct.source_model", "repro.sycl.pipes", "json"]
+    "repro.dpct", "repro.dpct.source_model", "repro.sycl.pipes",
+    "repro.sycl.plan", "json"]
 
 
 @pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
-    (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
+    (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 42),
     (["suite", "--journal", "J"],
      _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
     (["suite", "--mode", "compiled"],
-     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 43),
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 42),
     (["figures", "fig2", "--no-cache"],
      ["repro.sycl.plan", "concurrent.futures", "multiprocessing",
       "numpy._core"], [], None),
@@ -88,11 +89,11 @@ def _suite_process(tmp_path, argv):
 
 def test_suite_compiled_imports_and_prints_what_suite_does(tmp_path):
     """``--mode compiled`` is a spelling of auto: the same ``repro``
-    modules (at most 43) and a byte-identical report."""
+    modules (at most 42) and a byte-identical report."""
     auto = _suite_process(tmp_path, ["suite"])
     compiled = _suite_process(tmp_path, ["suite", "--mode", "compiled"])
     assert compiled == auto
-    assert auto[1].count("'repro") <= 43
+    assert auto[1].count("'repro") <= 42
 
 
 #: what a model-only command never loads: numpy itself (it is bound with
@@ -149,6 +150,8 @@ _UNIMPORTED = {
     "repro.__main__": "the ``python -m repro`` entry point",
     "repro.harness.bench": "perfbench stamps its records with its "
                            "``bench_environment()``",
+    "repro.sycl.plan": "perfbench's layer split reads its "
+                       "``plan_cache_info()``",
 }
 
 
@@ -225,7 +228,6 @@ _UNUSED_PUBLIC = {
         "the FPGA-only local-memory API of paper §5.2, pinned by its tests",
     "repro.sycl.executor.execution_cache_info": "test cache hook",
     "repro.sycl.executor.clear_execution_caches": "test cache hook",
-    "repro.sycl.plan.set_plan_cache_limit": "test cache hook",
 }
 
 #: the trees whose code counts as a use of a public name

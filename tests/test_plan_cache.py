@@ -1,9 +1,10 @@
-"""Launch-plan compiler & warm-plan cache correctness.
+"""Repeated launches behave exactly like the first one.
 
-The plan layer (:mod:`repro.sycl.plan`) must be invisible except for
-speed: byte-identical outputs across the whole registry, identical
-:class:`ExecutionStats`, identical error behavior, per-launch fault
-injection, bounded memory, and safe concurrent reuse.
+Every launch validates, selects its path and builds its work-groups
+afresh (:func:`repro.sycl.executor.run_nd_range`), so a second launch of
+a shape must give byte-identical outputs across the whole registry,
+identical :class:`ExecutionStats`, the identical error, and the same
+bytes when threads launch one kernel at once.
 """
 
 import threading
@@ -17,11 +18,6 @@ from repro.common.errors import KernelLaunchError
 from repro.sycl import KernelSpec, NdRange, Queue, Range
 from repro.sycl.executor import run_nd_range
 from repro.sycl.ndrange import FenceSpace
-from repro.sycl.plan import (
-    clear_plan_caches,
-    plan_cache_info,
-    set_plan_cache_limit,
-)
 
 #: decomposed paths interpret every work-group, so the registry sweep
 #: uses the same reduced scales as the differential kernel-form tests
@@ -43,9 +39,8 @@ def _run_config(config: str):
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_goldens_byte_identical_with_plans(config):
-    """Every registry config: a run that compiles its plans and a second
-    run through the now-warm cache agree byte-for-byte."""
-    clear_plan_caches()
+    """Every registry config: a first run and a repeated run agree
+    byte-for-byte."""
     cold = _run_config(config)
     warm = _run_config(config)
     assert set(cold) == set(warm)
@@ -53,7 +48,7 @@ def test_goldens_byte_identical_with_plans(config):
         a, b = np.asarray(warm[key]), np.asarray(cold[key])
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), (
-            f"{config}: output {key!r} differs between cold and warm plans")
+            f"{config}: output {key!r} differs between cold and warm runs")
 
 
 # ---------------------------------------------------------------------------
@@ -88,25 +83,21 @@ class TestStatsParity:
     @pytest.mark.parametrize("path", ["vector", "item"])
     def test_plain_paths(self, path):
         mode = "auto" if path == "vector" else path
-        clear_plan_caches()
         nd = NdRange(Range(16), Range(4))
         out_c = np.zeros(16)
         out_w = np.zeros(16)
-        # the warm (cache-hit) launch must report the same stats as the
-        # compile launch
+        # the repeated launch must report the same stats as the first
         cold = run_nd_range(_triple(), nd, (out_c,), mode=mode)
         warm = run_nd_range(_triple(), nd, (out_w,), mode=mode)
         assert _stats_tuple(warm) == _stats_tuple(cold)
         assert cold.path == path
         assert out_w.tobytes() == out_c.tobytes()
-        assert plan_cache_info()["hits"] >= 1
 
     @pytest.mark.parametrize("kernel", [
         KernelSpec(name="bi", item_fn=_barrier_item),
     ], ids=["item-generator"])
     def test_barrier_paths(self, kernel):
-        # the compile launch and the warm one: same stats, same bytes
-        clear_plan_caches()
+        # the first launch and the repeated one: same stats, same bytes
         nd = NdRange(Range(12), Range(4))
         out_c = np.zeros(12)
         out_w = np.zeros(12)
@@ -118,38 +109,7 @@ class TestStatsParity:
 
 
 class TestCacheBehavior:
-    def test_counters_and_clear(self):
-        clear_plan_caches()
-        info = plan_cache_info()
-        assert (info["hits"], info["compiles"], info["size"]) == (0, 0, 0)
-        nd = NdRange(Range(8), Range(4))
-        out = np.zeros(8)
-        for _ in range(3):
-            run_nd_range(_triple(), nd, (out,))
-        info = plan_cache_info()
-        assert info["compiles"] == 1
-        assert info["hits"] == 2
-        assert info["size"] == 1
-        clear_plan_caches()
-        assert plan_cache_info()["size"] == 0
-
-    def test_lru_bounded_under_distinct_ranges(self):
-        clear_plan_caches()
-        previous = set_plan_cache_limit(4)
-        try:
-            k = KernelSpec(name="many", vector_fn=_add_vector)
-            for n in range(1, 13):
-                run_nd_range(k, NdRange(Range(4 * n), Range(4)),
-                             (np.zeros(4 * n),))
-            info = plan_cache_info()
-            assert info["size"] <= 4
-            assert info["evictions"] >= 8
-        finally:
-            set_plan_cache_limit(previous)
-            clear_plan_caches()
-
     def test_mode_errors_identical_cold_and_warm(self):
-        clear_plan_caches()
         k = KernelSpec(name="vonly", vector_fn=_add_vector)
         nd = NdRange(Range(8), Range(4))
         messages = []
@@ -166,24 +126,23 @@ class TestCacheBehavior:
                 yield item.barrier()
             out[item.get_global_linear_id()] = 1
 
-        clear_plan_caches()
         k = KernelSpec(name="div", item_fn=diverge)
         nd = NdRange(Range(8), Range(4))
-        for _ in range(3):  # cold, then warm — same divergence error
+        for _ in range(3):  # every launch raises the same divergence error
             with pytest.raises(KernelLaunchError,
                                match="divergent barrier - only 2 of 4"):
                 run_nd_range(k, nd, (np.zeros(8),), mode="item")
 
 
 # ---------------------------------------------------------------------------
-# concurrent reuse from several threads
+# concurrent launches from several threads
 # ---------------------------------------------------------------------------
 
 def _launch_pair() -> bytes:
-    """One steady-state launch pair on a fresh output buffer."""
+    """Two barrier-kernel launches on a fresh output buffer."""
     out = np.zeros(16)
     nd = NdRange(Range(16), Range(4))
-    k = KernelSpec(name="pool", item_fn=_add_item, vector_fn=_add_vector)
+    k = KernelSpec(name="pool", item_fn=_barrier_item)
     run_nd_range(k, nd, (out,), mode="item")
     run_nd_range(k, nd, (out,), mode="item")
     return out.tobytes()
@@ -191,11 +150,9 @@ def _launch_pair() -> bytes:
 
 class TestConcurrentReuse:
     def test_threads_share_plans_safely(self):
-        """Plans are process-wide but their pooled work-groups are
-        per-thread, so threads launching one plan at once never share
-        local memory."""
-        clear_plan_caches()
-        expected = np.full(16, 2.0).tobytes()
+        """Threads launching one kernel at once share no launch state:
+        every launch builds its own work-groups."""
+        expected = np.full(16, 6.0).tobytes()  # ((0+1)*2+1)*2
         results = [None] * 8
 
         def worker(first: int) -> None:
@@ -210,7 +167,3 @@ class TestConcurrentReuse:
             thread.join(timeout=30)
             assert not thread.is_alive()
         assert results == [expected] * 8
-        # 8 cells x 2 launches share one compiled plan
-        info = plan_cache_info()
-        assert info["compiles"] >= 1
-        assert info["hits"] >= 8

@@ -28,7 +28,6 @@ from pathlib import Path
 import pytest
 
 from repro.altis.registry import APP_FACTORIES
-from repro.sycl.plan import clear_plan_caches, plan_pool_stats
 from repro.trace.metrics import Histogram
 from repro.trace.profile import (PROFILE_SCHEMA, build_profile,
                                  collapsed_stacks, profile_functional,
@@ -39,11 +38,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 
 
-def _profile(config: str, **kwargs):
-    clear_plan_caches()
-    return profile_functional(config, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Golden deterministic reports
 # ---------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def _profile(config: str, **kwargs):
 @pytest.mark.parametrize("config,slug", [("NW", "profile_nw.md"),
                                          ("FDTD2D", "profile_fdtd2d.md")])
 def test_golden_profile_report(config, slug):
-    run = _profile(config)
+    run = profile_functional(config)
     report = render_profile(run.profile, deterministic=True)
     path = GOLDEN_DIR / slug
     if _REGEN:
@@ -78,8 +72,8 @@ def _strip_wall(node):
 
 
 def test_profile_deterministic_across_runs():
-    a = _profile("FDTD2D")
-    b = _profile("FDTD2D")
+    a = profile_functional("FDTD2D")
+    b = profile_functional("FDTD2D")
     assert (render_profile(a.profile, deterministic=True)
             == render_profile(b.profile, deterministic=True))
     # beyond the rendered projection: every non-wall quantity of the
@@ -93,7 +87,7 @@ def test_profile_deterministic_across_runs():
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_every_launch_attributed(config):
-    run = _profile(config)
+    run = profile_functional(config)
     launches = [ev for ev in run.events if ev.cat == "launch"]
     assert launches, f"{config}: traced run produced no launch spans"
     rows = run.profile["kernels"]
@@ -119,8 +113,8 @@ def test_every_launch_attributed(config):
 # ---------------------------------------------------------------------------
 
 def test_fdtd2d_fig1_crossover_from_spans():
-    small = _profile("FDTD2D", scale=0.05).profile["decomposition"]
-    large = _profile("FDTD2D", scale=1.0).profile["decomposition"]
+    small = profile_functional("FDTD2D", scale=0.05).profile["decomposition"]
+    large = profile_functional("FDTD2D", scale=1.0).profile["decomposition"]
     # size 1 analogue: SYCL non-kernel time dominates
     assert small["non_kernel_us"] > small["kernel_us"]
     # size 3 analogue: kernel time dominates
@@ -135,11 +129,11 @@ def test_fdtd2d_fig1_crossover_from_spans():
 
 
 # ---------------------------------------------------------------------------
-# Roofline placement and plan stats
+# Roofline placement and the dispatch split
 # ---------------------------------------------------------------------------
 
 def test_roofline_rows_bounded_by_the_roof():
-    run = _profile("FDTD2D", scale=0.4)
+    run = profile_functional("FDTD2D", scale=0.4)
     rows = [r for r in run.profile["kernels"] if r["roofline"] is not None]
     assert rows, "FDTD2D kernels declare work counters; expected rooflines"
     for row in rows:
@@ -150,20 +144,28 @@ def test_roofline_rows_bounded_by_the_roof():
         assert roof["fraction_of_roofline"] >= 0.0
 
 
-def test_profile_plan_stats_match_span_counts():
-    run = _profile("NW")
-    pc = run.profile["plan_cache"]
-    compiles = sum(1 for ev in run.events if ev.name == "plan.compile")
-    hits = sum(1 for ev in run.events if ev.name == "plan.hit")
-    assert pc["compiles"] == compiles > 0
-    assert pc["hits"] == hits
-    pools = pc["pools"]
-    assert pools["plans"] == plan_pool_stats()["plans"] > 0
-    assert pools["poolable_groups"] >= pools["plans"]
+def test_dispatch_wall_is_launch_minus_kernel_form():
+    """A launch's wall time splits into its kernel-form child (the body)
+    and the rest (dispatch); the report carries no plan-cache section."""
+    run = profile_functional("NW")
+    assert "plan_cache" not in run.profile
+    assert not any(ev.cat == "plan" for ev in run.events)
+    children = {}
+    for ev in run.events:
+        if ev.cat == "kernel-form":
+            children[ev.parent_id] = children.get(ev.parent_id, 0.0) \
+                + ev.dur_us
+    launches = [ev for ev in run.events if ev.cat == "launch"]
+    body = sum(children.get(ev.id, 0.0) for ev in launches)
+    dispatch = sum(max(0.0, ev.dur_us - children.get(ev.id, 0.0))
+                   for ev in launches)
+    rows = run.profile["kernels"]
+    assert sum(r["body_wall_us"] for r in rows) == pytest.approx(body)
+    assert sum(r["dispatch_wall_us"] for r in rows) == pytest.approx(dispatch)
 
 
 def test_profile_schema_and_run_identity():
-    run = _profile("NW", device_key="a100", mode="item", scale=0.02, seed=3)
+    run = profile_functional("NW", device_key="a100", mode="item", scale=0.02, seed=3)
     p = run.profile
     assert p["schema"] == PROFILE_SCHEMA
     assert p["run"]["app"] == "NW"
@@ -180,7 +182,7 @@ def test_profile_schema_and_run_identity():
 # ---------------------------------------------------------------------------
 
 def test_collapsed_stacks_folded_format(tmp_path):
-    run = _profile("NW")
+    run = profile_functional("NW")
     lines = collapsed_stacks(run.events)
     assert lines == sorted(lines)
     total_self = 0
@@ -201,7 +203,7 @@ def test_collapsed_stacks_folded_format(tmp_path):
 
 
 def test_write_profile_artifacts(tmp_path):
-    run = _profile("NW")
+    run = profile_functional("NW")
     paths = write_profile(tmp_path / "out", run)
     assert sorted(paths) == ["profile.folded", "profile.json", "profile.md",
                              "trace.json"]

@@ -168,7 +168,7 @@ def test_span_counts_follow_launch_counters_not_items():
     launches = c.kernel_launches
     # each group's generators end with one phase that reaches no barrier
     assert Counter(ev.cat for ev in events) == {
-        "launch": launches, "plan": launches, "kernel-form": launches,
+        "launch": launches, "kernel-form": launches,
         "modeled": launches, "barrier-phase": c.barrier_phases + c.groups}
     assert len(events) < c.gen_advances
 
