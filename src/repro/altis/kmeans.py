@@ -111,15 +111,37 @@ def _map_centers_vector(nd_range, points, centers, assign, n, k, d):
     assign[:n] = _assign_points(points[:n], centers)
 
 
+def _reset_item(item, sums, counts, k, d):
+    c = item.get_global_linear_id()
+    sums[c] = 0
+    counts[c] = 0
+
+
 def _reset_vector(nd_range, sums, counts, k, d):
     sums[:] = 0
     counts[:] = 0
+
+
+def _accumulate_item(item, points, assign, sums, counts, n):
+    # Items run in point order and each adds its row in float64, so a
+    # cluster's sums match _cluster_sums' bincount bit for bit.
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    c = assign[i]
+    sums[c] += points[i].astype(np.float64)
+    counts[c] += 1
 
 
 def _accumulate_vector(nd_range, points, assign, sums, counts, n):
     k = len(counts)
     sums += _cluster_sums(points[:n], assign[:n], k)
     counts += np.bincount(assign[:n], minlength=k)
+
+
+def _finalize_item(item, centers, sums, counts, k):
+    c = item.get_global_linear_id()
+    centers[c] = (sums[c] / max(int(counts[c]), 1)).astype(centers.dtype)
 
 
 def _finalize_vector(nd_range, centers, sums, counts, k):
@@ -228,14 +250,17 @@ class KMeans(AltisApp):
                       # accumulation stalls the item pipeline on FPGA
                       "variable_trip_loop": fpga},
         )
-        reset = KernelSpec(name="reset", vector_fn=_reset_vector,
+        reset = KernelSpec(name="reset", item_fn=_reset_item,
+                           vector_fn=_reset_vector,
                            features={"body_fmas": 0, "body_ops": 2,
                                      "global_access_sites": 2})
         accumulate = KernelSpec(
-            name="accumulate", vector_fn=_accumulate_vector,
+            name="accumulate", item_fn=_accumulate_item,
+            vector_fn=_accumulate_vector,
             features={"body_fmas": 2, "body_ops": 6, "global_access_sites": 4},
         )
-        finalize = KernelSpec(name="finalize", vector_fn=_finalize_vector,
+        finalize = KernelSpec(name="finalize", item_fn=_finalize_item,
+                              vector_fn=_finalize_vector,
                               features={"body_fmas": 1, "body_ops": 3,
                                         "global_access_sites": 3})
         map_st = KernelSpec(

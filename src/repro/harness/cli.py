@@ -18,7 +18,6 @@ the CLI is a thin layer over :mod:`repro.harness`.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import TYPE_CHECKING
 
 from ..altis import SIZES, Variant
@@ -405,6 +404,3 @@ def _run_traced(command, args) -> int:
               "(load in chrome://tracing)")
     return status
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -95,6 +95,30 @@ class TestKMeansItemPath:
         assert path == _PATH[mode]
         np.testing.assert_array_equal(assign, _assign_points(points, centers))
 
+    @pytest.mark.parametrize("mode", ["item", "compiled"])
+    def test_update_kernels_with_an_empty_cluster(self, mode):
+        """reset/accumulate/finalize give ``_update_centers``' bytes from
+        stale buffers, with one cluster no point is assigned to."""
+        from repro.altis.kmeans import KMeans, _update_centers
+
+        app = KMeans()
+        wl = app.generate(1, scale=0.005)
+        p = wl.params
+        n, k, d = p["n"], p["k"], p["d"]
+        points = wl["points"]
+        assign = (np.arange(n) % (k - 1)).astype(np.int32)
+        sums, counts = np.full((k, d), 7.0), np.full(k, 3)
+        centers = np.empty((k, d), dtype=np.float32)
+        ks = app.kernels()
+        queue = Queue("rtx2080", default_mode=mode)
+        queue.parallel_for(Range(k), ks["reset"], sums, counts, k, d)
+        queue.parallel_for(Range(n), ks["accumulate"], points, assign, sums,
+                           counts, n)
+        queue.parallel_for(Range(k), ks["finalize"], centers, sums, counts, k)
+        assert queue.counters.path_counts == {_PATH[mode]: 3}
+        np.testing.assert_array_equal(
+            centers, _update_centers(points, assign, k), strict=True)
+
 
 class TestSradItemPath:
     @pytest.mark.parametrize("mode", ["item", "compiled"])

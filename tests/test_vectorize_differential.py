@@ -30,7 +30,7 @@ from repro.sycl import Queue
 #: ``item_fn`` where there is one
 _LAUNCHES = {
     "CFD FP32": (3, 3), "CFD FP64": (3, 3), "DWT2D": (6, 6),
-    "FDTD2D": (9, 9), "KMeans": (20, 5), "LavaMD": (1, 1),
+    "FDTD2D": (9, 9), "KMeans": (20, 20), "LavaMD": (1, 1),
     "Mandelbrot": (1, 1), "NW": (9, 9), "PF Float": (4, 4),
     "PF Naive": (4, 4), "Raytracing": (1, 0), "SRAD": (8, 8),
     "Where": (2, 2),
