@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "test scale instead of 2x")
     profile.add_argument("--out", default=None, metavar="DIR",
                          help="artifact directory for profile.json / "
-                              "profile.md / profile.folded / trace.json "
+                              "profile.md / trace.json "
                               "(default: profile_<benchmark>)")
     profile.add_argument("--quiet", action="store_true",
                          help="write the artifacts without printing the "

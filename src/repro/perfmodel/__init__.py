@@ -10,8 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "overhead": ("RuntimeKind", "RuntimeOverheads", "overheads_for"),
     "profile": ("KernelProfile", "LaunchPlan"),
     "spec": ("DEVICE_SPECS", "DeviceKind", "DeviceSpec", "FpgaResources",
-             "fpga_peak_fp32_tflops", "get_spec",
-             "roofline_attainable_flops", "roofline_point"),
+             "fpga_peak_fp32_tflops", "get_spec"),
     "timeline": ("RunDecomposition", "model_for", "time_launch_plan"),
     "traits": ("TRAITS", "ImplVariant", "Trait"),
 })

@@ -73,15 +73,6 @@ class GpuModel:
         t_memory = p.global_bytes / (self.spec.mem_bw * self.MEM_EFF * max(occ, 0.1))
         return max(t_compute, t_memory, _GPU_KERNEL_FLOOR_S)
 
-    def bound(self, p: KernelProfile) -> str:
-        """Which roofline wall binds: 'compute' or 'memory'."""
-        peak = self.spec.peak_flops(p.fp64)
-        occ = self.occupancy(p.work_items)
-        eff = self.compute_efficiency(p) * max(occ, 0.02)
-        t_compute = self.effective_flops(p) / (peak * eff)
-        t_memory = p.global_bytes / (self.spec.mem_bw * self.MEM_EFF * max(occ, 0.1))
-        return "compute" if t_compute >= t_memory else "memory"
-
 
 class CpuModel(GpuModel):
     """Xeon CPU under the SYCL CPU back-end.

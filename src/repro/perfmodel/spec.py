@@ -28,8 +28,6 @@ __all__ = [
     "DEVICE_SPECS",
     "get_spec",
     "fpga_peak_fp32_tflops",
-    "roofline_attainable_flops",
-    "roofline_point",
 ]
 
 
@@ -228,54 +226,3 @@ def get_spec(key: str) -> DeviceSpec:
         raise DeviceNotFoundError(
             f"unknown device {key!r}; available: {sorted(DEVICE_SPECS)}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# Roofline placement (used by the ``repro profile`` report)
-# ---------------------------------------------------------------------------
-
-def roofline_attainable_flops(spec: DeviceSpec, arithmetic_intensity: float | None,
-                              fp64: bool = False) -> float:
-    """Attainable FLOP/s at a given arithmetic intensity (FLOP/byte).
-
-    The classic roofline: ``min(peak compute, AI x peak bandwidth)``.
-    ``arithmetic_intensity=None`` means "no global traffic" (infinite
-    AI) — the kernel sits under the flat compute roof.
-    """
-    peak = spec.peak_flops(fp64)
-    if arithmetic_intensity is None:
-        return peak
-    if arithmetic_intensity < 0:
-        raise ValueError(f"negative arithmetic intensity {arithmetic_intensity!r}")
-    return min(peak, arithmetic_intensity * spec.mem_bw)
-
-
-def roofline_point(device: str | DeviceSpec, *, flops: float,
-                   global_bytes: float, seconds: float,
-                   fp64: bool = False) -> dict:
-    """Place one measured kernel on the device's roofline.
-
-    Returns a JSON-safe dict: achieved vs attainable vs peak GFLOP/s,
-    the fraction of the roofline reached, and whether the attainable
-    roof at this intensity is ``"compute"`` or ``"memory"`` bound.
-    ``arithmetic_intensity`` is ``None`` (not ``inf``) for kernels with
-    zero global traffic.
-    """
-    spec = get_spec(device) if isinstance(device, str) else device
-    if seconds <= 0:
-        raise ValueError(f"non-positive kernel time {seconds!r}")
-    ai = flops / global_bytes if global_bytes > 0 else None
-    attainable = roofline_attainable_flops(spec, ai, fp64)
-    peak = spec.peak_flops(fp64)
-    achieved = flops / seconds
-    bound = "compute" if ai is None or ai * spec.mem_bw >= peak else "memory"
-    return {
-        "device": spec.key,
-        "fp64": fp64,
-        "arithmetic_intensity": ai,
-        "achieved_gflops": achieved / 1e9,
-        "attainable_gflops": attainable / 1e9,
-        "peak_gflops": peak / 1e9,
-        "fraction_of_roofline": achieved / attainable if attainable > 0 else 0.0,
-        "bound": bound,
-    }

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..common.errors import InvalidParameterError, KernelLaunchError
-from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
 from .event import CommandKind, Event
@@ -253,7 +252,7 @@ class Queue:
                 events.append(book())
             else:
                 _note_execution_metrics(stats)
-                events.append(self._traced(tracer, kernel, profile, book))
+                events.append(self._traced(tracer, kernel, book))
         return events
 
     # -- implementation ------------------------------------------------------
@@ -263,10 +262,10 @@ class Queue:
         tracer = current_tracer()
         if tracer is None:
             return self._launch_inner(kernel, nd_range, args, profile)
-        return self._traced(tracer, kernel, profile, partial(
+        return self._traced(tracer, kernel, partial(
             self._launch_inner, kernel, nd_range, args, profile))
 
-    def _traced(self, tracer, kernel: KernelSpec, profile, run) -> Event:
+    def _traced(self, tracer, kernel: KernelSpec, run) -> Event:
         """``run()`` one booking inside a ``launch`` span that carries the
         path, work counts and modeled times the profiler folds."""
         with tracer.span(f"launch:{kernel.name}", "launch",
@@ -282,13 +281,6 @@ class Queue:
                 modeled_device_us=entry.device_s * 1e6,
                 modeled_overhead_us=entry.overhead_s * 1e6,
             )
-            if profile is not None:
-                # KernelProfile work counters, for roofline placement
-                sp.args.update(flops=profile.flops,
-                               global_bytes=profile.global_bytes,
-                               fp64=profile.fp64)
-        _trace_metrics.histogram("queue.launch_wall_us").observe(
-            tracer.now_us() - sp.start_us)
         return event
 
     def _launch_inner(self, kernel: KernelSpec, nd_range: NdRange | None,

@@ -94,8 +94,6 @@ def launch_table(events: Iterable[Span]) -> list[dict]:
             "wall_us": ev.dur_us,
             "modeled_device_us": args.get("modeled_device_us", 0.0),
             "modeled_overhead_us": args.get("modeled_overhead_us", 0.0),
-            "flops": args.get("flops", 0.0),
-            "global_bytes": args.get("global_bytes", 0.0),
             "pid": ev.pid,
         })
     return rows

@@ -11,21 +11,11 @@ report, the observability artifact the paper's Fig. 1 is built from:
 * **kernel vs non-kernel decomposition** — the Fig. 1 view for any
   app × device × size, derived from the modeled-clock spans exactly as
   :meth:`~repro.sycl.queue.Queue.kernel_time_s` /
-  :meth:`~repro.sycl.queue.Queue.non_kernel_time_s` would compute it;
-* **roofline placement** — achieved vs attainable FLOP/s per kernel,
-  from the :class:`~repro.perfmodel.profile.KernelProfile` work
-  counters the launch spans carry and the Table 2 device peaks
-  (:func:`repro.perfmodel.spec.roofline_point`);
-* **launch-cost distribution** — p50/p95/p99 of the per-launch wall
-  cost through :class:`~repro.trace.metrics.Histogram`;
-* **collapsed-stack flamegraph export** — one ``frame;frame value``
-  line per wall-clock stack, loadable by ``flamegraph.pl`` or
-  `speedscope <https://speedscope.app>`_.
+  :meth:`~repro.sycl.queue.Queue.non_kernel_time_s` would compute it.
 
 Wall-clock quantities vary run to run; everything else (launch counts,
-items, barrier phases, modeled times, work counters, roofline
-placement) is deterministic for a fixed configuration.
-``render_profile(..., deterministic=True)`` emits only
+items, barrier phases, modeled times) is deterministic for a fixed
+configuration.  ``render_profile(..., deterministic=True)`` emits only
 the deterministic columns — the projection the golden-report tests pin
 byte-for-byte.
 """
@@ -38,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .metrics import Histogram
 from .spans import Span
 
 __all__ = [
@@ -47,14 +36,12 @@ __all__ = [
     "build_profile",
     "profile_functional",
     "render_profile",
-    "collapsed_stacks",
-    "write_flamegraph",
     "write_profile",
 ]
 
 #: Schema tag carried by every ``profile.json``; bump on key-structure
 #: changes so downstream tooling can detect drift.
-PROFILE_SCHEMA = "repro-profile/4"
+PROFILE_SCHEMA = "repro-profile/5"
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +70,6 @@ class _KernelAgg:
     dispatch_wall_us: float = 0.0
     modeled_device_us: float = 0.0
     modeled_overhead_us: float = 0.0
-    flops: float = 0.0
-    global_bytes: float = 0.0
-    fp64: bool = False
     paths: dict = field(default_factory=dict)
 
 
@@ -95,7 +79,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
                   seed: int | None = None) -> dict:
     """Fold one traced run's spans into the structured profile report.
 
-    ``device_key`` drives the roofline placement (a Table 2 catalogue
+    ``device_key`` names the report's device (a Table 2 catalogue
     key); when omitted it is recovered from the launch spans.  The
     report is plain JSON-serializable data — see the module docstring
     for the sections.
@@ -103,7 +87,6 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
     events = list(events)
     children = _children_by_parent(events)
     aggs: dict[str, _KernelAgg] = {}
-    launch_walls: list[float] = []
 
     for ev in events:
         if ev.cat != "launch":
@@ -120,14 +103,10 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         agg.wall_us += ev.dur_us
         agg.modeled_device_us += args.get("modeled_device_us", 0.0)
         agg.modeled_overhead_us += args.get("modeled_overhead_us", 0.0)
-        agg.flops += args.get("flops", 0.0)
-        agg.global_bytes += args.get("global_bytes", 0.0)
-        agg.fp64 = agg.fp64 or bool(args.get("fp64", False))
         path = args.get("path", "?")
         agg.paths[path] = agg.paths.get(path, 0) + 1
         if device_key is None:
             device_key = args.get("device_key")
-        launch_walls.append(ev.dur_us)
         body = sum(c.dur_us for c in children.get(ev.id, ())
                    if c.cat == "kernel-form")
         agg.body_wall_us += body
@@ -163,19 +142,8 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
             "items_per_s": agg.items / wall_s if wall_s > 0 else 0.0,
             "modeled_device_us": agg.modeled_device_us,
             "modeled_overhead_us": agg.modeled_overhead_us,
-            "flops": agg.flops,
-            "global_bytes": agg.global_bytes,
-            "roofline": _roofline_row(agg, device_key),
         }
         rows.append(row)
-
-    # -- per-launch wall-cost distribution (histogram percentiles) -------
-    hist = Histogram("profile.launch_wall_us")
-    for wall in launch_walls:
-        hist.observe(wall)
-    snap = hist.snapshot()
-    launch_wall = {k: snap[k] for k in
-                   ("count", "mean", "min", "max", "p50", "p95", "p99")}
 
     # -- run identity & device context -----------------------------------
     app_spans = [ev for ev in events if ev.cat == "app"]
@@ -205,21 +173,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
             "total_us": total_us,
             "kernel_fraction": kernel_us / total_us if total_us else 0.0,
         },
-        "launch_wall_us": launch_wall,
     }
-
-
-def _roofline_row(agg: _KernelAgg, device_key: str | None) -> dict | None:
-    """Roofline placement for one kernel row (``None`` when the app
-    declared no work counters or the device is unknown)."""
-    if device_key is None or agg.flops <= 0 or agg.modeled_device_us <= 0:
-        return None
-    from ..perfmodel.spec import roofline_point
-
-    return roofline_point(device_key, flops=agg.flops,
-                          global_bytes=agg.global_bytes,
-                          seconds=agg.modeled_device_us / 1e6,
-                          fp64=agg.fp64)
 
 
 def _device_summary(device_key: str | None) -> dict | None:
@@ -296,9 +250,8 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
     """Markdown report for one profile.
 
     ``deterministic=True`` drops every wall-clock-derived column
-    (wall/self/dispatch times, items/s, the launch-cost distribution)
-    and keeps the run-invariant ones — the projection pinned by the
-    golden-report tests.
+    (wall/self times, items/s) and keeps the run-invariant ones — the
+    projection pinned by the golden-report tests.
     """
     run = profile["run"]
     dev = profile.get("device_spec") or {}
@@ -317,29 +270,19 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
     lines.append("")
     if deterministic:
         header = ("| kernel | path | launches | items | phases | "
-                  "model ms | ovh ms | GFLOP/s | %roof | bound |")
-        rule = "|---|---|---:|---:|---:|---:|---:|---:|---:|---|"
+                  "model ms | ovh ms |")
+        rule = "|---|---|---:|---:|---:|---:|---:|"
     else:
         header = ("| kernel | path | launches | items | phases | wall ms "
-                  "| self ms | items/s | model ms | ovh ms | GFLOP/s "
-                  "| %roof | bound |")
-        rule = "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|"
+                  "| self ms | items/s | model ms | ovh ms |")
+        rule = "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|"
     lines += [header, rule]
     for row in profile["kernels"]:
         paths = "+".join(sorted(row["paths"]))
-        roof = row.get("roofline")
-        if roof is None:
-            gflops = pct = "--"
-            bound = "--"
-        else:
-            gflops = f"{roof['achieved_gflops']:.2f}"
-            pct = f"{100.0 * roof['fraction_of_roofline']:.1f}"
-            bound = roof["bound"]
         common = (f"| {row['kernel']} | {paths} | {row['launches']} "
                   f"| {row['items']} | {row['barrier_phases']} ")
         model = (f"| {row['modeled_device_us'] / 1e3:.3f} "
-                 f"| {row['modeled_overhead_us'] / 1e3:.3f} "
-                 f"| {gflops} | {pct} | {bound} |")
+                 f"| {row['modeled_overhead_us'] / 1e3:.3f} |")
         if deterministic:
             lines.append(common + model)
         else:
@@ -359,78 +302,15 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
                  f"host tasks {d['host_task_us'] / 1e3:.3f} ms)")
     lines.append(f"- total           : {d['total_us'] / 1e3:.3f} ms")
     lines.append("")
-
-    if not deterministic:
-        lw = profile["launch_wall_us"]
-        lines.append("## Launch-cost distribution (wall clock)")
-        lines.append("")
-        lines.append(f"- launches: {lw['count']}, mean {lw['mean']:.1f} us, "
-                     f"p50 {_fmt_opt(lw['p50'])} us, "
-                     f"p95 {_fmt_opt(lw['p95'])} us, "
-                     f"p99 {_fmt_opt(lw['p99'])} us, "
-                     f"max {_fmt_opt(lw['max'])} us")
-        lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _fmt_opt(value) -> str:
-    # "n/a", not a number-looking placeholder: a percentile row with no
-    # samples has no defined value (Histogram.percentile raises there)
-    return "n/a" if value is None else f"{value:.1f}"
-
-
-# ---------------------------------------------------------------------------
-# Flamegraph export (collapsed-stack / folded format)
-# ---------------------------------------------------------------------------
-
-def collapsed_stacks(events: Iterable[Span]) -> list[str]:
-    """Folded flamegraph lines (``frame;frame;frame value``).
-
-    One line per distinct wall-clock stack; ``value`` is the stack's
-    *self* time in integer microseconds (span duration minus wall-clock
-    children).  Modeled-clock spans live on a different clock domain
-    and are excluded.  Lines are sorted, so the export is byte-stable
-    for a fixed span set.
-    """
-    events = [ev for ev in events if ev.cat not in ("modeled", "model")]
-    by_id = {ev.id: ev for ev in events}
-    child_wall: dict[int, float] = {}
-    for ev in events:
-        if ev.parent_id is not None and ev.parent_id in by_id:
-            child_wall[ev.parent_id] = child_wall.get(ev.parent_id, 0.0) \
-                + ev.dur_us
-    totals: dict[str, int] = {}
-    for ev in events:
-        self_us = int(round(ev.dur_us - child_wall.get(ev.id, 0.0)))
-        if self_us <= 0:
-            continue
-        frames = []
-        node: Span | None = ev
-        while node is not None:
-            frames.append(node.name.replace(";", ","))
-            node = by_id.get(node.parent_id) \
-                if node.parent_id is not None else None
-        stack = ";".join(reversed(frames))
-        totals[stack] = totals.get(stack, 0) + self_us
-    return [f"{stack} {value}" for stack, value in sorted(totals.items())]
-
-
-def write_flamegraph(path: str | os.PathLike,
-                     events: Iterable[Span]) -> Path:
-    """Write the folded-stack file (``flamegraph.pl`` / speedscope)."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(collapsed_stacks(events)) + "\n")
-    return path
 
 
 def write_profile(out_dir: str | os.PathLike, run: ProfileRun) -> dict[str, Path]:
     """Write the full artifact set of one profiled run.
 
     ``profile.json`` (structured report), ``profile.md`` (rendered
-    report), ``profile.folded`` (flamegraph), ``trace.json`` (Chrome
-    trace with the metrics snapshot).  Returns the paths by artifact
+    report) and ``trace.json`` (Chrome trace with the metrics snapshot,
+    loadable by Perfetto or speedscope).  Returns the paths by artifact
     name.
     """
     from .export import write_chrome_trace
@@ -440,12 +320,10 @@ def write_profile(out_dir: str | os.PathLike, run: ProfileRun) -> dict[str, Path
     paths = {
         "profile.json": out / "profile.json",
         "profile.md": out / "profile.md",
-        "profile.folded": out / "profile.folded",
         "trace.json": out / "trace.json",
     }
     paths["profile.json"].write_text(
         json.dumps(run.profile, indent=2, sort_keys=True) + "\n")
     paths["profile.md"].write_text(render_profile(run.profile))
-    write_flamegraph(paths["profile.folded"], run.events)
     write_chrome_trace(paths["trace.json"], run.events, metrics=run.metrics)
     return paths

@@ -51,14 +51,22 @@ class TestProfileValidation:
 
 class TestGpuRoofline:
     def test_compute_bound_kernel(self):
+        # the compute wall binds: doubling the traffic costs nothing,
+        # doubling the arithmetic doubles the time
         m = GpuModel(get_spec("rtx2080"))
-        p = _profile(flops=1e12, global_bytes=1e6)
-        assert m.bound(p) == "compute"
+        t = m.kernel_time_s(_profile(flops=1e12, global_bytes=1e6))
+        assert m.kernel_time_s(_profile(flops=1e12, global_bytes=2e6)) == t
+        assert m.kernel_time_s(
+            _profile(flops=2e12, global_bytes=1e6)) == pytest.approx(2 * t)
 
     def test_memory_bound_kernel(self):
+        # the memory wall binds: doubling the arithmetic costs nothing,
+        # doubling the traffic doubles the time
         m = GpuModel(get_spec("rtx2080"))
-        p = _profile(flops=1e6, global_bytes=1e9)
-        assert m.bound(p) == "memory"
+        t = m.kernel_time_s(_profile(flops=1e6, global_bytes=1e9))
+        assert m.kernel_time_s(_profile(flops=2e6, global_bytes=1e9)) == t
+        assert m.kernel_time_s(
+            _profile(flops=1e6, global_bytes=2e9)) == pytest.approx(2 * t)
 
     def test_divergence_slows_kernel(self):
         m = GpuModel(get_spec("rtx2080"))

@@ -11,8 +11,7 @@ Covers the tentpole acceptance criteria:
   to exactly one hotspot row;
 * the Fig. 1 FDTD2D kernel/non-kernel crossover reproduced from trace
   spans alone (small scale: non-kernel dominates; large: kernel does);
-* roofline placement, flamegraph export, histogram percentiles, and the
-  CLI subcommand.
+* the dispatch split, the artifact set and the CLI subcommand.
 
 Regenerate the goldens after an intentional report change with::
 
@@ -28,10 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.altis.registry import APP_FACTORIES
-from repro.trace.metrics import Histogram
 from repro.trace.profile import (PROFILE_SCHEMA, build_profile,
-                                 collapsed_stacks, profile_functional,
-                                 render_profile, write_flamegraph,
+                                 profile_functional, render_profile,
                                  write_profile)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -59,7 +56,7 @@ def test_golden_profile_report(config, slug):
 
 
 _WALL_KEYS = ("wall_us", "body_wall_us", "dispatch_wall_us", "items_per_s",
-              "compile_wall_us", "app_wall_us", "launch_wall_us")
+              "app_wall_us")
 
 
 def _strip_wall(node):
@@ -129,20 +126,8 @@ def test_fdtd2d_fig1_crossover_from_spans():
 
 
 # ---------------------------------------------------------------------------
-# Roofline placement and the dispatch split
+# The dispatch split and the report's shape
 # ---------------------------------------------------------------------------
-
-def test_roofline_rows_bounded_by_the_roof():
-    run = profile_functional("FDTD2D", scale=0.4)
-    rows = [r for r in run.profile["kernels"] if r["roofline"] is not None]
-    assert rows, "FDTD2D kernels declare work counters; expected rooflines"
-    for row in rows:
-        roof = row["roofline"]
-        assert roof["device"] == "rtx2080"
-        assert roof["attainable_gflops"] <= roof["peak_gflops"] + 1e-9
-        assert roof["bound"] in ("compute", "memory")
-        assert roof["fraction_of_roofline"] >= 0.0
-
 
 def test_dispatch_wall_is_launch_minus_kernel_form():
     """A launch's wall time splits into its kernel-form child (the body)
@@ -167,7 +152,15 @@ def test_dispatch_wall_is_launch_minus_kernel_form():
 def test_profile_schema_and_run_identity():
     run = profile_functional("NW", device_key="a100", mode="item", scale=0.02, seed=3)
     p = run.profile
-    assert p["schema"] == PROFILE_SCHEMA
+    assert p["schema"] == PROFILE_SCHEMA == "repro-profile/5"
+    assert sorted(p) == ["decomposition", "device_spec", "kernels", "run",
+                         "schema"]
+    assert p["kernels"]
+    for row in p["kernels"]:
+        assert sorted(row) == [
+            "barrier_phases", "body_wall_us", "dispatch_wall_us", "groups",
+            "items", "items_per_s", "kernel", "launches",
+            "modeled_device_us", "modeled_overhead_us", "paths", "wall_us"]
     assert p["run"]["app"] == "NW"
     assert p["run"]["device"] == "a100"
     assert p["run"]["mode"] == "item"
@@ -178,35 +171,17 @@ def test_profile_schema_and_run_identity():
 
 
 # ---------------------------------------------------------------------------
-# Flamegraph export
+# Artifacts
 # ---------------------------------------------------------------------------
 
-def test_collapsed_stacks_folded_format(tmp_path):
-    run = profile_functional("NW")
-    lines = collapsed_stacks(run.events)
-    assert lines == sorted(lines)
-    total_self = 0
-    for line in lines:
-        stack, _, value = line.rpartition(" ")
-        assert stack and int(value) > 0
-        assert stack.startswith("repro:profile")
-        total_self += int(value)
-    wall = sum(ev.dur_us for ev in run.events
-               if ev.cat == "run")  # the root span
-    # self times telescope back to the root wall time, within the
-    # per-span integer rounding (±0.5us each)
-    assert total_self == pytest.approx(wall, abs=len(run.events))
-    # no modeled-clock frames leak into the wall-clock flamegraph
-    assert not any("modeled" in line for line in lines)
-    out = write_flamegraph(tmp_path / "nw.folded", run.events)
-    assert out.read_text().splitlines() == lines
+_ARTIFACTS = ["profile.json", "profile.md", "trace.json"]
 
 
 def test_write_profile_artifacts(tmp_path):
     run = profile_functional("NW")
     paths = write_profile(tmp_path / "out", run)
-    assert sorted(paths) == ["profile.folded", "profile.json", "profile.md",
-                             "trace.json"]
+    assert sorted(paths) == _ARTIFACTS
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == _ARTIFACTS
     for path in paths.values():
         assert path.exists() and path.stat().st_size > 0
     doc = json.loads(paths["profile.json"].read_text())
@@ -214,53 +189,6 @@ def test_write_profile_artifacts(tmp_path):
     trace = json.loads(paths["trace.json"].read_text())
     assert trace["traceEvents"]
     assert "metrics" in trace["otherData"]
-
-
-# ---------------------------------------------------------------------------
-# Histogram percentiles (satellite)
-# ---------------------------------------------------------------------------
-
-def test_histogram_percentiles_exact_below_reservoir():
-    h = Histogram("t")
-    for v in range(1, 101):  # 1..100
-        h.observe(float(v))
-    snap = h.snapshot()
-    assert snap["p50"] == 50.0
-    assert snap["p95"] == 95.0
-    assert snap["p99"] == 99.0
-    assert h.percentile(0.0) == 1.0
-    assert h.percentile(100.0) == 100.0
-
-
-def test_histogram_percentiles_deterministic_when_bounded():
-    def build():
-        h = Histogram("t")
-        for v in range(10_000):
-            h.observe(float(v % 977))
-        return h
-    a, b = build(), build()
-    assert a.snapshot() == b.snapshot()
-    # the subsampled estimate stays close to the true quantile
-    assert a.snapshot()["p50"] == pytest.approx(977 / 2, rel=0.1)
-    assert len(a._samples) <= Histogram.RESERVOIR
-
-
-def test_histogram_empty_and_validation():
-    h = Histogram("t")
-    snap = h.snapshot()
-    assert snap["p50"] is None and snap["p95"] is None and snap["p99"] is None
-    with pytest.raises(ValueError):
-        h.percentile(101.0)
-    # empty reservoir: a clear ValueError naming the histogram, never an
-    # IndexError from indexing an empty sample list
-    with pytest.raises(ValueError, match="no samples"):
-        h.percentile(50.0)
-
-
-def test_profile_renders_na_for_missing_percentiles():
-    from repro.trace.profile import _fmt_opt
-    assert _fmt_opt(None) == "n/a"
-    assert _fmt_opt(3.14159) == "3.1"
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +202,6 @@ def test_build_profile_synthetic_spans():
         with tr.span("launch:k1", "launch", kernel="k1", device_key="a100",
                      items=64, groups=4, barrier_phases=2,
                      modeled_device_us=100.0, modeled_overhead_us=5.0,
-                     flops=1e6, global_bytes=1e3, fp64=False,
                      path="item"):
             pass
         tr.complete("k1", "modeled", 0.0, 105.0, kind="kernel",
@@ -284,7 +211,6 @@ def test_build_profile_synthetic_spans():
     assert p["run"]["device"] == "a100"  # recovered from the launch span
     row, = p["kernels"]
     assert row["kernel"] == "k1" and row["launches"] == 1
-    assert row["roofline"]["achieved_gflops"] == pytest.approx(10.0)
     d = p["decomposition"]
     assert d["kernel_us"] == 100.0 and d["overhead_us"] == 5.0
 
@@ -306,19 +232,14 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     assert main(["profile", "nw", "--quick", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "Kernel hotspots" in text
-    assert (out / "profile.json").exists()
-    assert (out / "profile.md").exists()
-    assert (out / "profile.folded").exists()
-    assert (out / "trace.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == _ARTIFACTS
 
 
 def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
     """KMeans' FPGA pipe design books its two kernels through
     ``Queue.dataflow``; each gets a ``launch`` span like any other
-    single-task launch, so the hotspot table lists both and the launch
-    count matches the queue's own counter."""
-    import re
-
+    single-task launch, so the hotspot table lists both and its launch
+    column sums to the queue's own counter."""
     from repro.altis import Variant
     from repro.altis.kmeans import KMeans
     from repro.harness.cli import main
@@ -338,5 +259,8 @@ def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
     text = capsys.readouterr().out
     for kernel in ("mapCenters_st", "resetAccFin_st"):
         assert f"| {kernel} | single_task | 1 |" in text
-    launches = int(re.search(r"^- launches: (\d+),", text, re.M).group(1))
+    hotspots = text.split("## Kernel hotspots")[1].split("\n## ")[0]
+    rows = [line.split("|") for line in hotspots.splitlines()
+            if line.startswith("| ") and not line.startswith("| kernel |")]
+    launches = sum(int(cells[3]) for cells in rows)
     assert launches == queue.counters.single_task_launches == 2

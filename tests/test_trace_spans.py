@@ -79,32 +79,19 @@ def test_tracing_context_installs_and_restores():
 # ---------------------------------------------------------------------------
 
 def test_metrics_counter_gauge_histogram():
+    # counters are the only metric kind; the name stays so the test id
+    # stays comparable across commits
     reg = MetricsRegistry()
     reg.counter("c").inc()
     reg.counter("c").inc(2.5)
-    reg.gauge("g").set(7)
-    for v in (0.05, 5.0, 5000.0):
-        reg.histogram("h").observe(v)
-    snap = reg.snapshot()
-    assert snap["c"] == {"type": "counter", "value": 3.5}
-    assert snap["g"] == {"type": "gauge", "value": 7.0}
-    h = snap["h"]
-    assert h["count"] == 3 and h["min"] == 0.05 and h["max"] == 5000.0
-    assert sum(h["buckets"]) == 3
-    assert h["mean"] == pytest.approx((0.05 + 5.0 + 5000.0) / 3)
+    assert reg.counter("c") is reg.counter("c")
+    assert reg.snapshot() == {"c": {"type": "counter", "value": 3.5}}
 
 
 def test_metrics_counter_rejects_decrease():
     reg = MetricsRegistry()
     with pytest.raises(ValueError):
         reg.counter("c").inc(-1)
-
-
-def test_metrics_name_kind_conflict():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.gauge("x")
 
 
 def test_metrics_reset():
@@ -180,7 +167,6 @@ def test_traced_run_updates_metrics():
         run_functional("NW", mode="item")
     snap = registry.snapshot()
     assert snap["executor.launches"]["value"] > 0
-    assert snap["queue.launch_wall_us"]["count"] > 0
     assert snap["harness.runs"]["value"] > 0
     assert "harness.staged_bytes" not in snap
 
