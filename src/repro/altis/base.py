@@ -22,13 +22,13 @@ The first three are the functional half, which ``repro suite`` runs;
 the last three are the model half, which only the figures, ``migrate``,
 ``synth`` and modeled times read.  An app module imports only its
 functional layers (``sycl``, ``perfmodel.spec`` and
-``perfmodel.profile``, whose ``KernelProfile`` feeds the suite's
-modeled ``kernel=``/``total=`` columns) at module level.  The model half
-(``perfmodel.timeline``/``overhead``/``traits``/``fpga``, ``fpga.*``
-and ``dpct.source_model``) is imported inside :meth:`AltisApp.xpu_time`,
-:meth:`AltisApp.fpga_time`, :meth:`AltisApp.variant_traits`,
-:meth:`AltisApp.fpga_setup` and :meth:`AltisApp.source_model`, so it
-loads on the first call.
+``perfmodel.profile``) at module level; the queue times each launch's
+``KernelProfile`` with ``perfmodel.timeline``/``gpu``/``overhead``.
+The model half (``perfmodel.traits``/``fpga``, ``fpga.*`` and
+``dpct.source_model``) is imported inside
+:meth:`AltisApp.xpu_time`, :meth:`AltisApp.fpga_time`,
+:meth:`AltisApp.variant_traits`, :meth:`AltisApp.fpga_setup` and
+:meth:`AltisApp.source_model`, so it loads on the first call.
 
 Variants (:class:`Variant`) name the implementation stages of the
 paper's methodology pipeline: original CUDA -> DPCT baseline SYCL ->

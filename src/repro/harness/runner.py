@@ -246,7 +246,7 @@ def run_functional(config: str, device_key: str = "rtx2080",
         app = make_app(config)
         scale = scale if scale is not None else _DEFAULT_SCALES.get(config, 0.02)
         workload = generate_workload(config, 1, seed=seed, scale=scale)
-        queue = Queue(device_key, default_mode=mode)
+        queue = Queue(device_key, runtime=variant.runtime, default_mode=mode)
         result = app.run_sycl(queue, workload, variant)
         if config == "Raytracing" and variant is Variant.CUDA:
             pass  # different RNG stream: not comparable (paper §3.3)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..common.errors import InvalidParameterError
 from .spec import DeviceKind, DeviceSpec
 
 __all__ = ["RuntimeKind", "RuntimeOverheads", "overheads_for"]
@@ -88,5 +89,7 @@ def overheads_for(runtime: str, spec: DeviceSpec) -> RuntimeOverheads:
     # dataclass are frozen, so the memoized instances are safely shared.
     key = (runtime, spec.kind)
     if key not in _TABLE:
-        raise KeyError(f"no overhead model for runtime={runtime!r} on {spec.kind}")
+        raise InvalidParameterError(
+            f"no overhead model for runtime {runtime!r} on "
+            f"{spec.kind.value} device {spec.key!r}")
     return RuntimeOverheads(runtime=runtime, **_TABLE[key])

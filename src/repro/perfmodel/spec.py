@@ -3,7 +3,8 @@
 Each :class:`DeviceSpec` carries the published headline numbers (compute
 units, peak FP32 throughput, peak memory bandwidth) plus the additional
 microarchitectural constants the analytical performance models need
-(FP64 ratio, launch overheads, FPGA resource budgets and clock ranges).
+(FP64 ratio, FPGA resource budgets and clock ranges); host-side runtime
+costs live in :mod:`repro.perfmodel.overhead`.
 
 FPGA peak attainable FP32 follows the paper's formula::
 
@@ -58,10 +59,6 @@ class DeviceSpec:
     ----------
     peak_fp32_tflops:
         For FPGAs this is the *attainable* peak at ``fmax_typical_mhz``.
-    kernel_launch_overhead_s:
-        Fixed host-side cost of one kernel invocation.  The oneAPI/SYCL
-        runtime adds extra context/event management on NVIDIA GPUs
-        (paper §3.3, Fig. 1), captured separately in the overhead model.
     """
 
     name: str
@@ -74,7 +71,6 @@ class DeviceSpec:
     mem_bw_gbs: float
     fp64_ratio: float = 0.5  # FP64 peak = ratio x FP32 peak
     base_clock_mhz: float = 1000.0
-    kernel_launch_overhead_s: float = 5e-6
     # FPGA-only fields
     fpga_resources: FpgaResources | None = None
     fmax_min_mhz: float = 0.0
@@ -132,7 +128,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=128.0,
             fp64_ratio=0.5,
             base_clock_mhz=3400.0,
-            kernel_launch_overhead_s=2e-6,
         ),
         DeviceSpec(
             name="RTX 2080 GPU",
@@ -145,7 +140,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=448.0,
             fp64_ratio=1.0 / 32.0,  # Turing consumer parts: FP64 = FP32/32
             base_clock_mhz=1710.0,
-            kernel_launch_overhead_s=5e-6,
         ),
         DeviceSpec(
             name="A100 GPU",
@@ -158,7 +152,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=1555.0,
             fp64_ratio=0.5,
             base_clock_mhz=1410.0,
-            kernel_launch_overhead_s=4e-6,
         ),
         DeviceSpec(
             name="Max 1100 GPU",
@@ -171,7 +164,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=1229.0,
             fp64_ratio=0.5,
             base_clock_mhz=1550.0,
-            kernel_launch_overhead_s=6e-6,
         ),
         DeviceSpec(
             name="Stratix 10 FPGA (BittWare 520N)",
@@ -184,7 +176,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=76.8,
             fp64_ratio=0.25,  # FP64 consumes ~4 DSPs per FMA
             base_clock_mhz=350.0,
-            kernel_launch_overhead_s=80e-6,  # OpenCL BSP invocation path
             fpga_resources=_STRATIX10,
             fmax_min_mhz=250.0,
             fmax_max_mhz=450.0,
@@ -201,7 +192,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             mem_bw_gbs=85.3,
             fp64_ratio=0.25,
             base_clock_mhz=400.0,
-            kernel_launch_overhead_s=80e-6,
             fpga_resources=_AGILEX,
             fmax_min_mhz=250.0,
             fmax_max_mhz=550.0,

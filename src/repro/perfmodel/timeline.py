@@ -15,15 +15,17 @@ Also reproduces the paper's two measurement conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
-from .fpga import FpgaModel
 from .gpu import CpuModel, GpuModel
 from .overhead import RuntimeOverheads
 from .profile import LaunchPlan
 from .spec import DeviceKind, DeviceSpec
-from .traits import ImplVariant
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .traits import ImplVariant
 
 __all__ = ["RunDecomposition", "model_for", "time_launch_plan"]
 
@@ -44,6 +46,8 @@ class RunDecomposition:
 def model_for(spec: DeviceSpec, *, fpga_synthesis=None, fpga_replication: int = 1):
     """Pick the device model class for a spec."""
     if spec.kind is DeviceKind.FPGA:
+        from .fpga import FpgaModel  # loaded for FPGA specs only
+
         return FpgaModel(spec, fpga_synthesis, replication=fpga_replication)
     if spec.kind is DeviceKind.CPU:
         return CpuModel(spec)
@@ -73,7 +77,7 @@ def time_launch_plan(plan: LaunchPlan, spec: DeviceSpec,
     for profile, n in plan.entries:
         if n == 0:
             continue
-        if isinstance(model, FpgaModel):
+        if spec.kind is DeviceKind.FPGA:
             entry = (kernels or {}).get(profile.name)
             if entry is not None:
                 # entry is a KernelSpec or a (KernelSpec, replication) pair

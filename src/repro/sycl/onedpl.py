@@ -42,7 +42,7 @@ def _record(queue: Queue | None, call: AlgorithmCall) -> None:
     eff_bw = spec.mem_bw * _library_efficiency(queue, call)
     dur = max(call.bytes_touched / eff_bw, 1e-7)
     queue._record(CommandKind.HOST_TASK, f"oneDPL::{call.name}", dur,
-                  spec.kernel_launch_overhead_s, nbytes=call.bytes_touched)
+                  queue.overheads.launch_s, nbytes=call.bytes_touched)
 
 
 def _library_efficiency(queue: Queue, call: AlgorithmCall) -> float:

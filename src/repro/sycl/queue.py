@@ -1,18 +1,23 @@
 """SYCL queues: kernel launches and the modeled device clock.
 
 The queue executes kernels **functionally** (on the host, via the
-executor) and, in parallel, advances a **modeled device clock** with
-:class:`SpecTiming`.  Events carry the modeled timestamps, so
+executor) and, in parallel, advances a **modeled device clock**.  Events
+carry the modeled timestamps, so
 ``event.get_profiling_info(command_start/command_end)`` reports device
 kernel time exactly as SYCL-event profiling does on real hardware, while
 the queue's host timeline also captures launch overheads and host tasks
 (the ``std::chrono`` view DPCT generates — paper §3.2.1).
 
+The clock books what :func:`~repro.perfmodel.timeline.time_launch_plan`
+charges the same launches, without variant traits (a queue knows its
+runtime, not the app): ``model_for(spec)``'s time for each launch's
+profile, ``launch_s + 2·event_s`` per launch and ``per_run_s`` once per
+timeline from ``overheads_for(runtime, spec)``.
+
 Every launch takes one path: :meth:`Queue.parallel_for` /
 :meth:`Queue.single_task` → the executor
 (:func:`~repro.sycl.executor.run_nd_range`), which validates and runs
-it.  The modeled times of the paper's figures come from
-:mod:`repro.perfmodel`, not from this clock.
+it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..common.errors import InvalidParameterError, KernelLaunchError
+from ..perfmodel.overhead import overheads_for
+from ..perfmodel.timeline import model_for
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
 from .event import CommandKind, Event
@@ -29,30 +36,7 @@ from .executor import (_MODES, ExecutionStats, _note_execution_metrics,
 from .kernel import KernelKind, KernelSpec
 from .ndrange import NdRange, Range
 
-__all__ = ["Queue", "SpecTiming", "TimelineEntry", "LaunchCounters"]
-
-
-class SpecTiming:
-    """The queue's timing model, derived from the device spec only.
-
-    Gives order-of-magnitude kernel times: a roofline on the launch's
-    declared profile, else a work-item count heuristic.
-    """
-
-    def __init__(self, dev: Device):
-        self.device = dev
-
-    def kernel_duration_s(self, kernel: KernelSpec, nd_range: NdRange | None,
-                          profile) -> float:
-        spec = self.device.spec
-        if profile is not None:
-            # roofline on the declared profile
-            compute = profile.flops / spec.peak_flops(profile.fp64)
-            memory = profile.global_bytes / spec.mem_bw
-            return max(compute, memory, 1e-7)
-        items = nd_range.total_items() if nd_range is not None else 1
-        # ~16 flops/item at 10% of peak as a placeholder estimate
-        return max(items * 16.0 / (spec.peak_flops() * 0.1), 1e-7)
+__all__ = ["Queue", "TimelineEntry", "LaunchCounters"]
 
 
 @dataclass
@@ -111,6 +95,9 @@ class Queue:
     ----------
     dev:
         A :class:`Device` or a Table 2 catalogue key.
+    runtime:
+        ``"sycl"`` or ``"cuda"``: whose overheads the clock books; a
+        device the runtime cannot target raises.
     enable_profiling:
         Models ``property::queue::enable_profiling``; without it, event
         profiling queries raise (the DPCT-helper limitation in §3.2.2).
@@ -126,13 +113,15 @@ class Queue:
         item 3 retires perfbench's ``suite-compiled`` workload.
     """
 
-    def __init__(self, dev: Device | str, *, enable_profiling: bool = True,
+    def __init__(self, dev: Device | str, *, runtime: str = "sycl",
+                 enable_profiling: bool = True,
                  default_mode: str | None = "auto"):
         if isinstance(dev, str):
             dev = get_device(dev)
         self.device = dev
         self.profiling = enable_profiling
-        self.timing = SpecTiming(dev)
+        self.model = model_for(dev.spec)
+        self.overheads = overheads_for(runtime, dev.spec)
         if default_mode in (None, "compiled"):
             default_mode = "auto"
         if default_mode not in _MODES:
@@ -155,6 +144,9 @@ class Queue:
     def _record(self, kind: CommandKind, name: str, device_s: float,
                 overhead_s: float, nbytes: int = 0,
                 stats: ExecutionStats | None = None) -> Event:
+        if not self.timeline:
+            # the runtime's fixed per-run cost opens every timeline
+            overhead_s += self.overheads.per_run_s
         submit = self.now_ns
         self._advance(overhead_s)
         start, end = self._advance(device_s)
@@ -247,7 +239,7 @@ class Queue:
             stats = ExecutionStats()
             stats.path = "single_task"
             stats.groups = stats.items = 1
-            book = partial(self._book, kernel, None, profile, stats)
+            book = partial(self._book, kernel, profile, stats)
             if tracer is None:
                 events.append(book())
             else:
@@ -297,14 +289,20 @@ class Queue:
             )
         else:
             stats = run_single_task(kernel, args)
-        return self._book(kernel, nd_range, profile, stats)
+        return self._book(kernel, profile, stats)
 
-    def _book(self, kernel: KernelSpec, nd_range: NdRange | None, profile,
+    def _book(self, kernel: KernelSpec, profile,
               stats: ExecutionStats) -> Event:
-        """Count one executed launch and advance the modeled clock."""
+        """Count one executed launch and advance the modeled clock; a
+        launch without a profile books its overhead only."""
         self.counters.note_launch(stats)
-        device_s = self.timing.kernel_duration_s(kernel, nd_range, profile)
-        overhead_s = self.device.spec.kernel_launch_overhead_s
+        if profile is None:
+            device_s = 0.0
+        elif self.device.is_fpga:
+            device_s = self.model.kernel_time_s(kernel, profile)
+        else:
+            device_s = self.model.kernel_time_s(profile)
+        overhead_s = self.overheads.launch_s + 2 * self.overheads.event_s
         return self._record(CommandKind.KERNEL, kernel.name, device_s, overhead_s,
                             stats=stats)
 

@@ -87,13 +87,11 @@ def launch_table(events: Iterable[Span]) -> list[dict]:
         rows.append({
             "kernel": args.get("kernel", ev.name),
             "path": args.get("path", "?"),
-            "device_key": args.get("device_key"),
             "items": args.get("items", 0),
             "groups": args.get("groups", 0),
             "barrier_phases": args.get("barrier_phases", 0),
             "wall_us": ev.dur_us,
             "modeled_device_us": args.get("modeled_device_us", 0.0),
             "modeled_overhead_us": args.get("modeled_overhead_us", 0.0),
-            "pid": ev.pid,
         })
     return rows

@@ -260,6 +260,8 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
     ident = (f"variant={run.get('variant')}  mode={run.get('mode')}  "
              f"scale={run.get('scale')}  seed={run.get('seed')}")
     lines.append(ident)
+    lines.append("modeled: repro.perfmodel kernel model + runtime overheads; "
+                 "variant traits not applied")
     if dev:
         lines.append(f"device: {dev['name']} — "
                      f"{dev['peak_fp32_tflops']:.1f} TFLOP/s peak FP32, "

@@ -102,7 +102,11 @@ class TestCli:
          "run failed: DWT2D has no optimized FPGA design"),
         (["profile", "srad", "--device", "stratix10", "--quick"],
          "profile failed: work-group size 256 exceeds the device limit"),
-    ], ids=["run-launch-error", "run-no-design", "profile-launch-error"])
+        (["run", "NW", "--device", "stratix10", "--variant", "cuda"],
+         "run failed: no overhead model for runtime 'cuda' on fpga "
+         "device 'stratix10'"),
+    ], ids=["run-launch-error", "run-no-design", "profile-launch-error",
+            "run-no-runtime-model"])
     def test_run_and_profile_failures_are_one_line(self, argv, message,
                                                    capsys, tmp_path,
                                                    monkeypatch):

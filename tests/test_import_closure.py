@@ -26,24 +26,29 @@ SRC = REPO / "src"
 
 
 #: what a default ``suite`` never calls: the model half of every app
-#: (modeled times, FPGA designs, source models) and the result DB
+#: (figure timings, variant traits, FPGA designs, source models) and
+#: the result DB
 _SUITE_UNLOADED = [
     "repro.dpct.migrator",
     "repro.harness.experiments", "repro.trace.profile", "multiprocessing",
     "concurrent.futures", "concurrent.futures.process", "numpy.testing",
-    "repro.perfmodel.timeline", "repro.perfmodel.overhead",
-    "repro.perfmodel.traits", "repro.perfmodel.gpu", "repro.perfmodel.fpga",
+    "repro.perfmodel.traits", "repro.perfmodel.fpga",
     "repro.fpga", "repro.fpga.resources", "repro.fpga.synthesis",
     "repro.dpct", "repro.dpct.source_model", "repro.sycl.pipes",
     "repro.sycl.plan", "json"]
 
+#: the kernel model and runtime overheads the queue's clock books
+_SUITE_LOADED = ["repro.perfmodel.gpu", "repro.perfmodel.overhead",
+                 "repro.perfmodel.timeline"]
+
 
 @pytest.mark.parametrize("argv, unloaded, loaded, max_repro", [
-    (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 42),
+    (["suite"], _SUITE_UNLOADED + ["repro.harness.resultdb"], _SUITE_LOADED,
+     45),
     (["suite", "--journal", "J"],
-     _SUITE_UNLOADED[:-1], ["repro.harness.resultdb"], None),
+     _SUITE_UNLOADED[:-1], _SUITE_LOADED + ["repro.harness.resultdb"], None),
     (["suite", "--mode", "compiled"],
-     _SUITE_UNLOADED + ["repro.harness.resultdb"], [], 42),
+     _SUITE_UNLOADED + ["repro.harness.resultdb"], _SUITE_LOADED, 45),
     (["figures", "fig2", "--no-cache"],
      ["repro.sycl.plan", "concurrent.futures", "multiprocessing",
       "numpy._core"], [], None),
@@ -89,11 +94,11 @@ def _suite_process(tmp_path, argv):
 
 def test_suite_compiled_imports_and_prints_what_suite_does(tmp_path):
     """``--mode compiled`` is a spelling of auto: the same ``repro``
-    modules (at most 42) and a byte-identical report."""
+    modules (at most 45) and a byte-identical report."""
     auto = _suite_process(tmp_path, ["suite"])
     compiled = _suite_process(tmp_path, ["suite", "--mode", "compiled"])
     assert compiled == auto
-    assert auto[1].count("'repro") <= 42
+    assert auto[1].count("'repro") <= 45
 
 
 #: what a model-only command never loads: numpy itself (it is bound with

@@ -10,9 +10,10 @@ from repro.altis.registry import FIG4_CONFIGS
 from repro.common.errors import ReproError
 from repro.dpct import Migrator
 from repro.fpga.synthesis import synthesize
-from repro.harness.runner import _DEFAULT_SCALES
-from repro.perfmodel import get_spec
-from repro.sycl import Queue
+from repro.harness.runner import _DEFAULT_SCALES, run_functional
+from repro.perfmodel import (LaunchPlan, get_spec, overheads_for,
+                             time_launch_plan)
+from repro.sycl import CommandKind, Queue
 
 
 @pytest.mark.parametrize("config", sorted(FIG4_CONFIGS))
@@ -65,6 +66,38 @@ def test_cross_device_functional_equivalence():
     ref = outs["xeon6128"]
     for dev, arr in outs.items():
         np.testing.assert_array_equal(arr, ref, err_msg=dev)
+
+
+@pytest.mark.parametrize("variant", [Variant.SYCL_OPT, Variant.CUDA],
+                         ids=lambda v: v.value)
+@pytest.mark.parametrize("config", list(_DEFAULT_SCALES))
+def test_queue_clock_is_the_figure_model(config, variant, monkeypatch):
+    """A functional run's modeled times are the figures' model of what
+    it launched: ``time_launch_plan`` over the booked profiles, on the
+    variant's runtime, plus the host tasks (Where's oneDPL scan) the
+    queue recorded; the clock counts whole nanoseconds."""
+    booked, queues = [], []
+    book = Queue._book
+
+    def spy(self, kernel, profile, stats):
+        queues.append(self)
+        booked.append((profile, 1))
+        return book(self, kernel, profile, stats)
+
+    monkeypatch.setattr(Queue, "_book", spy)
+    result = run_functional(config, "rtx2080", variant)
+    queue = queues[0]
+    assert all(q is queue for q in queues)
+    assert booked and all(profile is not None for profile, _ in booked)
+    spec = get_spec("rtx2080")
+    model = time_launch_plan(LaunchPlan(booked), spec,
+                             overheads_for(variant.runtime, spec))
+    assert result.modeled_kernel_s == pytest.approx(
+        model.kernel_s, rel=0, abs=1e-9 * len(booked))
+    host_s = sum(entry.total_s for entry in queue.timeline
+                 if entry.event.kind is CommandKind.HOST_TASK)
+    assert result.modeled_total_s == pytest.approx(
+        model.total_s + host_s, rel=0, abs=1e-9 * len(queue.timeline))
 
 
 def test_modeled_times_differ_across_devices():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import CalibrationError
+from repro.common.errors import CalibrationError, InvalidParameterError
 from repro.perfmodel import (
     CpuModel,
     FpgaModel,
@@ -298,7 +298,7 @@ class TestOverheadsAndTimeline:
                 > 10 * small / ov.transfer_time_s(small))
 
     def test_unknown_combo_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidParameterError):
             overheads_for(RuntimeKind.CUDA, get_spec("stratix10"))
 
     def test_time_launch_plan_decomposition(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import (DataflowDeadlockError, KernelLaunchError,
                                  PipeError)
+from repro.perfmodel import KernelProfile
 from repro.sycl import DataflowGraph, KernelKind, KernelSpec, Pipe, Queue
 
 
@@ -205,7 +206,8 @@ class TestQueueDataflow:
     def test_kernels_run_together_and_are_booked(self):
         prod, cons, out = self._pair()
         q = Queue("stratix10")
-        events = q.dataflow((prod, (5,), None), (cons, (5,), None))
+        prof = KernelProfile(name="stream", flops=5, global_bytes=40)
+        events = q.dataflow((prod, (5,), prof), (cons, (5,), prof))
         assert out == [0, 1, 2, 3, 4]
         assert [ev.name for ev in events] == ["prod", "cons"]
         assert q.counters.single_task_launches == 2
