@@ -11,7 +11,8 @@ Every application (Table 1 of the paper) implements :class:`AltisApp`:
 * **SYCL kernels** — the functional kernels (item and/or vectorized
   forms) used by :meth:`run_sycl`;
 * **launch plans** — per-variant :class:`~repro.perfmodel.profile.LaunchPlan`
-  describing the nominal work, used by the figures;
+  for any problem dims (``launch_plan_for``); the figures time it at
+  the nominal dims;
 * **FPGA designs** — per-device/per-variant
   :class:`~repro.fpga.resources.Design` objects, used for Table 3 and
   the FPGA figures;
@@ -52,7 +53,6 @@ np = lazy_module("numpy")
 if TYPE_CHECKING:  # pragma: no cover
     from ..dpct.source_model import SourceModel
     from ..fpga.resources import Design
-    from ..fpga.synthesis import SynthesisResult
     from ..perfmodel.timeline import RunDecomposition
     from ..perfmodel.traits import ImplVariant
 
@@ -98,11 +98,8 @@ class FpgaSetup:
 
     design: Design
     plan: LaunchPlan
-    replication: int = 1
     #: profile-name -> KernelSpec, for structural FPGA timing
     kernels: dict = field(default_factory=dict)
-    #: precomputed synthesis result (else fpga_time synthesizes)
-    synthesis: SynthesisResult | None = None
 
 
 class AltisApp(abc.ABC):
@@ -110,9 +107,6 @@ class AltisApp(abc.ABC):
 
     #: canonical app name as the paper spells it
     name: str = ""
-    #: Fig. 2 / Fig. 4-5 config labels this app contributes (e.g. CFD
-    #: contributes "CFD FP32" and "CFD FP64")
-    configs: tuple[str, ...] = ()
     #: whether Altis times the whole program rather than just kernels
     times_whole_program: bool = False
 
@@ -139,8 +133,14 @@ class AltisApp(abc.ABC):
 
     # -- analytical layer ---------------------------------------------------
     @abc.abstractmethod
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
+        """The launches one run at problem dimensions ``dims`` makes: the
+        nominal dims for the figures, a workload's ``params`` for the
+        launches its :meth:`run_sycl` books."""
+
     def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
         """Nominal per-run work for the performance model."""
+        return self.launch_plan_for(self.nominal_dims(size), variant)
 
     def variant_traits(self, variant: Variant, config: str | None = None) -> ImplVariant:
         """The mechanisms (traits) afflicting one implementation variant.
@@ -189,8 +189,7 @@ class AltisApp(abc.ABC):
         self.check_size(size)
         setup = self.fpga_setup(size, optimized, device_key)
         spec = get_spec(device_key)
-        synth = setup.synthesis or synthesize(setup.design, spec, seed=seed)
-        model = FpgaModel(spec, synth, replication=setup.replication)
+        model = FpgaModel(spec, synthesize(setup.design, spec, seed=seed))
         overheads = overheads_for("sycl", spec)
         return time_launch_plan(setup.plan, spec, overheads,
                                 device_model=model, kernels=setup.kernels)

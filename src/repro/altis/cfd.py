@@ -172,7 +172,6 @@ def _flux_vector(nd_range, variables, neighbours, normals, farfield, out, nel, d
 
 class Cfd(AltisApp):
     name = "CFD"
-    configs = ("CFD FP32", "CFD FP64")
     times_whole_program = False
 
     _NEL = {1: 97_000, 2: 193_536, 3: 232_536}
@@ -282,8 +281,7 @@ class Cfd(AltisApp):
             fp64=self.fp64,
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         nel = dims["nel"]
         word = 8 if self.fp64 else 4
         prof = self._profile(nel)

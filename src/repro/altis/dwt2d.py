@@ -130,7 +130,6 @@ def _fdwt_cols_vector(nd_range, tmp, data, h, w):
 
 class Dwt2D(AltisApp):
     name = "DWT2D"
-    configs = ("DWT2D",)
     times_whole_program = False
 
     _DIM = {1: 1024, 2: 2048, 3: 4096}
@@ -223,8 +222,7 @@ class Dwt2D(AltisApp):
         )
         return mk("fdwt53_rows"), mk("fdwt53_cols")
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         prof_r, prof_c = self._profiles(dims["h"], dims["w"])
         plan = LaunchPlan(transfer_bytes=dims["h"] * dims["w"] * 8 * 2)
         # per level the work quarters; model as a geometric factor ~1.33

@@ -94,7 +94,6 @@ def _update_ez_vector(nd_range, ez, hx, hy, n, t):
 
 class FdTd2D(AltisApp):
     name = "FDTD2D"
-    configs = ("FDTD2D",)
     times_whole_program = True  # the paper times the entire program
 
     _GRID = {1: 512, 2: 1024, 3: 2048}
@@ -166,8 +165,7 @@ class FdTd2D(AltisApp):
             cpu_bw_efficiency=0.25,  # three-array strided stencil sweep
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         prof = self._step_profile(dims["n"])
         plan = LaunchPlan(transfer_bytes=dims["n"] * dims["n"] * 4 * 4)
         plan.add(prof, 3 * dims["steps"])

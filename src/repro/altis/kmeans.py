@@ -190,7 +190,6 @@ def _reset_acc_fin_st(points, centers_out, assign_out, assign_pipe: Pipe,
 
 class KMeans(AltisApp):
     name = "KMeans"
-    configs = ("KMeans",)
     times_whole_program = True  # Altis times the full clustering run
 
     _N = {1: 32_768, 2: 131_072, 3: 524_288}
@@ -267,8 +266,6 @@ class KMeans(AltisApp):
             name="mapCenters_st",
             kind=KernelKind.SINGLE_TASK,
             item_fn=_map_centers_st,
-            attributes=KernelAttributes(kernel_args_restrict=True,
-                                        max_global_work_dim=0),
             loops=[LoopSpec("points", trip_count=1, initiation_interval=2,
                             speculated_iterations=0)],
             features={"body_fmas": d * 6, "body_ops": d * 10,
@@ -278,8 +275,6 @@ class KMeans(AltisApp):
             name="resetAccFin_st",
             kind=KernelKind.SINGLE_TASK,
             item_fn=_reset_acc_fin_st,
-            attributes=KernelAttributes(kernel_args_restrict=True,
-                                        max_global_work_dim=0),
             loops=[LoopSpec("points", trip_count=1, initiation_interval=1,
                             speculated_iterations=0)],
             features={"body_fmas": d, "body_ops": d * 2,
@@ -359,8 +354,7 @@ class KMeans(AltisApp):
         )
         return map_prof, upd_prof
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         n, k, d, iters = dims["n"], dims["k"], dims["d"], dims["iterations"]
         map_prof, upd_prof = self._iteration_profiles(n, k, d)
         plan = LaunchPlan(transfer_bytes=n * d * 4 + n * 4 + 2 * k * d * 4)

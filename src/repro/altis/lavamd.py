@@ -149,7 +149,6 @@ def _kernel_vector(nd_range, rv, qv, v, f, nb, par):
 
 class LavaMD(AltisApp):
     name = "LavaMD"
-    configs = ("LavaMD",)
     times_whole_program = False
 
     _BOXES1D = {1: 8, 2: 14, 3: 20}
@@ -250,8 +249,7 @@ class LavaMD(AltisApp):
             cpu_efficiency=0.08,
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         prof = self._profile(dims["boxes1d"], dims["par"])
         boxes = dims["boxes1d"] ** 3
         plan = LaunchPlan(transfer_bytes=boxes * dims["par"] * 40)

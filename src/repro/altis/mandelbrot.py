@@ -134,7 +134,6 @@ def _kernel_single_task(out, width, height, max_iters):
 
 class Mandelbrot(AltisApp):
     name = "Mandelbrot"
-    configs = ("Mandelbrot",)
     times_whole_program = False
 
     _DIMS = {1: 2048, 2: 4096, 3: 8192}
@@ -187,10 +186,6 @@ class Mandelbrot(AltisApp):
             name="mandel_single_task",
             kind=KernelKind.SINGLE_TASK,
             vector_fn=_kernel_single_task,
-            attributes=KernelAttributes(
-                kernel_args_restrict=True, max_global_work_dim=0,
-                no_global_work_offset=True,
-            ),
             loops=[
                 LoopSpec("rows", trip_count=8192, speculated_iterations=2),
                 LoopSpec("cols", trip_count=8192, nested_in="rows",
@@ -249,8 +244,7 @@ class Mandelbrot(AltisApp):
             compute_efficiency=0.5,
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         prof = self._profile(dims["width"], dims["height"])
         plan = LaunchPlan(transfer_bytes=dims["width"] * dims["height"] * 4)
         plan.add(prof, 1)

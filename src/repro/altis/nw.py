@@ -155,7 +155,6 @@ def _block_vector(nd_range, score, sim, tile_acc, penalty, diag_idx, nb, n, bloc
 
 class NW(AltisApp):
     name = "NW"
-    configs = ("NW",)
     times_whole_program = False
 
     _N = {1: 2048, 2: 4096, 3: 8192}
@@ -266,8 +265,7 @@ class NW(AltisApp):
             cpu_efficiency=0.05,
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         n, block = dims["n"], dims["block"]
         nb = n // block
         prof = self._profile(n, block)

@@ -143,7 +143,6 @@ def _find_index_single_task(cdf, u, out_idx, n):
 
 class ParticleFilter(AltisApp):
     name = "ParticleFilter"
-    configs = ("PF Naive", "PF Float")
     times_whole_program = False
 
     _PARTICLES = {1: 1_024, 2: 4_096, 3: 16_384}
@@ -204,8 +203,6 @@ class ParticleFilter(AltisApp):
         find_index_st = KernelSpec(
             name="find_index_st", kind=KernelKind.SINGLE_TASK,
             vector_fn=_find_index_single_task,
-            attributes=KernelAttributes(kernel_args_restrict=True,
-                                        max_global_work_dim=0),
             loops=[LoopSpec("merge", trip_count=1, initiation_interval=1,
                             speculated_iterations=0)],
             features={"body_fmas": 0, "body_ops": 6, "global_access_sites": 3,
@@ -272,8 +269,7 @@ class ParticleFilter(AltisApp):
             cpu_efficiency=0.06,
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         n, frames = dims["n_particles"], dims["frames"]
         prof = self._frame_profile(n, variant)
         if variant in (Variant.CUDA, Variant.SYCL_BASELINE, Variant.SYCL_OPT):

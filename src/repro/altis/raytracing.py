@@ -242,7 +242,6 @@ def render(width: int, height: int, samples: int, scene, rng,
 
 class Raytracing(AltisApp):
     name = "Raytracing"
-    configs = ("Raytracing",)
     times_whole_program = False
 
     _DIMS = {1: (512, 512, 4), 2: (1024, 1024, 4), 3: (2048, 2048, 4)}
@@ -340,8 +339,7 @@ class Raytracing(AltisApp):
             cpu_efficiency=0.24,  # scalarized tracer, decent ILP on CPU
         )
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         prof = self._profile(dims["width"], dims["height"], dims["samples"])
         plan = LaunchPlan(transfer_bytes=dims["width"] * dims["height"] * 12)
         plan.add(prof, 1)

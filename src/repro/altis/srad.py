@@ -145,7 +145,6 @@ def _srad2_vector(nd_range, img, c_arr, dN_a, dS_a, dW_a, dE_a, lam, rows, cols)
 
 class Srad(AltisApp):
     name = "SRAD"
-    configs = ("SRAD",)
     times_whole_program = False
 
     _DIM = {1: 2048, 2: 4096, 3: 8192}
@@ -211,8 +210,6 @@ class Srad(AltisApp):
         st = KernelSpec(
             name="srad_single_task", kind=KernelKind.SINGLE_TASK,
             vector_fn=lambda img, lam, iters, rows, cols: None,
-            attributes=KernelAttributes(kernel_args_restrict=True,
-                                        max_global_work_dim=0),
             loops=[LoopSpec("pixels", trip_count=1, initiation_interval=1,
                             unroll=2, speculated_iterations=0)],
             features={"body_fmas": 20, "body_ops": 40, "global_access_sites": 8,
@@ -271,8 +268,7 @@ class Srad(AltisApp):
         )
         return p1, p2
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        dims = self.nominal_dims(size)
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
         p1, p2 = self._profiles(dims["rows"], dims["cols"])
         plan = LaunchPlan(transfer_bytes=dims["rows"] * dims["cols"] * 8)
         plan.add(p1, dims["iterations"]).add(p2, dims["iterations"])

@@ -103,7 +103,6 @@ def _scan_single_task(results, prefix, size):
 
 class Where(AltisApp):
     name = "Where"
-    configs = ("Where",)
     times_whole_program = True
 
     _N = {1: 1 << 22, 2: 1 << 24, 3: 1 << 26}
@@ -155,9 +154,6 @@ class Where(AltisApp):
             name="exclusive_scan_id",  # Listing 2's kernel name
             kind=KernelKind.SINGLE_TASK,
             vector_fn=_scan_single_task,
-            attributes=KernelAttributes(kernel_args_restrict=True,
-                                        max_global_work_dim=0,
-                                        no_global_work_offset=True),
             # loop-carried prefix dependence: II=2, halved by unroll 2
             loops=[LoopSpec("scan", trip_count=1, unroll=2,
                             initiation_interval=2, speculated_iterations=0)],
@@ -180,7 +176,7 @@ class Where(AltisApp):
         mark_prof, scan_prof, scatter_prof = self._profiles(n, variant)
         queue.parallel_for(nd, ks["mark"], records, flags, n, p["threshold"],
                            profile=mark_prof)
-        if variant in (Variant.FPGA_BASE, Variant.FPGA_OPT) and variant is Variant.FPGA_OPT:
+        if variant is Variant.FPGA_OPT:
             queue.single_task(ks["scan"], flags, prefix, n, profile=scan_prof)
         else:
             prefix[:n] = onedpl.exclusive_scan(flags[:n], queue=queue)
@@ -222,8 +218,8 @@ class Where(AltisApp):
         )
         return mark, scan, scatter
 
-    def launch_plan(self, size: int, variant: Variant) -> LaunchPlan:
-        n = self.nominal_dims(size)["n"]
+    def launch_plan_for(self, dims: dict, variant: Variant) -> LaunchPlan:
+        n = dims["n"]
         mark, scan, scatter = self._profiles(n, variant)
         # Altis' Where pre-stages the table on the device; the timed
         # region covers the three phases only

@@ -62,7 +62,6 @@ class Construct:
     count: int = 1
     #: for ``syncthreads``: can DPCT prove the fence may be local-scope?
     local_scope_detectable: bool = False
-    detail: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in CONSTRUCT_KINDS:

@@ -42,7 +42,6 @@ class SynthesisResult:
     device_key: str
     resources: ResourceEstimate
     fmax_mhz: float
-    congestion: float
 
     def utilization_percent(self) -> dict[str, float]:
         return {k: 100.0 * v for k, v in self.resources.as_dict().items()}
@@ -131,5 +130,4 @@ def synthesize(design: Design, spec: DeviceSpec, *,
         device_key=spec.key,
         resources=res,
         fmax_mhz=round(fmax, 1),
-        congestion=round(congestion, 4),
     )

@@ -7,11 +7,10 @@ underlying CUDA APIs for context/event management" invoked by the
 oneAPI plugin layer (§3.3, also observed in the Rodinia-DPCT study).
 
 This module assigns per-runtime constants for the host-side costs:
-kernel-launch overhead, per-event management, allocation costs, and
-transfer latency/bandwidth.  FPGA targets additionally pay a one-time
-device programming cost (bitstream configuration) at first use, which is
-excluded from steady-state app timing (Altis times repeat runs), but
-reported separately.
+kernel-launch overhead, per-event management, a fixed per-run cost and
+transfer latency/bandwidth.  One-time device start-up (JIT, FPGA
+bitstream programming) is not modeled: Altis times repeat runs, so it
+falls outside every timed region.
 """
 
 from __future__ import annotations
@@ -22,7 +21,13 @@ from functools import lru_cache
 from ..common.errors import InvalidParameterError
 from .spec import DeviceKind, DeviceSpec
 
-__all__ = ["RuntimeKind", "RuntimeOverheads", "overheads_for"]
+__all__ = ["EVENTS_PER_LAUNCH", "RuntimeKind", "RuntimeOverheads",
+           "overheads_for"]
+
+
+#: event-management API calls per kernel launch (the start and stop
+#: records that event timing needs); each costs ``event_s``
+EVENTS_PER_LAUNCH = 2
 
 
 class RuntimeKind:
@@ -37,11 +42,8 @@ class RuntimeOverheads:
     runtime: str
     launch_s: float          # per kernel launch
     event_s: float           # per event record/query
-    alloc_s: float           # per device allocation
     transfer_latency_s: float
     transfer_bw: float       # bytes/s host<->device
-    #: one-time cost of making the device ready (JIT / FPGA programming)
-    startup_s: float
     #: fixed per-run cost inside the timed region (context/event
     #: management on the oneAPI GPU plugin — Fig. 1's non-kernel gap —
     #: and thread-pool orchestration on the CPU back-end)
@@ -50,9 +52,6 @@ class RuntimeOverheads:
     def transfer_time_s(self, nbytes: float) -> float:
         return self.transfer_latency_s + nbytes / self.transfer_bw
 
-    def launch_time_s(self, launches: int) -> float:
-        return launches * self.launch_s
-
 
 #: (runtime, device-kind) -> constants.  SYCL's plugin layer on NVIDIA
 #: GPUs triples the per-launch cost and adds event-management work; the
@@ -60,24 +59,23 @@ class RuntimeOverheads:
 #: non-kernel time at size 1, which includes ~dozens of launches).
 _TABLE: dict[tuple[str, DeviceKind], dict] = {
     (RuntimeKind.CUDA, DeviceKind.GPU): dict(
-        launch_s=4e-6, event_s=1e-6, alloc_s=2e-6,
-        transfer_latency_s=8e-6, transfer_bw=12e9, startup_s=80e-3,
+        launch_s=4e-6, event_s=1e-6,
+        transfer_latency_s=8e-6, transfer_bw=12e9,
         per_run_s=0.3e-3,
     ),
     (RuntimeKind.SYCL, DeviceKind.GPU): dict(
-        launch_s=13e-6, event_s=6e-6, alloc_s=5e-6,
-        transfer_latency_s=12e-6, transfer_bw=11e9, startup_s=250e-3,
+        launch_s=13e-6, event_s=6e-6,
+        transfer_latency_s=12e-6, transfer_bw=11e9,
         per_run_s=1.6e-3,  # extra CUDA context/event APIs (§3.3, Fig. 1)
     ),
     (RuntimeKind.SYCL, DeviceKind.CPU): dict(
-        launch_s=6e-6, event_s=2e-6, alloc_s=1e-6,
-        transfer_latency_s=1e-6, transfer_bw=40e9, startup_s=60e-3,
+        launch_s=6e-6, event_s=2e-6,
+        transfer_latency_s=1e-6, transfer_bw=40e9,
         per_run_s=20e-3,  # TBB arena spin-up + per-run JIT on the CPU BE
     ),
     (RuntimeKind.SYCL, DeviceKind.FPGA): dict(
-        launch_s=90e-6, event_s=8e-6, alloc_s=6e-6,
+        launch_s=90e-6, event_s=8e-6,
         transfer_latency_s=15e-6, transfer_bw=6.5e9,  # PCIe gen3 x8 boards
-        startup_s=2.0,  # bitstream configuration
         per_run_s=1.0e-3,
     ),
 }

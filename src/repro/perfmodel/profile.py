@@ -77,13 +77,6 @@ class KernelProfile:
         if self.work_items < 1:
             raise CalibrationError(f"{self.name}: work_items must be >= 1")
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOP per DRAM byte (the roofline x-axis)."""
-        if self.global_bytes == 0:
-            return float("inf")
-        return self.flops / self.global_bytes
-
     def scaled(self, factor: float, name: str | None = None) -> "KernelProfile":
         """Uniformly scale the work (e.g. per-iteration -> per-run)."""
         return replace(

@@ -70,7 +70,6 @@ class DeviceSpec:
     peak_fp32_tflops: float
     mem_bw_gbs: float
     fp64_ratio: float = 0.5  # FP64 peak = ratio x FP32 peak
-    base_clock_mhz: float = 1000.0
     # FPGA-only fields
     fpga_resources: FpgaResources | None = None
     fmax_min_mhz: float = 0.0
@@ -127,7 +126,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=1.1,
             mem_bw_gbs=128.0,
             fp64_ratio=0.5,
-            base_clock_mhz=3400.0,
         ),
         DeviceSpec(
             name="RTX 2080 GPU",
@@ -139,7 +137,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=10.1,
             mem_bw_gbs=448.0,
             fp64_ratio=1.0 / 32.0,  # Turing consumer parts: FP64 = FP32/32
-            base_clock_mhz=1710.0,
         ),
         DeviceSpec(
             name="A100 GPU",
@@ -151,7 +148,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=19.5,
             mem_bw_gbs=1555.0,
             fp64_ratio=0.5,
-            base_clock_mhz=1410.0,
         ),
         DeviceSpec(
             name="Max 1100 GPU",
@@ -163,7 +159,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=22.2,
             mem_bw_gbs=1229.0,
             fp64_ratio=0.5,
-            base_clock_mhz=1550.0,
         ),
         DeviceSpec(
             name="Stratix 10 FPGA (BittWare 520N)",
@@ -175,7 +170,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=fpga_peak_fp32_tflops(_STRATIX10.dsps_user, 350.0),
             mem_bw_gbs=76.8,
             fp64_ratio=0.25,  # FP64 consumes ~4 DSPs per FMA
-            base_clock_mhz=350.0,
             fpga_resources=_STRATIX10,
             fmax_min_mhz=250.0,
             fmax_max_mhz=450.0,
@@ -191,7 +185,6 @@ DEVICE_SPECS: dict[str, DeviceSpec] = {
             peak_fp32_tflops=fpga_peak_fp32_tflops(_AGILEX.dsps_user, 400.0),
             mem_bw_gbs=85.3,
             fp64_ratio=0.25,
-            base_clock_mhz=400.0,
             fpga_resources=_AGILEX,
             fmax_min_mhz=250.0,
             fmax_max_mhz=550.0,

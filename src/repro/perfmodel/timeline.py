@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 from .gpu import CpuModel, GpuModel
-from .overhead import RuntimeOverheads
+from .overhead import EVENTS_PER_LAUNCH, RuntimeOverheads
 from .profile import LaunchPlan
 from .spec import DeviceKind, DeviceSpec
 
@@ -43,12 +43,12 @@ class RunDecomposition:
         return self.kernel_s + self.non_kernel_s
 
 
-def model_for(spec: DeviceSpec, *, fpga_synthesis=None, fpga_replication: int = 1):
+def model_for(spec: DeviceSpec):
     """Pick the device model class for a spec."""
     if spec.kind is DeviceKind.FPGA:
         from .fpga import FpgaModel  # loaded for FPGA specs only
 
-        return FpgaModel(spec, fpga_synthesis, replication=fpga_replication)
+        return FpgaModel(spec)
     if spec.kind is DeviceKind.CPU:
         return CpuModel(spec)
     return GpuModel(spec)
@@ -58,8 +58,7 @@ def time_launch_plan(plan: LaunchPlan, spec: DeviceSpec,
                      overheads: RuntimeOverheads,
                      variant: ImplVariant | None = None,
                      device_model=None,
-                     kernels: dict | None = None,
-                     events_per_launch: float = 2.0) -> RunDecomposition:
+                     kernels: dict | None = None) -> RunDecomposition:
     """Assemble the run decomposition.
 
     Parameters
@@ -68,8 +67,6 @@ def time_launch_plan(plan: LaunchPlan, spec: DeviceSpec,
         Optional mapping profile-name -> :class:`KernelSpec` so FPGA
         timing can use kernel structure (loops, SIMD attributes).  GPU
         and CPU models use profiles alone.
-    events_per_launch:
-        Event-management API calls per launch (start/stop records).
     """
     model = device_model or model_for(spec)
     kernel_s = 0.0
@@ -96,8 +93,8 @@ def time_launch_plan(plan: LaunchPlan, spec: DeviceSpec,
         launches += n
 
     non_kernel = overheads.per_run_s
-    non_kernel += overheads.launch_time_s(launches)
-    non_kernel += launches * events_per_launch * overheads.event_s
+    non_kernel += launches * overheads.launch_s
+    non_kernel += launches * EVENTS_PER_LAUNCH * overheads.event_s
     if plan.transfer_bytes:
         non_kernel += overheads.transfer_time_s(plan.transfer_bytes)
     decomp = RunDecomposition(kernel_s=kernel_s, non_kernel_s=non_kernel,

@@ -9,13 +9,14 @@ The paper's optimization work is largely attribute-driven:
   kernels;
 * ``intel::initiation_interval(R)`` / ``intel::speculated_iterations(S)``
   — §5.3 loop pipelining of Single-Task kernels;
-* ``intel::kernel_args_restrict`` / ``max_global_work_dim(0)`` /
-  ``no_global_work_offset(1)`` — Listing 2's Single-Task idiom;
 * ``#pragma unroll N`` — loop unrolling.
 
 A :class:`KernelSpec` couples the functional implementations (scalar
-``item_fn`` and vectorized ``vector_fn``) with this metadata so both the
-executor and the FPGA synthesis / performance models consume one object.
+``item_fn`` and vectorized ``vector_fn``) with this metadata: the
+executor runs the forms and checks the work-group attributes, and the
+FPGA resource, synthesis and timing models (``fpga.resources``,
+``fpga.synthesis``, ``perfmodel.fpga``) read the rest.  The GPU and CPU
+models read only a launch's ``KernelProfile``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ class LoopSpec:
     initiation_interval: int = 1
     speculated_iterations: int = 4  # oneAPI compiler's conservative default
     nested_in: str | None = None
-    #: operations per iteration dominated by shared-memory access?
-    local_mem_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class KernelAttributes:
     reqd_work_group_size: tuple[int, ...] | None = None
     max_work_group_size: tuple[int, ...] | None = None
     num_simd_work_items: int = 1
-    kernel_args_restrict: bool = False
-    max_global_work_dim: int | None = None
-    no_global_work_offset: bool = False
 
     def validate(self) -> None:
         if self.num_simd_work_items < 1:
@@ -90,10 +86,10 @@ class KernelSpec:
         ``fn(nd_range, *args)`` (or ``fn(*args)`` for single-task),
         semantically equal to running ``item_fn`` over the full range.
     features:
-        Free-form feature flags consumed by the FPGA resource model and
-        the implementation-trait system, e.g. ``uses_local_mem``,
-        ``shared_arrays``, ``branch_density``, ``pow_calls``,
-        ``virtual_calls``, ``fp64``, ``accessor_args_as_objects``.
+        Free-form feature flags the FPGA models read, e.g.
+        ``local_memories``, ``body_fmas``, ``body_ops``,
+        ``global_access_sites``, ``uses_pipes``, ``fp64``,
+        ``deep_control_flow``.
     """
 
     name: str

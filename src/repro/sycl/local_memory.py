@@ -2,9 +2,9 @@
 ``group_local_memory_for_overwrite``.
 
 A :class:`LocalAccessor` is ``sycl::local_accessor``, the shared memory
-of one work-group.  If its extent is not statically known (DPCT's
-default, §4), the FPGA resource model charges the 16 KiB worst-case
-memory system the oneAPI compiler must assume.
+of one work-group.  What the FPGA compiler provisions for one (16 KiB
+for DPCT's dynamically sized default, §4) is the FPGA resource model's
+business: :class:`repro.fpga.resources.LocalMemorySpec`.
 
 The paper (§5.2) replaces DPCT's default SYCL local accessors with
 ``sycl::ext::oneapi::group_local_memory_for_overwrite`` on Intel FPGAs:
@@ -34,17 +34,12 @@ __all__ = ["LocalAccessor", "group_local_memory_for_overwrite"]
 class LocalAccessor:
     """``sycl::local_accessor`` — work-group shared memory.
 
-    The executor allocates a fresh numpy array per work-group.  If the
-    extent is not statically known at "compile" time (``static=False``,
-    DPCT's default, per §4), the FPGA model charges 16 KiB for it.
+    The executor allocates a fresh numpy array per work-group.
     """
 
-    MAX_DYNAMIC_BYTES = 16 * 1024
-
-    def __init__(self, shape, dtype="float32", *, static: bool = True):
+    def __init__(self, shape, dtype="float32"):
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
-        self.static = static
         self._current: np.ndarray | None = None
 
     @property
@@ -53,11 +48,6 @@ class LocalAccessor:
         for d in self.shape:
             n *= d
         return n
-
-    @property
-    def modeled_fpga_bytes(self) -> int:
-        """Bytes the FPGA compiler must provision (16 KiB if dynamic)."""
-        return self.nbytes if self.static else self.MAX_DYNAMIC_BYTES
 
     def _begin_group(self) -> None:
         self._current = np.zeros(self.shape, dtype=self.dtype)
@@ -82,8 +72,7 @@ class LocalAccessor:
         return self._require()
 
     def __repr__(self) -> str:
-        kind = "static" if self.static else "dynamic"
-        return f"LocalAccessor(shape={self.shape}, {kind})"
+        return f"LocalAccessor(shape={self.shape}, dtype={self.dtype})"
 
 
 
@@ -91,8 +80,9 @@ def group_local_memory_for_overwrite(shape, dtype="float32", *,
                                      device: Device | None = None) -> LocalAccessor:
     """Allocate statically sized work-group local memory.
 
-    Returns a :class:`LocalAccessor` with ``static=True`` so the FPGA
-    resource model charges only the declared bytes.  Contents are
+    Returns a :class:`LocalAccessor` of the declared shape; an FPGA
+    design declares its memory ``static`` so the resource model charges
+    only those bytes.  Contents are
     "for overwrite": uninitialized in real SYCL; the functional model
     zero-fills per work-group, which is safe because all Altis kernels
     store before loading.
@@ -103,4 +93,4 @@ def group_local_memory_for_overwrite(shape, dtype="float32", *,
             "oneAPI FPGA toolkit (paper §5.2); use a local accessor on "
             f"{device.spec.key!r}"
         )
-    return LocalAccessor(shape, dtype, static=True)
+    return LocalAccessor(shape, dtype)

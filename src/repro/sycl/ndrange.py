@@ -7,9 +7,10 @@ the group/local decomposition of an ``nd_range``.
 A deliberate difference from C++ SYCL: :class:`NdItem.barrier` does not
 block — work-item synchronization is realized by the executor, which runs
 barrier-using kernels as generators (``yield item.barrier()``).  The
-barrier call itself records the requested fence scope so the performance
-model can distinguish local- from global-scope fences (a DPCT warning
-category in §3.2.1 of the paper).
+barrier call records the requested fence scope on the token it returns;
+no model times fences by scope.  The cost of DPCT's un-narrowed
+global-scope fences (a warning category in §3.2.1 of the paper) enters
+the figures as the ``barrier_global_scope`` variant trait.
 """
 
 from __future__ import annotations

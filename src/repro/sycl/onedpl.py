@@ -30,7 +30,6 @@ class AlgorithmCall:
     """Record of one oneDPL algorithm invocation (for the perf model)."""
 
     name: str
-    n: int
     bytes_touched: int
 
 
@@ -39,13 +38,13 @@ def _record(queue: Queue | None, call: AlgorithmCall) -> None:
         return
     # oneDPL calls are timed host-side (std::chrono), not by SYCL events.
     spec = queue.device.spec
-    eff_bw = spec.mem_bw * _library_efficiency(queue, call)
+    eff_bw = spec.mem_bw * _library_efficiency(queue)
     dur = max(call.bytes_touched / eff_bw, 1e-7)
     queue._record(CommandKind.HOST_TASK, f"oneDPL::{call.name}", dur,
                   queue.overheads.launch_s, nbytes=call.bytes_touched)
 
 
-def _library_efficiency(queue: Queue, call: AlgorithmCall) -> float:
+def _library_efficiency(queue: Queue) -> float:
     """Fraction of peak memory bandwidth the oneDPL implementation
     achieves on this device.
 
@@ -69,5 +68,5 @@ def exclusive_scan(data: np.ndarray, init=0, *, queue: Queue | None = None) -> n
     if data.size:
         out[0] = 0
     out = out + init
-    _record(queue, AlgorithmCall("exclusive_scan", data.size, 2 * data.nbytes))
+    _record(queue, AlgorithmCall("exclusive_scan", 2 * data.nbytes))
     return out

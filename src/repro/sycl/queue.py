@@ -11,8 +11,8 @@ the queue's host timeline also captures launch overheads and host tasks
 The clock books what :func:`~repro.perfmodel.timeline.time_launch_plan`
 charges the same launches, without variant traits (a queue knows its
 runtime, not the app): ``model_for(spec)``'s time for each launch's
-profile, ``launch_s + 2·event_s`` per launch and ``per_run_s`` once per
-timeline from ``overheads_for(runtime, spec)``.
+profile, ``launch_s + EVENTS_PER_LAUNCH·event_s`` per launch and
+``per_run_s`` once per timeline from ``overheads_for(runtime, spec)``.
 
 Every launch takes one path: :meth:`Queue.parallel_for` /
 :meth:`Queue.single_task` → the executor
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..common.errors import InvalidParameterError, KernelLaunchError
-from ..perfmodel.overhead import overheads_for
+from ..perfmodel.overhead import EVENTS_PER_LAUNCH, overheads_for
 from ..perfmodel.timeline import model_for
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
@@ -78,6 +78,9 @@ class TimelineEntry:
     event: Event
     overhead_s: float  # host-side launch/runtime overhead (non-kernel)
     stats: ExecutionStats | None = None
+    #: the part of ``overhead_s`` that is the runtime's once-per-run
+    #: cost (non-zero on a timeline's first entry only)
+    per_run_s: float = 0.0
 
     @property
     def device_s(self) -> float:
@@ -144,9 +147,9 @@ class Queue:
     def _record(self, kind: CommandKind, name: str, device_s: float,
                 overhead_s: float, nbytes: int = 0,
                 stats: ExecutionStats | None = None) -> Event:
-        if not self.timeline:
-            # the runtime's fixed per-run cost opens every timeline
-            overhead_s += self.overheads.per_run_s
+        # the runtime's fixed per-run cost opens every timeline
+        per_run_s = 0.0 if self.timeline else self.overheads.per_run_s
+        overhead_s += per_run_s
         submit = self.now_ns
         self._advance(overhead_s)
         start, end = self._advance(device_s)
@@ -159,7 +162,8 @@ class Queue:
             profiling_enabled=self.profiling,
             bytes=nbytes,
         )
-        self.timeline.append(TimelineEntry(event=ev, overhead_s=overhead_s, stats=stats))
+        self.timeline.append(TimelineEntry(event=ev, overhead_s=overhead_s,
+                                           stats=stats, per_run_s=per_run_s))
         tracer = current_tracer()
         if tracer is not None:
             # modeled device clock, side by side with the wall spans:
@@ -171,6 +175,7 @@ class Queue:
                 kind=kind.value,
                 device_us=(end - start) / 1e3,
                 overhead_us=(start - submit) / 1e3,
+                per_run_us=per_run_s * 1e6,
                 bytes=nbytes,
             )
         return ev
@@ -271,7 +276,7 @@ class Queue:
                 groups=entry.stats.groups if entry.stats else 0,
                 barrier_phases=entry.stats.barrier_phases if entry.stats else 0,
                 modeled_device_us=entry.device_s * 1e6,
-                modeled_overhead_us=entry.overhead_s * 1e6,
+                modeled_overhead_us=(entry.overhead_s - entry.per_run_s) * 1e6,
             )
         return event
 
@@ -302,7 +307,8 @@ class Queue:
             device_s = self.model.kernel_time_s(kernel, profile)
         else:
             device_s = self.model.kernel_time_s(profile)
-        overhead_s = self.overheads.launch_s + 2 * self.overheads.event_s
+        overhead_s = (self.overheads.launch_s
+                      + EVENTS_PER_LAUNCH * self.overheads.event_s)
         return self._record(CommandKind.KERNEL, kernel.name, device_s, overhead_s,
                             stats=stats)
 

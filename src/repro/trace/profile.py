@@ -41,7 +41,7 @@ __all__ = [
 
 #: Schema tag carried by every ``profile.json``; bump on key-structure
 #: changes so downstream tooling can detect drift.
-PROFILE_SCHEMA = "repro-profile/5"
+PROFILE_SCHEMA = "repro-profile/6"
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +113,24 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         agg.dispatch_wall_us += max(0.0, ev.dur_us - body)
 
     # -- the Fig. 1 decomposition, from the modeled-clock spans ----------
-    kernel_us = overhead_us = host_task_us = 0.0
+    # The runtime's once-per-run cost rides on a timeline's first
+    # booking; it is reported apart from launch overhead and host tasks.
+    kernel_us = booked_us = host_us = 0.0
+    launch_per_run_us = host_per_run_us = 0.0
     for ev in events:
         if ev.cat != "modeled":
             continue
         if ev.args.get("kind") == "kernel":
             kernel_us += ev.args.get("device_us", 0.0)
-            overhead_us += ev.args.get("overhead_us", 0.0)
+            booked_us += ev.args.get("overhead_us", 0.0)
+            launch_per_run_us += ev.args.get("per_run_us", 0.0)
         else:  # oneDPL calls, booked as host tasks
-            host_task_us += ev.dur_us
-    non_kernel_us = overhead_us + host_task_us
+            host_us += ev.dur_us
+            host_per_run_us += ev.args.get("per_run_us", 0.0)
+    non_kernel_us = booked_us + host_us
+    per_run_us = launch_per_run_us + host_per_run_us
+    overhead_us = booked_us - launch_per_run_us
+    host_task_us = host_us - host_per_run_us
 
     # -- hotspot rows, deterministically ordered -------------------------
     rows = []
@@ -167,6 +175,7 @@ def build_profile(events: Iterable[Span], *, device_key: str | None = None,
         "kernels": rows,
         "decomposition": {
             "kernel_us": kernel_us,
+            "per_run_us": per_run_us,
             "overhead_us": overhead_us,
             "host_task_us": host_task_us,
             "non_kernel_us": non_kernel_us,
@@ -300,7 +309,8 @@ def render_profile(profile: dict, *, deterministic: bool = False) -> str:
     lines.append(f"- kernel time     : {d['kernel_us'] / 1e3:.3f} ms "
                  f"({100.0 * d['kernel_fraction']:.1f}%)")
     lines.append(f"- non-kernel time : {d['non_kernel_us'] / 1e3:.3f} ms "
-                 f"(launch overhead {d['overhead_us'] / 1e3:.3f} ms, "
+                 f"(per-run {d['per_run_us'] / 1e3:.3f} ms, "
+                 f"launch overhead {d['overhead_us'] / 1e3:.3f} ms, "
                  f"host tasks {d['host_task_us'] / 1e3:.3f} ms)")
     lines.append(f"- total           : {d['total_us'] / 1e3:.3f} ms")
     lines.append("")

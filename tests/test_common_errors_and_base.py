@@ -129,18 +129,3 @@ class TestAppBaseHelpers:
             assert app.reported_time_s(1, variant, "rtx2080") > 0
         for variant in (Variant.FPGA_BASE, Variant.FPGA_OPT):
             assert app.reported_time_s(1, variant, "stratix10") > 0
-
-    def test_fpga_time_uses_cached_synthesis(self):
-        from repro.altis.base import FpgaSetup
-        from repro.fpga.synthesis import synthesize
-        from repro.perfmodel import get_spec
-
-        app = make_app("Mandelbrot")
-        setup = app.fpga_setup(1, True, "stratix10")
-        syn = synthesize(setup.design, get_spec("stratix10"), seed=7)
-        cached = FpgaSetup(design=setup.design, plan=setup.plan,
-                           replication=setup.replication,
-                           kernels=setup.kernels, synthesis=syn)
-        app.fpga_setup = lambda *a: cached  # inject
-        t = app.fpga_time(1, True, "stratix10")
-        assert t.total_s > 0

@@ -278,3 +278,48 @@ def test_every_public_name_is_used():
                 unused.add(f"{_module_name(path)}.{name}")
     assert sorted(unused - set(_UNUSED_PUBLIC)) == []
     assert sorted(set(_UNUSED_PUBLIC) - unused) == []  # stale exceptions
+
+
+#: annotated class attributes that no code in the user trees reads,
+#: each with its reason
+_UNREAD_FIELDS = {
+    "repro.fpga.resources.ResourceEstimate.dsps":
+        "estimated DSP use; the toolchain tests check how it scales",
+    "repro.perfmodel.fpga.FpgaKernelTiming.cycles":
+        "the cycle count the FPGA timing tests check",
+    "repro.perfmodel.spec.FpgaResources.dsps_total":
+        "Table 2 data, pinned by the device-spec tests",
+    "repro.sycl.ndrange.BarrierToken.fence_space":
+        "the fence argument of the SYCL barrier call, checked by its tests",
+    "repro.sycl.queue.LaunchCounters.kernel_launches":
+        "per-kind launch count the executor and app tests assert",
+    "repro.sycl.queue.LaunchCounters.single_task_launches":
+        "per-kind launch count the FPGA app and pipe tests assert",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """An annotated class attribute (a dataclass field, a class-level
+    default) that no code reads as ``.name`` is a settable value with
+    no reader; the exceptions are listed with a reason."""
+    trees = {path: ast.parse(path.read_text())
+             for root in _USER_TREES
+             for path in sorted((REPO / root).rglob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC / "repro"):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read):
+                    unread.add(f"{_module_name(path)}.{cls.name}."
+                               f"{stmt.target.id}")
+    assert sorted(unread - set(_UNREAD_FIELDS)) == []
+    assert sorted(set(_UNREAD_FIELDS) - unread) == []  # stale exceptions

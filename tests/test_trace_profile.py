@@ -122,7 +122,7 @@ def test_fdtd2d_fig1_crossover_from_spans():
     # the decomposition is internally consistent
     for d in (small, large):
         assert d["non_kernel_us"] == pytest.approx(
-            d["overhead_us"] + d["host_task_us"])
+            d["per_run_us"] + d["overhead_us"] + d["host_task_us"])
         assert d["total_us"] == pytest.approx(
             d["kernel_us"] + d["non_kernel_us"])
         assert 0.0 <= d["kernel_fraction"] <= 1.0
@@ -137,6 +137,27 @@ def test_fdtd2d_sycl_pays_more_non_kernel_time_than_cuda():
         "decomposition"]
     assert sycl["non_kernel_us"] > cuda["non_kernel_us"]
     assert sycl["kernel_us"] == cuda["kernel_us"]
+
+
+@pytest.mark.parametrize("variant", ["sycl_opt", "cuda"])
+def test_per_run_cost_is_booked_apart_from_the_launches(variant):
+    """Each hotspot row carries its launches' overhead only; the
+    runtime's once-per-run cost is the decomposition's ``per_run_us``,
+    not a surcharge on whichever kernel launched first."""
+    from repro.perfmodel.overhead import EVENTS_PER_LAUNCH, overheads_for
+    from repro.perfmodel.spec import get_spec
+
+    ovh = overheads_for("cuda" if variant == "cuda" else "sycl",
+                        get_spec("rtx2080"))
+    p = profile_functional("FDTD2D", variant=variant).profile
+    per_launch_us = (ovh.launch_s + EVENTS_PER_LAUNCH * ovh.event_s) * 1e6
+    for row in p["kernels"]:
+        assert row["modeled_overhead_us"] == pytest.approx(
+            row["launches"] * per_launch_us)
+    d = p["decomposition"]
+    assert d["per_run_us"] == pytest.approx(ovh.per_run_s * 1e6)
+    assert d["overhead_us"] == pytest.approx(
+        sum(row["modeled_overhead_us"] for row in p["kernels"]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +187,12 @@ def test_dispatch_wall_is_launch_minus_kernel_form():
 def test_profile_schema_and_run_identity():
     run = profile_functional("NW", device_key="a100", mode="item", scale=0.02, seed=3)
     p = run.profile
-    assert p["schema"] == PROFILE_SCHEMA == "repro-profile/5"
+    assert p["schema"] == PROFILE_SCHEMA == "repro-profile/6"
     assert sorted(p) == ["decomposition", "device_spec", "kernels", "run",
                          "schema"]
+    assert sorted(p["decomposition"]) == [
+        "host_task_us", "kernel_fraction", "kernel_us", "non_kernel_us",
+        "overhead_us", "per_run_us", "total_us"]
     assert p["kernels"]
     for row in p["kernels"]:
         assert sorted(row) == [
@@ -218,7 +242,10 @@ def test_build_profile_synthetic_spans():
                      modeled_device_us=100.0, modeled_overhead_us=5.0,
                      path="item"):
             pass
-        tr.complete("k1", "modeled", 0.0, 105.0, kind="kernel",
+        # a host task opens the timeline, so it carries the per-run cost
+        tr.complete("oneDPL::scan", "modeled", 0.0, 1610.0,
+                    kind="host_task", per_run_us=1600.0)
+        tr.complete("k1", "modeled", 1610.0, 105.0, kind="kernel",
                     device_us=100.0, overhead_us=5.0)
         events = tr.events()
     p = build_profile(events)
@@ -227,6 +254,8 @@ def test_build_profile_synthetic_spans():
     assert row["kernel"] == "k1" and row["launches"] == 1
     d = p["decomposition"]
     assert d["kernel_us"] == 100.0 and d["overhead_us"] == 5.0
+    assert d["per_run_us"] == 1600.0 and d["host_task_us"] == 10.0
+    assert d["non_kernel_us"] == 1615.0
 
 
 # ---------------------------------------------------------------------------
