@@ -242,10 +242,7 @@ def test_build_profile_synthetic_spans():
                      modeled_device_us=100.0, modeled_overhead_us=5.0,
                      path="item"):
             pass
-        # a host task opens the timeline, so it carries the per-run cost
-        tr.complete("oneDPL::scan", "modeled", 0.0, 1610.0,
-                    kind="host_task", per_run_us=1600.0)
-        tr.complete("k1", "modeled", 1610.0, 105.0, kind="kernel",
+        tr.complete("k1", "modeled", 0.0, 105.0, kind="kernel",
                     device_us=100.0, overhead_us=5.0)
         events = tr.events()
     p = build_profile(events)
@@ -254,8 +251,32 @@ def test_build_profile_synthetic_spans():
     assert row["kernel"] == "k1" and row["launches"] == 1
     d = p["decomposition"]
     assert d["kernel_us"] == 100.0 and d["overhead_us"] == 5.0
-    assert d["per_run_us"] == 1600.0 and d["host_task_us"] == 10.0
-    assert d["non_kernel_us"] == 1615.0
+
+
+def test_per_run_cost_on_a_host_task_is_not_host_task_time():
+    """A oneDPL call that opens a queue's timeline carries the per-run
+    cost; the profile books it as ``per_run_us``, and the non-kernel
+    total is still the queue's own."""
+    import numpy as np
+
+    from repro.sycl import KernelSpec, NdRange, Queue, Range
+    from repro.sycl.onedpl import exclusive_scan
+    from repro.trace.spans import tracing
+
+    queue = Queue("rtx2080")
+    noop = KernelSpec(name="noop", vector_fn=lambda nd, a: None)
+    with tracing() as tr:
+        exclusive_scan(np.arange(8.0), queue=queue)
+        queue.parallel_for(NdRange(Range(8), Range(4)), noop, np.zeros(8))
+        events = tr.events()
+    d = build_profile(events)["decomposition"]
+    scan = queue.timeline[0]
+    assert scan.per_run_s == queue.overheads.per_run_s > 0
+    assert d["per_run_us"] == pytest.approx(scan.per_run_s * 1e6)
+    assert d["host_task_us"] == pytest.approx(
+        (scan.total_s - scan.per_run_s) * 1e6)
+    assert d["non_kernel_us"] == pytest.approx(
+        queue.non_kernel_time_s() * 1e6)
 
 
 # ---------------------------------------------------------------------------
