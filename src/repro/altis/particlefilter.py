@@ -189,8 +189,7 @@ class ParticleFilter(AltisApp):
             attributes=KernelAttributes(reqd_work_group_size=wg,
                                         max_work_group_size=wg),
             features={"body_fmas": 12 if fp else 0, "body_ops": 20,
-                      "global_access_sites": 2,
-                      "pow_calls": 4 if fp else 0},
+                      "global_access_sites": 2},
         )
         find_index = KernelSpec(
             name="find_index", kind=KernelKind.ND_RANGE,

@@ -298,7 +298,6 @@ class Raytracing(AltisApp):
             features={"body_fmas": 40, "body_ops": 90,
                       "global_access_sites": 3,
                       "variable_trip_loop": True,
-                      "virtual_calls": variant is Variant.CUDA,
                       "local_memories": [
                           {"bytes": (self.N_SPHERES + 1) * 32, "static": True,
                            "ports": 2, "bankable": True}]},

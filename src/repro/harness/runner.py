@@ -78,8 +78,9 @@ _TOLERANCES = {
 #: returns — device ``rtx2080``, variant ``sycl_opt``, auto mode, the
 #: config's ``_DEFAULT_SCALES`` entry: per config, per output,
 #: ``(sha256, shape, dtype)`` as :func:`_array_digest` computes them.
-#: ``tests/test_golden_fixtures.py`` pins every config to this table
-#: and rewrites it under ``REPRO_REGEN_GOLDEN=1``.
+#: The golden rows of ``tests/test_differential_oracle.py`` pin every
+#: config to this table; ``tests/test_golden_fixtures.py`` rewrites it
+#: under ``REPRO_REGEN_GOLDEN=1``.
 _GOLDEN_DIGESTS = {
     "CFD FP32": {
         "variables": (

@@ -50,8 +50,6 @@ class LaunchCounters:
     Reset together with the timeline by :meth:`Queue.reset_timeline`.
     """
 
-    kernel_launches: int = 0
-    single_task_launches: int = 0
     items: int = 0
     groups: int = 0
     barrier_phases: int = 0
@@ -59,10 +57,6 @@ class LaunchCounters:
     path_counts: dict = field(default_factory=dict)
 
     def note_launch(self, stats: ExecutionStats) -> None:
-        if stats.path == "single_task":
-            self.single_task_launches += 1
-        else:
-            self.kernel_launches += 1
         self.items += stats.items
         self.groups += stats.groups
         self.barrier_phases += stats.barrier_phases

@@ -4,9 +4,12 @@ Every configuration is run at input size 1 (test scale, seed 0) and the
 ``run_sycl`` output arrays are hashed byte-exactly.  The checksums live
 in the ``_GOLDEN_DIGESTS`` table of ``src/repro/harness/runner.py``,
 where the installed package reads them to verify the suite's
-digest-checked configs; any executor/queue refactor that changes a
-result — even a bitwise change the tolerance-based ``verify`` would
-forgive — fails here loudly instead of silently shifting the figures.
+digest-checked configs; the differential oracle's golden rows
+(``test_differential_oracle.py``) pin every config to it, so any
+executor/queue refactor that changes a result — even a bitwise change
+the tolerance-based ``verify`` would forgive — fails loudly instead of
+silently shifting the figures.  This file holds what is not a row: the
+table's form, regeneration and the suite's use of the digests.
 
 Regenerate the table after an *intentional* numerical change with::
 
@@ -34,18 +37,12 @@ from repro.common.errors import CellExecutionError
 from repro.harness import runner
 from repro.harness.reporting import render_suite_report
 from repro.harness.runner import (_DEFAULT_SCALES, _DIGEST_CHECKED,
-                                  _GOLDEN_DIGESTS, _array_digest,
-                                  run_functional, run_suite_functional)
+                                  _GOLDEN_DIGESTS, run_functional,
+                                  run_suite_functional)
+from tests.test_differential_oracle import check, digests, rerun
 
 RUNNER_PATH = Path(runner.__file__)
 _REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
-
-
-def _compute_checksums(config: str) -> dict:
-    result = run_functional(config, seed=0)
-    assert result.verified
-    return {key: _array_digest(value)
-            for key, value in sorted(result.outputs.items())}
 
 
 def _table_source(table: dict) -> str:
@@ -70,22 +67,15 @@ def _rewrite_table(table: dict) -> None:
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_golden_checksums(config, monkeypatch):
-    if _REGEN:
-        monkeypatch.setattr(runner, "_DIGEST_CHECKED", frozenset())
-        _GOLDEN_DIGESTS[config] = _compute_checksums(config)
-        _rewrite_table(_GOLDEN_DIGESTS)
-        pytest.skip(f"regenerated golden checksums for {config}")
-    got = _compute_checksums(config)
-    assert config in _GOLDEN_DIGESTS, (
-        f"no golden entry for {config!r}; run with REPRO_REGEN_GOLDEN=1")
-    want = _GOLDEN_DIGESTS[config]
-    assert set(got) == set(want), (
-        f"{config}: output keys changed: {sorted(got)} vs {sorted(want)}")
-    for key, digest in want.items():
-        assert got[key] == digest, (
-            f"{config}: output {key!r} drifted from the golden fixture "
-            f"(got {got[key]}, want {digest}); if intentional, regenerate "
-            "with REPRO_REGEN_GOLDEN=1")
+    if not _REGEN:
+        check(config, "golden", "auto")
+        return
+    monkeypatch.setattr(runner, "_DIGEST_CHECKED", frozenset())
+    result = run_functional(config, seed=0)
+    assert result.verified
+    _GOLDEN_DIGESTS[config] = digests(result.outputs)
+    _rewrite_table(_GOLDEN_DIGESTS)
+    pytest.skip(f"regenerated golden checksums for {config}")
 
 
 def test_golden_file_covers_registry():
@@ -101,9 +91,8 @@ def test_golden_file_covers_registry():
 def test_golden_runs_are_deterministic():
     """Same seed, same scale -> byte-identical outputs on repeat runs
     (the property the whole fixture scheme depends on)."""
-    a = _compute_checksums("KMeans")
-    b = _compute_checksums("KMeans")
-    assert a == b
+    outputs, _ = check("KMeans", "golden", "auto")
+    assert digests(rerun("KMeans", "golden", "auto")[0]) == digests(outputs)
 
 
 #: the body each digest-checked config's ``vector_fn`` shares with its

@@ -291,10 +291,6 @@ _UNREAD_FIELDS = {
         "Table 2 data, pinned by the device-spec tests",
     "repro.sycl.ndrange.BarrierToken.fence_space":
         "the fence argument of the SYCL barrier call, checked by its tests",
-    "repro.sycl.queue.LaunchCounters.kernel_launches":
-        "per-kind launch count the executor and app tests assert",
-    "repro.sycl.queue.LaunchCounters.single_task_launches":
-        "per-kind launch count the FPGA app and pipe tests assert",
 }
 
 

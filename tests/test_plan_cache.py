@@ -12,66 +12,20 @@ import threading
 import numpy as np
 import pytest
 
-from repro.altis import Variant
-from repro.altis.registry import APP_FACTORIES, make_app
 from repro.common.errors import KernelLaunchError
-from repro.sycl import KernelSpec, NdRange, Queue, Range
+from repro.sycl import KernelSpec, NdRange, Range
 from repro.sycl.executor import run_nd_range
-from repro.sycl.ndrange import FenceSpace
-
-#: decomposed paths interpret every work-group, so the registry sweep
-#: uses the same reduced scales as the differential kernel-form tests
-_SCALES = {
-    "CFD FP32": 0.0005, "CFD FP64": 0.0005,
-    "DWT2D": 0.03, "FDTD2D": 0.02, "KMeans": 0.005,
-    "LavaMD": 0.25, "Mandelbrot": 0.008, "NW": 0.008,
-    "PF Naive": 0.03, "PF Float": 0.03,
-    "Raytracing": 0.02, "SRAD": 0.008, "Where": 0.0002,
-}
+from tests.test_differential_oracle import CONFIGS, check, digests, rerun
+from tests.test_executor_fastpaths import (_add_vector, _pair_kernel,
+                                          _phased_item)
 
 
-def _run_config(config: str):
-    app = make_app(config)
-    workload = app.generate(1, seed=0, scale=_SCALES[config])
-    queue = Queue("rtx2080")
-    return app.run_sycl(queue, workload, Variant.SYCL_OPT)
-
-
-@pytest.mark.parametrize("config", sorted(APP_FACTORIES))
+@pytest.mark.parametrize("config", CONFIGS)
 def test_goldens_byte_identical_with_plans(config):
-    """Every registry config: a first run and a repeated run agree
-    byte-for-byte."""
-    cold = _run_config(config)
-    warm = _run_config(config)
-    assert set(cold) == set(warm)
-    for key in cold:
-        a, b = np.asarray(warm[key]), np.asarray(cold[key])
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes(), (
-            f"{config}: output {key!r} differs between cold and warm runs")
-
-
-# ---------------------------------------------------------------------------
-# kernels for the targeted tests
-# ---------------------------------------------------------------------------
-
-def _add_item(item, out):
-    out[item.get_global_linear_id()] += 1
-
-
-def _add_vector(nd_range, out):
-    out[:nd_range.total_items()] += 1
-
-
-def _barrier_item(item, out):
-    out[item.get_global_linear_id()] += 1
-    yield item.barrier(FenceSpace.LOCAL)
-    out[item.get_global_linear_id()] *= 2
-
-
-def _triple():
-    return KernelSpec(name="triple", item_fn=_add_item,
-                      vector_fn=_add_vector)
+    """Every registry config: a repeated run gives the oracle row's
+    bytes."""
+    outputs, _ = check(config, "reduced", "auto")
+    assert digests(rerun(config, "reduced", "auto")[0]) == digests(outputs)
 
 
 def _stats_tuple(stats):
@@ -87,14 +41,14 @@ class TestStatsParity:
         out_c = np.zeros(16)
         out_w = np.zeros(16)
         # the repeated launch must report the same stats as the first
-        cold = run_nd_range(_triple(), nd, (out_c,), mode=mode)
-        warm = run_nd_range(_triple(), nd, (out_w,), mode=mode)
+        cold = run_nd_range(_pair_kernel(), nd, (out_c,), mode=mode)
+        warm = run_nd_range(_pair_kernel(), nd, (out_w,), mode=mode)
         assert _stats_tuple(warm) == _stats_tuple(cold)
         assert cold.path == path
         assert out_w.tobytes() == out_c.tobytes()
 
     @pytest.mark.parametrize("kernel", [
-        KernelSpec(name="bi", item_fn=_barrier_item),
+        KernelSpec(name="bi", item_fn=_phased_item),
     ], ids=["item-generator"])
     def test_barrier_paths(self, kernel):
         # the first launch and the repeated one: same stats, same bytes
@@ -142,7 +96,7 @@ def _launch_pair() -> bytes:
     """Two barrier-kernel launches on a fresh output buffer."""
     out = np.zeros(16)
     nd = NdRange(Range(16), Range(4))
-    k = KernelSpec(name="pool", item_fn=_barrier_item)
+    k = KernelSpec(name="pool", item_fn=_phased_item)
     run_nd_range(k, nd, (out,), mode="item")
     run_nd_range(k, nd, (out,), mode="item")
     return out.tobytes()

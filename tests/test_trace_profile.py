@@ -327,4 +327,4 @@ def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
     rows = [line.split("|") for line in hotspots.splitlines()
             if line.startswith("| ") and not line.startswith("| kernel |")]
     launches = sum(int(cells[3]) for cells in rows)
-    assert launches == queue.counters.single_task_launches == 2
+    assert launches == queue.counters.path_counts["single_task"] == 2
