@@ -384,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_traced(command, args) -> int:
     """Run one CLI command under a fresh tracer and export the trace."""
-    from ..trace import metrics, tracing, write_chrome_trace
+    from ..trace import tracing, write_chrome_trace
     from . import reporting
 
     with tracing() as tracer:
@@ -393,8 +393,7 @@ def _run_traced(command, args) -> int:
             status = command(args)
         events = tracer.events()
     out = args.trace_out or "trace.json"
-    path = write_chrome_trace(out, events,
-                              metrics=metrics.registry.snapshot())
+    path = write_chrome_trace(out, events)
     quiet = getattr(args, "quiet", False)
     if not quiet:
         launches = sum(1 for ev in events if ev.cat == "launch")

@@ -37,7 +37,6 @@ from ..common.cache import code_fingerprint
 from ..common.errors import CellExecutionError
 from ..resilience import FailedCell
 from ..sycl import Queue
-from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -260,7 +259,6 @@ def run_functional(config: str, device_key: str = "rtx2080",
             expected = app.reference(workload)
             rtol, atol = _TOLERANCES.get(config, (0.0, 0.0))
             app.verify(result, expected, rtol=rtol, atol=atol)
-    _trace_metrics.counter("harness.runs").inc()
     return RunResult(
         config=config,
         device_key=device_key,
@@ -378,10 +376,10 @@ def run_suite_functional(device_key: str = "rtx2080",
     * ``journal`` (+ ``resume=True``) — completed cells are fsync'd to
       an append-only :class:`~repro.harness.resultdb.SweepJournal` as
       they finish; a resumed sweep re-executes only the cells the
-      journal is missing (skips are counted on
-      ``resilience.cells_resumed``) and merges journaled results back in
-      suite order, byte-identical to an uninterrupted run.  Only records
-      that :func:`journal_record_trusted` accepts are merged — stale or
+      journal is missing (a traced sweep has one ``app`` span per
+      executed cell) and merges journaled results back in suite order,
+      byte-identical to an uninterrupted run.  Only records that
+      :func:`journal_record_trusted` accepts are merged — stale or
       hand-edited journal entries are re-executed.  The fingerprint is
       computed **once per sweep** (it is launch-invariant) and shared by
       the resume filter and every appended record.  Records are keyed by
@@ -408,8 +406,6 @@ def run_suite_functional(device_key: str = "rtx2080",
                                       variant=variant, mode=mode,
                                       fingerprint=fingerprint):
                 done[record["config"]] = record
-    if done:
-        _trace_metrics.counter("resilience.cells_resumed").inc(len(done))
     pending = [c for c in configs if c not in done]
 
     results = []

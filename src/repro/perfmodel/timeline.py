@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..trace.metrics import registry as _trace_metrics
 from ..trace.spans import current_tracer
 from .gpu import CpuModel, GpuModel
 from .overhead import EVENTS_PER_LAUNCH, RuntimeOverheads
@@ -106,10 +105,9 @@ def time_launch_plan(plan: LaunchPlan, spec: DeviceSpec,
         # so Fig. 1's numbers sit next to the measured spans.
         tracer.complete(
             f"plan:{spec.key}", "model", tracer.now_us(),
-            decomp.total_s * 1e6, tid=f"modeled:{spec.key}",
+            decomp.total_s * 1e6, f"modeled:{spec.key}",
             kernel_us=decomp.kernel_s * 1e6,
             non_kernel_us=decomp.non_kernel_s * 1e6,
             launches=launches, device=spec.key,
         )
-        _trace_metrics.counter("perfmodel.plans_timed").inc()
     return decomp

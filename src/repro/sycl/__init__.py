@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ndrange": ("Range", "Id", "NdRange", "NdItem", "Group", "FenceSpace",
                 "BarrierToken"),
     "pipes": ("Pipe", "PipeBlocked", "DataflowGraph"),
-    "queue": ("Queue", "TimelineEntry", "LaunchCounters"),
+    "queue": ("Queue", "TimelineEntry"),
     "local_memory": ("LocalAccessor", "group_local_memory_for_overwrite"),
 })
 

@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from ..common.errors import KernelLaunchError
-from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
 from .kernel import KernelSpec
 from .local_memory import LocalAccessor
@@ -55,7 +54,7 @@ __all__ = [
 class ExecutionStats:
     """Counters the executor produces for one launch (functional layer)."""
 
-    __slots__ = ("groups", "items", "barrier_phases", "path", "gen_advances")
+    __slots__ = ("groups", "items", "barrier_phases", "path")
 
     def __init__(self) -> None:
         self.groups = 0
@@ -63,15 +62,11 @@ class ExecutionStats:
         self.barrier_phases = 0
         #: which execution path ran: vector / item / single_task
         self.path = ""
-        #: generator resumptions performed by the phase engine (scheduler
-        #: work; 0 on the vector path)
-        self.gen_advances = 0
 
     def __repr__(self) -> str:
         return (
             f"ExecutionStats(path={self.path!r}, groups={self.groups}, "
-            f"items={self.items}, barrier_phases={self.barrier_phases}, "
-            f"gen_advances={self.gen_advances})"
+            f"items={self.items}, barrier_phases={self.barrier_phases})"
         )
 
 
@@ -198,7 +193,6 @@ def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
                     "kernels must `yield item.barrier(...)`"
                 )
             append(gen)
-        stats.gen_advances += len(live)
         if reached:
             if len(reached) != len(live):
                 raise KernelLaunchError(
@@ -262,8 +256,6 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
             kernel.vector_fn(nd_range, *args)
         else:
             _run_items(kernel, nd_range, args, stats, tracer)
-    if tracer is not None:
-        _note_execution_metrics(stats)
     return stats
 
 
@@ -288,16 +280,6 @@ def _run_items(kernel: KernelSpec, nd_range: NdRange, args: tuple,
                 fn(item, *args)
         for acc in locals_:
             acc._end_group()
-
-
-def _note_execution_metrics(stats: ExecutionStats) -> None:
-    """Fold one launch's stats into the metrics registry (traced runs)."""
-    _metrics.counter("executor.launches").inc()
-    _metrics.counter("executor.items").inc(stats.items)
-    _metrics.counter("executor.groups").inc(stats.groups)
-    _metrics.counter("executor.barrier_phases").inc(stats.barrier_phases)
-    _metrics.counter("executor.gen_advances").inc(stats.gen_advances)
-    _metrics.counter(f"executor.path.{stats.path}").inc()
 
 
 def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
@@ -326,6 +308,4 @@ def run_single_task(kernel: KernelSpec, args: tuple) -> ExecutionStats:
                 )
     stats.groups = 1
     stats.items = 1
-    if tracer is not None:
-        _note_execution_metrics(stats)
     return stats

@@ -22,7 +22,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from ..common.errors import InvalidParameterError, KernelLaunchError
@@ -31,38 +31,11 @@ from ..perfmodel.timeline import model_for
 from ..trace.spans import current_tracer
 from .device import Device, device as get_device
 from .event import CommandKind, Event
-from .executor import (_MODES, ExecutionStats, _note_execution_metrics,
-                       run_nd_range, run_single_task)
+from .executor import _MODES, ExecutionStats, run_nd_range, run_single_task
 from .kernel import KernelKind, KernelSpec
 from .ndrange import NdRange, Range
 
-__all__ = ["Queue", "TimelineEntry", "LaunchCounters"]
-
-
-@dataclass
-class LaunchCounters:
-    """Aggregate per-launch counters a queue accumulates across its lifetime.
-
-    These make executor/harness speedups measurable rather than asserted:
-    ``path_counts`` records which execution path (vector / item /
-    single_task) served each kernel launch, and ``gen_advances`` counts
-    the generator resumptions the barrier-phase engine performed.
-    Reset together with the timeline by :meth:`Queue.reset_timeline`.
-    """
-
-    items: int = 0
-    groups: int = 0
-    barrier_phases: int = 0
-    gen_advances: int = 0
-    path_counts: dict = field(default_factory=dict)
-
-    def note_launch(self, stats: ExecutionStats) -> None:
-        self.items += stats.items
-        self.groups += stats.groups
-        self.barrier_phases += stats.barrier_phases
-        self.gen_advances += stats.gen_advances
-        if stats.path:
-            self.path_counts[stats.path] = self.path_counts.get(stats.path, 0) + 1
+__all__ = ["Queue", "TimelineEntry"]
 
 
 @dataclass
@@ -71,6 +44,7 @@ class TimelineEntry:
 
     event: Event
     overhead_s: float  # host-side launch/runtime overhead (non-kernel)
+    #: a kernel launch's path and work counts (``None`` on host tasks)
     stats: ExecutionStats | None = None
     #: the part of ``overhead_s`` that is the runtime's once-per-run
     #: cost (non-zero on a timeline's first entry only)
@@ -129,8 +103,6 @@ class Queue:
         #: modeled device clock, nanoseconds
         self.now_ns: int = 0
         self.timeline: list[TimelineEntry] = []
-        #: lifetime launch counters (reset with the timeline)
-        self.counters = LaunchCounters()
 
     # -- internal clock helpers ------------------------------------------
     def _advance(self, seconds: float) -> tuple[int, int]:
@@ -165,7 +137,7 @@ class Queue:
             # dedicated tid so the clock domains never nest.
             tracer.complete(
                 name, "modeled", submit / 1e3, (end - submit) / 1e3,
-                tid=f"modeled:{self.device.spec.key}",
+                f"modeled:{self.device.spec.key}",
                 kind=kind.value,
                 device_us=(end - start) / 1e3,
                 overhead_us=(start - submit) / 1e3,
@@ -179,8 +151,8 @@ class Queue:
                      *args, profile=None) -> Event:
         """``queue.parallel_for(range, kernel)``.
 
-        Each launch runs through the executor and is counted, per
-        execution path, in the queue's :class:`LaunchCounters` —
+        Each launch runs through the executor and keeps its path and
+        work counts on its timeline entry —
 
         >>> import numpy as np
         >>> from repro.sycl import KernelSpec, NdRange, Queue, Range
@@ -191,8 +163,8 @@ class Queue:
         >>> a = np.full(8, 32.0)
         >>> for _ in range(3):
         ...     _ = q.parallel_for(NdRange(Range(8), Range(4)), halve, a)
-        >>> q.counters.path_counts
-        {'vector': 3}
+        >>> [entry.stats.path for entry in q.timeline]
+        ['vector', 'vector', 'vector']
         >>> float(a[0])
         4.0
 
@@ -218,9 +190,9 @@ class Queue:
         together under a :class:`~repro.sycl.pipes.DataflowGraph`, as
         the paper's pipe designs do on the FPGA (§5.3, KMeans' Fig. 3b),
         and each is then booked on this queue like a :meth:`single_task`
-        launch, with its own ``launch`` span and executor metrics when
-        traced.  The kernels share one run, so those spans time the
-        booking only.
+        launch: a timeline entry with ``single_task`` stats, and its own
+        ``launch`` span when traced.  The kernels share one run, so
+        those spans time the booking only.
         """
         from .pipes import DataflowGraph  # only the FPGA pipe designs run one
 
@@ -239,11 +211,8 @@ class Queue:
             stats.path = "single_task"
             stats.groups = stats.items = 1
             book = partial(self._book, kernel, profile, stats)
-            if tracer is None:
-                events.append(book())
-            else:
-                _note_execution_metrics(stats)
-                events.append(self._traced(tracer, kernel, book))
+            events.append(book() if tracer is None
+                          else self._traced(tracer, kernel, book))
         return events
 
     # -- implementation ------------------------------------------------------
@@ -264,11 +233,10 @@ class Queue:
                          device_key=self.device.spec.key) as sp:
             event = run()
             entry = self.timeline[-1]
+            stats = entry.stats
             sp.args.update(
-                path=entry.stats.path if entry.stats else "?",
-                items=entry.stats.items if entry.stats else 0,
-                groups=entry.stats.groups if entry.stats else 0,
-                barrier_phases=entry.stats.barrier_phases if entry.stats else 0,
+                path=stats.path, items=stats.items, groups=stats.groups,
+                barrier_phases=stats.barrier_phases,
                 modeled_device_us=entry.device_s * 1e6,
                 modeled_overhead_us=(entry.overhead_s - entry.per_run_s) * 1e6,
             )
@@ -292,9 +260,8 @@ class Queue:
 
     def _book(self, kernel: KernelSpec, profile,
               stats: ExecutionStats) -> Event:
-        """Count one executed launch and advance the modeled clock; a
-        launch without a profile books its overhead only."""
-        self.counters.note_launch(stats)
+        """Book one executed launch on the modeled clock; a launch
+        without a profile books its overhead only."""
         if profile is None:
             device_s = 0.0
         elif self.device.is_fpga:
@@ -327,7 +294,6 @@ class Queue:
     def reset_timeline(self) -> None:
         self.timeline.clear()
         self.now_ns = 0
-        self.counters = LaunchCounters()
 
 
 def _largest_divisor(n: int, at_most: int) -> int:

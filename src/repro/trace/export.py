@@ -2,9 +2,7 @@
 
 The Chrome trace format is the ``chrome://tracing`` / Perfetto JSON
 object form: ``{"traceEvents": [...], ...}`` where every span is a
-complete event (``"ph": "X"``) with microsecond ``ts``/``dur``.  The
-exported document also carries the metrics-registry snapshot under
-``otherData`` so one file holds the whole observability picture.
+complete event (``"ph": "X"``) with microsecond ``ts``/``dur``.
 """
 
 from __future__ import annotations
@@ -18,13 +16,12 @@ from .spans import Span
 
 __all__ = [
     "to_chrome_trace",
-    "dumps_chrome_trace",
     "write_chrome_trace",
     "launch_table",
 ]
 
 
-def to_chrome_trace(events: Iterable[Span], *, metrics: dict | None = None) -> dict:
+def to_chrome_trace(events: Iterable[Span]) -> dict:
     """Build the Chrome-trace document for a span list."""
     trace_events = []
     for ev in events:
@@ -42,10 +39,7 @@ def to_chrome_trace(events: Iterable[Span], *, metrics: dict | None = None) -> d
             "tid": ev.tid,
             "args": args,
         })
-    doc = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-    if metrics is not None:
-        doc["otherData"] = {"metrics": metrics}
-    return doc
+    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
 def _jsonable(value):
@@ -58,17 +52,12 @@ def _jsonable(value):
     return repr(value)
 
 
-def dumps_chrome_trace(events: Iterable[Span], *,
-                       metrics: dict | None = None) -> str:
-    return json.dumps(to_chrome_trace(events, metrics=metrics), indent=1)
-
-
-def write_chrome_trace(path: str | os.PathLike, events: Iterable[Span], *,
-                       metrics: dict | None = None) -> Path:
+def write_chrome_trace(path: str | os.PathLike,
+                       events: Iterable[Span]) -> Path:
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_chrome_trace(events, metrics=metrics))
+    path.write_text(json.dumps(to_chrome_trace(events), indent=1))
     return path
 
 

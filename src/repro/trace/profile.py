@@ -206,12 +206,11 @@ def _device_summary(device_key: str | None) -> dict | None:
 
 @dataclass
 class ProfileRun:
-    """Everything one profiled run produced: the report, the raw spans,
-    and the metrics-registry snapshot taken right after the run."""
+    """Everything one profiled run produced: the report and the raw
+    spans."""
 
     profile: dict
     events: list
-    metrics: dict
 
 
 def profile_functional(config: str, *, device_key: str = "rtx2080",
@@ -226,7 +225,6 @@ def profile_functional(config: str, *, device_key: str = "rtx2080",
     """
     from ..altis.base import Variant
     from ..harness.runner import run_functional
-    from .metrics import registry
     from .spans import tracing
 
     variant = Variant.SYCL_OPT if variant is None else Variant(variant)
@@ -239,8 +237,7 @@ def profile_functional(config: str, *, device_key: str = "rtx2080",
     profile = build_profile(
         events, device_key=device_key, app=config, variant=variant.value,
         mode=mode, scale=scale, seed=seed)
-    return ProfileRun(profile=profile, events=events,
-                      metrics=registry.snapshot())
+    return ProfileRun(profile=profile, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +318,8 @@ def write_profile(out_dir: str | os.PathLike, run: ProfileRun) -> dict[str, Path
     """Write the full artifact set of one profiled run.
 
     ``profile.json`` (structured report), ``profile.md`` (rendered
-    report) and ``trace.json`` (Chrome trace with the metrics snapshot,
-    loadable by Perfetto or speedscope).  Returns the paths by artifact
-    name.
+    report) and ``trace.json`` (Chrome trace, loadable by Perfetto or
+    speedscope).  Returns the paths by artifact name.
     """
     from .export import write_chrome_trace
 
@@ -337,5 +333,5 @@ def write_profile(out_dir: str | os.PathLike, run: ProfileRun) -> dict[str, Path
     paths["profile.json"].write_text(
         json.dumps(run.profile, indent=2, sort_keys=True) + "\n")
     paths["profile.md"].write_text(render_profile(run.profile))
-    write_chrome_trace(paths["trace.json"], run.events, metrics=run.metrics)
+    write_chrome_trace(paths["trace.json"], run.events)
     return paths

@@ -17,9 +17,7 @@ they land side by side in the exported Chrome trace instead.
 
 Tracing is **disabled by default** and must stay zero-cost that way:
 :func:`current_tracer` returns ``None`` and every instrumentation site
-guards on that single global read.  The convenience :func:`span` hands
-back a shared no-op context manager so call sites outside hot paths can
-skip the guard entirely.
+guards on that single global read.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "install_tracer",
-    "span",
     "tracing",
 ]
 
@@ -101,21 +98,6 @@ class _SpanContext:
         return False
 
 
-class _NullContext:
-    """Shared no-op context manager (stateless, so reuse is safe)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 class Tracer:
     """Thread-safe span collector for one process."""
 
@@ -133,7 +115,7 @@ class Tracer:
         return (time.perf_counter() - self._epoch) * 1e6
 
     # -- wall-clock spans (per-thread stack) -----------------------------
-    def span(self, name: str, cat: str = "span", **args) -> _SpanContext:
+    def span(self, name: str, cat: str = "span", /, **args) -> _SpanContext:
         open_span = _OpenSpan(next(self._ids), name, cat, self.now_us(), args)
         return _SpanContext(self, open_span)
 
@@ -180,12 +162,13 @@ class Tracer:
 
     # -- pre-timed spans -------------------------------------------------
     def complete(self, name: str, cat: str, start_us: float, dur_us: float,
-                 tid: str | None = None, **args) -> Span:
+                 tid: str | None = None, /, **args) -> Span:
         """Record a span whose interval was timed by the caller.
 
         Without ``tid`` the span joins the calling thread's stack as a
         child of the innermost open span (barrier phases).  With an
-        explicit ``tid`` it is a free-standing modeled-clock span.
+        explicit ``tid`` it is a free-standing modeled-clock span.  The
+        parameters are positional-only, so any span arg name is free.
         """
         if tid is None:
             stack = self._stack()
@@ -224,14 +207,6 @@ def install_tracer(tracer: Tracer | None) -> Tracer | None:
     previous = _ACTIVE
     _ACTIVE = tracer
     return previous
-
-
-def span(name: str, cat: str = "span", **args):
-    """Convenience: a span on the active tracer, or a shared no-op."""
-    tracer = _ACTIVE
-    if tracer is None:
-        return _NULL_CONTEXT
-    return tracer.span(name, cat, **args)
 
 
 class tracing:

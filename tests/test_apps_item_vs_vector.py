@@ -9,6 +9,7 @@ import pytest
 
 from repro.harness.runner import generate_workload
 from repro.sycl import Queue, Range
+from tests.launch_totals import fold_timeline
 from tests.test_differential_oracle import _REDUCED_SCALES, check
 
 
@@ -24,12 +25,12 @@ class TestMandelbrotItemPath:
 class TestNwItemPath:
     @pytest.mark.parametrize("mode", ["item", "compiled"])
     def test_blocked_wavefront_with_barriers(self, mode):
-        _, counters = _check("NW", mode)
+        _, totals = _check("NW", mode)
         if mode == "item":
             # per group, one staging barrier + one per tile anti-diagonal
             block = generate_workload("NW", 1, scale=_REDUCED_SCALES["NW"]
                                       ).params["block"]
-            assert counters.barrier_phases == 2 * block * counters.groups
+            assert totals.barrier_phases == 2 * block * totals.groups
 
 
 class TestKMeansItemPath:
@@ -58,7 +59,7 @@ class TestKMeansItemPath:
                            counts, n)
         queue.parallel_for(Range(k), ks["finalize"], centers, sums, counts, k)
         path = "item" if mode == "item" else "vector"
-        assert queue.counters.path_counts == {path: 3}
+        assert fold_timeline(queue).path_counts == {path: 3}
         np.testing.assert_array_equal(
             centers, _update_centers(points, assign, k), strict=True)
 

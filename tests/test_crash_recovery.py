@@ -21,11 +21,16 @@ from repro.harness.reporting import render_suite_report
 from repro.harness.resultdb import SweepJournal
 from repro.harness.runner import (_DEFAULT_SCALES, _GOLDEN_DIGESTS,
                                   run_suite_functional)
-from repro.trace.metrics import registry as metrics
+from repro.trace import tracing
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = list(_DEFAULT_SCALES)
 CRASH_AT = "LavaMD"  # config index 5: five cells complete before the crash
+
+
+def _executed(tracer) -> list[str]:
+    """The cells a traced sweep executed: one ``app`` span each."""
+    return [ev.args["config"] for ev in tracer.events() if ev.cat == "app"]
 
 
 def _crash_at(mp, config):
@@ -61,11 +66,9 @@ def test_crash_journals_only_completed_cells(crashed_journal):
 
 def test_resume_reexecutes_only_unfinished_cells(crashed_journal):
     n_done = len(SweepJournal(crashed_journal).load())
-    metrics.reset()
-    results = run_suite_functional(journal=crashed_journal, resume=True)
-    snap = metrics.snapshot()
-    assert snap["resilience.cells_resumed"]["value"] == n_done
-    assert snap["harness.runs"]["value"] == len(CONFIGS) - n_done
+    with tracing() as tracer:
+        results = run_suite_functional(journal=crashed_journal, resume=True)
+    assert _executed(tracer) == CONFIGS[n_done:]
     assert [r.config for r in results] == CONFIGS
     assert all(r.verified for r in results)
     # resumed rows come from the journal: no workload/outputs attached
@@ -105,11 +108,11 @@ def test_resume_rejects_tampered_journal_records(crashed_journal):
     for record in records:
         journal.append(record)
     journal.append(dict(records[4], config=[records[4]["config"]]))
-    metrics.reset()
-    results = run_suite_functional(journal=journal, resume=True)
-    snap = metrics.snapshot()
+    with tracing() as tracer:
+        results = run_suite_functional(journal=journal, resume=True)
     # the tampered cells were re-executed, not merged from the journal
-    assert snap["resilience.cells_resumed"]["value"] == len(records) - 4
+    assert _executed(tracer) == [c for c in CONFIGS
+                                 if c != records[4]["config"]]
     assert all(r.outputs is not None for r in results[:4])
     assert results[0].modeled_kernel_s != 123.0
     assert [r.config for r in results] == CONFIGS
@@ -152,9 +155,9 @@ def test_resume_accepts_either_spelling_of_a_mode(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     journal = str(tmp_path / "compiled.journal")
     assert main(["suite", "--mode", "compiled", "--journal", journal]) == 0
-    metrics.reset()
-    assert main(["suite", "--journal", journal, "--resume"]) == 0
-    assert metrics.snapshot().get("harness.runs", {}).get("value", 0) == 0
+    with tracing() as tracer:
+        assert main(["suite", "--journal", journal, "--resume"]) == 0
+    assert _executed(tracer) == []
     assert len(Path(journal).read_text().splitlines()) == len(CONFIGS)
 
 
@@ -229,8 +232,7 @@ def test_code_fingerprint_computed_once_per_sweep(tmp_path, monkeypatch):
     # the resumed sweep also fingerprints exactly once (filter only: every
     # cell is merged from the journal)
     calls.clear()
-    metrics.reset()
-    run_suite_functional(journal=journal, resume=True)
+    with tracing() as tracer:
+        run_suite_functional(journal=journal, resume=True)
     assert len(calls) == 1
-    assert metrics.snapshot()["resilience.cells_resumed"]["value"] == len(
-        CONFIGS)
+    assert _executed(tracer) == []

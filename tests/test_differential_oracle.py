@@ -32,6 +32,7 @@ from repro.harness.runner import (_DEFAULT_SCALES, _GOLDEN_DIGESTS,
                                   _TOLERANCES, _array_digest,
                                   generate_workload)
 from repro.sycl import Queue
+from tests.launch_totals import fold_timeline
 
 CONFIGS = sorted(APP_FACTORIES)
 
@@ -108,22 +109,22 @@ def _scale(config: str, geometry: str) -> float:
 
 
 def rerun(config: str, geometry: str, mode: str, seed: int = 0):
-    """One fresh run of a row: ``(outputs, queue counters)``."""
+    """One fresh run of a row: ``(outputs, launch totals)``."""
     queue = Queue("rtx2080", default_mode=mode)
     workload = generate_workload(config, 1, seed=seed,
                                  scale=_scale(config, geometry))
     outputs = make_app(config).run_sycl(queue, workload, Variant.SYCL_OPT)
-    return outputs, queue.counters
+    return outputs, fold_timeline(queue)
 
 
 @functools.cache
 def run(config: str, geometry: str, mode: str, seed: int = 0):
     """The session's one run of a row; every test that checks the row
     shares its arrays, so they are read-only."""
-    outputs, counters = rerun(config, geometry, mode, seed)
+    outputs, totals = rerun(config, geometry, mode, seed)
     for value in outputs.values():
         value.flags.writeable = False
-    return outputs, counters
+    return outputs, totals
 
 
 @functools.cache
@@ -154,11 +155,11 @@ def _assert_same_bytes(config: str, got: dict, want: dict) -> None:
 
 
 def check(config: str, geometry: str, mode: str, seed: int = 0):
-    """Check one row; return its ``(outputs, counters)``."""
+    """Check one row; return its ``(outputs, launch totals)``."""
     row = ROWS[config, geometry, mode, seed]
-    outputs, counters = run(*row.key)
-    assert counters.path_counts == row.launches, (
-        f"{row.id}: launches per path {counters.path_counts}, "
+    outputs, totals = run(*row.key)
+    assert totals.path_counts == row.launches, (
+        f"{row.id}: launches per path {totals.path_counts}, "
         f"want {row.launches}")
     if row.oracle == "digest":
         assert digests(outputs) == _GOLDEN_DIGESTS[config], (
@@ -169,11 +170,11 @@ def check(config: str, geometry: str, mode: str, seed: int = 0):
         make_app(config).verify(outputs, _reference(config, geometry, seed),
                                 rtol=rtol, atol=atol)
     if mode != "auto":
-        auto_out, auto_counters = run(config, geometry, "auto", seed)
+        auto_out, auto_totals = run(config, geometry, "auto", seed)
         _assert_same_bytes(config, outputs, auto_out)
-        assert ((counters.items, counters.groups)
-                == (auto_counters.items, auto_counters.groups))
-    return outputs, counters
+        assert ((totals.items, totals.groups)
+                == (auto_totals.items, auto_totals.groups))
+    return outputs, totals
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=lambda row: row.id)

@@ -134,12 +134,3 @@ def test_reproduction_map_covers_paper_artifacts():
     for test in ("test_harness_experiments", "test_dpct",
                  "test_golden_fixtures", "test_crash_recovery"):
         assert test in text
-
-
-def test_fallback_html_build(build_docs, tmp_path):
-    written = build_docs.build(tmp_path)
-    names = {p.name for p in written}
-    assert "index.html" in names and "api.html" in names
-    index = (tmp_path / "index.html").read_text()
-    assert '<a href="quickstart.html">' in index  # nav links rewritten
-    assert "<h1" in index

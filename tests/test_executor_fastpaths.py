@@ -1,5 +1,6 @@
 """The executor's path selection, memoized index lattices, the
-barrier-phase engine at multi-group scale and the queue's counters."""
+barrier-phase engine at multi-group scale and the launch totals a
+queue's timeline folds to."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.sycl.executor import (
     execution_cache_info,
     run_nd_range,
 )
+from tests.launch_totals import fold_timeline
 
 
 def _add_item(item, out):
@@ -159,12 +161,11 @@ class TestQueueCounters:
                        KernelSpec(name="vonly", vector_fn=_add_vector), out)
         q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
         q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
-        c = q.counters
+        c = fold_timeline(q)
         assert c.items == 24 and c.groups == 6
         assert c.path_counts == {"vector": 1, "item": 2}
         q.reset_timeline()
-        assert q.counters.path_counts == {}
-        assert q.counters.items == 0
+        assert fold_timeline(q) == ({}, 0, 0, 0)
 
 
 def _phased_item(item, out):
@@ -213,7 +214,7 @@ class TestOneLaunchPath:
         assert q.default_mode == "auto"
         out = np.zeros(8)
         q.parallel_for(NdRange(Range(8), Range(4)), _pair_kernel(), out)
-        assert q.counters.path_counts == {"vector": 1}
+        assert [entry.stats.path for entry in q.timeline] == ["vector"]
         with pytest.raises(KernelLaunchError,
                            match="unknown execution mode 'compiled'"):
             run_nd_range(_pair_kernel(), NdRange(Range(8), Range(4)),

@@ -29,8 +29,7 @@ def test_goldens_byte_identical_with_plans(config):
 
 
 def _stats_tuple(stats):
-    return (stats.path, stats.items, stats.groups, stats.barrier_phases,
-            stats.gen_advances)
+    return (stats.path, stats.items, stats.groups, stats.barrier_phases)
 
 
 class TestStatsParity:

@@ -210,7 +210,8 @@ class TestQueueDataflow:
         events = q.dataflow((prod, (5,), prof), (cons, (5,), prof))
         assert out == [0, 1, 2, 3, 4]
         assert [ev.name for ev in events] == ["prod", "cons"]
-        assert q.counters.path_counts == {"single_task": 2}
+        assert [entry.stats.path for entry in q.timeline] == [
+            "single_task", "single_task"]
         assert q.kernel_time_s() > 0
 
     def test_a_pipe_kernel_alone_blocks_in_single_task(self):

@@ -225,8 +225,9 @@ def test_write_profile_artifacts(tmp_path):
     doc = json.loads(paths["profile.json"].read_text())
     assert doc["schema"] == PROFILE_SCHEMA
     trace = json.loads(paths["trace.json"].read_text())
-    assert trace["traceEvents"]
-    assert "metrics" in trace["otherData"]
+    assert set(trace) == {"traceEvents", "displayTimeUnit"}
+    assert any(ev["cat"] == "launch" and ev["args"]["path"]
+               for ev in trace["traceEvents"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +304,24 @@ def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
     """KMeans' FPGA pipe design books its two kernels through
     ``Queue.dataflow``; each gets a ``launch`` span like any other
     single-task launch, so the hotspot table lists both and its launch
-    column sums to the queue's own counter."""
+    column sums to the launches on the queue's timeline."""
     from repro.altis import Variant
     from repro.altis.kmeans import KMeans
     from repro.harness.cli import main
     from repro.harness.runner import _DEFAULT_SCALES
     from repro.sycl import Queue
-    from repro.trace.metrics import registry
+    from tests.launch_totals import fold_timeline
 
     app, queue = KMeans(), Queue("stratix10")
     app.run_sycl(queue, app.generate(1, seed=0,
                                      scale=_DEFAULT_SCALES["KMeans"]),
                  Variant.FPGA_OPT)
-    single_tasks = registry.counter("executor.path.single_task")
-    before = single_tasks.value
+    out = tmp_path / "p"
     assert main(["profile", "kmeans", "--device", "stratix10", "--variant",
-                 "fpga_opt", "--quick", "--out", str(tmp_path / "p")]) == 0
-    assert single_tasks.value - before == 2
+                 "fpga_opt", "--quick", "--out", str(out)]) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    assert [ev["args"]["path"] for ev in trace["traceEvents"]
+            if ev["cat"] == "launch"] == ["single_task", "single_task"]
     text = capsys.readouterr().out
     for kernel in ("mapCenters_st", "resetAccFin_st"):
         assert f"| {kernel} | single_task | 1 |" in text
@@ -327,4 +329,4 @@ def test_cli_profile_lists_dataflow_pipe_kernels(tmp_path, capsys):
     rows = [line.split("|") for line in hotspots.splitlines()
             if line.startswith("| ") and not line.startswith("| kernel |")]
     launches = sum(int(cells[3]) for cells in rows)
-    assert launches == queue.counters.path_counts["single_task"] == 2
+    assert launches == fold_timeline(queue).path_counts["single_task"] == 2

@@ -1,8 +1,8 @@
-"""Unit and integration tests for the tracing & metrics layer.
+"""Unit and integration tests for the tracing layer.
 
-Covers the pieces the property tests don't: the metrics registry, the
-queue/executor/harness span integration on a real benchmark run, one
-trace shared by several threads, and the CLI ``--trace`` export path.
+Covers the pieces the property tests don't: the queue/executor/harness
+span integration on a real benchmark run, one trace shared by several
+threads, and the CLI ``--trace`` export path.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from repro.harness.cli import main
 from repro.harness.reporting import render_trace_table
 from repro.harness.runner import run_functional, run_suite_functional
 from repro.trace import (
-    MetricsRegistry,
     Tracer,
     current_tracer,
     launch_table,
-    span,
     to_chrome_trace,
     tracing,
-    write_chrome_trace,
 )
+from tests.launch_totals import LaunchTotals, fold_spans, fold_timeline
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +44,8 @@ def test_span_stack_parents_nested_spans():
 def test_complete_with_tid_is_free_standing():
     tracer = Tracer()
     with tracer.span("outer", "a"):
-        modeled = tracer.complete("k", "modeled", 10.0, 5.0,
-                                  tid="modeled:gpu", bytes=64)
+        modeled = tracer.complete("k", "modeled", 10.0, 5.0, "modeled:gpu",
+                                  bytes=64)
         phase = tracer.complete("p", "barrier-phase", 0.0, 1.0)
     assert modeled.parent_id is None
     assert modeled.tid == "modeled:gpu"
@@ -68,37 +66,10 @@ def test_tracing_context_installs_and_restores():
     assert current_tracer() is None
     with tracing() as tracer:
         assert current_tracer() is tracer
-        with span("via-convenience"):
+        with current_tracer().span("via-current-tracer"):
             pass
         assert len(tracer.events()) == 1
     assert current_tracer() is None
-
-
-# ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-def test_metrics_counter_gauge_histogram():
-    # counters are the only metric kind; the name stays so the test id
-    # stays comparable across commits
-    reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.counter("c").inc(2.5)
-    assert reg.counter("c") is reg.counter("c")
-    assert reg.snapshot() == {"c": {"type": "counter", "value": 3.5}}
-
-
-def test_metrics_counter_rejects_decrease():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.counter("c").inc(-1)
-
-
-def test_metrics_reset():
-    reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.reset()
-    assert reg.snapshot() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +107,8 @@ def test_traced_run_emits_full_hierarchy():
 def test_span_counts_follow_launch_counters_not_items():
     """Tracing records spans per launch and per barrier phase, never per
     work-item or per generator advance: every category's count is a
-    function of the queue's own launch, group and phase counters."""
+    function of the launch, group and phase totals of the queue's
+    timeline."""
     from collections import Counter
 
     from repro.altis import Variant
@@ -149,7 +121,7 @@ def test_span_counts_follow_launch_counters_not_items():
     with tracing() as tracer:
         app.run_sycl(queue, workload, Variant.SYCL_OPT)
         events = tracer.events()
-    c = queue.counters
+    c = fold_timeline(queue)
     assert set(c.path_counts) == {"item"}
     assert c.barrier_phases > c.groups > 0
     launches = c.path_counts["item"]
@@ -157,18 +129,10 @@ def test_span_counts_follow_launch_counters_not_items():
     assert Counter(ev.cat for ev in events) == {
         "launch": launches, "kernel-form": launches,
         "modeled": launches, "barrier-phase": c.barrier_phases + c.groups}
-    assert len(events) < c.gen_advances
-
-
-def test_traced_run_updates_metrics():
-    from repro.trace.metrics import registry
-
-    with tracing():
-        run_functional("NW", mode="item")
-    snap = registry.snapshot()
-    assert snap["executor.launches"]["value"] > 0
-    assert snap["harness.runs"]["value"] > 0
-    assert "harness.staged_bytes" not in snap
+    # each phase resumes every work-item still running in its group
+    gen_advances = sum(ev.args["participants"] for ev in events
+                       if ev.cat == "barrier-phase")
+    assert len(events) < gen_advances
 
 
 def test_untraced_run_records_no_spans():
@@ -187,9 +151,10 @@ def test_threads_record_into_one_trace():
     together = threading.Barrier(4, timeout=10)
 
     def run_cell(item: int) -> None:
-        with span(f"cell:{item}", "cell"):
+        tracer = current_tracer()
+        with tracer.span(f"cell:{item}", "cell"):
             together.wait()
-            with span(f"work:{item}", "work", item=item):
+            with tracer.span(f"work:{item}", "work", item=item):
                 pass
 
     with tracing() as tracer:
@@ -224,23 +189,47 @@ def test_traced_suite_has_one_app_span_per_config_and_no_cell_spans():
     assert apps == [f"app:{config}" for config in _DEFAULT_SCALES]
 
 
+def test_launch_spans_fold_to_the_queue_timelines(monkeypatch):
+    """A launch keeps its counts once, on its timeline entry, and its
+    ``launch`` span copies them.  Over the default sweep, KMeans'
+    ``fpga_opt`` pipe design (booked by ``Queue.dataflow``) and NW's
+    per-item form, the spans fold to the queues' timelines, and
+    ``plan_cache_info()`` counts the same launches per path."""
+    from repro.altis import Variant
+    from repro.harness import runner
+    from repro.sycl.plan import plan_cache_info
+
+    queues = []
+
+    class RecordingQueue(runner.Queue):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            queues.append(self)
+
+    monkeypatch.setattr(runner, "Queue", RecordingQueue)
+    with tracing() as tracer:
+        run_suite_functional()
+        run_functional("KMeans", "stratix10", Variant.FPGA_OPT)
+        run_functional("NW", mode="item")
+        tiers = plan_cache_info()["tiers"]
+        events = tracer.events()
+    spans = fold_spans(events)
+    assert spans == fold_timeline(*queues)
+    assert {path: tier["count"] for path, tier in tiers.items()} == (
+        spans.path_counts)
+    assert sum(ev.cat == "app" for ev in events) == 15
+    assert spans == LaunchTotals(
+        {"vector": 71, "item": 9, "single_task": 2},
+        items=35_975, groups=573, barrier_phases=400)
+
+
 # ---------------------------------------------------------------------------
 # Export + CLI
 # ---------------------------------------------------------------------------
 
-def test_write_chrome_trace_with_metrics(tmp_path):
-    tracer = Tracer()
-    with tracer.span("s"):
-        pass
-    path = write_chrome_trace(tmp_path / "t.json", tracer.events(),
-                              metrics={"c": {"type": "counter", "value": 1}})
-    doc = json.loads(path.read_text())
-    assert doc["otherData"]["metrics"]["c"]["value"] == 1
-
-
 def test_export_stringifies_unjsonable_args():
     tracer = Tracer()
-    tracer.complete("k", "x", 0.0, 1.0, tid="t", obj=object())
+    tracer.complete("k", "x", 0.0, 1.0, "t", obj=object())
     doc = to_chrome_trace(tracer.events())
     arg = doc["traceEvents"][0]["args"]["obj"]
     assert isinstance(arg, str) and "object" in arg
@@ -261,4 +250,4 @@ def test_cli_trace_writes_valid_chrome_trace(tmp_path):
         assert isinstance(ev["dur"], (int, float))
     cats = {ev["cat"] for ev in events}
     assert {"run", "app", "launch", "barrier-phase"} <= cats
-    assert "executor.launches" in doc["otherData"]["metrics"]
+    assert set(doc) == {"traceEvents", "displayTimeUnit"}

@@ -11,9 +11,7 @@ pyyaml) so the docs are checked by the tier-1 test suite itself:
 * ``--check``    strict validation: every nav entry exists, every page
   is in the nav, every relative link/anchor in ``docs/*.md`` resolves,
   every module listed for the API page exists, and ``docs/api.md``
-  matches a fresh regeneration (exit 1 otherwise);
-* ``--build``    render a minimal static HTML site (fallback for
-  environments without mkdocs; CI uploads the real mkdocs site).
+  matches a fresh regeneration (exit 1 otherwise).
 
 Run from the repository root::
 
@@ -23,7 +21,6 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import html
 import inspect
 import re
 import sys
@@ -48,7 +45,6 @@ API_MODULES = [
     "repro.resilience.checkpoint",
     "repro.trace",
     "repro.trace.spans",
-    "repro.trace.metrics",
     "repro.trace.profile",
 ]
 
@@ -291,124 +287,15 @@ def check() -> list[str]:
     return errors
 
 
-# ---------------------------------------------------------------------------
-# Minimal HTML rendering (fallback site; CI builds the real one with mkdocs)
-# ---------------------------------------------------------------------------
-
-_STYLE = """
-body{max-width:52rem;margin:2rem auto;padding:0 1rem;
-     font-family:system-ui,sans-serif;line-height:1.55;color:#222}
-pre{background:#f6f8fa;padding:.8rem;overflow-x:auto;border-radius:6px}
-code{background:#f6f8fa;padding:.1em .3em;border-radius:4px;
-     font-size:.92em}
-pre code{padding:0}
-nav{font-size:.92em;border-bottom:1px solid #ddd;
-    padding-bottom:.6rem;margin-bottom:1.2rem}
-nav a{margin-right:.9rem}
-table{border-collapse:collapse}td,th{border:1px solid #ccc;
-     padding:.25rem .6rem}
-h1,h2,h3{line-height:1.25}
-a{color:#0b62a4}
-"""
-
-
-def _render_inline(text: str) -> str:
-    text = html.escape(text, quote=False)
-    text = re.sub(r"`([^`]+)`", r"<code>\1</code>", text)
-    text = re.sub(r"\*\*([^*]+)\*\*", r"<strong>\1</strong>", text)
-    text = re.sub(r"(?<!\!)\[([^\]]*)\]\(([^)\s]+)\)",
-                  lambda m: '<a href="%s">%s</a>'
-                  % (re.sub(r"\.md(#|$)", r".html\1", m.group(2)),
-                     m.group(1)),
-                  text)
-    return text
-
-
-def md_to_html(text: str) -> str:
-    out, lines = [], text.splitlines()
-    i, in_list, in_table = 0, False, False
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("```"):
-            block = []
-            i += 1
-            while i < len(lines) and not lines[i].startswith("```"):
-                block.append(lines[i])
-                i += 1
-            i += 1
-            out.append("<pre><code>%s</code></pre>"
-                       % html.escape("\n".join(block)))
-            continue
-        if in_list and not line.lstrip().startswith(("-", "*")):
-            out.append("</ul>")
-            in_list = False
-        if in_table and not line.startswith("|"):
-            out.append("</table>")
-            in_table = False
-        m = re.match(r"^(#{1,6})\s+(.*)$", line)
-        if m:
-            level = len(m.group(1))
-            out.append('<h%d id="%s">%s</h%d>'
-                       % (level, _anchor(m.group(2)),
-                          _render_inline(m.group(2)), level))
-        elif line.startswith("|"):
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            if all(re.fullmatch(r":?-+:?", c) for c in cells):
-                i += 1
-                continue
-            if not in_table:
-                out.append("<table>")
-                in_table = True
-            out.append("<tr>%s</tr>" % "".join(
-                f"<td>{_render_inline(c)}</td>" for c in cells))
-        elif line.lstrip().startswith(("- ", "* ")):
-            if not in_list:
-                out.append("<ul>")
-                in_list = True
-            out.append(f"<li>{_render_inline(line.lstrip()[2:])}</li>")
-        elif line.strip():
-            out.append(f"<p>{_render_inline(line)}</p>")
-        i += 1
-    if in_list:
-        out.append("</ul>")
-    if in_table:
-        out.append("</table>")
-    return "\n".join(out)
-
-
-def build(out_dir: Path) -> list[Path]:
-    pages = nav_pages()
-    nav_html = "".join(
-        '<a href="%s">%s</a>' % (p.replace(".md", ".html"),
-                                 Path(p).stem.replace("-", " "))
-        for p in pages)
-    written = []
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for page in pages:
-        body = md_to_html((DOCS / page).read_text())
-        dest = out_dir / page.replace(".md", ".html")
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(
-            "<!doctype html><html><head><meta charset='utf-8'>"
-            f"<title>{Path(page).stem}</title><style>{_STYLE}</style>"
-            f"</head><body><nav>{nav_html}</nav>{body}</body></html>")
-        written.append(dest)
-    return written
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gen-api", action="store_true",
                         help="regenerate docs/api.md from the live package")
     parser.add_argument("--check", action="store_true",
                         help="strict nav/link/anchor/api-freshness check")
-    parser.add_argument("--build", action="store_true",
-                        help="render the fallback HTML site")
-    parser.add_argument("--out", default="site", metavar="DIR",
-                        help="output directory for --build (default: site)")
     args = parser.parse_args(argv)
-    if not (args.gen_api or args.check or args.build):
-        parser.error("pick at least one of --gen-api/--check/--build")
+    if not (args.gen_api or args.check):
+        parser.error("pick at least one of --gen-api/--check")
     if args.gen_api:
         (DOCS / "api.md").write_text(generate_api())
         print("wrote docs/api.md")
@@ -419,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         if errors:
             return 1
         print(f"docs check: {len(nav_pages())} pages ok")
-    if args.build:
-        written = build(Path(args.out))
-        print(f"wrote {len(written)} pages to {args.out}/")
     return 0
 
 
